@@ -96,9 +96,17 @@ def _run_one(payload) -> tuple[str, int, SimTrace]:
 
 
 def _max_workers(jobs: int) -> int:
-    env = os.environ.get("BPSIM_THREADS", "")
-    cap = int(env) if env.strip() else (os.cpu_count() or 1)
-    return max(1, min(cap, jobs))
+    env = os.environ.get("BPSIM_THREADS", "").strip()
+    if not env:
+        return max(1, min(os.cpu_count() or 1, jobs))
+    bad = ConfigError(f"BPSIM_THREADS must be a positive integer, got {env!r}")
+    try:
+        cap = int(env)
+    except ValueError:
+        raise bad from None
+    if cap < 1:
+        raise bad
+    return min(cap, jobs)
 
 
 def cmd_run(args) -> int:
@@ -112,6 +120,10 @@ def cmd_run(args) -> int:
     if args.runs < 1 or args.slots < 1:
         raise ConfigError("runs and slots must be >= 1")
     config = _sim_config(args)
+    # Same per-run seed for every scheme: identical arrival realizations.
+    jobs = [(scenario, scheme, args.slots, config, args.seed + r)
+            for scheme in schemes for r in range(args.runs)]
+    workers = _max_workers(len(jobs))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -125,11 +137,7 @@ def cmd_run(args) -> int:
     (outdir / "config_echo.json").write_text(
         json.dumps(echo, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
-    # Same per-run seed for every scheme: identical arrival realizations.
-    jobs = [(scenario, scheme, args.slots, config, args.seed + r)
-            for scheme in schemes for r in range(args.runs)]
     results: dict[tuple[str, int], SimTrace] = {}
-    workers = _max_workers(len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for scheme, seed, trace in pool.map(_run_one, jobs):

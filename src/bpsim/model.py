@@ -24,6 +24,10 @@ SCENARIO_VERSION = 1
 MIN_NODE_DISTANCE = 1e-9
 MAX_CONNECTIVITY_RETRIES = 100
 
+# Default node power floor as a fraction of the cap; keeps log powers finite.
+POWER_FLOOR_RATIO = 1e-6
+_LOG_FLOOR_RATIO = np.log(POWER_FLOOR_RATIO)
+
 
 @dataclass(frozen=True)
 class NetworkModel:
@@ -32,6 +36,11 @@ class NetworkModel:
     ``gain`` is a full (n, n) matrix of linear power gains with a zero
     diagonal; every transmitter interferes at every receiver except itself.
     ``links`` are the ordered pairs that may carry data.
+
+    Construction also derives the link view the physical layer and the
+    solver read on every call: per-link gain, transmitter self-interference
+    and receiver noise, plus per-node log power caps, out-degrees and the
+    default power-exponent floor.  These arrays are read-only.
     """
 
     gain: np.ndarray            # (n, n), gain[i][j] from tx i to rx j, diag 0
@@ -46,18 +55,35 @@ class NetworkModel:
     dst: np.ndarray = field(init=False, repr=False)
     out_links: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     in_links: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    # Link view, filled in __post_init__.
+    link_gain: np.ndarray = field(init=False, repr=False)       # (E,) gain[src, dst]
+    link_theta: np.ndarray = field(init=False, repr=False)      # (E,) theta[src]
+    link_noise: np.ndarray = field(init=False, repr=False)      # (E,) noise[dst]
+    log_power_cap: np.ndarray = field(init=False, repr=False)   # (n,) log(power_cap)
+    out_degree: np.ndarray = field(init=False, repr=False)      # (n,) outgoing links
+    gamma_floor: np.ndarray = field(init=False, repr=False)     # (n,) default exponent floor
 
     def __post_init__(self):
         gain = np.asarray(self.gain, dtype=float)
+        if gain.ndim != 2 or gain.shape[0] != gain.shape[1]:
+            raise ConfigError(f"gain matrix must be square, got shape {gain.shape}")
+        n = gain.shape[0]
         object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "noise", np.asarray(self.noise, dtype=float))
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-        object.__setattr__(self, "power_cap", np.asarray(self.power_cap, dtype=float))
+        for name in ("noise", "theta", "power_cap"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != (n,):
+                raise ConfigError(
+                    f"{name} must hold one value per node ({n}), got shape {arr.shape}")
+            object.__setattr__(self, name, arr)
         links = tuple((int(i), int(j)) for i, j in self.links)
         object.__setattr__(self, "links", links)
-        n = self.n
-        src = np.array([l[0] for l in links], dtype=np.intp)
-        dst = np.array([l[1] for l in links], dtype=np.intp)
+        src_ids, dst_ids = zip(*links) if links else ((), ())
+        if links and not (0 <= min(min(src_ids), min(dst_ids))
+                          and max(max(src_ids), max(dst_ids)) < n):
+            bad = next(l for l in links if not (0 <= l[0] < n and 0 <= l[1] < n))
+            raise ConfigError(f"link {bad} references an unknown node")
+        src = np.array(src_ids, dtype=np.intp)
+        dst = np.array(dst_ids, dtype=np.intp)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         out = [[] for _ in range(n)]
@@ -67,6 +93,21 @@ class NetworkModel:
             inn[j].append(idx)
         object.__setattr__(self, "out_links", tuple(tuple(v) for v in out))
         object.__setattr__(self, "in_links", tuple(tuple(v) for v in inn))
+        # Caps <= 1 give a meaningless floor; validate_model reports them.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_cap = np.log(self.power_cap)
+            gamma_floor = 1.0 + _LOG_FLOOR_RATIO / log_cap
+        view = {
+            "link_gain": gain[src, dst],
+            "link_theta": self.theta[src],
+            "link_noise": self.noise[dst],
+            "log_power_cap": log_cap,
+            "out_degree": np.bincount(src, minlength=n),
+            "gamma_floor": gamma_floor,
+        }
+        for name, arr in view.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -134,26 +175,17 @@ def link_radius(n: int) -> float:
     return 2.5 / np.sqrt(n)
 
 
-def _gains_from_positions(positions: np.ndarray) -> np.ndarray:
+def _gains_from_distances(dist: np.ndarray) -> np.ndarray:
     """Fourth-power path loss between every ordered pair, zero on the diagonal."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    with np.errstate(divide="ignore"):
-        gain = dist ** -4.0
+    gain = dist ** -4.0
     np.fill_diagonal(gain, 0.0)
     return gain
 
 
-def _links_from_positions(positions: np.ndarray, radius: float) -> list[tuple[int, int]]:
-    n = positions.shape[0]
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    links = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and dist[i, j] < radius:
-                links.append((i, j))
-    return links
+def _links_from_distances(dist: np.ndarray, radius: float) -> list[tuple[int, int]]:
+    """Ordered pairs closer than ``radius``, row-major; ``dist`` has an infinite diagonal."""
+    src, dst = np.nonzero(dist < radius)
+    return list(zip(src.tolist(), dst.tolist()))
 
 
 def _connected(n: int, links: list[tuple[int, int]]) -> bool:
@@ -189,21 +221,20 @@ def generate_scenario(n: int, arrival_mean: float, seed: int) -> Scenario:
         raise ConfigError(f"arrival mean must be nonnegative, got {arrival_mean}")
     rng = np.random.default_rng(seed)
     radius = link_radius(n)
-    positions = None
+    positions = dist = None
     links: list[tuple[int, int]] = []
     for _ in range(MAX_CONNECTIVITY_RETRIES):
         r = np.sqrt(rng.random(n))
         phi = rng.random(n) * 2.0 * np.pi
         cand = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
         diff = cand[:, None, :] - cand[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() < MIN_NODE_DISTANCE:
+        cand_dist = np.sqrt((diff * diff).sum(axis=2))
+        np.fill_diagonal(cand_dist, np.inf)
+        if cand_dist.min() < MIN_NODE_DISTANCE:
             continue
-        cand_links = _links_from_positions(cand, radius)
+        cand_links = _links_from_distances(cand_dist, radius)
         if _connected(n, cand_links):
-            positions = cand
-            links = cand_links
+            positions, dist, links = cand, cand_dist, cand_links
             break
     if positions is None:
         raise ConfigError(
@@ -212,7 +243,7 @@ def generate_scenario(n: int, arrival_mean: float, seed: int) -> Scenario:
         )
 
     model = NetworkModel(
-        gain=_gains_from_positions(positions),
+        gain=_gains_from_distances(dist),
         noise=np.full(n, 0.1),
         theta=np.full(n, 0.25),
         power_cap=np.full(n, 100.0),
@@ -235,15 +266,10 @@ def validate_model(model: NetworkModel) -> list[str]:
     """Check structural invariants; returns one message per violation."""
     out: list[str] = []
     n = model.n
-    if model.gain.shape != (n, n):
-        out.append(f"gain matrix must be ({n}, {n}), got {model.gain.shape}")
-        return out
     if np.any(np.diag(model.gain) != 0.0):
         out.append("gain diagonal must be zero (no self-gain)")
     for i, j in model.links:
-        if not (0 <= i < n and 0 <= j < n):
-            out.append(f"link ({i}, {j}) references an unknown node")
-        elif i == j:
+        if i == j:
             out.append(f"link ({i}, {j}) is a self-loop")
         elif model.gain[i, j] <= 0:
             out.append(f"gain must be positive on link ({i}, {j})")

@@ -15,14 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDomainError
-from .model import NetworkModel
+from .model import POWER_FLOOR_RATIO, NetworkModel  # noqa: F401  (re-exported)
 
 # Allocation fractions are floored here inside projections; low enough that
 # the floor is inactive at any optimum with positive link weights.
 ETA_FLOOR = 1e-12
-
-# Default node power floor as a fraction of the cap; keeps log powers finite.
-POWER_FLOOR_RATIO = 1e-6
 
 
 @dataclass
@@ -36,9 +33,12 @@ class PowerState:
         return PowerState(self.alloc.copy(), self.exponent.copy())
 
 
-def default_gamma_floor(model: NetworkModel, ratio: float = POWER_FLOOR_RATIO) -> np.ndarray:
-    """Per-node exponent floor keeping node power >= ratio * power_cap."""
-    return 1.0 + np.log(ratio) / np.log(model.power_cap)
+def default_gamma_floor(model: NetworkModel) -> np.ndarray:
+    """Per-node exponent floor keeping node power >= POWER_FLOOR_RATIO * power_cap.
+
+    The model's read-only copy, computed once at construction.
+    """
+    return model.gamma_floor
 
 
 def node_powers(model: NetworkModel, state: PowerState) -> np.ndarray:
@@ -53,11 +53,7 @@ def link_powers(model: NetworkModel, state: PowerState) -> np.ndarray:
 
 def uniform_power_state(model: NetworkModel, exponent: float = 1.0) -> PowerState:
     """Equal split across each node's outgoing links, exponents all equal."""
-    alloc = np.zeros(model.n_links)
-    for i in range(model.n):
-        out = model.out_links[i]
-        if out:
-            alloc[list(out)] = 1.0 / len(out)
+    alloc = 1.0 / model.out_degree[model.src]
     return PowerState(alloc, np.full(model.n, float(exponent)))
 
 
@@ -103,13 +99,15 @@ class LinkMetrics:
     """Per-link power, interference-plus-noise, SINR and capacity.
 
     ``capacity`` is log(SINR) in nats per symbol; links carrying zero power
-    have SINR 0 and capacity -inf.
+    have SINR 0 and capacity -inf.  ``node_power`` is each node's total
+    transmit power, the sum of its links' powers.
     """
 
     power: np.ndarray       # (E,)
     inoise: np.ndarray      # (E,) interference-plus-noise at the receiver
     sinr: np.ndarray        # (E,)
     capacity: np.ndarray    # (E,)
+    node_power: np.ndarray  # (n,)
 
 
 def link_metrics_from_powers(model: NetworkModel, p: np.ndarray) -> LinkMetrics:
@@ -119,24 +117,28 @@ def link_metrics_from_powers(model: NetworkModel, p: np.ndarray) -> LinkMetrics:
     perturbed configurations (finite differences, midpoints in log powers).
     """
     src, dst = model.src, model.dst
-    g = model.gain[src, dst]
+    g = model.link_gain
     tx_total = np.bincount(src, weights=p, minlength=model.n)
+    tx_src = tx_total[src]
     # Received power at each node from every transmitter (diagonal gain is 0).
     rx_total = model.gain.T @ tx_total
-    other = rx_total[dst] - g * tx_total[src]
-    inoise = model.theta[src] * g * (tx_total[src] - p) + other + model.noise[dst]
-    if np.any(~np.isfinite(inoise)) or np.any(inoise <= 0):
+    other = rx_total[dst] - g * tx_src
+    inoise = model.link_theta * g * (tx_src - p) + other + model.link_noise
+    # NaN fails both comparisons, so these two reductions reject exactly the
+    # non-finite and non-positive values.
+    if not (inoise.min(initial=np.inf) > 0 and inoise.max(initial=0.0) < np.inf):
         bad = int(np.argmin(np.where(np.isfinite(inoise), inoise, -np.inf)))
         raise NumericDomainError(
             f"interference-plus-noise is not positive and finite on link {model.links[bad]}"
         )
     sinr = model.processing_gain * g * p / inoise
-    with np.errstate(divide="ignore"):
-        capacity = np.log(sinr, out=np.full_like(sinr, -np.inf), where=sinr > 0)
-    if np.any(np.isnan(capacity)) or np.any(np.isnan(sinr)):
-        bad = int(np.argmax(np.isnan(capacity) | np.isnan(sinr)))
+    # log runs only where sinr > 0, so capacity is never NaN; sinr may be.
+    capacity = np.log(sinr, out=np.full_like(sinr, -np.inf), where=sinr > 0)
+    if np.isnan(sinr.max(initial=-np.inf)):
+        bad = int(np.argmax(np.isnan(sinr)))
         raise NumericDomainError(f"non-finite capacity on link {model.links[bad]}")
-    return LinkMetrics(power=p, inoise=inoise, sinr=sinr, capacity=capacity)
+    return LinkMetrics(power=p, inoise=inoise, sinr=sinr, capacity=capacity,
+                       node_power=tx_total)
 
 
 def link_metrics(model: NetworkModel, state: PowerState) -> LinkMetrics:
@@ -172,22 +174,18 @@ def alloc_marginal_gain(model: NetworkModel, weights: np.ndarray,
     Zero on links with zero weight.  Equals (b/P) * (1 + theta*SINR/K),
     which a node can assemble from local measurements alone.
     """
-    src, dst = model.src, model.dst
-    g = model.gain[src, dst]
     out = np.zeros(model.n_links)
     active = weights > 0
     if np.any(metrics.power[active] <= 0):
         bad = int(np.argmax(active & (metrics.power <= 0)))
         raise NumericDomainError(f"zero power on weighted link index {bad}")
     np.divide(weights, metrics.power, out=out, where=active)
-    out[active] += (weights * model.theta[src] * g / metrics.inoise)[active]
+    out[active] += (weights * model.link_theta * model.link_gain / metrics.inoise)[active]
     return out
 
 
-def _receiver_pressure(model: NetworkModel, weights: np.ndarray,
-                       metrics: LinkMetrics) -> np.ndarray:
-    """(n,) sum over incoming links of weight / interference-plus-noise."""
-    f = weights / metrics.inoise
+def _receiver_pressure(model: NetworkModel, f: np.ndarray) -> np.ndarray:
+    """(n,) sum over incoming links of f = weight / interference-plus-noise."""
     return np.bincount(model.dst, weights=f, minlength=model.n)
 
 
@@ -204,16 +202,14 @@ def power_marginal_parts(model: NetworkModel, weights: np.ndarray, state: PowerS
     """
     if delta_alloc is None:
         delta_alloc = alloc_marginal_gain(model, weights, metrics)
-    src, dst = model.src, model.dst
-    g = model.gain[src, dst]
+    src = model.src
     f = weights / metrics.inoise
-    pressure = _receiver_pressure(model, weights, metrics)     # (n,)
     # Interference cost of this node's power at every other receiver,
     # net of the pressure generated by its own outgoing links.
-    own = np.bincount(src, weights=g * f, minlength=model.n)
+    own = np.bincount(src, weights=model.link_gain * f, minlength=model.n)
     alloc_term = np.bincount(src, weights=delta_alloc * state.alloc, minlength=model.n)
     up = (1.0 - model.theta) * own + alloc_term
-    down = model.gain @ pressure
+    down = model.gain @ _receiver_pressure(model, f)
     return up, down
 
 
@@ -226,13 +222,12 @@ def power_marginal_gain(model: NetworkModel, weights: np.ndarray, state: PowerSt
     log(power_cap_i) times this quantity.
     """
     up, down = power_marginal_parts(model, weights, state, metrics, delta_alloc)
-    p_node = np.bincount(model.src, weights=metrics.power, minlength=model.n)
-    return p_node * (up - down)
+    return metrics.node_power * (up - down)
 
 
 def power_gradient(model: NetworkModel, delta_gamma: np.ndarray) -> np.ndarray:
     """dF/d(exponent) from the power marginal gains."""
-    return np.log(model.power_cap) * delta_gamma
+    return model.log_power_cap * delta_gamma
 
 
 def alloc_grad_full(model: NetworkModel, weights: np.ndarray, state: PowerState,
@@ -245,11 +240,8 @@ def alloc_grad_full(model: NetworkModel, weights: np.ndarray, state: PowerState,
     """
     if delta_alloc is None:
         delta_alloc = alloc_marginal_gain(model, weights, metrics)
-    src, dst = model.src, model.dst
-    g = model.gain[src, dst]
+    src = model.src
     f = weights / metrics.inoise
-    pressure = _receiver_pressure(model, weights, metrics)
-    own = np.bincount(src, weights=g * f, minlength=model.n)
-    common = model.gain @ pressure + (model.theta - 1.0) * own
-    p_node = np.bincount(src, weights=metrics.power, minlength=model.n)
-    return p_node[src] * (delta_alloc - common[src])
+    own = np.bincount(src, weights=model.link_gain * f, minlength=model.n)
+    common = model.gain @ _receiver_pressure(model, f) + (model.theta - 1.0) * own
+    return metrics.node_power[src] * (delta_alloc - common[src])

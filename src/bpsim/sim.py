@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericDomainError
 from .model import NetworkModel, Scenario, TrafficSpec
 from .policy import MdbScheme, RateAssignment, make_scheme
 from .solver import SolverConfig
@@ -194,7 +194,7 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
     for t in range(slots):
         try:
             assignment, info = scheme.step(u)
-        except Exception as exc:
+        except (ConfigError, NumericDomainError) as exc:
             raise type(exc)(f"slot {t}: {exc}") from exc
         res = step_queues(u, assignment, arrivals[t], traffic, model)
         rate[t] = assignment.rate

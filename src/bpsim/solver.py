@@ -33,7 +33,6 @@ from .phy import (
     link_metrics,
     link_metrics_from_powers,
     objective_from_metrics,
-    power_marginal_gain,
 )
 
 # Safeguards under the diagonal scaling matrices.
@@ -114,55 +113,70 @@ def project_simplex(target: np.ndarray, scale: np.ndarray | None = None,
     return np.where(free, np.maximum(x, floor), floor)
 
 
-def _project_alloc_nodes(target: np.ndarray, invq: np.ndarray, floor: float,
-                         src: np.ndarray, n: int, m_node: np.ndarray) -> np.ndarray:
-    """Vectorized weighted-simplex projection, one simplex per node segment."""
+def _project_alloc_nodes(ws: _Workspace, target: np.ndarray, invq: np.ndarray,
+                         floor: float) -> np.ndarray:
+    """Vectorized weighted-simplex projection, one simplex per node segment.
+
+    The first pass has every coordinate free, so its sums need no mask and
+    its goal is exactly 1.
+    """
+    src, m_node = ws.src, ws.m_node
+    n = m_node.size
     free = np.ones(target.size, dtype=bool)
-    x = np.full(target.size, floor)
-    for _ in range(int(m_node.max()) + 1):
-        s_t = np.bincount(src, weights=target * free, minlength=n)
-        s_iq = np.bincount(src, weights=invq * free, minlength=n)
-        n_free = np.bincount(src, weights=free.astype(float), minlength=n)
-        goal = 1.0 - floor * (m_node - n_free)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu = np.where(s_iq > 0, (s_t - goal) / np.where(s_iq > 0, s_iq, 1.0), 0.0)
+    s_t = np.bincount(src, weights=target, minlength=n)
+    s_iq = np.bincount(src, weights=invq, minlength=n)
+    goal = 1.0
+    for _ in range(ws.max_degree + 1):
+        mu = np.divide(s_t - goal, s_iq, out=np.zeros(n), where=s_iq > 0)
         x = target - mu[src] * invq
         viol = free & (x < floor)
         if not viol.any():
             break
         free &= ~viol
+        s_t = np.bincount(src, weights=target * free, minlength=n)
+        s_iq = np.bincount(src, weights=invq * free, minlength=n)
+        n_free = np.bincount(src, weights=free.astype(float), minlength=n)
+        goal = 1.0 - floor * (m_node - n_free)
     return np.where(free, np.maximum(x, floor), floor)
 
 
 @dataclass
 class _Workspace:
-    """Index arrays over the weighted (active) links, built once per solve."""
+    """Per-solve constants over the weighted (active) links, built once per solve."""
 
     act: np.ndarray             # indices into the full link arrays
     src: np.ndarray
     w: np.ndarray
-    g: np.ndarray
-    theta: np.ndarray
-    ln_kg: np.ndarray
+    w_full: np.ndarray          # (E,) weights, zero off the active links
+    theta_g: np.ndarray         # theta[src] * gain[src, dst], the self-interference gain
+    ln_kg: np.ndarray           # log(processing_gain * gain[src, dst])
     m_node: np.ndarray          # (n,) weighted out-degree
+    max_degree: int             # largest weighted out-degree
     has_active: np.ndarray      # (n,) bool
+    gain_cols: np.ndarray       # (n, E_a) gain from every node to each active receiver
+    cols: np.ndarray            # (E_a,) arange, column index of each active link
 
 
 def _make_workspace(model: NetworkModel, weights: np.ndarray) -> _Workspace:
     act = np.flatnonzero(weights > 0)
     src = model.src[act]
-    dst = model.dst[act]
-    g = model.gain[src, dst]
+    g = model.link_gain[act]
     m_node = np.bincount(src, minlength=model.n).astype(float)
+    w = weights[act]
+    w_full = np.zeros(model.n_links)
+    w_full[act] = w
     return _Workspace(
         act=act,
         src=src,
-        w=weights[act],
-        g=g,
-        theta=model.theta[src],
+        w=w,
+        w_full=w_full,
+        theta_g=model.link_theta[act] * g,
         ln_kg=np.log(model.processing_gain * g),
         m_node=m_node,
+        max_degree=int(m_node.max(initial=0.0)),
         has_active=m_node > 0,
+        gain_cols=model.gain[:, model.dst[act]],
+        cols=np.arange(act.size),
     )
 
 
@@ -175,38 +189,38 @@ def _seed_state(model: NetworkModel, ws: _Workspace, initial: PowerState,
     them to the exponent floor).
     """
     n = model.n
-    alloc = initial.alloc.copy()
-    for i in range(n):
-        out = model.out_links[i]
-        if out and not ws.has_active[i]:
-            total = float(alloc[list(out)].sum())
-            if not np.isfinite(total) or abs(total - 1.0) > 1e-9:
-                alloc[list(out)] = 1.0 / len(out)
-        elif out:
-            alloc[list(out)] = 0.0
-    a = initial.alloc[ws.act].copy()
+    src = model.src
+    # A node without weighted links keeps its split unless it is not a valid
+    # one (sum off 1, or not finite: NaN fails the comparison).
+    total = np.bincount(src, weights=initial.alloc, minlength=n)
+    reset = ~ws.has_active & ~(np.abs(total - 1.0) <= 1e-9)
+    alloc = np.where(reset[src], 1.0 / model.out_degree[src], initial.alloc)
+    alloc[ws.has_active[src]] = 0.0
+    a = initial.alloc[ws.act]
     # Links that were essentially unused get a small positive seed; established
     # allocations above the floor are kept so a converged point stays fixed.
     seed_min = config.reseed_fraction / np.maximum(ws.m_node[ws.src], 1.0)
-    dormant = a < 10.0 * config.eta_floor
-    a[dormant] = np.maximum(a[dormant], seed_min[dormant])
+    a = np.where(a < 10.0 * config.eta_floor, np.maximum(a, seed_min), a)
     total = np.bincount(ws.src, weights=a, minlength=n)
     bad = (total <= 0) & ws.has_active
     if bad.any():
         a = np.where(bad[ws.src], 1.0, a)
         total = np.bincount(ws.src, weights=a, minlength=n)
     a = a / total[ws.src]
-    a = _project_alloc_nodes(a, np.ones_like(a), config.eta_floor, ws.src, n, ws.m_node)
+    a = _project_alloc_nodes(ws, a, np.ones_like(a), config.eta_floor)
     alloc[ws.act] = a
     exponent = np.clip(initial.exponent, gfloor, 1.0)
     return PowerState(alloc, exponent)
 
 
-def _local_objective(ws: _Workspace, p_node: np.ndarray, other: np.ndarray,
-                     x: np.ndarray, n: int) -> np.ndarray:
-    """(n,) per-node weighted rate over its own links, as a function of its split."""
-    p_i = p_node[ws.src]
-    cap = ws.ln_kg + np.log(p_i * x) - np.log(ws.theta * ws.g * p_i * (1.0 - x) + other)
+def _local_objective(ws: _Workspace, p_i: np.ndarray, self_gain: np.ndarray,
+                     other: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """(n,) per-node weighted rate over its own links, as a function of its split.
+
+    ``p_i`` is the transmitter's total power per link and ``self_gain`` is
+    ``theta_g * p_i``.
+    """
+    cap = ws.ln_kg + np.log(p_i * x) - np.log(self_gain * (1.0 - x) + other)
     return np.bincount(ws.src, weights=ws.w * cap, minlength=n)
 
 
@@ -228,27 +242,28 @@ def alloc_sweep(model: NetworkModel, ws: _Workspace, state: PowerState,
     (callers may feed them back as the next sweep's ``beta0``).
     """
     n = model.n
-    if np.max(ws.m_node) * config.eta_floor > 1.0:
+    if ws.max_degree * config.eta_floor > 1.0:
         raise ConfigError("eta_floor too large for some node's out-degree")
     a = state.alloc[ws.act]
     d = delta_alloc[ws.act]
     q = _alloc_scaling(ws, a, config)
     invq = 1.0 / q
-    p_node = np.bincount(model.src, weights=metrics.power, minlength=n)
+    p_node = metrics.node_power
     p_i = p_node[ws.src]
     # Interference at each link's receiver that does not depend on this
     # node's own split (totals of other transmitters plus noise).
-    other = metrics.inoise[ws.act] - ws.theta * ws.g * (p_i - metrics.power[ws.act])
+    other = metrics.inoise[ws.act] - ws.theta_g * (p_i - metrics.power[ws.act])
     evals = 0
 
     if config.stepsize_rule == "fixed":
         target = a + config.fixed_step * d * invq
-        x = _project_alloc_nodes(target, invq, config.eta_floor, ws.src, n, ws.m_node)
+        x = _project_alloc_nodes(ws, target, invq, config.eta_floor)
         out = state.alloc.copy()
         out[ws.act] = x
         return out, evals, None
 
-    f0 = _local_objective(ws, p_node, other, a, n)
+    self_gain = ws.theta_g * p_i
+    f0 = _local_objective(ws, p_i, self_gain, other, a, n)
     evals += 1
     grad = p_i * d
     cap = config.armijo_initial * np.maximum(p_node, 1.0)
@@ -257,8 +272,8 @@ def alloc_sweep(model: NetworkModel, ws: _Workspace, state: PowerState,
     x_out = a.copy()
     for _ in range(_MAX_BACKTRACKS):
         target = a + beta[ws.src] * d * invq
-        x = _project_alloc_nodes(target, invq, config.eta_floor, ws.src, n, ws.m_node)
-        f1 = _local_objective(ws, p_node, other, x, n)
+        x = _project_alloc_nodes(ws, target, invq, config.eta_floor)
+        f1 = _local_objective(ws, p_i, self_gain, other, x, n)
         evals += 1
         gain = np.bincount(ws.src, weights=grad * (x - a), minlength=n)
         ok = (f1 - f0 >= config.armijo_sigma * gain) & ws.has_active
@@ -279,17 +294,15 @@ def alloc_sweep(model: NetworkModel, ws: _Workspace, state: PowerState,
     return out, evals, np.where(accepted, np.minimum(2.0 * beta, cap), cap)
 
 
-def _curvature(model: NetworkModel, ws: _Workspace, metrics: LinkMetrics,
-               p_node: np.ndarray) -> np.ndarray:
+def _curvature(ws: _Workspace, metrics: LinkMetrics) -> np.ndarray:
     """(n,) diagonal curvature of the objective in each node's log power.
 
     Each weighted link contributes w * s * (1 - s) where s is the share of
     its interference-plus-noise sourced from the node in question.
     """
-    contrib = model.gain[:, model.dst[ws.act]] * p_node[:, None]       # (n, E_a)
-    rows = ws.src
-    cols = np.arange(ws.act.size)
-    contrib[rows, cols] = ws.theta * ws.g * (p_node[ws.src] - metrics.power[ws.act])
+    p_node = metrics.node_power
+    contrib = ws.gain_cols * p_node[:, None]                            # (n, E_a)
+    contrib[ws.src, ws.cols] = ws.theta_g * (p_node[ws.src] - metrics.power[ws.act])
     s = contrib / metrics.inoise[ws.act][None, :]
     return ((s * (1.0 - s)) * ws.w[None, :]).sum(axis=1)
 
@@ -298,37 +311,39 @@ def power_step(model: NetworkModel, ws: _Workspace, state: PowerState,
                config: SolverConfig, gfloor: np.ndarray,
                metrics: LinkMetrics | None = None,
                delta_gamma: np.ndarray | None = None,
-               xi0: float | None = None) -> tuple[np.ndarray, float, int, float]:
+               xi0: float | None = None
+               ) -> tuple[np.ndarray, LinkMetrics, float, int, float]:
     """One joint power-exponent update (diagonal scaling, box clamp).
 
-    Returns (new exponents, objective after the step, objective evaluations,
-    accepted stepsize to seed the next call).
+    Returns (new exponents, link metrics and objective at the accepted point,
+    objective evaluations, accepted stepsize to seed the next call).  The
+    accepted point is the accepted line-search trial, or the start when the
+    step does not move.
     """
     if metrics is None:
         metrics = link_metrics(model, state)
-    weights_full = np.zeros(model.n_links)
-    weights_full[ws.act] = ws.w
     if delta_gamma is None:
-        delta_gamma = power_marginal_gain(model, weights_full, state, metrics)
-    if np.any(~np.isfinite(delta_gamma)):
+        up, down = phy.power_marginal_parts(model, ws.w_full, state, metrics)
+        delta_gamma = metrics.node_power * (up - down)
+    if not np.isfinite(delta_gamma).all():
         raise NumericDomainError("non-finite power marginal gain")
-    p_node = np.bincount(model.src, weights=metrics.power, minlength=model.n)
-    shat = np.log(model.power_cap)
+    shat = model.log_power_cap
     if config.scaling == "identity":
         v = np.ones(model.n)
     else:
-        v = np.maximum(shat * _curvature(model, ws, metrics, p_node), SCALE_EPS)
+        v = np.maximum(shat * _curvature(ws, metrics), SCALE_EPS)
     gamma = state.exponent
 
-    def full_objective(expo: np.ndarray) -> float:
+    def evaluate(expo: np.ndarray) -> tuple[LinkMetrics, float]:
         p = (model.power_cap ** expo)[model.src] * state.alloc
-        return objective_from_metrics(weights_full, link_metrics_from_powers(model, p))
+        met = link_metrics_from_powers(model, p)
+        return met, objective_from_metrics(ws.w_full, met)
 
     if config.stepsize_rule == "fixed":
         new = np.clip(gamma + config.fixed_step * delta_gamma / v, gfloor, 1.0)
-        return new, full_objective(new), 1, config.fixed_step
+        return (new, *evaluate(new), 1, config.fixed_step)
 
-    f0 = objective_from_metrics(weights_full, metrics)
+    f0 = objective_from_metrics(ws.w_full, metrics)
     grad = shat * delta_gamma
     xi = config.armijo_initial if xi0 is None else min(xi0, config.armijo_initial)
     evals = 0
@@ -336,33 +351,27 @@ def power_step(model: NetworkModel, ws: _Workspace, state: PowerState,
         new = np.clip(gamma + xi * delta_gamma / v, gfloor, 1.0)
         move = new - gamma
         if not np.any(move):
-            return gamma.copy(), f0, evals, config.armijo_initial
-        f1 = full_objective(new)
+            return gamma.copy(), metrics, f0, evals, config.armijo_initial
+        met, f1 = evaluate(new)
         evals += 1
         if f1 - f0 >= config.armijo_sigma * float(np.dot(grad, move)):
-            return new, f1, evals, min(2.0 * xi, config.armijo_initial)
+            return new, met, f1, evals, min(2.0 * xi, config.armijo_initial)
         xi *= config.armijo_shrink
         if xi < _MIN_STEP:
             break
-    return gamma.copy(), f0, evals, config.armijo_initial
+    return gamma.copy(), metrics, f0, evals, config.armijo_initial
 
 
 def alloc_step(model: NetworkModel, weights: np.ndarray, state: PowerState,
                node: int, config: SolverConfig) -> PowerState:
     """Allocation update for a single node; other nodes' variables untouched."""
-    ws = _make_workspace(model, weights)
+    own = np.where(model.src == node, weights, 0.0)
+    ws = _make_workspace(model, own)
     if not ws.has_active[node]:
         return state.copy()
     metrics = link_metrics(model, state)
     delta = alloc_marginal_gain(model, weights, metrics)
-    mask_other = ws.src != node
-    sub = _Workspace(
-        act=ws.act[~mask_other], src=ws.src[~mask_other], w=ws.w[~mask_other],
-        g=ws.g[~mask_other], theta=ws.theta[~mask_other], ln_kg=ws.ln_kg[~mask_other],
-        m_node=np.where(np.arange(model.n) == node, ws.m_node, 0.0),
-        has_active=np.arange(model.n) == node,
-    )
-    alloc, _, _ = alloc_sweep(model, sub, state, metrics, delta, config)
+    alloc, _, _ = alloc_sweep(model, ws, state, metrics, delta, config)
     return PowerState(alloc, state.exponent.copy())
 
 
@@ -389,7 +398,7 @@ def exchange_messages(model: NetworkModel, weights: np.ndarray, state: PowerStat
     valid for any self-interference factor, including zero.
     """
     src, dst = model.src, model.dst
-    g = model.gain[src, dst]
+    g = model.link_gain
     active = weights > 0
     if np.any(metrics.power[active] <= 0):
         raise NumericDomainError("zero power on a weighted link")
@@ -399,10 +408,10 @@ def exchange_messages(model: NetworkModel, weights: np.ndarray, state: PowerStat
     # Receiver-side reconstruction of weight / interference-plus-noise.
     ratio = feedback * metrics.sinr / (g * model.processing_gain)
     msgs = np.bincount(dst, weights=ratio, minlength=model.n)
-    p_node = np.bincount(src, weights=metrics.power, minlength=model.n)
-    theta_l = model.theta[src]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_p = np.where(p_node[src] > 0, 1.0 / np.where(p_node[src] > 0, p_node[src], 1.0), 0.0)
+    p_node = metrics.node_power
+    theta_l = model.link_theta
+    p_src = p_node[src]
+    inv_p = np.divide(1.0, p_src, out=np.zeros(model.n_links), where=p_src > 0)
     local = weights * (inv_p + (theta_l * state.alloc - theta_l + 1.0) * g / metrics.inoise)
     delta_gamma = p_node * (np.bincount(src, weights=local, minlength=model.n)
                             - model.gain @ msgs)
@@ -452,7 +461,7 @@ def kkt_check(model: NetworkModel, weights: np.ndarray, state: PowerState,
     if delta_alloc is None:
         delta_alloc = alloc_marginal_gain(model, weights, metrics)
     up, down = phy.power_marginal_parts(model, weights, state, metrics, delta_alloc)
-    p_node = np.bincount(model.src, weights=metrics.power, minlength=model.n)
+    p_node = metrics.node_power
     if delta_gamma is None:
         delta_gamma = p_node * (up - down)
 
@@ -472,10 +481,9 @@ def kkt_check(model: NetworkModel, weights: np.ndarray, state: PowerState,
 
     at_top = state.exponent >= 1.0 - _BOUND_TOL
     at_floor_g = state.exponent <= gfloor + _BOUND_TOL
-    gamma_residual = np.abs(delta_gamma)
-    gamma_residual[at_top] = np.maximum(0.0, -delta_gamma[at_top])
-    gamma_residual[at_floor_g & ~at_top] = np.maximum(
-        0.0, delta_gamma[at_floor_g & ~at_top])
+    gamma_residual = np.where(at_top, np.maximum(0.0, -delta_gamma),
+                              np.where(at_floor_g, np.maximum(0.0, delta_gamma),
+                                       np.abs(delta_gamma)))
     gamma_scale = np.maximum(1.0, p_node * (up + down))
 
     normalized = float(max((spread / alloc_scale).max(initial=0.0),
@@ -548,7 +556,7 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
         return initial.copy(), diag
 
     ws = _make_workspace(model, weights)
-    if np.max(ws.m_node) * config.eta_floor > 1.0:
+    if ws.max_degree * config.eta_floor > 1.0:
         raise ConfigError("eta_floor too large for some node's out-degree")
     gfloor = effective_gamma_floor(model, config)
     state = _seed_state(model, ws, initial, config, gfloor)
@@ -575,11 +583,10 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
         new_alloc, evals, beta0 = alloc_sweep(model, ws, state, metrics,
                                               delta_alloc, config, beta0)
         state = PowerState(new_alloc, state.exponent)
-        new_gamma, f_after, pc_evals, xi0 = power_step(model, ws, state, config,
-                                                       gfloor, xi0=xi0)
+        new_gamma, metrics, f_after, pc_evals, xi0 = power_step(model, ws, state, config,
+                                                                gfloor, xi0=xi0)
         state = PowerState(state.alloc, new_gamma)
-        metrics = link_metrics(model, state)
-        diag.objectives.append(objective_from_metrics(weights, metrics))
+        diag.objectives.append(f_after)
         if collect_rates:
             diag.capacity_trace.append(clipped(metrics))
         diag.iterations += 1

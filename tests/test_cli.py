@@ -173,3 +173,30 @@ def test_threads_env_respected(run_dir, tmp_path, monkeypatch):
                  "--out", str(out)])
     assert code == 0
     assert (out / "avg_iter-once.csv").exists()
+
+def _scenario_doc(tmp_path) -> dict:
+    path = tmp_path / "good.json"
+    assert main(["generate", "n=4", "B=2", "seed=9", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("links", [[0, 1], [1, 0], [0, 9]]),    # endpoint outside the 4 nodes
+    ("noise", [0.1, 0.1]),                  # one value per node expected
+])
+def test_run_rejects_malformed_scenario_file(tmp_path, field, value):
+    doc = _scenario_doc(tmp_path)
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(bad), "--scheme", "iter-once",
+                 "--slots", "2", "--runs", "1", "--out", str(tmp_path / "x")])
+    assert code == 2
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1"])
+def test_threads_env_rejects_non_positive_integers(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("BPSIM_THREADS", value)
+    code = main(["run", "--generate", "n=4", "B=2", "seed=9", "--scheme", "iter-once",
+                 "--slots", "2", "--runs", "1", "--out", str(tmp_path / "x")])
+    assert code == 2

@@ -231,3 +231,31 @@ def test_trace_csv_shape_and_stability():
     assert len(lines) == 12      # header + slots + final boundary row
     assert lines[0].startswith("slot,total_backlog,V,realized_drift,drift_bound")
     assert text == trace_to_csv(tr, per_queue=True)
+
+
+class _Failing:
+    """Scheme stand-in whose step raises a given exception."""
+
+    name = "failing"
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def step(self, backlog):
+        raise self.exc
+
+
+def test_run_keeps_foreign_exception_unchanged():
+    sc = tandem_scenario()
+    exc = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+    with pytest.raises(UnicodeDecodeError) as info:
+        run_simulation(sc, _Failing(exc), 3, _quick_config())
+    assert info.value is exc
+
+
+def test_run_prefixes_slot_to_own_errors():
+    from bpsim.errors import NumericDomainError
+    sc = tandem_scenario()
+    with pytest.raises(NumericDomainError, match=r"^slot 0: log of zero$") as info:
+        run_simulation(sc, _Failing(NumericDomainError("log of zero")), 3, _quick_config())
+    assert isinstance(info.value.__cause__, NumericDomainError)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from bpsim import phy
 from bpsim.errors import ConfigError
@@ -112,11 +113,11 @@ def test_power_step_boundary_cases():
     # positive gain at the cap stays at the cap
     met = phy.link_metrics(model, st)
     up = np.array([1.0, 0.0, 0.5, 0.0])
-    new, _, _, _ = power_step(model, ws, st, cfg, gfloor, met, delta_gamma=up)
+    new, _, _, _, _ = power_step(model, ws, st, cfg, gfloor, met, delta_gamma=up)
     assert new[0] == 1.0
 
     # zero gain moves nothing
-    new, _, _, _ = power_step(model, ws, st, cfg, gfloor, met,
+    new, _, _, _, _ = power_step(model, ws, st, cfg, gfloor, met,
                               delta_gamma=np.zeros(4))
     assert np.array_equal(new, st.exponent)
 
@@ -232,7 +233,7 @@ def test_every_iterate_stays_feasible():
         d = alloc_marginal_gain(m, w, met)
         alloc, _, _ = alloc_sweep(m, ws, st, met, d, cfg)
         st = phy.PowerState(alloc, st.exponent)
-        gam, _, _, _ = power_step(m, ws, st, cfg, gfloor)
+        gam, _, _, _, _ = power_step(m, ws, st, cfg, gfloor)
         st = phy.PowerState(st.alloc, gam)
         assert phy.validate_power_state(m, st, gfloor) == []
 
@@ -318,3 +319,50 @@ def test_kkt_grid_optimum_passes_loose_tolerance():
                         np.array([g0, g1, 1.0, 1.0]))
     report = kkt_check(model, np.asarray(w), st, 1e-3)
     assert report.passed
+
+
+# ------------------------------------------------------- reuse is exact
+
+@settings(max_examples=25, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 6))
+def test_solver_reuses_link_view_and_accepted_metrics_exactly(seed, n):
+    """The link view and the reused line-search metrics change no result."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n=n)
+    assert np.array_equal(m.link_gain, m.gain[m.src, m.dst])
+    assert np.array_equal(m.link_theta, m.theta[m.src])
+    assert np.array_equal(m.link_noise, m.noise[m.dst])
+    # Loop reference for the uniform split.
+    ref = np.zeros(m.n_links)
+    for out in m.out_links:
+        ref[list(out)] = 1.0 / len(out)
+    assert np.array_equal(phy.uniform_power_state(m).alloc, ref)
+
+    w = random_weights(rng, m)
+    start = phy.random_power_state(m, rng)
+    # Break the split of some nodes so the seeding must repair them.
+    start.alloc[rng.random(m.n_links) < 0.2] *= 1.5
+
+    # Loop reference for the seeded start (zero iterations return it): a
+    # node without weighted links keeps a valid split and gets an even one
+    # otherwise; a node with weighted links drops its unweighted ones.
+    seeded, _ = solve_max_weight(m, w, start, SolverConfig(), max_iterations=0)
+    for out in map(list, m.out_links):
+        if np.any(w[out] > 0):
+            assert np.all(seeded.alloc[out][w[out] == 0] == 0.0)
+        elif abs(float(start.alloc[out].sum()) - 1.0) > 1e-9:
+            assert np.all(seeded.alloc[out] == 1.0 / len(out))
+        else:
+            assert np.array_equal(seeded.alloc[out], start.alloc[out])
+
+    calls = []
+
+    def counted(model, state):
+        calls.append(1)
+        return phy.link_metrics(model, state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("bpsim.solver.link_metrics", counted)
+        final, diag = solve_max_weight(m, w, start, SolverConfig(max_iterations=40))
+    assert diag.objectives[-1] == phy.objective_value(m, w, final)
+    assert len(calls) <= diag.iterations + 1
