@@ -21,6 +21,6 @@ from .solver import (KKTReport, SolveDiagnostics, SolverConfig,
                      exchange_messages, kkt_check, project_simplex,
                      solve_max_weight)
 from .stability import (RateRegionOracle, check_drift_condition,
-                        estimate_epsilon, halfspace_margin, oracle_for)
+                        estimate_epsilon, halfspace_margin)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .model import Scenario, generate_scenario, load_scenario, save_scenario
 from .policy import SCHEME_NAMES
 from .sim import SimConfig, SimTrace, curve_to_csv, run_simulation, trace_to_csv
 from .solver import SolverConfig
-from .stability import check_drift_condition, estimate_epsilon, oracle_for
+from .stability import RateRegionOracle, check_drift_condition, estimate_epsilon
 
 _PLOT_STUB = """\
 #!/usr/bin/env python3
@@ -188,7 +188,6 @@ def cmd_verify(args) -> int:
             "trace has no per-queue columns; rerun the experiment with --per-queue")
     n = scenario.model.n
     nk = scenario.traffic.n_commodities
-    slots = len(rows) - 1
     flat = np.array([[float(r[c]) for c in qcols] for r in rows])
     if flat.shape[1] != n * nk:
         raise ConfigError("per-queue columns do not match the scenario size")
@@ -196,17 +195,8 @@ def cmd_verify(args) -> int:
     lam_col = [float(r["lambda_term"]) for r in rows[:-1] if r.get("lambda_term")]
     lam = max(lam_col) if lam_col else None
 
-    class _Recorded:
-        def __init__(self):
-            self.slots = slots
-            self.lyapunov = lyap
-            self._flat = flat
-
-        def queue_vectors(self):
-            return self._flat
-
     rng = np.random.default_rng(args.sample_seed)
-    oracle = oracle_for(scenario)
+    oracle = RateRegionOracle(scenario.model, scenario.traffic)
     a = scenario.traffic.arrival_mean
     eps = args.epsilon
     if eps is None:
@@ -216,7 +206,7 @@ def cmd_verify(args) -> int:
         raise ConfigError("arrival point has no positive interior margin")
     if lam is None:
         raise ConfigError("trace lacks lambda_term values")
-    report = check_drift_condition(oracle, a, eps, lam, args.eps0, _Recorded(), rng,
+    report = check_drift_condition(oracle, a, eps, lam, args.eps0, lyap, flat, rng,
                                    direction_samples=args.direction_samples)
     out.write_text(report.to_csv(), encoding="utf-8", newline="\n")
     print(f"checked {len(report.checked)} slots above omega={report.omega:.6g}; "

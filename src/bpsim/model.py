@@ -53,8 +53,6 @@ class NetworkModel:
     # Derived link indexing, filled in __post_init__.
     src: np.ndarray = field(init=False, repr=False)
     dst: np.ndarray = field(init=False, repr=False)
-    out_links: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    in_links: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     # Link view, filled in __post_init__.
     link_gain: np.ndarray = field(init=False, repr=False)       # (E,) gain[src, dst]
     link_theta: np.ndarray = field(init=False, repr=False)      # (E,) theta[src]
@@ -86,13 +84,6 @@ class NetworkModel:
         dst = np.array(dst_ids, dtype=np.intp)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
-        out = [[] for _ in range(n)]
-        inn = [[] for _ in range(n)]
-        for idx, (i, j) in enumerate(links):
-            out[i].append(idx)
-            inn[j].append(idx)
-        object.__setattr__(self, "out_links", tuple(tuple(v) for v in out))
-        object.__setattr__(self, "in_links", tuple(tuple(v) for v in inn))
         # Caps <= 1 give a meaningless floor; validate_model reports them.
         with np.errstate(divide="ignore", invalid="ignore"):
             log_cap = np.log(self.power_cap)
@@ -135,21 +126,32 @@ class TrafficSpec:
 
     commodities: tuple[Commodity, ...]
     arrival_mean: np.ndarray    # (n, K)
+    # Read-only (n, K), built once: True where node i keeps a buffer for
+    # commodity k, that is everywhere except at the commodity's destinations.
+    queue_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "arrival_mean", np.asarray(self.arrival_mean, dtype=float))
+        arrival_mean = np.asarray(self.arrival_mean, dtype=float)
+        object.__setattr__(self, "arrival_mean", arrival_mean)
+        nk = self.n_commodities
+        if arrival_mean.ndim != 2 or arrival_mean.shape[1] != nk:
+            raise ConfigError(
+                f"arrival_mean must be (n, {nk}), got shape {arrival_mean.shape}")
+        n = arrival_mean.shape[0]
+        mask = np.ones((n, nk), dtype=bool)
+        for k, com in enumerate(self.commodities):
+            for d in com.destinations:
+                # A negative index would silently mark a node from the end.
+                if not 0 <= d < n:
+                    raise ConfigError(
+                        f"commodity {com.id} destination {d} is not a node")
+                mask[d, k] = False
+        mask.setflags(write=False)
+        object.__setattr__(self, "queue_mask", mask)
 
     @property
     def n_commodities(self) -> int:
         return len(self.commodities)
-
-    def queue_mask(self, n: int) -> np.ndarray:
-        """Boolean (n, K): True where node i keeps a buffer for commodity k."""
-        mask = np.ones((n, self.n_commodities), dtype=bool)
-        for k, com in enumerate(self.commodities):
-            for d in com.destinations:
-                mask[d, k] = False
-        return mask
 
     def second_moments(self) -> np.ndarray:
         """(n, K) second moments of the Poisson arrival counts, mean + mean**2."""
@@ -294,6 +296,7 @@ def validate_model(model: NetworkModel) -> list[str]:
 
 
 def validate_traffic(traffic: TrafficSpec, n: int) -> list[str]:
+    """Check traffic against an n-node network; destinations are in range by construction."""
     out: list[str] = []
     if traffic.arrival_mean.shape != (n, traffic.n_commodities):
         out.append(
@@ -307,9 +310,7 @@ def validate_traffic(traffic: TrafficSpec, n: int) -> list[str]:
         if not com.destinations:
             out.append(f"commodity {com.id} has no destination")
         for d in com.destinations:
-            if not (0 <= d < n):
-                out.append(f"commodity {com.id} destination {d} is not a node")
-            elif traffic.arrival_mean[d, k] > 0:
+            if traffic.arrival_mean[d, k] > 0:
                 out.append(
                     f"commodity {com.id} has arrivals at its own destination {d}"
                 )

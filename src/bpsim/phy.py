@@ -33,14 +33,6 @@ class PowerState:
         return PowerState(self.alloc.copy(), self.exponent.copy())
 
 
-def default_gamma_floor(model: NetworkModel) -> np.ndarray:
-    """Per-node exponent floor keeping node power >= POWER_FLOOR_RATIO * power_cap.
-
-    The model's read-only copy, computed once at construction.
-    """
-    return model.gamma_floor
-
-
 def node_powers(model: NetworkModel, state: PowerState) -> np.ndarray:
     """(n,) total transmit power per node implied by the exponents."""
     return model.power_cap ** state.exponent
@@ -57,17 +49,20 @@ def uniform_power_state(model: NetworkModel, exponent: float = 1.0) -> PowerStat
     return PowerState(alloc, np.full(model.n, float(exponent)))
 
 
-def random_power_state(model: NetworkModel, rng: np.random.Generator,
-                       gamma_floor: np.ndarray | None = None) -> PowerState:
-    """Random feasible power state: Dirichlet allocations, uniform exponents."""
-    if gamma_floor is None:
-        gamma_floor = default_gamma_floor(model)
-    alloc = np.zeros(model.n_links)
-    for i in range(model.n):
-        out = list(model.out_links[i])
-        if out:
-            alloc[out] = rng.dirichlet(np.ones(len(out)))
-    exponent = gamma_floor + rng.random(model.n) * (1.0 - gamma_floor)
+def random_power_state(model: NetworkModel, rng: np.random.Generator) -> PowerState:
+    """Random feasible power state: Dirichlet allocations, exponents uniform
+    between the model's floor and 1.
+
+    Draws what ``rng.dirichlet(np.ones(k))`` per node in node order would:
+    one unit-shape gamma variate per link, node by node, each node's split
+    scaled by the reciprocal of its sequential sum (``bincount`` adds in link
+    order, as the Dirichlet sampler does).
+    """
+    alloc = np.empty(model.n_links)
+    alloc[np.argsort(model.src, kind="stable")] = rng.standard_gamma(1.0, model.n_links)
+    alloc *= 1.0 / np.bincount(model.src, weights=alloc, minlength=model.n)[model.src]
+    floor = model.gamma_floor
+    exponent = floor + rng.random(model.n) * (1.0 - floor)
     return PowerState(alloc, exponent)
 
 
@@ -83,10 +78,9 @@ def validate_power_state(model: NetworkModel, state: PowerState,
         return out
     if np.any(state.alloc < -tol):
         out.append("allocations must be nonnegative")
-    for i in range(model.n):
-        links = list(model.out_links[i])
-        if links and abs(state.alloc[links].sum() - 1.0) > tol:
-            out.append(f"allocations of node {i} must sum to 1")
+    total = np.bincount(model.src, weights=state.alloc, minlength=model.n)
+    for i in np.flatnonzero((model.out_degree > 0) & (np.abs(total - 1.0) > tol)):
+        out.append(f"allocations of node {i} must sum to 1")
     if np.any(state.exponent > 1.0 + tol):
         out.append("exponents must not exceed 1")
     if gamma_floor is not None and np.any(state.exponent < gamma_floor - tol):
@@ -184,11 +178,6 @@ def alloc_marginal_gain(model: NetworkModel, weights: np.ndarray,
     return out
 
 
-def _receiver_pressure(model: NetworkModel, f: np.ndarray) -> np.ndarray:
-    """(n,) sum over incoming links of f = weight / interference-plus-noise."""
-    return np.bincount(model.dst, weights=f, minlength=model.n)
-
-
 def power_marginal_parts(model: NetworkModel, weights: np.ndarray, state: PowerState,
                          metrics: LinkMetrics,
                          delta_alloc: np.ndarray | None = None
@@ -209,7 +198,8 @@ def power_marginal_parts(model: NetworkModel, weights: np.ndarray, state: PowerS
     own = np.bincount(src, weights=model.link_gain * f, minlength=model.n)
     alloc_term = np.bincount(src, weights=delta_alloc * state.alloc, minlength=model.n)
     up = (1.0 - model.theta) * own + alloc_term
-    down = model.gain @ _receiver_pressure(model, f)
+    # Receiver pressure: per node, the sum of f over its incoming links.
+    down = model.gain @ np.bincount(model.dst, weights=f, minlength=model.n)
     return up, down
 
 
@@ -219,15 +209,10 @@ def power_marginal_gain(model: NetworkModel, weights: np.ndarray, state: PowerSt
     """Power-control marginal gain per node.
 
     The objective gradient with respect to the power exponent of node i is
-    log(power_cap_i) times this quantity.
+    ``model.log_power_cap[i]`` times this quantity.
     """
     up, down = power_marginal_parts(model, weights, state, metrics, delta_alloc)
     return metrics.node_power * (up - down)
-
-
-def power_gradient(model: NetworkModel, delta_gamma: np.ndarray) -> np.ndarray:
-    """dF/d(exponent) from the power marginal gains."""
-    return model.log_power_cap * delta_gamma
 
 
 def alloc_grad_full(model: NetworkModel, weights: np.ndarray, state: PowerState,
@@ -243,5 +228,6 @@ def alloc_grad_full(model: NetworkModel, weights: np.ndarray, state: PowerState,
     src = model.src
     f = weights / metrics.inoise
     own = np.bincount(src, weights=model.link_gain * f, minlength=model.n)
-    common = model.gain @ _receiver_pressure(model, f) + (model.theta - 1.0) * own
+    common = (model.gain @ np.bincount(model.dst, weights=f, minlength=model.n)
+              + (model.theta - 1.0) * own)
     return metrics.node_power[src] * (delta_alloc - common[src])

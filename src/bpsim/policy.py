@@ -22,8 +22,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import NetworkModel, TrafficSpec
-from .phy import LinkMetrics, PowerState, link_metrics, uniform_power_state
-from .solver import SolverConfig, solve_max_weight
+# link_metrics is not called here; it is imported so that the benchmark
+# tracer (bench/tracer.py) finds bpsim.policy.link_metrics to wrap.
+from .phy import PowerState, link_metrics, uniform_power_state  # noqa: F401
+from .solver import SolveDiagnostics, SolverConfig, solve_max_weight
 
 SCHEME_NAMES = ("instant", "iter-conv", "iter-once")
 
@@ -42,8 +44,7 @@ def compute_weights(backlog: np.ndarray, traffic: TrafficSpec,
 
     Ties between commodities break toward the smallest commodity index.
     """
-    mask = traffic.queue_mask(model.n)
-    u = np.where(mask, backlog, 0.0)
+    u = np.where(traffic.queue_mask, backlog, 0.0)
     diff = u[model.src] - u[model.dst]          # (E, K)
     k = np.argmax(diff, axis=1)
     w = np.maximum(0.0, diff[np.arange(diff.shape[0]), k])
@@ -64,44 +65,26 @@ class RateAssignment:
         return out
 
 
-def rates_from_power(metrics: LinkMetrics, weights: BacklogWeights,
-                     slot_length: float = 1.0) -> RateAssignment:
-    """Service rates from link capacities: weighted links carry their capacity
-    (clipped at zero) for the slot, zero-weight links are excluded."""
-    rate = np.where(weights.weight > 0, np.maximum(metrics.capacity, 0.0), 0.0)
-    return RateAssignment(rate=rate * slot_length, commodity=weights.commodity.copy())
-
-
-def _rates_from_capacity(capacity: np.ndarray, weights: BacklogWeights,
-                         slot_length: float = 1.0) -> RateAssignment:
+def rates_from_power(capacity: np.ndarray, weights: BacklogWeights) -> RateAssignment:
+    """Service rates from the link capacities a power state achieves: weighted
+    links carry their capacity (clipped at zero) for the unit-length slot,
+    zero-weight links are excluded."""
     rate = np.where(weights.weight > 0, np.maximum(capacity, 0.0), 0.0)
-    return RateAssignment(rate=rate * slot_length, commodity=weights.commodity.copy())
-
-
-@dataclass
-class SlotInfo:
-    """What the controller did during one slot."""
-
-    iterations: int
-    converged: bool
-    objectives: list[float]     # weighted sum rate per iterate, non-decreasing
-    broadcasts: int
-    feedbacks: int
+    return RateAssignment(rate=rate, commodity=weights.commodity.copy())
 
 
 class MdbScheme:
-    """Base class; subclasses produce a RateAssignment per slot."""
+    """Base class; subclasses produce a RateAssignment per slot, together with
+    the diagnostics of the slot's solve."""
 
     name: str
 
-    def __init__(self, model: NetworkModel, traffic: TrafficSpec,
-                 config: SolverConfig, slot_length: float = 1.0):
+    def __init__(self, model: NetworkModel, traffic: TrafficSpec, config: SolverConfig):
         self.model = model
         self.traffic = traffic
         self.config = config
-        self.slot_length = slot_length
 
-    def step(self, backlog: np.ndarray) -> tuple[RateAssignment, SlotInfo]:
+    def step(self, backlog: np.ndarray) -> tuple[RateAssignment, SolveDiagnostics]:
         raise NotImplementedError
 
 
@@ -114,12 +97,10 @@ class InstantScheme(MdbScheme):
     def step(self, backlog):
         weights = compute_weights(backlog, self.traffic, self.model)
         start = uniform_power_state(self.model)
-        state, diag = solve_max_weight(self.model, weights.weight, start, self.config)
-        metrics = link_metrics(self.model, state)
-        rates = rates_from_power(metrics, weights, self.slot_length)
-        info = SlotInfo(diag.iterations, diag.converged, diag.objectives,
-                        diag.broadcasts, diag.feedbacks)
-        return rates, info
+        _, diag = solve_max_weight(self.model, weights.weight, start, self.config)
+        # No weighted link: the solver evaluates nothing and nothing is served.
+        cap = np.zeros(self.model.n_links) if diag.metrics is None else diag.metrics.capacity
+        return rates_from_power(cap, weights), diag
 
 
 class IterativeScheme(MdbScheme):
@@ -132,9 +113,9 @@ class IterativeScheme(MdbScheme):
     ``iterations == 1`` the post-update capacities apply to the whole slot.
     """
 
-    def __init__(self, model, traffic, config, slot_length=1.0,
-                 iterations: int = 50, integrate_mean: bool = True):
-        super().__init__(model, traffic, config, slot_length)
+    def __init__(self, model, traffic, config, iterations: int = 50,
+                 integrate_mean: bool = True):
+        super().__init__(model, traffic, config)
         if iterations < 1:
             raise ConfigError("per-slot iteration budget must be >= 1")
         self.iterations = iterations
@@ -144,10 +125,6 @@ class IterativeScheme(MdbScheme):
 
     def step(self, backlog):
         weights = compute_weights(backlog, self.traffic, self.model)
-        if not np.any(weights.weight > 0):
-            zero = RateAssignment(rate=np.zeros(self.model.n_links),
-                                  commodity=weights.commodity)
-            return zero, SlotInfo(0, True, [0.0], 0, 0)
         state, diag = solve_max_weight(
             self.model, weights.weight, self.power, self.config,
             max_iterations=self.iterations, collect_rates=True)
@@ -162,21 +139,16 @@ class IterativeScheme(MdbScheme):
             cap /= self.iterations
         else:
             cap = trace[-1]
-        rates = _rates_from_capacity(cap, weights, self.slot_length)
-        info = SlotInfo(diag.iterations, diag.converged, diag.objectives,
-                        diag.broadcasts, diag.feedbacks)
-        return rates, info
+        return rates_from_power(cap, weights), diag
 
 
 def make_scheme(name: str, model: NetworkModel, traffic: TrafficSpec,
-                config: SolverConfig, slot_length: float = 1.0,
-                iterations_per_slot: int = 50) -> MdbScheme:
+                config: SolverConfig, iterations_per_slot: int = 50) -> MdbScheme:
     if name == "instant":
-        return InstantScheme(model, traffic, config, slot_length)
+        return InstantScheme(model, traffic, config)
     if name == "iter-conv":
-        return IterativeScheme(model, traffic, config, slot_length,
+        return IterativeScheme(model, traffic, config,
                                iterations=iterations_per_slot, integrate_mean=True)
     if name == "iter-once":
-        return IterativeScheme(model, traffic, config, slot_length,
-                               iterations=1, integrate_mean=False)
+        return IterativeScheme(model, traffic, config, iterations=1, integrate_mean=False)
     raise ConfigError(f"unknown scheme {name!r}; choose from {SCHEME_NAMES}")

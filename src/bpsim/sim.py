@@ -37,7 +37,6 @@ class SimConfig:
 
     solver: SolverConfig = field(default_factory=SolverConfig)
     iterations_per_slot: int = 50
-    slot_length: float = 1.0
 
 
 def default_sim_config() -> SimConfig:
@@ -63,10 +62,11 @@ def step_queues(backlog: np.ndarray, rates: RateAssignment, arrivals: np.ndarray
     is not a destination join its queue for the next slot; bits reaching a
     destination are absorbed.  Exogenous arrivals are added last.
     """
-    n, nk = backlog.shape
-    mask = traffic.queue_mask(n)
+    mask = traffic.queue_mask
     remaining = np.where(mask, backlog, 0.0)
     served = np.zeros(model.n_links)
+    # Sequential on purpose: when several links draw on one queue, link order
+    # decides which of them the slot-start backlog serves first.
     for l in range(model.n_links):
         r = rates.rate[l]
         if r <= 0:
@@ -78,20 +78,16 @@ def step_queues(backlog: np.ndarray, rates: RateAssignment, arrivals: np.ndarray
             served[l] = take
             remaining[i, k] -= take
 
-    new = np.where(mask, backlog, 0.0).copy()
-    absorbed = 0.0
-    out_idx = (model.src, rates.commodity)
-    np.subtract.at(new, out_idx, served)
-    for l in range(model.n_links):
-        amt = served[l]
-        if amt <= 0:
-            continue
-        j = model.dst[l]
-        k = rates.commodity[l]
-        if mask[j, k]:
-            new[j, k] += amt
-        else:
-            absorbed += amt
+    new = np.where(mask, backlog, 0.0)
+    np.subtract.at(new, (model.src, rates.commodity), served)
+    # Relayed bits join the receiver's queue; bits reaching a destination of
+    # their commodity leave.  np.add.at and cumsum add in link order, so the
+    # sums round exactly as a per-link loop's would.
+    into = (model.dst, rates.commodity)
+    relayed = mask[into]
+    np.add.at(new, into, np.where(relayed, served, 0.0))
+    left = np.cumsum(np.where(relayed, 0.0, served))
+    absorbed = float(left[-1]) if left.size else 0.0
     new += np.where(mask, arrivals, 0.0)
     # Service never exceeds the slot-start backlog, so no clipping occurs;
     # guard against rounding dust all the same.
@@ -111,7 +107,7 @@ def virtual_rates(amount: np.ndarray, commodity: np.ndarray,
     out = np.zeros((n, nk))
     np.add.at(out, (model.src, commodity), amount)
     np.subtract.at(out, (model.dst, commodity), amount)
-    return np.where(traffic.queue_mask(n), out, 0.0)
+    return np.where(traffic.queue_mask, out, 0.0)
 
 
 def arrival_tensor(scenario: Scenario, slots: int, seed: int) -> np.ndarray:
@@ -161,8 +157,7 @@ class SimTrace:
 
 
 def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
-                   config: SimConfig | None = None, seed: int = 0,
-                   arrivals: np.ndarray | None = None) -> SimTrace:
+                   config: SimConfig | None = None, seed: int = 0) -> SimTrace:
     """Simulate one run; deterministic in (scenario, scheme, config, seed)."""
     if slots < 1:
         raise ConfigError("slots must be >= 1")
@@ -172,11 +167,8 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
     traffic = scenario.traffic
     if isinstance(scheme, str):
         scheme = make_scheme(scheme, model, traffic, config.solver,
-                             config.slot_length, config.iterations_per_slot)
-    if arrivals is None:
-        arrivals = arrival_tensor(scenario, slots, seed)
-    if arrivals.shape != (slots, model.n, traffic.n_commodities):
-        raise ConfigError("arrival tensor has the wrong shape")
+                             config.iterations_per_slot)
+    arrivals = arrival_tensor(scenario, slots, seed)
 
     n, nk = model.n, traffic.n_commodities
     backlog = np.zeros((slots + 1, n, nk))
@@ -193,7 +185,7 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
     u = np.zeros((n, nk))
     for t in range(slots):
         try:
-            assignment, info = scheme.step(u)
+            assignment, diag = scheme.step(u)
         except (ConfigError, NumericDomainError) as exc:
             raise type(exc)(f"slot {t}: {exc}") from exc
         res = step_queues(u, assignment, arrivals[t], traffic, model)
@@ -202,10 +194,10 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
         served[t] = res.served
         vr_act[t] = virtual_rates(res.served, assignment.commodity, traffic, model)
         vr_nom[t] = virtual_rates(assignment.rate, assignment.commodity, traffic, model)
-        iters[t] = info.iterations
-        conv[t] = info.converged
-        obj_first[t] = info.objectives[0]
-        obj_last[t] = info.objectives[-1]
+        iters[t] = diag.iterations
+        conv[t] = diag.converged
+        obj_first[t] = diag.objectives[0]
+        obj_last[t] = diag.objectives[-1]
         u = res.backlog
         backlog[t + 1] = u
 
@@ -253,16 +245,11 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
 
 
 def average_runs(scenario: Scenario, scheme: str, runs: int, slots: int,
-                 config: SimConfig | None = None,
-                 seeds: list[int] | None = None) -> tuple[np.ndarray, list[SimTrace]]:
-    """Pointwise mean of total-backlog curves across independent runs."""
+                 config: SimConfig | None = None) -> tuple[np.ndarray, list[SimTrace]]:
+    """Pointwise mean of total-backlog curves across runs with seeds 0 .. runs-1."""
     if runs < 1:
         raise ConfigError("runs must be >= 1")
-    if seeds is None:
-        seeds = list(range(runs))
-    if len(seeds) != runs:
-        raise ConfigError("need one seed per run")
-    traces = [run_simulation(scenario, scheme, slots, config, seed=s) for s in seeds]
+    traces = [run_simulation(scenario, scheme, slots, config, seed=s) for s in range(runs)]
     mean = np.mean([tr.total_backlog for tr in traces], axis=0)
     return mean, traces
 

@@ -29,7 +29,6 @@ from .phy import (
     LinkMetrics,
     PowerState,
     alloc_marginal_gain,
-    default_gamma_floor,
     link_metrics,
     link_metrics_from_powers,
     objective_from_metrics,
@@ -40,93 +39,72 @@ SCALE_EPS = 1e-8
 _MIN_STEP = 1e-14
 _MAX_BACKTRACKS = 80
 _BOUND_TOL = 1e-9
+# Armijo rule: sufficient-increase fraction, backtracking factor, first trial.
+ARMIJO_SIGMA = 1e-4
+ARMIJO_SHRINK = 0.5
+ARMIJO_INITIAL = 1.0
+# Dormant weighted links re-enter at this fraction of an even split so a
+# Newton-scaled ascent does not crawl out of the log barrier.
+RESEED_FRACTION = 0.05
 
 
 @dataclass
 class SolverConfig:
-    """Iteration, stepsize and scaling knobs for the max-weight solver."""
+    """Iteration budget, certificate tolerance and stepsize/scaling variant.
+
+    The default variant is the Armijo line search under diagonal-Hessian
+    scaling.  ``stepsize_rule="fixed"`` takes ``fixed_step`` without any
+    objective evaluation, as a fully distributed deployment would.
+    """
 
     max_iterations: int = 400
     kkt_tolerance: float = 1e-6
     stepsize_rule: str = "armijo"           # "armijo" | "fixed"
-    armijo_sigma: float = 1e-4
-    armijo_shrink: float = 0.5
-    armijo_initial: float = 1.0
     fixed_step: float = 0.5
     scaling: str = "diagonal_hessian"       # "diagonal_hessian" | "identity"
-    gamma_floor: float | None = None        # None: power >= 1e-6 * cap per node
-    eta_floor: float = ETA_FLOOR
-    node_order: tuple[int, ...] | None = None
-    # Dormant weighted links re-enter at this fraction of an even split so a
-    # Newton-scaled ascent does not crawl out of the log barrier.
-    reseed_fraction: float = 0.05
 
     def __post_init__(self):
         if self.kkt_tolerance <= 0:
             raise ConfigError("kkt_tolerance must be positive")
         if self.stepsize_rule not in ("armijo", "fixed"):
             raise ConfigError(f"unknown stepsize rule {self.stepsize_rule!r}")
-        if not (0.0 < self.armijo_sigma < 1.0):
-            raise ConfigError("armijo sigma must lie in (0, 1)")
-        if not (0.0 < self.armijo_shrink < 1.0):
-            raise ConfigError("armijo shrink must lie in (0, 1)")
         if self.scaling not in ("diagonal_hessian", "identity"):
             raise ConfigError(f"unknown scaling {self.scaling!r}")
-        if self.eta_floor <= 0 or self.eta_floor >= 1:
-            raise ConfigError("eta_floor must lie in (0, 1)")
-        if not (0.0 <= self.reseed_fraction < 1.0):
-            raise ConfigError("reseed_fraction must lie in [0, 1)")
-
-
-def effective_gamma_floor(model: NetworkModel, config: SolverConfig) -> np.ndarray:
-    if config.gamma_floor is not None:
-        return np.full(model.n, float(config.gamma_floor))
-    return default_gamma_floor(model)
 
 
 def project_simplex(target: np.ndarray, scale: np.ndarray | None = None,
                     floor: float = 0.0) -> np.ndarray:
     """Projection of one vector onto {x >= floor, sum x = 1} in a diagonal norm.
 
-    Minimizes sum(scale * (x - target)**2).  Exact finite active-set method:
-    solve for the multiplier on the free set, clamp violators, repeat.
+    Minimizes sum(scale * (x - target)**2); the one-segment case of
+    ``_project_alloc_nodes``.
     """
     target = np.asarray(target, dtype=float)
     m = target.size
     if m * floor > 1.0 + 1e-15:
         raise ConfigError(f"infeasible projection: {m} * floor {floor} > 1")
-    if scale is None:
-        scale = np.ones(m)
-    invq = 1.0 / np.asarray(scale, dtype=float)
-    free = np.ones(m, dtype=bool)
-    x = np.full(m, floor)
-    for _ in range(m + 1):
-        nf = int(free.sum())
-        if nf == 0:
-            break
-        mu = (target[free].sum() - (1.0 - floor * (m - nf))) / invq[free].sum()
-        x = target - mu * invq
-        viol = free & (x < floor)
-        if not viol.any():
-            break
-        free &= ~viol
-    return np.where(free, np.maximum(x, floor), floor)
+    invq = np.ones(m) if scale is None else 1.0 / np.asarray(scale, dtype=float)
+    return _project_alloc_nodes(np.zeros(m, dtype=np.intp), np.array([float(m)]),
+                                target, invq, floor)
 
 
-def _project_alloc_nodes(ws: _Workspace, target: np.ndarray, invq: np.ndarray,
-                         floor: float) -> np.ndarray:
-    """Vectorized weighted-simplex projection, one simplex per node segment.
+def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray,
+                         invq: np.ndarray, floor: float) -> np.ndarray:
+    """Weighted-simplex projection of each segment ``src == i`` (length ``m_node[i]``).
 
-    The first pass has every coordinate free, so its sums need no mask and
-    its goal is exactly 1.
+    Minimizes sum((x - target)**2 / invq) per segment by the exact finite
+    active-set method: solve for the multiplier on the free set, clamp
+    violators, repeat.  A segment without violations keeps its free set, so
+    the loop ends within the longest segment's length plus one passes.  The
+    first pass has every coordinate free, so its sums need no mask and its
+    goal is exactly 1.
     """
-    src, m_node = ws.src, ws.m_node
     n = m_node.size
     free = np.ones(target.size, dtype=bool)
     s_t = np.bincount(src, weights=target, minlength=n)
     s_iq = np.bincount(src, weights=invq, minlength=n)
     goal = 1.0
-    for _ in range(ws.max_degree + 1):
+    for _ in range(target.size + 1):
         mu = np.divide(s_t - goal, s_iq, out=np.zeros(n), where=s_iq > 0)
         x = target - mu[src] * invq
         viol = free & (x < floor)
@@ -151,7 +129,6 @@ class _Workspace:
     theta_g: np.ndarray         # theta[src] * gain[src, dst], the self-interference gain
     ln_kg: np.ndarray           # log(processing_gain * gain[src, dst])
     m_node: np.ndarray          # (n,) weighted out-degree
-    max_degree: int             # largest weighted out-degree
     has_active: np.ndarray      # (n,) bool
     gain_cols: np.ndarray       # (n, E_a) gain from every node to each active receiver
     cols: np.ndarray            # (E_a,) arange, column index of each active link
@@ -173,15 +150,13 @@ def _make_workspace(model: NetworkModel, weights: np.ndarray) -> _Workspace:
         theta_g=model.link_theta[act] * g,
         ln_kg=np.log(model.processing_gain * g),
         m_node=m_node,
-        max_degree=int(m_node.max(initial=0.0)),
         has_active=m_node > 0,
         gain_cols=model.gain[:, model.dst[act]],
         cols=np.arange(act.size),
     )
 
 
-def _seed_state(model: NetworkModel, ws: _Workspace, initial: PowerState,
-                config: SolverConfig, gfloor: np.ndarray) -> PowerState:
+def _seed_state(model: NetworkModel, ws: _Workspace, initial: PowerState) -> PowerState:
     """Restrict the warm start to the weighted links and keep it off the log barrier.
 
     Nodes owning at least one weighted link concentrate their split on those
@@ -199,17 +174,17 @@ def _seed_state(model: NetworkModel, ws: _Workspace, initial: PowerState,
     a = initial.alloc[ws.act]
     # Links that were essentially unused get a small positive seed; established
     # allocations above the floor are kept so a converged point stays fixed.
-    seed_min = config.reseed_fraction / np.maximum(ws.m_node[ws.src], 1.0)
-    a = np.where(a < 10.0 * config.eta_floor, np.maximum(a, seed_min), a)
+    seed_min = RESEED_FRACTION / np.maximum(ws.m_node[ws.src], 1.0)
+    a = np.where(a < 10.0 * ETA_FLOOR, np.maximum(a, seed_min), a)
     total = np.bincount(ws.src, weights=a, minlength=n)
     bad = (total <= 0) & ws.has_active
     if bad.any():
         a = np.where(bad[ws.src], 1.0, a)
         total = np.bincount(ws.src, weights=a, minlength=n)
     a = a / total[ws.src]
-    a = _project_alloc_nodes(ws, a, np.ones_like(a), config.eta_floor)
+    a = _project_alloc_nodes(ws.src, ws.m_node, a, np.ones_like(a), ETA_FLOOR)
     alloc[ws.act] = a
-    exponent = np.clip(initial.exponent, gfloor, 1.0)
+    exponent = np.clip(initial.exponent, model.gamma_floor, 1.0)
     return PowerState(alloc, exponent)
 
 
@@ -224,12 +199,6 @@ def _local_objective(ws: _Workspace, p_i: np.ndarray, self_gain: np.ndarray,
     return np.bincount(ws.src, weights=ws.w * cap, minlength=n)
 
 
-def _alloc_scaling(ws: _Workspace, a: np.ndarray, config: SolverConfig) -> np.ndarray:
-    if config.scaling == "identity":
-        return np.ones_like(a)
-    return ws.w / (a * a) + SCALE_EPS
-
-
 def alloc_sweep(model: NetworkModel, ws: _Workspace, state: PowerState,
                 metrics: LinkMetrics, delta_alloc: np.ndarray,
                 config: SolverConfig,
@@ -242,12 +211,11 @@ def alloc_sweep(model: NetworkModel, ws: _Workspace, state: PowerState,
     (callers may feed them back as the next sweep's ``beta0``).
     """
     n = model.n
-    if ws.max_degree * config.eta_floor > 1.0:
-        raise ConfigError("eta_floor too large for some node's out-degree")
     a = state.alloc[ws.act]
     d = delta_alloc[ws.act]
-    q = _alloc_scaling(ws, a, config)
-    invq = 1.0 / q
+    # Inverse of the diagonal scaling: w / a**2 approximates the curvature.
+    invq = (np.ones_like(a) if config.scaling == "identity"
+            else 1.0 / (ws.w / (a * a) + SCALE_EPS))
     p_node = metrics.node_power
     p_i = p_node[ws.src]
     # Interference at each link's receiver that does not depend on this
@@ -257,7 +225,7 @@ def alloc_sweep(model: NetworkModel, ws: _Workspace, state: PowerState,
 
     if config.stepsize_rule == "fixed":
         target = a + config.fixed_step * d * invq
-        x = _project_alloc_nodes(ws, target, invq, config.eta_floor)
+        x = _project_alloc_nodes(ws.src, ws.m_node, target, invq, ETA_FLOOR)
         out = state.alloc.copy()
         out[ws.act] = x
         return out, evals, None
@@ -266,17 +234,17 @@ def alloc_sweep(model: NetworkModel, ws: _Workspace, state: PowerState,
     f0 = _local_objective(ws, p_i, self_gain, other, a, n)
     evals += 1
     grad = p_i * d
-    cap = config.armijo_initial * np.maximum(p_node, 1.0)
+    cap = ARMIJO_INITIAL * np.maximum(p_node, 1.0)
     beta = cap if beta0 is None else np.minimum(beta0, cap)
     accepted = ~ws.has_active
     x_out = a.copy()
     for _ in range(_MAX_BACKTRACKS):
         target = a + beta[ws.src] * d * invq
-        x = _project_alloc_nodes(ws, target, invq, config.eta_floor)
+        x = _project_alloc_nodes(ws.src, ws.m_node, target, invq, ETA_FLOOR)
         f1 = _local_objective(ws, p_i, self_gain, other, x, n)
         evals += 1
         gain = np.bincount(ws.src, weights=grad * (x - a), minlength=n)
-        ok = (f1 - f0 >= config.armijo_sigma * gain) & ws.has_active
+        ok = (f1 - f0 >= ARMIJO_SIGMA * gain) & ws.has_active
         newly = ok & ~accepted
         if newly.any():
             take = newly[ws.src]
@@ -284,7 +252,7 @@ def alloc_sweep(model: NetworkModel, ws: _Workspace, state: PowerState,
             accepted |= newly
         if accepted.all():
             break
-        beta = np.where(accepted, beta, beta * config.armijo_shrink)
+        beta = np.where(accepted, beta, beta * ARMIJO_SHRINK)
         if beta[~accepted].max(initial=0.0) < _MIN_STEP:
             break
     out = state.alloc.copy()
@@ -308,7 +276,7 @@ def _curvature(ws: _Workspace, metrics: LinkMetrics) -> np.ndarray:
 
 
 def power_step(model: NetworkModel, ws: _Workspace, state: PowerState,
-               config: SolverConfig, gfloor: np.ndarray,
+               config: SolverConfig,
                metrics: LinkMetrics | None = None,
                delta_gamma: np.ndarray | None = None,
                xi0: float | None = None
@@ -333,6 +301,7 @@ def power_step(model: NetworkModel, ws: _Workspace, state: PowerState,
     else:
         v = np.maximum(shat * _curvature(ws, metrics), SCALE_EPS)
     gamma = state.exponent
+    gfloor = model.gamma_floor
 
     def evaluate(expo: np.ndarray) -> tuple[LinkMetrics, float]:
         p = (model.power_cap ** expo)[model.src] * state.alloc
@@ -345,21 +314,21 @@ def power_step(model: NetworkModel, ws: _Workspace, state: PowerState,
 
     f0 = objective_from_metrics(ws.w_full, metrics)
     grad = shat * delta_gamma
-    xi = config.armijo_initial if xi0 is None else min(xi0, config.armijo_initial)
+    xi = ARMIJO_INITIAL if xi0 is None else min(xi0, ARMIJO_INITIAL)
     evals = 0
     for _ in range(_MAX_BACKTRACKS):
         new = np.clip(gamma + xi * delta_gamma / v, gfloor, 1.0)
         move = new - gamma
         if not np.any(move):
-            return gamma.copy(), metrics, f0, evals, config.armijo_initial
+            return gamma.copy(), metrics, f0, evals, ARMIJO_INITIAL
         met, f1 = evaluate(new)
         evals += 1
-        if f1 - f0 >= config.armijo_sigma * float(np.dot(grad, move)):
-            return new, met, f1, evals, min(2.0 * xi, config.armijo_initial)
-        xi *= config.armijo_shrink
+        if f1 - f0 >= ARMIJO_SIGMA * float(np.dot(grad, move)):
+            return new, met, f1, evals, min(2.0 * xi, ARMIJO_INITIAL)
+        xi *= ARMIJO_SHRINK
         if xi < _MIN_STEP:
             break
-    return gamma.copy(), metrics, f0, evals, config.armijo_initial
+    return gamma.copy(), metrics, f0, evals, ARMIJO_INITIAL
 
 
 def alloc_step(model: NetworkModel, weights: np.ndarray, state: PowerState,
@@ -440,10 +409,9 @@ class KKTReport:
 
 
 def kkt_check(model: NetworkModel, weights: np.ndarray, state: PowerState,
-              tolerance: float, config: SolverConfig | None = None,
+              tolerance: float,
               metrics: LinkMetrics | None = None,
-              delta_alloc: np.ndarray | None = None,
-              delta_gamma: np.ndarray | None = None) -> KKTReport:
+              delta_alloc: np.ndarray | None = None) -> KKTReport:
     """Certify optimality: equalized allocation gains, vanishing power gains.
 
     Power gains may be nonnegative at the exponent cap.  Floors active at
@@ -453,21 +421,17 @@ def kkt_check(model: NetworkModel, weights: np.ndarray, state: PowerState,
     allocation gain, the power residual by the total magnitude of the
     raise/drop components whose cancellation it certifies.
     """
-    if config is None:
-        config = SolverConfig(kkt_tolerance=tolerance)
-    gfloor = effective_gamma_floor(model, config)
     if metrics is None:
         metrics = link_metrics(model, state)
     if delta_alloc is None:
         delta_alloc = alloc_marginal_gain(model, weights, metrics)
     up, down = phy.power_marginal_parts(model, weights, state, metrics, delta_alloc)
     p_node = metrics.node_power
-    if delta_gamma is None:
-        delta_gamma = p_node * (up - down)
+    delta_gamma = p_node * (up - down)
 
     n = model.n
     weighted = weights > 0
-    floored = weighted & (state.alloc <= config.eta_floor * (1.0 + 1e-6))
+    floored = weighted & (state.alloc <= ETA_FLOOR * (1.0 + 1e-6))
     alloc_floor_active = floored
     free = weighted & ~floored
     src_f = model.src[free]
@@ -480,7 +444,7 @@ def kkt_check(model: NetworkModel, weights: np.ndarray, state: PowerState,
     alloc_scale = np.where(cnt >= 1, np.maximum(1.0, hi), 1.0)
 
     at_top = state.exponent >= 1.0 - _BOUND_TOL
-    at_floor_g = state.exponent <= gfloor + _BOUND_TOL
+    at_floor_g = state.exponent <= model.gamma_floor + _BOUND_TOL
     gamma_residual = np.where(at_top, np.maximum(0.0, -delta_gamma),
                               np.where(at_floor_g, np.maximum(0.0, delta_gamma),
                                        np.abs(delta_gamma)))
@@ -517,6 +481,8 @@ class SolveDiagnostics:
     # Clipped per-link capacities at the start point and after each
     # iteration; filled only when requested.
     capacity_trace: list[np.ndarray] | None = None
+    # Link metrics of the returned state; None when no link carries weight.
+    metrics: LinkMetrics | None = None
 
     def csv_rows(self) -> list[str]:
         rows = ["iteration,objective,kkt_residual,messages"]
@@ -537,8 +503,9 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
     """Iterate allocation sweeps and power steps until the KKT check passes.
 
     With all weights zero the initial state is returned untouched with a
-    zero objective.  Non-convergence within the iteration budget is flagged
-    in the diagnostics, not raised.
+    zero objective, a zero capacity trace (when requested) and no link
+    metrics.  Non-convergence within the iteration budget is flagged in the
+    diagnostics, not raised.
     """
     if config is None:
         config = SolverConfig()
@@ -556,10 +523,7 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
         return initial.copy(), diag
 
     ws = _make_workspace(model, weights)
-    if ws.max_degree * config.eta_floor > 1.0:
-        raise ConfigError("eta_floor too large for some node's out-degree")
-    gfloor = effective_gamma_floor(model, config)
-    state = _seed_state(model, ws, initial, config, gfloor)
+    state = _seed_state(model, ws, initial)
 
     def clipped(met: LinkMetrics) -> np.ndarray:
         return np.where(weights > 0, np.maximum(met.capacity, 0.0), 0.0)
@@ -574,8 +538,8 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
     stalled = 0
     for _ in range(iters):
         delta_alloc = alloc_marginal_gain(model, weights, metrics)
-        report = kkt_check(model, weights, state, config.kkt_tolerance, config,
-                           metrics, delta_alloc)
+        report = kkt_check(model, weights, state, config.kkt_tolerance, metrics,
+                           delta_alloc)
         diag.kkt_residuals.append(report.normalized)
         if report.passed:
             converged = True
@@ -584,7 +548,7 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
                                               delta_alloc, config, beta0)
         state = PowerState(new_alloc, state.exponent)
         new_gamma, metrics, f_after, pc_evals, xi0 = power_step(model, ws, state, config,
-                                                                gfloor, xi0=xi0)
+                                                                xi0=xi0)
         state = PowerState(state.alloc, new_gamma)
         diag.objectives.append(f_after)
         if collect_rates:
@@ -604,8 +568,9 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
         else:
             stalled = 0
     else:
-        report = kkt_check(model, weights, state, config.kkt_tolerance, config, metrics)
+        report = kkt_check(model, weights, state, config.kkt_tolerance, metrics)
         diag.kkt_residuals.append(report.normalized)
         converged = report.passed
     diag.converged = converged
+    diag.metrics = metrics
     return state, diag

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import NetworkModel, Scenario, TrafficSpec
+from .model import NetworkModel, TrafficSpec
 from .phy import link_metrics, random_power_state, uniform_power_state
 from .policy import compute_weights, rates_from_power
 from .sim import SimTrace, virtual_rates
@@ -45,32 +45,28 @@ class RateRegionOracle:
     traffic: TrafficSpec
     config: SolverConfig = field(default_factory=lambda: SolverConfig(
         kkt_tolerance=1e-7, max_iterations=2000))
-    slot_length: float = 1.0
-
-    def __post_init__(self):
-        self._mask = self.traffic.queue_mask(self.model.n)
 
     def mask(self) -> np.ndarray:
-        return self._mask
+        return self.traffic.queue_mask
 
     def _solved_capacities(self, link_weights: np.ndarray) -> np.ndarray:
-        state, _ = solve_max_weight(
+        """Clipped capacities of every link at the cold-started max-weight optimum.
+
+        ``link_weights`` must weigh at least one link.
+        """
+        _, diag = solve_max_weight(
             self.model, link_weights, uniform_power_state(self.model), self.config)
-        metrics = link_metrics(self.model, state)
-        return np.maximum(metrics.capacity, 0.0) * self.slot_length
+        return np.maximum(diag.metrics.capacity, 0.0)
 
     def support(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         """Support value and a maximizing virtual-rate vector for u >= 0."""
-        u = np.where(self._mask, u, 0.0)
+        u = np.where(self.mask(), u, 0.0)
         if np.any(u < 0):
             raise ConfigError("support queries require a nonnegative queue vector")
         w = compute_weights(u, self.traffic, self.model)
         if not np.any(w.weight > 0):
             return 0.0, np.zeros_like(u)
-        state, diag = solve_max_weight(
-            self.model, w.weight, uniform_power_state(self.model), self.config)
-        metrics = link_metrics(self.model, state)
-        rates = rates_from_power(metrics, w, self.slot_length)
+        rates = rates_from_power(self._solved_capacities(w.weight), w)
         rt = virtual_rates(rates.rate, rates.commodity, self.traffic, self.model)
         return float((u * rt).sum()), rt
 
@@ -86,7 +82,7 @@ class RateRegionOracle:
         for s in range(count):
             st = random_power_state(self.model, rng)
             metrics = link_metrics(self.model, st)
-            cap = np.maximum(metrics.capacity, 0.0) * self.slot_length
+            cap = np.maximum(metrics.capacity, 0.0)
             shape = rng.choice([4.0, 1.0, 0.25], size=self.model.n_links)
             frac = rng.random(self.model.n_links) ** shape
             com = rng.integers(0, nk, size=self.model.n_links)
@@ -100,7 +96,7 @@ class RateRegionOracle:
         differential of delta across it and idles when all are negative, so
         the maximum is exact and linear in the capacities.
         """
-        d = np.where(self._mask, delta, 0.0)
+        d = np.where(self.mask(), delta, 0.0)
         diff = d[self.model.src] - d[self.model.dst]
         w = np.maximum(diff.max(axis=1), 0.0)
         return float((w * cap).sum())
@@ -117,7 +113,7 @@ class RateRegionOracle:
         directions the true value may still be larger.  The zero direction
         returns 0 by convention.
         """
-        delta = np.where(self._mask, delta, 0.0)
+        delta = np.where(self.mask(), delta, 0.0)
         nrm = queue_norm(delta)
         if nrm == 0:
             return 0.0
@@ -133,14 +129,12 @@ class RateRegionOracle:
         # directions with negative parts profit from asking dominated links
         # to idle entirely; a full-power configuration covers that corner
         cap_full = np.maximum(
-            link_metrics(self.model, uniform_power_state(self.model)).capacity,
-            0.0) * self.slot_length
+            link_metrics(self.model, uniform_power_state(self.model)).capacity, 0.0)
         best = max(best, self._best_routing_value(delta, cap_full) - offset)
         if rng is not None and samples > 0:
             for _ in range(samples):
                 st = random_power_state(self.model, rng)
-                cap = np.maximum(link_metrics(self.model, st).capacity,
-                                 0.0) * self.slot_length
+                cap = np.maximum(link_metrics(self.model, st).capacity, 0.0)
                 best = max(best, self._best_routing_value(delta, cap) - offset)
         return best
 
@@ -153,7 +147,7 @@ class RateRegionOracle:
         Membership radius along a direction is eps*||u_now|| over twice the
         directional excess; a zero-excess direction admits any distance.
         """
-        diff = np.where(self._mask, u_prev - u_now, 0.0)
+        diff = np.where(self.mask(), u_prev - u_now, 0.0)
         dist = queue_norm(diff)
         if dist == 0:
             return True
@@ -240,13 +234,16 @@ class DriftCheckReport:
 
 
 def check_drift_condition(oracle: RateRegionOracle, a: np.ndarray, eps: float,
-                          lam: float, eps0: float, trace: SimTrace,
-                          rng: np.random.Generator,
+                          lam: float, eps0: float, lyapunov: np.ndarray,
+                          queues: np.ndarray, rng: np.random.Generator,
                           direction_samples: int = 32,
                           interior_margin: float = 1e-9) -> DriftCheckReport:
-    """Audit the negative-drift condition over a recorded trace.
+    """Audit the negative-drift condition over a recorded trajectory.
 
-    For every slot whose Lyapunov value exceeds the compact-region level,
+    ``lyapunov`` is the (slots+1,) V column of a trace and ``queues`` the
+    (slots+1, n*K) per-queue backlogs (``SimTrace.lyapunov`` and
+    ``SimTrace.queue_vectors()``, or the columns of a trace CSV).  For every
+    slot whose Lyapunov value exceeds the compact-region level,
     evaluates 2 u_t.(a - R*(u_{t-1})) - ||u_t - u_{t-1}||^2 + lam and flags
     values above -eps0.  The arrival point must be verifiably interior:
     sampled support values must exceed u.a with positive margin.
@@ -275,17 +272,16 @@ def check_drift_condition(oracle: RateRegionOracle, a: np.ndarray, eps: float,
     alpha = min(1.0, eps / (2.0 * max_d))
     omega = omega_threshold(eps, eps0, lam, alpha)
 
-    flat = trace.queue_vectors()
     rows: list[DriftCheckRow] = []
-    for t in range(1, trace.slots + 1):
-        v = float(trace.lyapunov[t])
+    for t in range(1, len(lyapunov)):
+        v = float(lyapunov[t])
         if v <= omega:
             continue
-        u_t = flat[t].reshape(a.shape)
-        u_prev = flat[t - 1].reshape(a.shape)
+        u_t = queues[t].reshape(a.shape)
+        u_prev = queues[t - 1].reshape(a.shape)
         _, rstar = oracle.support(u_prev)
         lhs = (2.0 * float((u_t * (a - rstar)).sum())
-               - float(((flat[t] - flat[t - 1]) ** 2).sum()) + lam)
+               - float(((queues[t] - queues[t - 1]) ** 2).sum()) + lam)
         rows.append(DriftCheckRow(slot=t, lyapunov=v, lhs=lhs,
                                   violation=bool(lhs > -eps0)))
     return DriftCheckReport(omega=omega, alpha=alpha, eps=eps, eps0=eps0,
@@ -297,9 +293,3 @@ def lambda_from_trace(traffic: TrafficSpec, trace: SimTrace) -> float:
     second = float(traffic.second_moments().sum())
     vr = trace.vr_actual.reshape(trace.slots, -1)
     return 2.0 * (second + float((vr * vr).sum(axis=1).max(initial=0.0)))
-
-
-def oracle_for(scenario: Scenario, config: SolverConfig | None = None) -> RateRegionOracle:
-    if config is None:
-        return RateRegionOracle(scenario.model, scenario.traffic)
-    return RateRegionOracle(scenario.model, scenario.traffic, config)

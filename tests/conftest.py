@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bpsim.model import Commodity, NetworkModel, Scenario, TrafficSpec
-from bpsim.phy import default_gamma_floor
 
 
 def positions_model(positions: np.ndarray, links, *, theta=0.25, cap=100.0,
@@ -100,7 +99,7 @@ def grid_search_two_tx(model: NetworkModel, w: np.ndarray, res: int = 200,
     h12, h03 = model.gain[1, 2], model.gain[0, 3]
     n2, n3 = model.noise[2], model.noise[3]
     c0, c1 = model.power_cap[0], model.power_cap[1]
-    gf = float(default_gamma_floor(model)[0])
+    gf = float(model.gamma_floor[0])
     lo0 = lo1 = gf
     hi0 = hi1 = 1.0
     best = (-np.inf, gf, gf)

@@ -107,7 +107,7 @@ def test_criterion_1_gradient_correctness():
         w = random_weights(rng, m)
         met = phy.link_metrics(m, st)
         full = phy.alloc_grad_full(m, w, st, met)
-        grad_g = phy.power_gradient(m, phy.power_marginal_gain(m, w, st, met))
+        grad_g = m.log_power_cap * phy.power_marginal_gain(m, w, st, met)
         p0 = phy.link_powers(m, st)
         pn = phy.node_powers(m, st)
 
@@ -117,7 +117,7 @@ def test_criterion_1_gradient_correctness():
         # two simplex-tangent allocation directions
         for _ in range(2):
             i = int(rng.integers(0, m.n))
-            out = list(m.out_links[i])
+            out = list(np.flatnonzero(m.src == i))
             if len(out) < 2:
                 continue
             v = np.zeros(m.n_links)
@@ -205,7 +205,7 @@ def test_criterion_4_monotone_ascent(solver_batch):
     rng2 = np.random.default_rng(7)
     u = np.zeros((6, 6))
     for _ in range(30):
-        u = u + rng2.poisson(sc.traffic.arrival_mean) * sc.traffic.queue_mask(6)
+        u = u + rng2.poisson(sc.traffic.arrival_mean) * sc.traffic.queue_mask
         _, info = scheme.step(u)
         traces.append(info.objectives)
         u *= 0.7
@@ -232,7 +232,7 @@ def test_criterion_5_kkt_soundness(solver_batch):
     trials = 100
     for t in range(trials):
         model, w = two_tx_instance(200 + t)
-        gf = phy.default_gamma_floor(model)
+        gf = model.gamma_floor
         g = gf + rng.random(model.n) * (0.95 - gf)   # interior, away from bounds
         st = phy.PowerState(np.array([1.0, 1.0]), g)
         if not kkt_check(model, np.asarray(w), st, 1e-3).passed:

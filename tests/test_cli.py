@@ -194,6 +194,17 @@ def test_run_rejects_malformed_scenario_file(tmp_path, field, value):
     assert code == 2
 
 
+@pytest.mark.parametrize("destination", [9, -1])
+def test_run_rejects_destination_outside_network(tmp_path, destination):
+    doc = _scenario_doc(tmp_path)
+    doc["commodities"][0]["destinations"] = [destination]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(bad), "--scheme", "iter-once",
+                 "--slots", "2", "--runs", "1", "--out", str(tmp_path / "x")])
+    assert code == 2
+
+
 @pytest.mark.parametrize("value", ["two", "0", "-1"])
 def test_threads_env_rejects_non_positive_integers(tmp_path, monkeypatch, value):
     monkeypatch.setenv("BPSIM_THREADS", value)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bpsim.errors import ConfigError
-from bpsim.model import (NetworkModel, generate_scenario, link_radius,
+from bpsim.model import (Commodity, NetworkModel, TrafficSpec, generate_scenario,
+                         link_radius,
                          scenario_from_json, scenario_to_json, validate_model,
                          validate_scenario)
 
@@ -125,3 +126,27 @@ def test_scenario_json_rejects_garbage():
         scenario_from_json("{not json")
     with pytest.raises(ConfigError):
         scenario_from_json('{"format": "something-else", "version": 1}')
+
+
+def test_queue_mask_built_once_and_read_only():
+    traffic = TrafficSpec(
+        commodities=(Commodity(id=0, destinations=frozenset({2})),
+                     Commodity(id=1, destinations=frozenset({0, 1}))),
+        arrival_mean=np.zeros((3, 2)))
+    assert traffic.queue_mask.tolist() == [[True, False], [True, False], [False, True]]
+    assert traffic.queue_mask is traffic.queue_mask
+    with pytest.raises(ValueError):
+        traffic.queue_mask[0, 0] = False
+
+
+@pytest.mark.parametrize("destination", [3, -1])
+def test_traffic_rejects_destination_outside_network(destination):
+    with pytest.raises(ConfigError, match="destination"):
+        TrafficSpec(commodities=(Commodity(id=0, destinations=frozenset({destination})),),
+                    arrival_mean=np.zeros((3, 1)))
+
+
+def test_traffic_rejects_arrival_shape():
+    with pytest.raises(ConfigError, match="arrival_mean"):
+        TrafficSpec(commodities=(Commodity(id=0, destinations=frozenset({1})),),
+                    arrival_mean=np.zeros(3))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from bpsim import phy
 from bpsim.errors import NumericDomainError
@@ -131,7 +132,7 @@ def test_alloc_gradient_matches_finite_differences():
         met = phy.link_metrics(m, st)
         full = phy.alloc_grad_full(m, w, st, met)
         for i in range(m.n):
-            out = list(m.out_links[i])
+            out = list(np.flatnonzero(m.src == i))
             # stay away from near-zero allocations where the differencing
             # step itself leaves the quadratic regime
             out = [l for l in out if st.alloc[l] > 1e-2]
@@ -154,7 +155,7 @@ def test_power_gradient_matches_finite_differences():
         st = phy.random_power_state(m, rng)
         w = random_weights(rng, m)
         met = phy.link_metrics(m, st)
-        grad = phy.power_gradient(m, phy.power_marginal_gain(m, w, st, met))
+        grad = m.log_power_cap * phy.power_marginal_gain(m, w, st, met)
         node = int(rng.integers(0, m.n))
         h = 1e-6
 
@@ -177,7 +178,7 @@ def test_isolated_link_power_gain_reduces_to_weight():
     w = np.array([3.5])
     dg = phy.power_marginal_gain(m, w, st, met)
     assert np.isclose(dg[0], 3.5, rtol=1e-12)
-    assert np.isclose(phy.power_gradient(m, dg)[0], 3.5 * math.log(10.0), rtol=1e-12)
+    assert np.isclose(m.log_power_cap[0] * dg[0], 3.5 * math.log(10.0), rtol=1e-12)
     assert dg[1] == 0.0
 
 
@@ -204,3 +205,55 @@ def test_high_sinr_gap_bound():
     gap = np.abs(exact[ok] - met.capacity[ok])
     assert np.all(gap <= 1.0 / met.sinr[ok] + 1e-15)
     assert np.all(exact[ok] >= met.capacity[ok])
+
+
+def _shuffled_links(rng, n):
+    """A random link subset of n nodes in random order, every node sending."""
+    links = [(i, int(rng.choice([j for j in range(n) if j != i]))) for i in range(n)]
+    links += [(i, j) for i in range(n) for j in range(n)
+              if i != j and (i, j) not in links and rng.random() < 0.5]
+    return tuple(links[k] for k in rng.permutation(len(links)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(2, 12))
+def test_random_power_state_matches_per_node_dirichlet(seed, n):
+    """Same draws, bit for bit, as one rng.dirichlet per node in node order."""
+    rng = np.random.default_rng(seed)
+    gain = rng.random((n, n)) + 0.1
+    np.fill_diagonal(gain, 0.0)
+    m = NetworkModel(gain=gain, noise=np.full(n, 0.1), theta=np.full(n, 0.25),
+                     power_cap=np.full(n, 100.0), processing_gain=1e5,
+                     links=_shuffled_links(rng, n))
+    ref_rng = np.random.default_rng(seed + 1)
+    alloc = np.zeros(m.n_links)
+    for i in range(n):
+        out = np.flatnonzero(m.src == i)
+        alloc[out] = ref_rng.dirichlet(np.ones(out.size))
+    exponent = m.gamma_floor + ref_rng.random(n) * (1.0 - m.gamma_floor)
+    got = phy.random_power_state(m, np.random.default_rng(seed + 1))
+    assert np.array_equal(got.alloc, alloc)
+    assert np.array_equal(got.exponent, exponent)
+    assert phy.validate_power_state(m, got, m.gamma_floor) == []
+    # Per-node loop reference for the sum check, on splits pushed well off 1.
+    got.alloc[ref_rng.random(m.n_links) < 0.3] += 1e-3
+    ref = [f"allocations of node {i} must sum to 1" for i in range(n)
+           if abs(got.alloc[m.src == i].sum() - 1.0) > 1e-9]
+    assert phy.validate_power_state(m, got) == ref
+
+
+def test_validate_power_state_messages_in_order():
+    rng = np.random.default_rng(4)
+    m = random_model(rng, n=4)
+    st = phy.random_power_state(m, rng)
+    st.alloc[np.flatnonzero(m.src == 3)[0]] += 0.5
+    st.alloc[np.flatnonzero(m.src == 1)[0]] = -0.25
+    st.exponent[0] = 1.5
+    st.exponent[2] = -10.0
+    assert phy.validate_power_state(m, st, m.gamma_floor) == [
+        "allocations must be nonnegative",
+        "allocations of node 1 must sum to 1",
+        "allocations of node 3 must sum to 1",
+        "exponents must not exceed 1",
+        "exponent below the configured floor",
+    ]

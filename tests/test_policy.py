@@ -6,7 +6,7 @@ from bpsim import phy
 from bpsim.model import Commodity, NetworkModel, Scenario, TrafficSpec, generate_scenario
 from bpsim.policy import (compute_weights, make_scheme, rates_from_power)
 from bpsim.sim import default_sim_config
-from bpsim.solver import SolverConfig, solve_max_weight
+from bpsim.solver import SolveDiagnostics, SolverConfig, solve_max_weight
 
 from conftest import positions_model, tandem_scenario
 
@@ -85,7 +85,7 @@ def test_rates_from_power_structure():
     w = compute_weights(u, sc.traffic, m)
     st, _ = solve_max_weight(m, w.weight, phy.uniform_power_state(m))
     met = phy.link_metrics(m, st)
-    rates = rates_from_power(met, w)
+    rates = rates_from_power(met.capacity, w)
     idx = m.link_index()
     assert rates.rate[idx[(0, 1)]] > 0
     assert rates.rate[idx[(1, 2)]] > 0
@@ -194,5 +194,23 @@ def test_schemes_zero_backlog_zero_rates():
     sc = tandem_scenario()
     for name in ("instant", "iter-conv", "iter-once"):
         scheme = make_scheme(name, sc.model, sc.traffic, SolverConfig())
+        start = getattr(scheme, "power", None)
         rates, info = scheme.step(np.zeros((3, 1)))
         assert np.all(rates.rate == 0.0)
+        # An idle slot runs no iteration and leaves the warm start in place.
+        assert isinstance(info, SolveDiagnostics)
+        assert (info.iterations, info.converged, info.objectives) == (0, True, [0.0])
+        assert info.broadcasts == info.feedbacks == 0 and info.metrics is None
+        if start is not None:
+            assert np.array_equal(scheme.power.alloc, start.alloc)
+            assert np.array_equal(scheme.power.exponent, start.exponent)
+
+
+def test_instant_rates_are_clipped_capacities_of_returned_metrics():
+    sc = tandem_scenario()
+    scheme = make_scheme("instant", sc.model, sc.traffic, SolverConfig())
+    u = np.array([[9.0], [4.0], [0.0]])
+    rates, diag = scheme.step(u)
+    w = compute_weights(u, sc.traffic, sc.model).weight
+    clipped = np.where(w > 0, np.maximum(diag.metrics.capacity, 0.0), 0.0)
+    assert np.array_equal(rates.rate, clipped)

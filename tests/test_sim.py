@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from bpsim.model import Commodity, NetworkModel, Scenario, TrafficSpec, generate_scenario
 from bpsim.policy import RateAssignment
@@ -77,12 +78,12 @@ def test_conservation_ledger_random_steps():
     rng = np.random.default_rng(30)
     sc = generate_scenario(6, 3.0, seed=9)
     model, traffic = sc.model, sc.traffic
-    u = rng.random((6, 6)) * 5 * traffic.queue_mask(6)
+    u = rng.random((6, 6)) * 5 * traffic.queue_mask
     for _ in range(30):
         rate = rng.random(model.n_links) * 4
         com = rng.integers(0, 6, model.n_links)
         rates = RateAssignment(rate=rate, commodity=com)
-        arr = rng.poisson(1.0, (6, 6)) * traffic.queue_mask(6)
+        arr = rng.poisson(1.0, (6, 6)) * traffic.queue_mask
         res = step_queues(u, rates, arr, traffic, model)
         lhs = res.backlog.sum() - u.sum()
         rhs = arr.sum() - res.absorbed
@@ -162,7 +163,7 @@ def test_recorded_dynamics_identities():
     for t in range(slots):
         np.add.at(out_nom[t], (sc.model.src, tr.commodity[t]), tr.rate[t])
         np.add.at(in_nom[t], (sc.model.dst, tr.commodity[t]), tr.rate[t])
-    mask = sc.traffic.queue_mask(n).reshape(-1)
+    mask = sc.traffic.queue_mask.reshape(-1)
     o = out_nom.reshape(slots, -1)[:, mask]
     i_ = in_nom.reshape(slots, -1)[:, mask]
     lhs = flat[1:][:, mask]
@@ -180,7 +181,7 @@ def test_within_slot_objective_never_below_start():
     sc = generate_scenario(6, 3.0, seed=8)
     tr = run_simulation(sc, "iter-conv", 80, default_sim_config(), seed=3)
     from bpsim.policy import compute_weights
-    mask = sc.traffic.queue_mask(sc.model.n)
+    mask = sc.traffic.queue_mask
     for t in range(tr.slots):
         u = tr.backlog[t]
         integrated = float((np.where(mask, u, 0.0) * tr.vr_nominal[t]).sum())
@@ -259,3 +260,84 @@ def test_run_prefixes_slot_to_own_errors():
     with pytest.raises(NumericDomainError, match=r"^slot 0: log of zero$") as info:
         run_simulation(sc, _Failing(NumericDomainError("log of zero")), 3, _quick_config())
     assert isinstance(info.value.__cause__, NumericDomainError)
+
+
+def _step_queues_two_loops(backlog, rates, arrivals, traffic, model):
+    """Reference: the per-link two-loop queue update the vectorized step replaced."""
+    n, nk = backlog.shape
+    mask = np.ones((n, nk), dtype=bool)
+    for k, com in enumerate(traffic.commodities):
+        for d in com.destinations:
+            mask[d, k] = False
+    remaining = np.where(mask, backlog, 0.0)
+    served = np.zeros(model.n_links)
+    for l in range(model.n_links):
+        r = rates.rate[l]
+        if r <= 0:
+            continue
+        i = model.src[l]
+        k = rates.commodity[l]
+        take = min(r, remaining[i, k])
+        if take > 0:
+            served[l] = take
+            remaining[i, k] -= take
+    new = np.where(mask, backlog, 0.0).copy()
+    absorbed = 0.0
+    np.subtract.at(new, (model.src, rates.commodity), served)
+    for l in range(model.n_links):
+        amt = served[l]
+        if amt <= 0:
+            continue
+        j = model.dst[l]
+        k = rates.commodity[l]
+        if mask[j, k]:
+            new[j, k] += amt
+        else:
+            absorbed += amt
+    new += np.where(mask, arrivals, 0.0)
+    np.maximum(new, 0.0, out=new)
+    return new, served, absorbed
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1))
+def test_step_queues_property_matches_two_loop_reference(seed):
+    """Random small networks, link orders and destination sets: conservation,
+    service bounds, and bit-equality with the two-loop reference."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    keep = rng.permutation(len(pairs))[:int(rng.integers(1, len(pairs) + 1))]
+    links = tuple(pairs[i] for i in keep)           # any link order
+    gain = rng.random((n, n)) + 0.1
+    np.fill_diagonal(gain, 0.0)
+    model = NetworkModel(gain=gain, noise=np.full(n, 0.1), theta=np.full(n, 0.25),
+                         power_cap=np.full(n, 100.0), processing_gain=1e5, links=links)
+    nk = int(rng.integers(1, 4))
+    commodities = tuple(
+        Commodity(id=k, destinations=frozenset(
+            rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist()))
+        for k in range(nk))
+    traffic = TrafficSpec(commodities=commodities, arrival_mean=np.ones((n, nk)))
+    mask = traffic.queue_mask
+    backlog = rng.random((n, nk)) * 10.0 * (rng.random((n, nk)) < 0.7) * mask
+    rate = rng.random(model.n_links) * 8.0 * (rng.random(model.n_links) < 0.8)
+    commodity = rng.integers(0, nk, model.n_links)
+    arrivals = rng.poisson(1.0, (n, nk)).astype(float) * mask
+    rates = RateAssignment(rate=rate, commodity=commodity)
+
+    res = step_queues(backlog, rates, arrivals, traffic, model)
+    ref_backlog, ref_served, ref_absorbed = _step_queues_two_loops(
+        backlog, rates, arrivals, traffic, model)
+    assert np.array_equal(res.backlog, ref_backlog)
+    assert np.array_equal(res.served, ref_served)
+    assert res.absorbed == ref_absorbed
+
+    scale = 1e-12 * max(1.0, float(backlog.sum() + arrivals.sum()))
+    assert np.all(res.served <= rate)
+    outflow = np.zeros((n, nk))
+    np.add.at(outflow, (model.src, commodity), res.served)
+    assert np.all(outflow <= backlog + scale)
+    assert abs(res.backlog.sum() + res.absorbed
+               - (backlog.sum() + arrivals.sum())) <= scale * 10
+    assert np.all(res.backlog[~mask] == 0.0)

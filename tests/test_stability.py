@@ -29,7 +29,7 @@ def _grid_tandem(sc, coeff, res=240):
     m = sc.model
     k = m.processing_gain
     h01, h12, h02 = m.gain[0, 1], m.gain[1, 2], m.gain[0, 2]
-    gf = float(phy.default_gamma_floor(m)[0])
+    gf = float(m.gamma_floor[0])
     g0 = np.linspace(gf, 1.0, res)[:, None]
     g1 = np.linspace(gf, 1.0, res)[None, :]
     p0 = m.power_cap[0] ** g0
@@ -202,15 +202,10 @@ def test_omega_threshold_monotone():
         omega_threshold(0.0, 1.0, 100.0, 0.2)
 
 
-class _FakeTrace:
-    def __init__(self, flat):
-        self.slots = flat.shape[0] - 1
-        self._flat = flat
-        prev = np.vstack([flat[:1], flat[:-1]])
-        self.lyapunov = (flat ** 2).sum(axis=1) + ((flat - prev) ** 2).sum(axis=1)
-
-    def queue_vectors(self):
-        return self._flat
+def _lyapunov(flat):
+    """V column of a trace with per-queue backlogs ``flat``, as sim records it."""
+    prev = np.vstack([flat[:1], flat[:-1]])
+    return (flat ** 2).sum(axis=1) + ((flat - prev) ** 2).sum(axis=1)
 
 
 def test_drift_condition_checks_large_states(tandem_oracle):
@@ -220,7 +215,7 @@ def test_drift_condition_checks_large_states(tandem_oracle):
     lam = 2.0 * (10.0 + 40.0 ** 2)
     # huge queue states exceed the compact region and must show negative drift
     big = np.array([[4e4, 3e4, 0.0], [4.2e4, 2.9e4, 0.0], [4.1e4, 3.1e4, 0.0]])
-    report = check_drift_condition(oracle, a, eps, lam, 1.0, _FakeTrace(big), rng)
+    report = check_drift_condition(oracle, a, eps, lam, 1.0, _lyapunov(big), big, rng)
     assert len(report.checked) == 2
     assert report.violations == 0
     assert report.omega > 0
@@ -232,7 +227,8 @@ def test_drift_condition_excludes_small_states(tandem_oracle):
     abar, a, eps = _interior_point(sc, oracle)
     lam = 2.0 * (10.0 + 40.0 ** 2)
     small = np.array([[5.0, 2.0, 0.0], [6.0, 1.0, 0.0], [4.0, 2.0, 0.0]])
-    report = check_drift_condition(oracle, a, eps, lam, 1.0, _FakeTrace(small), rng)
+    report = check_drift_condition(oracle, a, eps, lam, 1.0, _lyapunov(small), small,
+                                   rng)
     assert report.checked == []
     # csv still renders with only the header
     assert report.to_csv().startswith("slot,V,omega,lhs,violation")
@@ -244,7 +240,7 @@ def test_drift_condition_rejects_exterior_arrivals(tandem_oracle):
     a_bad = np.full((3, 1), 1e9)
     with pytest.raises(ConfigError):
         check_drift_condition(oracle, a_bad, 0.1, 100.0, 1.0,
-                              _FakeTrace(np.zeros((3, 3))), rng)
+                              np.zeros(3), np.zeros((3, 3)), rng)
 
 
 def test_estimate_epsilon_positive_interior(tandem_oracle):
