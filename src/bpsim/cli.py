@@ -12,7 +12,9 @@ environment variable BPSIM_THREADS caps the number of parallel runs.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -168,13 +170,45 @@ def cmd_run(args) -> int:
 
 
 def _read_trace_csv(path: Path) -> tuple[list[dict], list[str]]:
-    import csv as _csv
-    with open(path, newline="") as fh:
-        reader = _csv.DictReader(fh)
-        return list(reader), list(reader.fieldnames or [])
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            return list(reader), list(reader.fieldnames or [])
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
+
+
+def _trace_columns(rows: list[dict], fields: list[str], cols: list[str]) -> np.ndarray:
+    """(len(rows), len(cols)) values of the named trace columns.
+
+    Every cell must hold a finite number; the error names the first one that
+    does not, by column and by line of the file (the header is line 1).
+    """
+    for c in cols:
+        if c not in fields:
+            raise ConfigError(f"trace has no {c!r} column")
+    try:
+        out = np.array([[float(r[c]) for c in cols] for r in rows]).reshape(len(rows), len(cols))
+    except (TypeError, ValueError):
+        out = None
+    if out is None or not np.isfinite(out).all():
+        for line, r in enumerate(rows, start=2):
+            for c in cols:
+                cell = r[c]
+                try:
+                    ok = math.isfinite(float(cell))
+                except (TypeError, ValueError):
+                    ok = False
+                if not ok:
+                    what = "is missing" if cell is None else f"is not a finite number: {cell!r}"
+                    raise ConfigError(f"trace line {line}, column {c!r} {what}")
+    return out
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--epsilon", args.epsilon), ("--eps0", args.eps0)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number, got {value!r}")
     scenario = load_scenario(args.scenario)
     rows, fields = _read_trace_csv(Path(args.trace))
     out = Path(args.out)
@@ -188,12 +222,13 @@ def cmd_verify(args) -> int:
             "trace has no per-queue columns; rerun the experiment with --per-queue")
     n = scenario.model.n
     nk = scenario.traffic.n_commodities
-    flat = np.array([[float(r[c]) for c in qcols] for r in rows])
-    if flat.shape[1] != n * nk:
+    if len(qcols) != n * nk:
         raise ConfigError("per-queue columns do not match the scenario size")
-    lyap = np.array([float(r["V"]) for r in rows])
-    lam_col = [float(r["lambda_term"]) for r in rows[:-1] if r.get("lambda_term")]
-    lam = max(lam_col) if lam_col else None
+    flat = _trace_columns(rows, fields, qcols)
+    lyap = _trace_columns(rows, fields, ["V"])[:, 0]
+    # The final boundary row carries no drift cells.
+    lam_col = _trace_columns(rows[:-1], fields, ["lambda_term"])[:, 0]
+    lam = float(lam_col.max()) if lam_col.size else None
 
     rng = np.random.default_rng(args.sample_seed)
     oracle = RateRegionOracle(scenario.model, scenario.traffic)
@@ -265,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericDomainError as exc:

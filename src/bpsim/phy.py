@@ -161,6 +161,73 @@ def objective_value(model: NetworkModel, weights: np.ndarray, state: PowerState)
     return objective_from_metrics(weights, link_metrics(model, state))
 
 
+@dataclass
+class WeightedLinks:
+    """The links with positive weight and their per-link gradient constants.
+
+    Links without weight contribute exact zeros to every marginal-gain sum,
+    so the gradient formulas run over these links only.
+    """
+
+    act: np.ndarray         # indices into the full link arrays
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+    gain: np.ndarray        # gain[src, dst]
+    w_theta_g: np.ndarray   # (w * theta[src]) * gain[src, dst]
+
+
+def weighted_links(model: NetworkModel, weights: np.ndarray) -> WeightedLinks:
+    """The links of ``model`` with ``weights > 0`` and their gradient constants."""
+    act = np.flatnonzero(weights > 0)
+    w = weights[act]
+    g = model.link_gain[act]
+    return WeightedLinks(act=act, src=model.src[act], dst=model.dst[act], w=w, gain=g,
+                         w_theta_g=w * model.link_theta[act] * g)
+
+
+def _pressures(model: NetworkModel, links: WeightedLinks,
+               metrics: LinkMetrics) -> tuple[np.ndarray, np.ndarray]:
+    """(n,) own pressure sum(g * w / IN) over each node's outgoing links, and
+    receiver pressure: the gain-weighted sum of w / IN over every receiver's
+    incoming links."""
+    f = links.w / metrics.inoise[links.act]
+    own = np.bincount(links.src, weights=links.gain * f, minlength=model.n)
+    down = model.gain @ np.bincount(links.dst, weights=f, minlength=model.n)
+    return own, down
+
+
+def _alloc_gains(model: NetworkModel, links: WeightedLinks,
+                 metrics: LinkMetrics) -> np.ndarray:
+    """(E,) b * (1/P + theta*h/IN) on the weighted links, zero elsewhere."""
+    p = metrics.power[links.act]
+    if p.min(initial=np.inf) <= 0:
+        bad = int(links.act[np.argmax(p <= 0)])
+        raise NumericDomainError(f"zero power on weighted link index {bad}")
+    out = np.zeros(model.n_links)
+    out[links.act] = links.w / p + links.w_theta_g / metrics.inoise[links.act]
+    return out
+
+
+def marginal_gains(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray,
+                   metrics: LinkMetrics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Allocation marginal gains and the power gain's raise/drop parts, one pass.
+
+    Returns the (E,) allocation gains, zero on links without weight, and the
+    (n,) parts ``up`` and ``down`` of the power marginal gain
+    p_node * (up - down).  ``up`` collects the node's own weighted-rate
+    terms, ``down`` the interference it imposes on every other receiver.
+    Both are nonnegative; their near-cancellation is what the optimality
+    certificate measures, so they also set its natural scale.
+    """
+    delta_alloc = _alloc_gains(model, links, metrics)
+    own, down = _pressures(model, links, metrics)
+    alloc_term = np.bincount(links.src, weights=(delta_alloc * alloc)[links.act],
+                             minlength=model.n)
+    up = (1.0 - model.theta) * own + alloc_term
+    return delta_alloc, up, down
+
+
 def alloc_marginal_gain(model: NetworkModel, weights: np.ndarray,
                         metrics: LinkMetrics) -> np.ndarray:
     """Allocation marginal gain per link, b * (1/P + theta*h/IN).
@@ -168,66 +235,37 @@ def alloc_marginal_gain(model: NetworkModel, weights: np.ndarray,
     Zero on links with zero weight.  Equals (b/P) * (1 + theta*SINR/K),
     which a node can assemble from local measurements alone.
     """
-    out = np.zeros(model.n_links)
-    active = weights > 0
-    if np.any(metrics.power[active] <= 0):
-        bad = int(np.argmax(active & (metrics.power <= 0)))
-        raise NumericDomainError(f"zero power on weighted link index {bad}")
-    np.divide(weights, metrics.power, out=out, where=active)
-    out[active] += (weights * model.link_theta * model.link_gain / metrics.inoise)[active]
-    return out
+    return _alloc_gains(model, weighted_links(model, weights), metrics)
 
 
 def power_marginal_parts(model: NetworkModel, weights: np.ndarray, state: PowerState,
-                         metrics: LinkMetrics,
-                         delta_alloc: np.ndarray | None = None
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Raise and drop components of the power-control marginal gain.
-
-    The gain is p_node * (raise - drop): ``raise`` collects the node's own
-    weighted-rate terms, ``drop`` the interference it imposes on every other
-    receiver.  Both are nonnegative; their near-cancellation is what the
-    optimality certificate measures, so they also set its natural scale.
-    """
-    if delta_alloc is None:
-        delta_alloc = alloc_marginal_gain(model, weights, metrics)
-    src = model.src
-    f = weights / metrics.inoise
-    # Interference cost of this node's power at every other receiver,
-    # net of the pressure generated by its own outgoing links.
-    own = np.bincount(src, weights=model.link_gain * f, minlength=model.n)
-    alloc_term = np.bincount(src, weights=delta_alloc * state.alloc, minlength=model.n)
-    up = (1.0 - model.theta) * own + alloc_term
-    # Receiver pressure: per node, the sum of f over its incoming links.
-    down = model.gain @ np.bincount(model.dst, weights=f, minlength=model.n)
+                         metrics: LinkMetrics) -> tuple[np.ndarray, np.ndarray]:
+    """Raise and drop components of the power-control marginal gain; see
+    ``marginal_gains``.  Links without positive weight contribute nothing."""
+    _, up, down = marginal_gains(model, weighted_links(model, weights), state.alloc, metrics)
     return up, down
 
 
 def power_marginal_gain(model: NetworkModel, weights: np.ndarray, state: PowerState,
-                        metrics: LinkMetrics,
-                        delta_alloc: np.ndarray | None = None) -> np.ndarray:
+                        metrics: LinkMetrics) -> np.ndarray:
     """Power-control marginal gain per node.
 
     The objective gradient with respect to the power exponent of node i is
     ``model.log_power_cap[i]`` times this quantity.
     """
-    up, down = power_marginal_parts(model, weights, state, metrics, delta_alloc)
+    up, down = power_marginal_parts(model, weights, state, metrics)
     return metrics.node_power * (up - down)
 
 
 def alloc_grad_full(model: NetworkModel, weights: np.ndarray, state: PowerState,
-                    metrics: LinkMetrics,
-                    delta_alloc: np.ndarray | None = None) -> np.ndarray:
+                    metrics: LinkMetrics) -> np.ndarray:
     """Full (E,) dF/d(alloc), treating allocations as free coordinates.
 
     Per link: P_i * (delta_alloc - c_i) with a per-node constant c_i, so on
     the allocation simplex only the marginal-gain differences matter.
     """
-    if delta_alloc is None:
-        delta_alloc = alloc_marginal_gain(model, weights, metrics)
-    src = model.src
-    f = weights / metrics.inoise
-    own = np.bincount(src, weights=model.link_gain * f, minlength=model.n)
-    common = (model.gain @ np.bincount(model.dst, weights=f, minlength=model.n)
-              + (model.theta - 1.0) * own)
-    return metrics.node_power[src] * (delta_alloc - common[src])
+    links = weighted_links(model, weights)
+    delta_alloc = _alloc_gains(model, links, metrics)
+    own, down = _pressures(model, links, metrics)
+    common = down + (model.theta - 1.0) * own
+    return metrics.node_power[model.src] * (delta_alloc - common[model.src])

@@ -23,15 +23,16 @@ import numpy as np
 
 from .errors import ConfigError, NumericDomainError
 from .model import NetworkModel
-from . import phy
 from .phy import (
     ETA_FLOOR,
     LinkMetrics,
     PowerState,
+    WeightedLinks,
     alloc_marginal_gain,
     link_metrics,
     link_metrics_from_powers,
-    objective_from_metrics,
+    marginal_gains,
+    weighted_links,
 )
 
 # Safeguards under the diagonal scaling matrices.
@@ -39,6 +40,9 @@ SCALE_EPS = 1e-8
 _MIN_STEP = 1e-14
 _MAX_BACKTRACKS = 80
 _BOUND_TOL = 1e-9
+# Iterates in a row that leave the objective bit for bit unchanged before a
+# solve gives up (see solve_max_weight).
+_STALL_ITERATES = 12
 # Armijo rule: sufficient-increase fraction, backtracking factor, first trial.
 ARMIJO_SIGMA = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -64,8 +68,12 @@ class SolverConfig:
     scaling: str = "diagonal_hessian"       # "diagonal_hessian" | "identity"
 
     def __post_init__(self):
-        if self.kkt_tolerance <= 0:
-            raise ConfigError("kkt_tolerance must be positive")
+        # NaN fails the comparison, so it is rejected with the infinities.
+        if not 0 < self.kkt_tolerance < np.inf:
+            raise ConfigError(f"kkt_tolerance must be finite and positive, "
+                              f"got {self.kkt_tolerance!r}")
+        if self.max_iterations < 0:
+            raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
         if self.stepsize_rule not in ("armijo", "fixed"):
             raise ConfigError(f"unknown stepsize rule {self.stepsize_rule!r}")
         if self.scaling not in ("diagonal_hessian", "identity"):
@@ -119,13 +127,9 @@ def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray
 
 
 @dataclass
-class _Workspace:
+class _Workspace(WeightedLinks):
     """Per-solve constants over the weighted (active) links, built once per solve."""
 
-    act: np.ndarray             # indices into the full link arrays
-    src: np.ndarray
-    w: np.ndarray
-    w_full: np.ndarray          # (E,) weights, zero off the active links
     theta_g: np.ndarray         # theta[src] * gain[src, dst], the self-interference gain
     ln_kg: np.ndarray           # log(processing_gain * gain[src, dst])
     m_node: np.ndarray          # (n,) weighted out-degree
@@ -135,25 +139,27 @@ class _Workspace:
 
 
 def _make_workspace(model: NetworkModel, weights: np.ndarray) -> _Workspace:
-    act = np.flatnonzero(weights > 0)
-    src = model.src[act]
-    g = model.link_gain[act]
-    m_node = np.bincount(src, minlength=model.n).astype(float)
-    w = weights[act]
-    w_full = np.zeros(model.n_links)
-    w_full[act] = w
+    links = weighted_links(model, weights)
+    g = links.gain
+    m_node = np.bincount(links.src, minlength=model.n).astype(float)
     return _Workspace(
-        act=act,
-        src=src,
-        w=w,
-        w_full=w_full,
-        theta_g=model.link_theta[act] * g,
+        **vars(links),
+        theta_g=model.link_theta[links.act] * g,
         ln_kg=np.log(model.processing_gain * g),
         m_node=m_node,
         has_active=m_node > 0,
-        gain_cols=model.gain[:, model.dst[act]],
-        cols=np.arange(act.size),
+        gain_cols=model.gain[:, links.dst],
+        cols=np.arange(links.act.size),
     )
+
+
+def _objective(ws: _Workspace, metrics: LinkMetrics) -> float:
+    """Weighted sum rate over the weighted links (``phy.objective_from_metrics``)."""
+    p = metrics.power[ws.act]
+    if p.min(initial=np.inf) <= 0:
+        bad = int(ws.act[np.argmax(p <= 0)])
+        raise NumericDomainError(f"zero power on weighted link index {bad} (log 0)")
+    return float(np.dot(ws.w, metrics.capacity[ws.act]))
 
 
 def _seed_state(model: NetworkModel, ws: _Workspace, initial: PowerState) -> PowerState:
@@ -291,7 +297,7 @@ def power_step(model: NetworkModel, ws: _Workspace, state: PowerState,
     if metrics is None:
         metrics = link_metrics(model, state)
     if delta_gamma is None:
-        up, down = phy.power_marginal_parts(model, ws.w_full, state, metrics)
+        _, up, down = marginal_gains(model, ws, state.alloc, metrics)
         delta_gamma = metrics.node_power * (up - down)
     if not np.isfinite(delta_gamma).all():
         raise NumericDomainError("non-finite power marginal gain")
@@ -306,13 +312,13 @@ def power_step(model: NetworkModel, ws: _Workspace, state: PowerState,
     def evaluate(expo: np.ndarray) -> tuple[LinkMetrics, float]:
         p = (model.power_cap ** expo)[model.src] * state.alloc
         met = link_metrics_from_powers(model, p)
-        return met, objective_from_metrics(ws.w_full, met)
+        return met, _objective(ws, met)
 
     if config.stepsize_rule == "fixed":
         new = np.clip(gamma + config.fixed_step * delta_gamma / v, gfloor, 1.0)
         return (new, *evaluate(new), 1, config.fixed_step)
 
-    f0 = objective_from_metrics(ws.w_full, metrics)
+    f0 = _objective(ws, metrics)
     grad = shat * delta_gamma
     xi = ARMIJO_INITIAL if xi0 is None else min(xi0, ARMIJO_INITIAL)
     evals = 0
@@ -411,7 +417,8 @@ class KKTReport:
 def kkt_check(model: NetworkModel, weights: np.ndarray, state: PowerState,
               tolerance: float,
               metrics: LinkMetrics | None = None,
-              delta_alloc: np.ndarray | None = None) -> KKTReport:
+              gradient: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+              ) -> KKTReport:
     """Certify optimality: equalized allocation gains, vanishing power gains.
 
     Power gains may be nonnegative at the exponent cap.  Floors active at
@@ -419,13 +426,16 @@ def kkt_check(model: NetworkModel, weights: np.ndarray, state: PowerState,
     projected condition (the gain must not push further down).  Residuals
     are normalized per node: the allocation spread by the node's largest
     allocation gain, the power residual by the total magnitude of the
-    raise/drop components whose cancellation it certifies.
+    raise/drop components whose cancellation it certifies.  ``gradient`` is
+    what ``phy.marginal_gains`` returns at the tested point, when the caller
+    already has it.
     """
     if metrics is None:
         metrics = link_metrics(model, state)
-    if delta_alloc is None:
-        delta_alloc = alloc_marginal_gain(model, weights, metrics)
-    up, down = phy.power_marginal_parts(model, weights, state, metrics, delta_alloc)
+    if gradient is None:
+        gradient = marginal_gains(model, weighted_links(model, weights), state.alloc,
+                                  metrics)
+    delta_alloc, up, down = gradient
     p_node = metrics.node_power
     delta_gamma = p_node * (up - down)
 
@@ -496,6 +506,14 @@ class SolveDiagnostics:
         return rows
 
 
+def _exact_repeat(start: tuple, end: tuple) -> bool:
+    """True when every solver variable (arrays, floats or None) ends bit for
+    bit as it started."""
+    return all(a is b or (a is not None and b is not None
+                          and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+               for a, b in zip(start, end))
+
+
 def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerState,
                      config: SolverConfig | None = None,
                      max_iterations: int | None = None,
@@ -529,46 +547,54 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
         return np.where(weights > 0, np.maximum(met.capacity, 0.0), 0.0)
 
     metrics = link_metrics(model, state)
-    diag.objectives.append(objective_from_metrics(weights, metrics))
+    diag.objectives.append(_objective(ws, metrics))
     if collect_rates:
         diag.capacity_trace = [clipped(metrics)]
     converged = False
     beta0: np.ndarray | None = None
     xi0: float | None = None
     stalled = 0
-    for _ in range(iters):
-        delta_alloc = alloc_marginal_gain(model, weights, metrics)
-        report = kkt_check(model, weights, state, config.kkt_tolerance, metrics,
-                           delta_alloc)
+    while diag.iterations < iters:
+        start = (state.alloc, state.exponent, beta0, xi0)
+        gradient = marginal_gains(model, ws, state.alloc, metrics)
+        report = kkt_check(model, weights, state, config.kkt_tolerance, metrics, gradient)
         diag.kkt_residuals.append(report.normalized)
         if report.passed:
             converged = True
             break
         new_alloc, evals, beta0 = alloc_sweep(model, ws, state, metrics,
-                                              delta_alloc, config, beta0)
+                                              gradient[0], config, beta0)
         state = PowerState(new_alloc, state.exponent)
         new_gamma, metrics, f_after, pc_evals, xi0 = power_step(model, ws, state, config,
                                                                 xi0=xi0)
         state = PowerState(state.alloc, new_gamma)
-        diag.objectives.append(f_after)
-        if collect_rates:
-            diag.capacity_trace.append(clipped(metrics))
-        diag.iterations += 1
-        diag.line_search_evals += evals + pc_evals
-        # One protocol round per iteration in a distributed deployment.
-        diag.broadcasts += model.n
-        diag.feedbacks += model.n_links
         # Floating point can pin the residual just above a very tight
         # tolerance while the objective no longer moves at all; stop rather
-        # than spin, leaving the convergence flag honest.
-        if diag.objectives[-1] == diag.objectives[-2]:
-            stalled += 1
-            if stalled >= 12:
-                break
-        else:
+        # than spin, leaving the convergence flag honest.  An iterate that
+        # ends bit for bit where it started (state and stepsizes) repeats
+        # itself exactly up to that stop, so its repeats are recorded
+        # without being computed.
+        reps = 1
+        if f_after != diag.objectives[-1]:
             stalled = 0
+        else:
+            if _exact_repeat(start, (state.alloc, state.exponent, beta0, xi0)):
+                reps = min(_STALL_ITERATES - stalled, iters - diag.iterations)
+            stalled += reps
+        diag.objectives += [f_after] * reps
+        diag.kkt_residuals += [report.normalized] * (reps - 1)
+        if collect_rates:
+            diag.capacity_trace += [clipped(metrics) for _ in range(reps)]
+        diag.iterations += reps
+        diag.line_search_evals += reps * (evals + pc_evals)
+        # One protocol round per iteration in a distributed deployment.
+        diag.broadcasts += reps * model.n
+        diag.feedbacks += reps * model.n_links
+        if stalled >= _STALL_ITERATES:
+            break
     else:
-        report = kkt_check(model, weights, state, config.kkt_tolerance, metrics)
+        report = kkt_check(model, weights, state, config.kkt_tolerance, metrics,
+                           marginal_gains(model, ws, state.alloc, metrics))
         diag.kkt_residuals.append(report.normalized)
         converged = report.passed
     diag.converged = converged

@@ -195,8 +195,9 @@ def estimate_epsilon(oracle: RateRegionOracle, a: np.ndarray,
 
 def omega_threshold(eps: float, eps0: float, lam: float, alpha: float) -> float:
     """Lyapunov level above which the negative-drift condition is asserted."""
-    if min(eps, eps0, lam, alpha) <= 0:
-        raise ConfigError("eps, eps0, lambda and alpha must be positive")
+    # NaN fails the comparison, so it is rejected with the infinities.
+    if not all(0 < v < np.inf for v in (eps, eps0, lam, alpha)):
+        raise ConfigError("eps, eps0, lambda and alpha must be finite and positive")
     omega1 = (1.0 + alpha * alpha) * (eps0 + lam) ** 2 / (eps * eps)
     c = np.sqrt(2.0 * lam) / alpha
     s = (c + np.sqrt(c * c + 4.0 * (lam + eps0))) / 2.0

@@ -211,3 +211,59 @@ def test_threads_env_rejects_non_positive_integers(tmp_path, monkeypatch, value)
     code = main(["run", "--generate", "n=4", "B=2", "seed=9", "--scheme", "iter-once",
                  "--slots", "2", "--runs", "1", "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+def _verify(scen, trace, tmp_path, *extra):
+    return main(["verify", "--scenario", str(scen), "--trace", str(trace),
+                 "--out", str(tmp_path / "r.csv"), *extra])
+
+
+def test_verify_rejects_non_numeric_queue_cell(run_dir, tmp_path, capsys):
+    _, scen, out = run_dir
+    lines = (out / "trace_iter-conv_run0.csv").read_text().split("\n")
+    col = lines[0].split(",").index("u_0_0")
+    cells = lines[3].split(",")
+    cells[col] = "oops"
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines))
+    assert _verify(scen, bad, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "'u_0_0'" in err and "'oops'" in err
+
+
+def test_verify_rejects_truncated_row(run_dir, tmp_path, capsys):
+    _, scen, out = run_dir
+    lines = (out / "trace_iter-conv_run0.csv").read_text().split("\n")
+    header = lines[0].split(",")
+    lines[5] = ",".join(lines[5].split(",")[:len(header) - 3])
+    bad = tmp_path / "short.csv"
+    bad.write_text("\n".join(lines))
+    assert _verify(scen, bad, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "line 6" in err and repr(header[-3]) in err and "missing" in err
+
+
+def test_verify_rejects_directory_as_trace(run_dir, tmp_path):
+    _, scen, _ = run_dir
+    assert _verify(scen, tmp_path, tmp_path) == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--epsilon", "nan"), ("--eps0", "nan"),
+                                        ("--eps0", "inf")])
+def test_verify_rejects_non_finite_margins(run_dir, tmp_path, flag, value):
+    _, scen, out = run_dir
+    report = tmp_path / "r.csv"
+    assert _verify(scen, out / "trace_iter-conv_run0.csv", tmp_path, flag, value) == 2
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--kkt-tol", "nan"), ("--kkt-tol", "inf"),
+                                        ("--kkt-tol", "0"), ("--max-iter", "-3")])
+def test_run_rejects_bad_solver_settings(run_dir, tmp_path, flag, value):
+    _, scen, _ = run_dir
+    code = main(["run", "--scenario", str(scen), "--scheme", "iter-once",
+                 "--slots", "2", "--runs", "1", flag, value,
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert not (tmp_path / "x").exists()

@@ -1,5 +1,6 @@
 """SINR, capacities, objective and marginal gains against hand oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -257,3 +258,70 @@ def test_validate_power_state_messages_in_order():
         "exponents must not exceed 1",
         "exponent below the configured floor",
     ]
+
+
+def _alloc_marginal_gain_full(model, weights, metrics):
+    """Reference: the full-length allocation gain the one-pass gradient replaced."""
+    out = np.zeros(model.n_links)
+    active = weights > 0
+    if np.any(metrics.power[active] <= 0):
+        bad = int(np.argmax(active & (metrics.power <= 0)))
+        raise NumericDomainError(f"zero power on weighted link index {bad}")
+    np.divide(weights, metrics.power, out=out, where=active)
+    out[active] += (weights * model.link_theta * model.link_gain / metrics.inoise)[active]
+    return out
+
+
+def _power_marginal_parts_full(model, weights, state, metrics):
+    """Reference: the full-length raise/drop parts the one-pass gradient replaced."""
+    delta_alloc = _alloc_marginal_gain_full(model, weights, metrics)
+    src = model.src
+    f = weights / metrics.inoise
+    own = np.bincount(src, weights=model.link_gain * f, minlength=model.n)
+    alloc_term = np.bincount(src, weights=delta_alloc * state.alloc, minlength=model.n)
+    up = (1.0 - model.theta) * own + alloc_term
+    down = model.gain @ np.bincount(model.dst, weights=f, minlength=model.n)
+    return up, down
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
+       zero_frac=strategies.sampled_from([0.0, 0.3, 0.7]))
+def test_one_pass_gradient_matches_full_length_reference(seed, n, zero_frac):
+    """Restricting the gradient formulas to the weighted links is bit-exact."""
+    from bpsim.solver import _make_workspace, kkt_check
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n=n)
+    w = random_weights(rng, m, zero_frac=zero_frac)
+    st = phy.random_power_state(m, rng)
+    met = phy.link_metrics(m, st)
+    want_d = _alloc_marginal_gain_full(m, w, met)
+    want_up, want_down = _power_marginal_parts_full(m, w, st, met)
+    for links in (phy.weighted_links(m, w), _make_workspace(m, w)):
+        d, up, down = phy.marginal_gains(m, links, st.alloc, met)
+        assert d.tobytes() == want_d.tobytes()
+        assert up.tobytes() == want_up.tobytes()
+        assert down.tobytes() == want_down.tobytes()
+    assert phy.alloc_marginal_gain(m, w, met).tobytes() == want_d.tobytes()
+    up, down = phy.power_marginal_parts(m, w, st, met)
+    assert up.tobytes() == want_up.tobytes() and down.tobytes() == want_down.tobytes()
+    # The certificate gives the same report with or without the caller's pass.
+    given_pass = kkt_check(m, w, st, 1e-6, met, phy.marginal_gains(
+        m, phy.weighted_links(m, w), st.alloc, met))
+    own_pass = kkt_check(m, w, st, 1e-6)
+    for f in dataclasses.fields(own_pass):
+        a, b = getattr(given_pass, f.name), getattr(own_pass, f.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+    # A weighted link without power: the same error, naming the same link.
+    dead = rng.choice(np.flatnonzero(w > 0))
+    st.alloc[dead] = 0.0
+    met = phy.link_metrics(m, st)
+    with pytest.raises(NumericDomainError) as want:
+        _power_marginal_parts_full(m, w, st, met)
+    for call in (lambda: phy.marginal_gains(m, _make_workspace(m, w), st.alloc, met),
+                 lambda: phy.alloc_marginal_gain(m, w, met),
+                 lambda: phy.power_marginal_parts(m, w, st, met)):
+        with pytest.raises(NumericDomainError) as got:
+            call()
+        assert str(got.value) == str(want.value)

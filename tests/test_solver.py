@@ -355,3 +355,57 @@ def test_solver_reuses_link_view_and_accepted_metrics_exactly(seed, n):
     again = phy.link_metrics(m, final)
     for name in ("power", "inoise", "sinr", "capacity", "node_power"):
         assert np.array_equal(getattr(diag.metrics, name), getattr(again, name))
+
+
+def _solve_record(model, weights, config):
+    state, diag = solve_max_weight(model, weights, phy.uniform_power_state(model), config,
+                                   collect_rates=True)
+    return (state.alloc.tobytes(), state.exponent.tobytes(),
+            np.array(diag.objectives).tobytes(), np.array(diag.kkt_residuals).tobytes(),
+            diag.iterations, diag.converged, diag.line_search_evals, diag.broadcasts,
+            diag.feedbacks, [c.tobytes() for c in diag.capacity_trace],
+            diag.metrics.capacity.tobytes())
+
+
+def test_replayed_repeats_equal_computed_ones(monkeypatch):
+    """Stalled cold solves replay exact repeats; computing them changes nothing."""
+    import bpsim.solver as solver
+    from bpsim.model import generate_scenario
+    from bpsim.policy import compute_weights
+
+    sc = generate_scenario(5, 7.0, 1000)
+    rng = np.random.default_rng(3)
+    queries = []
+    for _ in range(6):
+        u = rng.random((sc.model.n, sc.traffic.n_commodities)) * 100.0
+        queries.append(compute_weights(np.where(sc.traffic.queue_mask, u, 0.0),
+                                       sc.traffic, sc.model).weight)
+    configs = (SolverConfig(kkt_tolerance=1e-12, max_iterations=2000),
+               # A budget that ends inside a replay: the final check runs.
+               SolverConfig(kkt_tolerance=1e-12, max_iterations=70))
+    detect = solver._exact_repeat
+    fired = []
+
+    def counted(start, end):
+        fired.append(detect(start, end))
+        return fired[-1]
+
+    monkeypatch.setattr(solver, "_exact_repeat", counted)
+    replayed = [_solve_record(sc.model, w, cfg) for cfg in configs for w in queries]
+    assert any(fired)
+    monkeypatch.setattr(solver, "_exact_repeat", lambda start, end: False)
+    computed = [_solve_record(sc.model, w, cfg) for cfg in configs for w in queries]
+    assert replayed == computed
+
+
+@pytest.mark.parametrize("kwargs", [{"kkt_tolerance": float("nan")},
+                                    {"kkt_tolerance": float("inf")},
+                                    {"kkt_tolerance": -1e-6},
+                                    {"max_iterations": -1}])
+def test_solver_config_rejects_bad_settings(kwargs):
+    with pytest.raises(ConfigError):
+        SolverConfig(**kwargs)
+
+
+def test_solver_config_allows_zero_iterations():
+    assert SolverConfig(max_iterations=0).max_iterations == 0

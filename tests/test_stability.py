@@ -198,8 +198,10 @@ def test_omega_threshold_monotone():
     base = omega_threshold(eps=0.5, eps0=1.0, lam=100.0, alpha=0.2)
     assert base > 0
     assert omega_threshold(0.5, 1.0, 200.0, 0.2) > base
-    with pytest.raises(ConfigError):
-        omega_threshold(0.0, 1.0, 100.0, 0.2)
+    for bad in ((0.0, 1.0, 100.0, 0.2), (0.5, float("nan"), 100.0, 0.2),
+                (float("nan"), 1.0, 100.0, 0.2), (0.5, 1.0, float("inf"), 0.2)):
+        with pytest.raises(ConfigError):
+            omega_threshold(*bad)
 
 
 def _lyapunov(flat):
