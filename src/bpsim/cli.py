@@ -111,7 +111,13 @@ def _max_workers(jobs: int) -> int:
     return min(cap, jobs)
 
 
+def _require_nonnegative_seed(flag: str, value: int) -> None:
+    if value < 0:
+        raise ConfigError(f"{flag} must be a nonnegative integer, got {value}")
+
+
 def cmd_run(args) -> int:
+    _require_nonnegative_seed("--seed", args.seed)
     scenario = _scenario_from_args(args)
     schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
     if not schemes:
@@ -209,6 +215,11 @@ def cmd_verify(args) -> int:
     for flag, value in (("--epsilon", args.epsilon), ("--eps0", args.eps0)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{flag} must be a finite number, got {value!r}")
+    for flag, value in (("--eps-samples", args.eps_samples),
+                        ("--direction-samples", args.direction_samples)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be a positive integer, got {value}")
+    _require_nonnegative_seed("--sample-seed", args.sample_seed)
     scenario = load_scenario(args.scenario)
     rows, fields = _read_trace_csv(Path(args.trace))
     out = Path(args.out)

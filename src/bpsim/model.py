@@ -38,9 +38,10 @@ class NetworkModel:
     ``links`` are the ordered pairs that may carry data.
 
     Construction also derives the link view the physical layer and the
-    solver read on every call: per-link gain, transmitter self-interference
-    and receiver noise, plus per-node log power caps, out-degrees and the
-    default power-exponent floor.  These arrays are read-only.
+    solver read on every call: per-link gain, transmitter self-interference,
+    receiver noise and log(processing_gain * gain), plus per-node log power
+    caps, out-degrees and the default power-exponent floor.  These arrays are
+    read-only.
     """
 
     gain: np.ndarray            # (n, n), gain[i][j] from tx i to rx j, diag 0
@@ -57,6 +58,7 @@ class NetworkModel:
     link_gain: np.ndarray = field(init=False, repr=False)       # (E,) gain[src, dst]
     link_theta: np.ndarray = field(init=False, repr=False)      # (E,) theta[src]
     link_noise: np.ndarray = field(init=False, repr=False)      # (E,) noise[dst]
+    link_log_kg: np.ndarray = field(init=False, repr=False)     # (E,) log(K * link_gain)
     log_power_cap: np.ndarray = field(init=False, repr=False)   # (n,) log(power_cap)
     out_degree: np.ndarray = field(init=False, repr=False)      # (n,) outgoing links
     gamma_floor: np.ndarray = field(init=False, repr=False)     # (n,) default exponent floor
@@ -84,14 +86,18 @@ class NetworkModel:
         dst = np.array(dst_ids, dtype=np.intp)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
-        # Caps <= 1 give a meaningless floor; validate_model reports them.
+        link_gain = gain[src, dst]
+        # Caps <= 1 give a meaningless floor and non-positive gains a NaN or
+        # -inf log; validate_model reports both.
         with np.errstate(divide="ignore", invalid="ignore"):
             log_cap = np.log(self.power_cap)
             gamma_floor = 1.0 + _LOG_FLOOR_RATIO / log_cap
+            log_kg = np.log(self.processing_gain * link_gain)
         view = {
-            "link_gain": gain[src, dst],
+            "link_gain": link_gain,
             "link_theta": self.theta[src],
             "link_noise": self.noise[dst],
+            "link_log_kg": log_kg,
             "log_power_cap": log_cap,
             "out_degree": np.bincount(src, minlength=n),
             "gamma_floor": gamma_floor,
@@ -219,8 +225,11 @@ def generate_scenario(n: int, arrival_mean: float, seed: int) -> Scenario:
     """
     if n < 2:
         raise ConfigError(f"need at least 2 nodes, got {n}")
-    if arrival_mean < 0:
-        raise ConfigError(f"arrival mean must be nonnegative, got {arrival_mean}")
+    # NaN fails the comparison, so it is rejected with the infinities.
+    if not 0 <= arrival_mean < np.inf:
+        raise ConfigError(f"arrival mean must be finite and nonnegative, got {arrival_mean}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     radius = link_radius(n)
     positions = dist = None

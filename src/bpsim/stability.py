@@ -21,7 +21,7 @@ from .model import NetworkModel, TrafficSpec
 from .phy import link_metrics, random_power_state, uniform_power_state
 from .policy import compute_weights, rates_from_power
 from .sim import SimTrace, virtual_rates
-from .solver import SolverConfig, solve_max_weight
+from .solver import SolverConfig, solve_max_weight, solve_max_weight_batch
 
 
 def queue_norm(u: np.ndarray) -> float:
@@ -35,7 +35,9 @@ class RateRegionOracle:
     Each query maximizes u . rtilde over feasible rate allocations by
     pushing u through the per-link differential weights and solving the
     max-weight power control from a cold start (so equal queries give
-    identical answers).
+    identical answers).  ``solve_ahead`` solves the queries a caller is
+    about to make in lockstep; each answer is held until its query asks for
+    it, so the queries return exactly what they return without it.
     """
 
     # Tolerances much below 1e-7 can sit under the floating-point floor of
@@ -45,6 +47,9 @@ class RateRegionOracle:
     traffic: TrafficSpec
     config: SolverConfig = field(default_factory=lambda: SolverConfig(
         kkt_tolerance=1e-7, max_iterations=2000))
+    # Capacities solved ahead, keyed by the bytes of their link weights and
+    # dropped once used.
+    _ahead: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def mask(self) -> np.ndarray:
         return self.traffic.queue_mask
@@ -54,9 +59,30 @@ class RateRegionOracle:
 
         ``link_weights`` must weigh at least one link.
         """
+        held = self._ahead.pop(link_weights.tobytes(), None)
+        if held is not None:
+            return held
         _, diag = solve_max_weight(
             self.model, link_weights, uniform_power_state(self.model), self.config)
         return np.maximum(diag.metrics.capacity, 0.0)
+
+    def solve_ahead(self, supports=(), excesses=()) -> None:
+        """Solve in lockstep the max-weight problems that ``support(u)`` for
+        every u in ``supports`` and ``directional_excess(delta, ...)`` for
+        every delta in ``excesses`` pose.
+
+        Lockstep solves return exactly what single solves do, so the later
+        queries return the same values, only sooner.
+        """
+        rows = [compute_weights(u, self.traffic, self.model).weight for u in supports]
+        rows += [self._excess_direction(d)[1] for d in excesses]
+        rows = [w for w in rows if w is not None and np.any(w > 0)]
+        if not rows:
+            return
+        solved = solve_max_weight_batch(self.model, np.array(rows),
+                                        uniform_power_state(self.model), self.config)
+        for w, (_, diag) in zip(rows, solved):
+            self._ahead[w.tobytes()] = np.maximum(diag.metrics.capacity, 0.0)
 
     def support(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         """Support value and a maximizing virtual-rate vector for u >= 0."""
@@ -101,6 +127,21 @@ class RateRegionOracle:
         w = np.maximum(diff.max(axis=1), 0.0)
         return float((w * cap).sum())
 
+    def _excess_direction(self, delta: np.ndarray):
+        """The masked unit direction of ``delta`` (None for the zero
+        direction) and the link weights of its positive part (None when no
+        link carries weight)."""
+        delta = np.where(self.mask(), delta, 0.0)
+        nrm = queue_norm(delta)
+        if nrm == 0:
+            return None, None
+        delta = delta / nrm
+        plus = np.maximum(delta, 0.0)
+        if not np.any(plus > 0):
+            return delta, None
+        w = compute_weights(plus, self.traffic, self.model).weight
+        return delta, (w if np.any(w > 0) else None)
+
     def directional_excess(self, delta: np.ndarray, abar: np.ndarray,
                            rng: np.random.Generator | None = None,
                            samples: int = 64) -> float:
@@ -113,19 +154,14 @@ class RateRegionOracle:
         directions the true value may still be larger.  The zero direction
         returns 0 by convention.
         """
-        delta = np.where(self.mask(), delta, 0.0)
-        nrm = queue_norm(delta)
-        if nrm == 0:
+        delta, w = self._excess_direction(delta)
+        if delta is None:
             return 0.0
-        delta = delta / nrm
         offset = float((delta * abar).sum())
         best = 0.0      # abar is feasible: excess at least zero
-        plus = np.maximum(delta, 0.0)
-        if np.any(plus > 0):
-            w = compute_weights(plus, self.traffic, self.model)
-            if np.any(w.weight > 0):
-                cap = self._solved_capacities(w.weight)
-                best = max(best, self._best_routing_value(delta, cap) - offset)
+        if w is not None:
+            cap = self._solved_capacities(w)
+            best = max(best, self._best_routing_value(delta, cap) - offset)
         # directions with negative parts profit from asking dominated links
         # to idle entirely; a full-power configuration covers that corner
         cap_full = np.maximum(
@@ -180,9 +216,12 @@ def estimate_epsilon(oracle: RateRegionOracle, a: np.ndarray,
     """
     mask = oracle.mask()
     a = np.where(mask, a, 0.0)
+    # Support queries draw nothing from rng, so drawing every direction
+    # first leaves the stream as it was.
+    directions = [np.where(mask, rng.random(a.shape), 0.0) for _ in range(samples)]
+    oracle.solve_ahead(supports=directions)
     best = np.inf
-    for _ in range(samples):
-        u = np.where(mask, rng.random(a.shape), 0.0)
+    for u in directions:
         l1 = u.sum()
         if l1 <= 0:
             continue
@@ -251,10 +290,15 @@ def check_drift_condition(oracle: RateRegionOracle, a: np.ndarray, eps: float,
     """
     mask = oracle.mask()
     a = np.where(mask, a, 0.0)
+    # The queries below draw nothing from rng (directional_excess with no
+    # samples), so drawing every direction first leaves the stream as it was.
+    supports = [np.where(mask, rng.random(a.shape), 0.0)
+                for _ in range(max(8, direction_samples // 4))]
+    excesses = [np.where(mask, rng.random(a.shape), 0.0) for _ in range(direction_samples)]
+    oracle.solve_ahead(supports=supports, excesses=excesses)
     dominant = None
     worst = np.inf
-    for _ in range(max(8, direction_samples // 4)):
-        u = np.where(mask, rng.random(a.shape), 0.0)
+    for u in supports:
         val, rt = oracle.support(u)
         margin = val - float((u * a).sum())
         worst = min(worst, margin / max(u.sum(), 1e-300))
@@ -265,19 +309,18 @@ def check_drift_condition(oracle: RateRegionOracle, a: np.ndarray, eps: float,
             f"arrival point not verifiably interior (margin {worst:.3e})")
 
     max_d = 0.0
-    for _ in range(direction_samples):
-        delta = np.where(mask, rng.random(a.shape), 0.0)
+    for delta in excesses:
         max_d = max(max_d, oracle.directional_excess(delta, dominant, rng, samples=0))
     if max_d <= 0:
         raise ConfigError("sampled directional excess vanished; cannot size the cone")
     alpha = min(1.0, eps / (2.0 * max_d))
     omega = omega_threshold(eps, eps0, lam, alpha)
 
+    above = [t for t in range(1, len(lyapunov)) if not float(lyapunov[t]) <= omega]
+    oracle.solve_ahead(supports=[queues[t - 1].reshape(a.shape) for t in above])
     rows: list[DriftCheckRow] = []
-    for t in range(1, len(lyapunov)):
+    for t in above:
         v = float(lyapunov[t])
-        if v <= omega:
-            continue
         u_t = queues[t].reshape(a.shape)
         u_prev = queues[t - 1].reshape(a.shape)
         _, rstar = oracle.support(u_prev)

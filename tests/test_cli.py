@@ -267,3 +267,36 @@ def test_run_rejects_bad_solver_settings(run_dir, tmp_path, flag, value):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("params", [["n=5", "B=4", "seed=-1"], ["n=5", "B=nan", "seed=1"],
+                                    ["n=5", "B=inf", "seed=1"]])
+def test_generate_rejects_negative_seed_and_non_finite_mean(tmp_path, capsys, params):
+    out = tmp_path / "x.json"
+    assert main(["generate", *params, "--out", str(out)]) == 2
+    assert not out.exists()
+    code = main(["run", "--generate", *params, "--scheme", "iter-once", "--slots", "2",
+                 "--runs", "1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert not (tmp_path / "x").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_run_rejects_negative_seed(run_dir, tmp_path, capsys):
+    _, scen, _ = run_dir
+    code = main(["run", "--scenario", str(scen), "--scheme", "iter-once", "--slots", "2",
+                 "--runs", "1", "--seed", "-1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--sample-seed", "-1"), ("--eps-samples", "0"),
+                                        ("--eps-samples", "-2"),
+                                        ("--direction-samples", "0"),
+                                        ("--direction-samples", "-2")])
+def test_verify_rejects_bad_sampling_before_loading(tmp_path, capsys, flag, value):
+    # The scenario and trace do not exist: the flag must be rejected first.
+    assert _verify(tmp_path / "nope.json", tmp_path / "nope.csv", tmp_path, flag, value) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()

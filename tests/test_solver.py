@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from bpsim import phy
+from bpsim import phy, solver
 from bpsim.errors import ConfigError
 from bpsim.model import NetworkModel
 from bpsim.solver import (SolverConfig, alloc_step,
                           exchange_messages, kkt_check, project_simplex,
-                          solve_max_weight)
+                          solve_max_weight, solve_max_weight_batch)
 
 from conftest import (grid_search_two_tx, projection_oracle, random_model,
                       random_weights, two_tx_instance)
@@ -316,6 +316,7 @@ def test_solver_reuses_link_view_and_accepted_metrics_exactly(seed, n):
     assert np.array_equal(m.link_gain, m.gain[m.src, m.dst])
     assert np.array_equal(m.link_theta, m.theta[m.src])
     assert np.array_equal(m.link_noise, m.noise[m.dst])
+    assert not m.link_log_kg.flags.writeable
     # Loop reference for the uniform split.
     ref = np.zeros(m.n_links)
     for i in range(m.n):
@@ -324,6 +325,10 @@ def test_solver_reuses_link_view_and_accepted_metrics_exactly(seed, n):
     assert np.array_equal(phy.uniform_power_state(m).alloc, ref)
 
     w = random_weights(rng, m)
+    # The workspace's log(K*g) is the model's, indexed; it equals the log
+    # taken per solve bit for bit.
+    ws = solver._make_workspace(m, w)
+    assert ws.ln_kg.tobytes() == np.log(m.processing_gain * m.link_gain[ws.act]).tobytes()
     start = phy.random_power_state(m, rng)
     # Break the split of some nodes so the seeding must repair them.
     start.alloc[rng.random(m.n_links) < 0.2] *= 1.5
@@ -369,7 +374,6 @@ def _solve_record(model, weights, config):
 
 def test_replayed_repeats_equal_computed_ones(monkeypatch):
     """Stalled cold solves replay exact repeats; computing them changes nothing."""
-    import bpsim.solver as solver
     from bpsim.model import generate_scenario
     from bpsim.policy import compute_weights
 
@@ -409,3 +413,66 @@ def test_solver_config_rejects_bad_settings(kwargs):
 
 def test_solver_config_allows_zero_iterations():
     assert SolverConfig(max_iterations=0).max_iterations == 0
+
+
+# ------------------------------------------------------- lockstep solves
+
+def _fingerprint(state, diag):
+    """Everything a solve returns, as bytes; ``repr`` also catches a count
+    that comes back as a numpy integer."""
+    metrics = (None if diag.metrics is None else
+               [getattr(diag.metrics, f).tobytes()
+                for f in ("power", "inoise", "sinr", "capacity", "node_power")])
+    return (state.alloc.tobytes(), state.exponent.tobytes(),
+            np.array(diag.objectives).tobytes(), np.array(diag.kkt_residuals).tobytes(),
+            repr((diag.iterations, diag.converged, diag.line_search_evals,
+                  diag.broadcasts, diag.feedbacks)), metrics)
+
+
+def _assert_lockstep_matches(model, weights, start, config):
+    single = [_fingerprint(*solve_max_weight(model, w, start, config)) for w in weights]
+    batch = solve_max_weight_batch(model, weights, start, config)
+    assert [_fingerprint(*r) for r in batch] == single
+
+
+_VARIANTS = [{}, {"scaling": "identity"}, {"stepsize_rule": "fixed", "fixed_step": 0.05},
+             {"stepsize_rule": "fixed", "fixed_step": 0.02, "scaling": "identity"}]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
+       variant=strategies.sampled_from(_VARIANTS),
+       tolerance=strategies.sampled_from([1e-9, 1e-12]),
+       budget=strategies.sampled_from([0, 70]))
+def test_lockstep_rows_equal_single_solves(seed, n, variant, tolerance, budget):
+    """Every row of a lockstep batch is bit for bit its single solve."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n=n)
+    # Mixed weighted-link counts, two rows sharing one count, an all-zero row.
+    rows = [random_weights(rng, m, zero_frac=f) for f in (0.1, 0.3, 0.3, 0.6, 0.9)]
+    rows.append(np.where(rows[1] > 0, rng.random(m.n_links) + 0.5, 0.0))
+    rows.insert(2, np.zeros(m.n_links))
+    config = SolverConfig(kkt_tolerance=tolerance, max_iterations=budget, **variant)
+    _assert_lockstep_matches(m, np.array(rows), phy.random_power_state(m, rng), config)
+
+
+def test_lockstep_rows_equal_single_cold_oracle_solves():
+    """The verify oracle's cold solves at 1e-7, stalls and replays included."""
+    from bpsim.model import generate_scenario
+    from bpsim.policy import compute_weights
+
+    sc = generate_scenario(5, 7.0, 1000)
+    rng = np.random.default_rng(5)
+    rows = [compute_weights(rng.random((sc.model.n, sc.traffic.n_commodities)), sc.traffic,
+                            sc.model).weight for _ in range(16)]
+    _assert_lockstep_matches(sc.model, np.array(rows), phy.uniform_power_state(sc.model),
+                             SolverConfig(kkt_tolerance=1e-7, max_iterations=2000))
+
+
+def test_lockstep_rejects_malformed_weights():
+    m = random_model(np.random.default_rng(0), n=3)
+    start = phy.uniform_power_state(m)
+    with pytest.raises(ConfigError):
+        solve_max_weight_batch(m, np.ones(m.n_links), start)
+    with pytest.raises(ConfigError):
+        solve_max_weight_batch(m, -np.ones((2, m.n_links)), start)

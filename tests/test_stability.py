@@ -257,3 +257,35 @@ def test_estimate_epsilon_positive_interior(tandem_oracle):
         u[:2, 0] = rng.random(2) * 3
         val, _ = oracle.support(u)
         assert val >= float((u * (a + 0.95 * est * oracle.mask())).sum()) - 1e-6
+
+
+def test_lockstep_look_ahead_changes_no_answer(tandem_oracle, monkeypatch):
+    """estimate_epsilon and check_drift_condition return exactly what they
+    return when the look-ahead solves row by row, and every query is answered
+    from the look-ahead."""
+    import bpsim.stability as stability
+
+    sc, _ = tandem_oracle
+    abar, a, eps = _interior_point(sc, RateRegionOracle(sc.model, sc.traffic))
+    lam = 2.0 * (10.0 + 40.0 ** 2)
+    big = np.array([[4e4, 3e4, 0.0], [4.2e4, 2.9e4, 0.0], [4.1e4, 3.1e4, 0.0]])
+
+    def audit():
+        oracle = RateRegionOracle(sc.model, sc.traffic)
+        est = estimate_epsilon(oracle, a, np.random.default_rng(40), samples=24)
+        report = check_drift_condition(oracle, a, eps, lam, 1.0, _lyapunov(big), big,
+                                       np.random.default_rng(37))
+        assert len(report.checked) == 2
+        assert oracle._ahead == {}
+        return repr(est), repr(report)
+
+    single = stability.solve_max_weight
+    misses = []
+    monkeypatch.setattr(stability, "solve_max_weight",
+                        lambda *args: misses.append(args) or single(*args))
+    lockstep = audit()
+    assert misses == []
+    monkeypatch.setattr(stability, "solve_max_weight_batch",
+                        lambda model, weights, initial, config=None:
+                        [single(model, w, initial, config) for w in weights])
+    assert audit() == lockstep
