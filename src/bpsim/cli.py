@@ -239,7 +239,9 @@ def cmd_verify(args) -> int:
     lyap = _trace_columns(rows, fields, ["V"])[:, 0]
     # The final boundary row carries no drift cells.
     lam_col = _trace_columns(rows[:-1], fields, ["lambda_term"])[:, 0]
-    lam = float(lam_col.max()) if lam_col.size else None
+    if not lam_col.size:
+        raise ConfigError("trace lacks lambda_term values")
+    lam = float(lam_col.max())
 
     rng = np.random.default_rng(args.sample_seed)
     oracle = RateRegionOracle(scenario.model, scenario.traffic)
@@ -250,8 +252,6 @@ def cmd_verify(args) -> int:
         print(f"estimated interior margin eps = {eps:.6g}")
     if eps <= 0:
         raise ConfigError("arrival point has no positive interior margin")
-    if lam is None:
-        raise ConfigError("trace lacks lambda_term values")
     report = check_drift_condition(oracle, a, eps, lam, args.eps0, lyap, flat, rng,
                                    direction_samples=args.direction_samples)
     out.write_text(report.to_csv(), encoding="utf-8", newline="\n")

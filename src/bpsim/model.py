@@ -39,9 +39,9 @@ class NetworkModel:
 
     Construction also derives the link view the physical layer and the
     solver read on every call: per-link gain, transmitter self-interference,
-    receiver noise and log(processing_gain * gain), plus per-node log power
-    caps, out-degrees and the default power-exponent floor.  These arrays are
-    read-only.
+    receiver noise, the products theta * gain and processing_gain * gain and
+    the log of the latter, plus per-node log power caps, out-degrees and the
+    default power-exponent floor.  These arrays are read-only.
     """
 
     gain: np.ndarray            # (n, n), gain[i][j] from tx i to rx j, diag 0
@@ -58,7 +58,9 @@ class NetworkModel:
     link_gain: np.ndarray = field(init=False, repr=False)       # (E,) gain[src, dst]
     link_theta: np.ndarray = field(init=False, repr=False)      # (E,) theta[src]
     link_noise: np.ndarray = field(init=False, repr=False)      # (E,) noise[dst]
-    link_log_kg: np.ndarray = field(init=False, repr=False)     # (E,) log(K * link_gain)
+    link_theta_gain: np.ndarray = field(init=False, repr=False)  # (E,) link_theta * link_gain
+    link_kg: np.ndarray = field(init=False, repr=False)          # (E,) K * link_gain
+    link_log_kg: np.ndarray = field(init=False, repr=False)     # (E,) log(link_kg)
     log_power_cap: np.ndarray = field(init=False, repr=False)   # (n,) log(power_cap)
     out_degree: np.ndarray = field(init=False, repr=False)      # (n,) outgoing links
     gamma_floor: np.ndarray = field(init=False, repr=False)     # (n,) default exponent floor
@@ -92,11 +94,15 @@ class NetworkModel:
         with np.errstate(divide="ignore", invalid="ignore"):
             log_cap = np.log(self.power_cap)
             gamma_floor = 1.0 + _LOG_FLOOR_RATIO / log_cap
-            log_kg = np.log(self.processing_gain * link_gain)
+            link_kg = self.processing_gain * link_gain
+            log_kg = np.log(link_kg)
+        link_theta = self.theta[src]
         view = {
             "link_gain": link_gain,
-            "link_theta": self.theta[src],
+            "link_theta": link_theta,
             "link_noise": self.noise[dst],
+            "link_theta_gain": link_theta * link_gain,
+            "link_kg": link_kg,
             "link_log_kg": log_kg,
             "log_power_cap": log_cap,
             "out_degree": np.bincount(src, minlength=n),

@@ -6,6 +6,14 @@ the node's total power is power_cap ** g.  Capacities use the high-SINR
 approximation log(SINR) in natural log with unit symbol rate, which is
 concave in the log powers.  All interference sums run over every other
 transmitter through the full gain matrix.
+
+The formulas also serve B problems over one model, laid end to end as one
+network of B*n nodes and B*E links (node b*n + i and link b*E + l belong to
+problem b; at B = 1 these are the model's own ids).  Per-node sums are then
+one ``bincount`` that adds each problem's links in link order, and
+cross-node products are stacked ``matmul``s that numpy hands problem by
+problem to the BLAS call of the one-problem product, so each problem's
+values are bit for bit its own.
 """
 
 from __future__ import annotations
@@ -31,6 +39,18 @@ class PowerState:
 
     def copy(self) -> "PowerState":
         return PowerState(self.alloc.copy(), self.exponent.copy())
+
+
+def end_to_end(x: np.ndarray, rows: int, stride: int | None = None) -> np.ndarray:
+    """``rows`` copies of ``x`` laid end to end, ``x`` itself for one row.
+
+    With ``stride``, ``x`` holds ids and copy b's are shifted by b * stride.
+    """
+    if rows == 1:
+        return x
+    if stride is None:
+        return x[None].repeat(rows, 0).reshape(-1)
+    return (x + stride * np.arange(rows)[:, None]).reshape(-1)
 
 
 def node_powers(model: NetworkModel, state: PowerState) -> np.ndarray:
@@ -105,31 +125,35 @@ class LinkMetrics:
 
 
 def link_metrics_from_powers(model: NetworkModel, p: np.ndarray) -> LinkMetrics:
-    """Metrics from raw per-link powers.
+    """Metrics from raw per-link powers, of one problem or of several laid
+    end to end (``p`` of length B*E).
 
     Does not assume the allocations sum to one, so callers may evaluate
     perturbed configurations (finite differences, midpoints in log powers).
     """
-    src, dst = model.src, model.dst
-    g = model.link_gain
-    tx_total = np.bincount(src, weights=p, minlength=model.n)
+    n, n_links = model.n, model.n_links
+    rows = p.size // n_links
+    src = end_to_end(model.src, rows, n)
+    g = end_to_end(model.link_gain, rows)
+    tx_total = np.bincount(src, weights=p, minlength=rows * n)
     tx_src = tx_total[src]
     # Received power at each node from every transmitter (diagonal gain is 0).
-    rx_total = model.gain.T @ tx_total
-    other = rx_total[dst] - g * tx_src
-    inoise = model.link_theta * g * (tx_src - p) + other + model.link_noise
+    rx_total = np.matmul(model.gain.T, tx_total.reshape(rows, n, 1)).reshape(-1)
+    other = rx_total[end_to_end(model.dst, rows, n)] - g * tx_src
+    inoise = (end_to_end(model.link_theta_gain, rows) * (tx_src - p) + other
+              + end_to_end(model.link_noise, rows))
     # NaN fails both comparisons, so these two reductions reject exactly the
     # non-finite and non-positive values.
     if not (inoise.min(initial=np.inf) > 0 and inoise.max(initial=0.0) < np.inf):
-        bad = int(np.argmin(np.where(np.isfinite(inoise), inoise, -np.inf)))
+        bad = int(np.argmin(np.where(np.isfinite(inoise), inoise, -np.inf))) % n_links
         raise NumericDomainError(
             f"interference-plus-noise is not positive and finite on link {model.links[bad]}"
         )
-    sinr = model.processing_gain * g * p / inoise
+    sinr = end_to_end(model.link_kg, rows) * p / inoise
     # log runs only where sinr > 0, so capacity is never NaN; sinr may be.
     capacity = np.log(sinr, out=np.full_like(sinr, -np.inf), where=sinr > 0)
     if np.isnan(sinr.max(initial=-np.inf)):
-        bad = int(np.argmax(np.isnan(sinr)))
+        bad = int(np.argmax(np.isnan(sinr))) % n_links
         raise NumericDomainError(f"non-finite capacity on link {model.links[bad]}")
     return LinkMetrics(power=p, inoise=inoise, sinr=sinr, capacity=capacity,
                        node_power=tx_total)
@@ -144,17 +168,29 @@ def shannon_capacity(metrics: LinkMetrics) -> np.ndarray:
     return np.log1p(metrics.sinr)
 
 
+def row_objectives(w: np.ndarray, act: np.ndarray, metrics: LinkMetrics,
+                   rows: int = 1) -> np.ndarray:
+    """(rows,) weighted sum rate of each of ``rows`` problems laid end to end.
+
+    ``w`` and ``act`` are the weights of the problems' weighted links and
+    their ids in the end-to-end link arrays; every problem has as many.
+    """
+    p = metrics.power[act]
+    if p.min(initial=np.inf) <= 0:
+        bad = int(act[np.argmax(p <= 0)])
+        raise NumericDomainError(f"zero power on weighted link index {bad} (log 0)")
+    return np.matmul(w.reshape(rows, 1, -1),
+                     metrics.capacity[act].reshape(rows, -1, 1)).reshape(rows)
+
+
 def objective_from_metrics(weights: "np.ndarray", metrics: LinkMetrics) -> float:
     """Weighted sum rate over links with positive weight.
 
     ``weights`` is the (E,) vector of differential-backlog weights; links
     with zero weight are excluded from the sum.
     """
-    active = weights > 0
-    if np.any(metrics.power[active] <= 0):
-        bad = int(np.argmax(active & (metrics.power <= 0)))
-        raise NumericDomainError(f"zero power on weighted link index {bad} (log 0)")
-    return float(np.dot(weights[active], metrics.capacity[active]))
+    act = np.flatnonzero(weights > 0)
+    return float(row_objectives(weights[act], act, metrics)[0])
 
 
 def objective_value(model: NetworkModel, weights: np.ndarray, state: PowerState) -> float:
@@ -163,48 +199,71 @@ def objective_value(model: NetworkModel, weights: np.ndarray, state: PowerState)
 
 @dataclass
 class WeightedLinks:
-    """The links with positive weight and their per-link gradient constants.
+    """The links with positive weight of B problems over one model, laid end
+    to end (see the module docstring), and their per-link constants.
 
     Links without weight contribute exact zeros to every marginal-gain sum,
     so the gradient formulas run over these links only.
     """
 
-    act: np.ndarray         # indices into the full link arrays
-    src: np.ndarray
-    dst: np.ndarray
+    rows: int               # B
+    act: np.ndarray         # b*E + link: ids into the end-to-end link arrays
+    src: np.ndarray         # b*n + transmitter
+    dst: np.ndarray         # b*n + receiver
     w: np.ndarray
     gain: np.ndarray        # gain[src, dst]
     w_theta_g: np.ndarray   # (w * theta[src]) * gain[src, dst]
+    theta_g: np.ndarray     # theta[src] * gain[src, dst], the self-interference gain
+    ln_kg: np.ndarray       # log(processing_gain * gain[src, dst]), model.link_log_kg
+    m_node: np.ndarray      # (B*n,) weighted out-degree
+    has_active: np.ndarray  # (B*n,) bool
+    gain_rows: np.ndarray   # (B*E_a, n) gain from every node to each link's receiver
+    own_slot: np.ndarray    # flat index in gain_rows of each link's own transmitter
 
 
 def weighted_links(model: NetworkModel, weights: np.ndarray) -> WeightedLinks:
-    """The links of ``model`` with ``weights > 0`` and their gradient constants."""
+    """The links with ``weights > 0`` of one problem, or of each row of (B, E)
+    ``weights`` laid end to end, and their per-link constants."""
+    n, n_links = model.n, model.n_links
+    rows = weights.size // n_links
     act = np.flatnonzero(weights > 0)
-    w = weights[act]
-    g = model.link_gain[act]
-    return WeightedLinks(act=act, src=model.src[act], dst=model.dst[act], w=w, gain=g,
-                         w_theta_g=w * model.link_theta[act] * g)
+    link = act if rows == 1 else act % n_links
+    src, dst = model.src[link], model.dst[link]
+    gain_rows = model.gain.T[dst]
+    own_slot = np.arange(act.size) * n + src
+    if rows > 1:
+        shift = n * (act // n_links)
+        src, dst = src + shift, dst + shift
+    w = weights.reshape(-1)[act]
+    g = model.link_gain[link]
+    m_node = np.bincount(src, minlength=rows * n).astype(float)
+    return WeightedLinks(rows=rows, act=act, src=src, dst=dst, w=w, gain=g, gain_rows=gain_rows,
+                         w_theta_g=w * model.link_theta[link] * g, own_slot=own_slot,
+                         theta_g=model.link_theta_gain[link], ln_kg=model.link_log_kg[link],
+                         m_node=m_node, has_active=m_node > 0)
 
 
 def _pressures(model: NetworkModel, links: WeightedLinks,
                metrics: LinkMetrics) -> tuple[np.ndarray, np.ndarray]:
-    """(n,) own pressure sum(g * w / IN) over each node's outgoing links, and
+    """(B*n,) own pressure sum(g * w / IN) over each node's outgoing links, and
     receiver pressure: the gain-weighted sum of w / IN over every receiver's
     incoming links."""
+    size = links.rows * model.n
     f = links.w / metrics.inoise[links.act]
-    own = np.bincount(links.src, weights=links.gain * f, minlength=model.n)
-    down = model.gain @ np.bincount(links.dst, weights=f, minlength=model.n)
+    own = np.bincount(links.src, weights=links.gain * f, minlength=size)
+    at_rx = np.bincount(links.dst, weights=f, minlength=size)
+    down = np.matmul(model.gain, at_rx.reshape(links.rows, model.n, 1)).reshape(size)
     return own, down
 
 
 def _alloc_gains(model: NetworkModel, links: WeightedLinks,
                  metrics: LinkMetrics) -> np.ndarray:
-    """(E,) b * (1/P + theta*h/IN) on the weighted links, zero elsewhere."""
+    """(B*E,) b * (1/P + theta*h/IN) on the weighted links, zero elsewhere."""
     p = metrics.power[links.act]
     if p.min(initial=np.inf) <= 0:
         bad = int(links.act[np.argmax(p <= 0)])
         raise NumericDomainError(f"zero power on weighted link index {bad}")
-    out = np.zeros(model.n_links)
+    out = np.zeros(links.rows * model.n_links)
     out[links.act] = links.w / p + links.w_theta_g / metrics.inoise[links.act]
     return out
 
@@ -215,16 +274,18 @@ def marginal_gains(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray,
 
     Returns the (E,) allocation gains, zero on links without weight, and the
     (n,) parts ``up`` and ``down`` of the power marginal gain
-    p_node * (up - down).  ``up`` collects the node's own weighted-rate
-    terms, ``down`` the interference it imposes on every other receiver.
-    Both are nonnegative; their near-cancellation is what the optimality
-    certificate measures, so they also set its natural scale.
+    p_node * (up - down), each laid end to end over the B problems of
+    ``links``.  ``up`` collects the node's own weighted-rate terms, ``down``
+    the interference it imposes on every other receiver.  Both are
+    nonnegative; their near-cancellation is what the optimality certificate
+    measures, so they also set its natural scale.
     """
+    n, rows = model.n, links.rows
     delta_alloc = _alloc_gains(model, links, metrics)
     own, down = _pressures(model, links, metrics)
     alloc_term = np.bincount(links.src, weights=(delta_alloc * alloc)[links.act],
-                             minlength=model.n)
-    up = (1.0 - model.theta) * own + alloc_term
+                             minlength=rows * n)
+    up = end_to_end(1.0 - model.theta, rows) * own + alloc_term
     return delta_alloc, up, down
 
 

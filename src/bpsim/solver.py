@@ -17,7 +17,8 @@ the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,9 +30,11 @@ from .phy import (
     PowerState,
     WeightedLinks,
     alloc_marginal_gain,
+    end_to_end,
     link_metrics,
     link_metrics_from_powers,
     marginal_gains,
+    row_objectives,
     weighted_links,
 )
 
@@ -105,107 +108,178 @@ def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray
     violators, repeat.  A segment without violations keeps its free set, so
     the loop ends within the longest segment's length plus one passes.  The
     first pass has every coordinate free, so its sums need no mask and its
-    goal is exactly 1.
+    goal is exactly 1.  When it clamps nothing, every x is at or above the
+    floor (or NaN) and is returned as it is.
     """
     n = m_node.size
-    free = np.ones(target.size, dtype=bool)
+    free = True         # every coordinate, until the first clamp
     s_t = np.bincount(src, weights=target, minlength=n)
     s_iq = np.bincount(src, weights=invq, minlength=n)
     goal = 1.0
     for _ in range(target.size + 1):
         mu = np.divide(s_t - goal, s_iq, out=np.zeros(n), where=s_iq > 0)
         x = target - mu[src] * invq
-        viol = free & (x < floor)
+        viol = x < floor
+        if free is not True:
+            viol &= free
         if not viol.any():
             break
-        free &= ~viol
+        free = free & ~viol
         s_t = np.bincount(src, weights=target * free, minlength=n)
         s_iq = np.bincount(src, weights=invq * free, minlength=n)
         n_free = np.bincount(src, weights=free.astype(float), minlength=n)
         goal = 1.0 - floor * (m_node - n_free)
-    return np.where(free, np.maximum(x, floor), floor)
+    return x if free is True else np.where(free, np.maximum(x, floor), floor)
 
 
-@dataclass
-class _Workspace(WeightedLinks):
-    """Per-solve constants over the weighted (active) links, built once per solve."""
+# ------------------------------------------------------------ formula layer
+#
+# Written once for B problems over one model laid end to end (see phy): the
+# single solve calls it at B = 1, solve_max_weight_batch at B > 1.
 
-    theta_g: np.ndarray         # theta[src] * gain[src, dst], the self-interference gain
-    ln_kg: np.ndarray           # log(processing_gain * gain[src, dst]), model.link_log_kg
-    m_node: np.ndarray          # (n,) weighted out-degree
-    has_active: np.ndarray      # (n,) bool
-    gain_cols: np.ndarray       # (n, E_a) gain from every node to each active receiver
-    cols: np.ndarray            # (E_a,) arange, column index of each active link
-
-
-def _make_workspace(model: NetworkModel, weights: np.ndarray) -> _Workspace:
-    links = weighted_links(model, weights)
-    g = links.gain
-    m_node = np.bincount(links.src, minlength=model.n).astype(float)
-    return _Workspace(
-        **vars(links),
-        theta_g=model.link_theta[links.act] * g,
-        ln_kg=model.link_log_kg[links.act],
-        m_node=m_node,
-        has_active=m_node > 0,
-        gain_cols=model.gain[:, links.dst],
-        cols=np.arange(links.act.size),
-    )
-
-
-def _objective(ws: _Workspace, metrics: LinkMetrics) -> float:
-    """Weighted sum rate over the weighted links (``phy.objective_from_metrics``)."""
-    p = metrics.power[ws.act]
-    if p.min(initial=np.inf) <= 0:
-        bad = int(ws.act[np.argmax(p <= 0)])
-        raise NumericDomainError(f"zero power on weighted link index {bad} (log 0)")
-    return float(np.dot(ws.w, metrics.capacity[ws.act]))
-
-
-def _seed_state(model: NetworkModel, ws: _Workspace, initial: PowerState) -> PowerState:
+def _seed_state(model: NetworkModel, links: WeightedLinks, initial: PowerState) -> PowerState:
     """Restrict the warm start to the weighted links and keep it off the log barrier.
 
-    Nodes owning at least one weighted link concentrate their split on those
-    links; nodes with none keep a valid split (their power step alone drives
-    them to the exponent floor).
+    Every problem of ``links`` starts from ``initial``.  Nodes owning at
+    least one weighted link concentrate their split on those links; nodes
+    with none keep a valid split (their power step alone drives them to the
+    exponent floor).
     """
-    n = model.n
-    src = model.src
+    n, rows, src = model.n, links.rows, model.src
     # A node without weighted links keeps its split unless it is not a valid
     # one (sum off 1, or not finite: NaN fails the comparison).
     total = np.bincount(src, weights=initial.alloc, minlength=n)
-    reset = ~ws.has_active & ~(np.abs(total - 1.0) <= 1e-9)
-    alloc = np.where(reset[src], 1.0 / model.out_degree[src], initial.alloc)
-    alloc[ws.has_active[src]] = 0.0
-    a = initial.alloc[ws.act]
+    alloc = np.where(~(np.abs(total - 1.0) <= 1e-9)[src], 1.0 / model.out_degree[src],
+                     initial.alloc)
+    alloc = end_to_end(alloc, rows)
+    alloc[links.has_active[end_to_end(src, rows, n)]] = 0.0
+    a = end_to_end(initial.alloc, rows)[links.act]
     # Links that were essentially unused get a small positive seed; established
     # allocations above the floor are kept so a converged point stays fixed.
-    seed_min = RESEED_FRACTION / np.maximum(ws.m_node[ws.src], 1.0)
+    seed_min = RESEED_FRACTION / np.maximum(links.m_node[links.src], 1.0)
     a = np.where(a < 10.0 * ETA_FLOOR, np.maximum(a, seed_min), a)
-    total = np.bincount(ws.src, weights=a, minlength=n)
-    bad = (total <= 0) & ws.has_active
+    total = np.bincount(links.src, weights=a, minlength=rows * n)
+    bad = (total <= 0) & links.has_active
     if bad.any():
-        a = np.where(bad[ws.src], 1.0, a)
-        total = np.bincount(ws.src, weights=a, minlength=n)
-    a = a / total[ws.src]
-    a = _project_alloc_nodes(ws.src, ws.m_node, a, np.ones_like(a), ETA_FLOOR)
-    alloc[ws.act] = a
-    exponent = np.clip(initial.exponent, model.gamma_floor, 1.0)
+        a = np.where(bad[links.src], 1.0, a)
+        total = np.bincount(links.src, weights=a, minlength=rows * n)
+    a = a / total[links.src]
+    alloc[links.act] = _project_alloc_nodes(links.src, links.m_node, a, np.ones_like(a),
+                                            ETA_FLOOR)
+    exponent = end_to_end(np.clip(initial.exponent, model.gamma_floor, 1.0), rows)
     return PowerState(alloc, exponent)
 
 
-def _local_objective(ws: _Workspace, p_i: np.ndarray, self_gain: np.ndarray,
-                     other: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """(n,) per-node weighted rate over its own links, as a function of its split.
+def _sweep_terms(links: WeightedLinks, alloc: np.ndarray, delta_alloc: np.ndarray,
+                 config: SolverConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weighted links' allocations and gains, and the allocation sweep's
+    inverse diagonal scaling (w / a**2 approximates the curvature)."""
+    a = alloc[links.act]
+    invq = (np.ones_like(a) if config.scaling == "identity"
+            else 1.0 / (links.w / (a * a) + SCALE_EPS))
+    return a, delta_alloc[links.act], invq
 
-    ``p_i`` is the transmitter's total power per link and ``self_gain`` is
-    ``theta_g * p_i``.
+
+def _armijo_terms(links: WeightedLinks, metrics: LinkMetrics, a: np.ndarray, d: np.ndarray,
+                  beta0: np.ndarray | None) -> tuple:
+    """The allocation line search's start: the local objective (each node's
+    weighted rate over its own links, as a function of the weighted links'
+    split), its value at ``a``, the gradient along the split, and the
+    per-node stepsize caps and first trials."""
+    p_i = metrics.node_power[links.src]
+    # Interference at each link's receiver that does not depend on this
+    # node's own split (totals of other transmitters plus noise).
+    other = metrics.inoise[links.act] - links.theta_g * (p_i - metrics.power[links.act])
+    self_gain = links.theta_g * p_i
+
+    def local(x: np.ndarray) -> np.ndarray:
+        rate = links.ln_kg + np.log(p_i * x) - np.log(self_gain * (1.0 - x) + other)
+        return np.bincount(links.src, weights=links.w * rate, minlength=links.m_node.size)
+
+    cap = ARMIJO_INITIAL * np.maximum(metrics.node_power, 1.0)
+    return local, local(a), p_i * d, cap, (cap if beta0 is None else np.minimum(beta0, cap))
+
+
+def _curvature(links: WeightedLinks, metrics: LinkMetrics) -> np.ndarray:
+    """(B, n) diagonal curvature of the objective in each node's log power.
+
+    Each weighted link contributes w * s * (1 - s) where s is the share of
+    its interference-plus-noise sourced from the node in question.  The
+    (B, E_a, n) terms are C-ordered, so the sum over the middle axis adds
+    each node's links one after another.
     """
-    cap = ws.ln_kg + np.log(p_i * x) - np.log(self_gain * (1.0 - x) + other)
-    return np.bincount(ws.src, weights=ws.w * cap, minlength=n)
+    rows, n = links.rows, links.gain_rows.shape[1]
+    p_node = metrics.node_power
+    contrib = links.gain_rows.reshape(rows, -1, n) * p_node.reshape(rows, 1, n)
+    np.put(contrib, links.own_slot,
+           links.theta_g * (p_node[links.src] - metrics.power[links.act]))
+    s = contrib / metrics.inoise[links.act].reshape(rows, -1, 1)
+    return ((s * (1.0 - s)) * links.w.reshape(rows, -1, 1)).sum(axis=1)
 
 
-def alloc_sweep(model: NetworkModel, ws: _Workspace, state: PowerState,
+def _power_direction(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray,
+                     metrics: LinkMetrics, config: SolverConfig,
+                     delta_gamma: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(B*n,) power marginal gains, unless given, and the power step's
+    diagonal scaling."""
+    if delta_gamma is None:
+        _, up, down = marginal_gains(model, links, alloc, metrics)
+        delta_gamma = metrics.node_power * (up - down)
+    if not np.isfinite(delta_gamma).all():
+        raise NumericDomainError("non-finite power marginal gain")
+    if config.scaling == "identity":
+        return delta_gamma, np.ones(delta_gamma.size)
+    return delta_gamma, np.maximum(model.log_power_cap * _curvature(links, metrics),
+                                   SCALE_EPS).reshape(-1)
+
+
+def _trial(model: NetworkModel, w: np.ndarray, act: np.ndarray, alloc: np.ndarray,
+           expo: np.ndarray) -> tuple[LinkMetrics, np.ndarray]:
+    """Link metrics and per-problem objectives at trial exponents."""
+    rows = expo.size // model.n
+    p_node = end_to_end(model.power_cap, rows) ** expo
+    met = link_metrics_from_powers(model, p_node[end_to_end(model.src, rows, model.n)] * alloc)
+    return met, row_objectives(w, act, met, rows)
+
+
+def _kkt_residuals(model: NetworkModel, weighted: np.ndarray, state: PowerState,
+                   metrics: LinkMetrics, gradient: tuple) -> tuple:
+    """The certificate's terms for B problems laid end to end: per-node
+    allocation spread, projected power residual and their scales, the
+    floor flags, and each problem's normalized residual (see ``kkt_check``)."""
+    n = model.n
+    alloc, expo = state.alloc, state.exponent
+    rows = expo.size // n
+    delta_alloc, up, down = gradient
+    p_node = metrics.node_power
+    delta_gamma = p_node * (up - down)
+    floored = weighted & (alloc <= ETA_FLOOR * (1.0 + 1e-6))
+    free = weighted & ~floored
+    src_f = end_to_end(model.src, rows, n)[free]
+    gain_f = delta_alloc[free]
+    hi = np.full(rows * n, -np.inf)
+    lo = np.full(rows * n, np.inf)
+    np.maximum.at(hi, src_f, gain_f)
+    np.minimum.at(lo, src_f, gain_f)
+    cnt = np.bincount(src_f, minlength=rows * n)
+    spread = np.where(cnt >= 2, hi - lo, 0.0)
+    alloc_scale = np.where(cnt >= 1, np.maximum(1.0, hi), 1.0)
+
+    at_top = expo >= 1.0 - _BOUND_TOL
+    at_floor_g = expo <= end_to_end(model.gamma_floor, rows) + _BOUND_TOL
+    gamma_residual = np.where(at_top, np.maximum(0.0, -delta_gamma),
+                              np.where(at_floor_g, np.maximum(0.0, delta_gamma),
+                                       np.abs(delta_gamma)))
+    gamma_scale = np.maximum(1.0, p_node * (up + down))
+    a = (spread / alloc_scale).reshape(rows, n).max(axis=1, initial=0.0)
+    g = (gamma_residual / gamma_scale).reshape(rows, n).max(axis=1, initial=0.0)
+    normalized = np.where(g > a, g, a)      # Python's max(a, g), NaN included
+    return spread, gamma_residual, alloc_scale, gamma_scale, at_floor_g, floored, normalized
+
+
+# ------------------------------------------------------------ one problem
+
+def alloc_sweep(model: NetworkModel, ws: WeightedLinks, state: PowerState,
                 metrics: LinkMetrics, delta_alloc: np.ndarray,
                 config: SolverConfig,
                 beta0: np.ndarray | None = None
@@ -216,42 +290,25 @@ def alloc_sweep(model: NetworkModel, ws: _Workspace, state: PowerState,
     evaluations spent in line searches, and the per-node accepted stepsizes
     (callers may feed them back as the next sweep's ``beta0``).
     """
-    n = model.n
-    a = state.alloc[ws.act]
-    d = delta_alloc[ws.act]
-    # Inverse of the diagonal scaling: w / a**2 approximates the curvature.
-    invq = (np.ones_like(a) if config.scaling == "identity"
-            else 1.0 / (ws.w / (a * a) + SCALE_EPS))
-    p_node = metrics.node_power
-    p_i = p_node[ws.src]
-    # Interference at each link's receiver that does not depend on this
-    # node's own split (totals of other transmitters plus noise).
-    other = metrics.inoise[ws.act] - ws.theta_g * (p_i - metrics.power[ws.act])
-    evals = 0
-
+    a, d, invq = _sweep_terms(ws, state.alloc, delta_alloc, config)
+    out = state.alloc.copy()
     if config.stepsize_rule == "fixed":
         target = a + config.fixed_step * d * invq
-        x = _project_alloc_nodes(ws.src, ws.m_node, target, invq, ETA_FLOOR)
-        out = state.alloc.copy()
-        out[ws.act] = x
-        return out, evals, None
+        out[ws.act] = _project_alloc_nodes(ws.src, ws.m_node, target, invq, ETA_FLOOR)
+        return out, 0, None
 
-    self_gain = ws.theta_g * p_i
-    f0 = _local_objective(ws, p_i, self_gain, other, a, n)
-    evals += 1
-    grad = p_i * d
-    cap = ARMIJO_INITIAL * np.maximum(p_node, 1.0)
-    beta = cap if beta0 is None else np.minimum(beta0, cap)
+    local, f0, grad, cap, beta = _armijo_terms(ws, metrics, a, d, beta0)
+    evals = 1
     accepted = ~ws.has_active
     x_out = a.copy()
     for _ in range(_MAX_BACKTRACKS):
         target = a + beta[ws.src] * d * invq
         x = _project_alloc_nodes(ws.src, ws.m_node, target, invq, ETA_FLOOR)
-        f1 = _local_objective(ws, p_i, self_gain, other, x, n)
+        f1 = local(x)
         evals += 1
-        gain = np.bincount(ws.src, weights=grad * (x - a), minlength=n)
-        ok = (f1 - f0 >= ARMIJO_SIGMA * gain) & ws.has_active
-        newly = ok & ~accepted
+        gain = np.bincount(ws.src, weights=grad * (x - a), minlength=model.n)
+        # Nodes without weighted links start accepted.
+        newly = (f1 - f0 >= ARMIJO_SIGMA * gain) & ~accepted
         if newly.any():
             take = newly[ws.src]
             x_out[take] = x[take]
@@ -261,27 +318,13 @@ def alloc_sweep(model: NetworkModel, ws: _Workspace, state: PowerState,
         beta = np.where(accepted, beta, beta * ARMIJO_SHRINK)
         if beta[~accepted].max(initial=0.0) < _MIN_STEP:
             break
-    out = state.alloc.copy()
     out[ws.act] = x_out
     # An accepted step earns a doubled first trial next sweep; nodes that
     # backtracked to nothing restart from the full trial step.
     return out, evals, np.where(accepted, np.minimum(2.0 * beta, cap), cap)
 
 
-def _curvature(ws: _Workspace, metrics: LinkMetrics) -> np.ndarray:
-    """(n,) diagonal curvature of the objective in each node's log power.
-
-    Each weighted link contributes w * s * (1 - s) where s is the share of
-    its interference-plus-noise sourced from the node in question.
-    """
-    p_node = metrics.node_power
-    contrib = ws.gain_cols * p_node[:, None]                            # (n, E_a)
-    contrib[ws.src, ws.cols] = ws.theta_g * (p_node[ws.src] - metrics.power[ws.act])
-    s = contrib / metrics.inoise[ws.act][None, :]
-    return ((s * (1.0 - s)) * ws.w[None, :]).sum(axis=1)
-
-
-def power_step(model: NetworkModel, ws: _Workspace, state: PowerState,
+def power_step(model: NetworkModel, ws: WeightedLinks, state: PowerState,
                config: SolverConfig,
                metrics: LinkMetrics | None = None,
                delta_gamma: np.ndarray | None = None,
@@ -296,30 +339,17 @@ def power_step(model: NetworkModel, ws: _Workspace, state: PowerState,
     """
     if metrics is None:
         metrics = link_metrics(model, state)
-    if delta_gamma is None:
-        _, up, down = marginal_gains(model, ws, state.alloc, metrics)
-        delta_gamma = metrics.node_power * (up - down)
-    if not np.isfinite(delta_gamma).all():
-        raise NumericDomainError("non-finite power marginal gain")
-    shat = model.log_power_cap
-    if config.scaling == "identity":
-        v = np.ones(model.n)
-    else:
-        v = np.maximum(shat * _curvature(ws, metrics), SCALE_EPS)
+    delta_gamma, v = _power_direction(model, ws, state.alloc, metrics, config, delta_gamma)
     gamma = state.exponent
     gfloor = model.gamma_floor
 
-    def evaluate(expo: np.ndarray) -> tuple[LinkMetrics, float]:
-        p = (model.power_cap ** expo)[model.src] * state.alloc
-        met = link_metrics_from_powers(model, p)
-        return met, _objective(ws, met)
-
     if config.stepsize_rule == "fixed":
         new = np.clip(gamma + config.fixed_step * delta_gamma / v, gfloor, 1.0)
-        return (new, *evaluate(new), 1, config.fixed_step)
+        met, f = _trial(model, ws.w, ws.act, state.alloc, new)
+        return new, met, float(f[0]), 1, config.fixed_step
 
-    f0 = _objective(ws, metrics)
-    grad = shat * delta_gamma
+    f0 = float(row_objectives(ws.w, ws.act, metrics)[0])
+    grad = model.log_power_cap * delta_gamma
     xi = ARMIJO_INITIAL if xi0 is None else min(xi0, ARMIJO_INITIAL)
     evals = 0
     for _ in range(_MAX_BACKTRACKS):
@@ -327,7 +357,8 @@ def power_step(model: NetworkModel, ws: _Workspace, state: PowerState,
         move = new - gamma
         if not np.any(move):
             return gamma.copy(), metrics, f0, evals, ARMIJO_INITIAL
-        met, f1 = evaluate(new)
+        met, f1 = _trial(model, ws.w, ws.act, state.alloc, new)
+        f1 = float(f1[0])
         evals += 1
         if f1 - f0 >= ARMIJO_SIGMA * float(np.dot(grad, move)):
             return new, met, f1, evals, min(2.0 * xi, ARMIJO_INITIAL)
@@ -341,7 +372,7 @@ def alloc_step(model: NetworkModel, weights: np.ndarray, state: PowerState,
                node: int, config: SolverConfig) -> PowerState:
     """Allocation update for a single node; other nodes' variables untouched."""
     own = np.where(model.src == node, weights, 0.0)
-    ws = _make_workspace(model, own)
+    ws = weighted_links(model, own)
     if not ws.has_active[node]:
         return state.copy()
     metrics = link_metrics(model, state)
@@ -435,33 +466,8 @@ def kkt_check(model: NetworkModel, weights: np.ndarray, state: PowerState,
     if gradient is None:
         gradient = marginal_gains(model, weighted_links(model, weights), state.alloc,
                                   metrics)
-    delta_alloc, up, down = gradient
-    p_node = metrics.node_power
-    delta_gamma = p_node * (up - down)
-
-    n = model.n
-    weighted = weights > 0
-    floored = weighted & (state.alloc <= ETA_FLOOR * (1.0 + 1e-6))
-    alloc_floor_active = floored
-    free = weighted & ~floored
-    src_f = model.src[free]
-    hi = np.full(n, -np.inf)
-    lo = np.full(n, np.inf)
-    np.maximum.at(hi, src_f, delta_alloc[free])
-    np.minimum.at(lo, src_f, delta_alloc[free])
-    cnt = np.bincount(src_f, minlength=n)
-    spread = np.where(cnt >= 2, hi - lo, 0.0)
-    alloc_scale = np.where(cnt >= 1, np.maximum(1.0, hi), 1.0)
-
-    at_top = state.exponent >= 1.0 - _BOUND_TOL
-    at_floor_g = state.exponent <= model.gamma_floor + _BOUND_TOL
-    gamma_residual = np.where(at_top, np.maximum(0.0, -delta_gamma),
-                              np.where(at_floor_g, np.maximum(0.0, delta_gamma),
-                                       np.abs(delta_gamma)))
-    gamma_scale = np.maximum(1.0, p_node * (up + down))
-
-    normalized = float(max((spread / alloc_scale).max(initial=0.0),
-                           (gamma_residual / gamma_scale).max(initial=0.0)))
+    spread, gamma_residual, alloc_scale, gamma_scale, at_floor_g, floored, normalized = (
+        _kkt_residuals(model, weights > 0, state, metrics, gradient))
     max_residual = float(max(spread.max(initial=0.0), gamma_residual.max(initial=0.0)))
     return KKTReport(
         alloc_spread=spread,
@@ -469,11 +475,11 @@ def kkt_check(model: NetworkModel, weights: np.ndarray, state: PowerState,
         alloc_scale=alloc_scale,
         gamma_scale=gamma_scale,
         max_residual=max_residual,
-        normalized=normalized,
-        passed=bool(normalized < tolerance),
+        normalized=float(normalized[0]),
+        passed=bool(normalized[0] < tolerance),
         tolerance=tolerance,
         gamma_floor_active=at_floor_g,
-        alloc_floor_active=alloc_floor_active,
+        alloc_floor_active=floored,
     )
 
 
@@ -514,6 +520,37 @@ def _exact_repeat(start: tuple, end: tuple) -> bool:
                for a, b in zip(start, end))
 
 
+
+def _record_iterate(model: NetworkModel, diag: SolveDiagnostics, stalled: int, f_after: float,
+                    evals: int, budget: int, repeated: Callable[[], bool]) -> tuple[int, int]:
+    """Book one iterate of one problem: its objective, residual and counts.
+
+    Floating point can pin the residual just above a very tight tolerance
+    while the objective no longer moves at all; the solve then stops after
+    ``_STALL_ITERATES`` such iterates rather than spin, leaving the
+    convergence flag honest.  An iterate that ends bit for bit where it
+    started (state and stepsizes; ``repeated`` tells, and is asked only when
+    the objective did not move) repeats itself exactly up to that stop, so
+    its repeats are recorded without being computed.  Returns the new stall
+    count and the number of iterates recorded.
+    """
+    reps = 1
+    if f_after != diag.objectives[-1]:
+        stalled = 0
+    else:
+        if repeated():
+            reps = min(_STALL_ITERATES - stalled, budget - diag.iterations)
+        stalled += reps
+    diag.objectives += [f_after] * reps
+    diag.kkt_residuals += diag.kkt_residuals[-1:] * (reps - 1)
+    diag.iterations += reps
+    diag.line_search_evals += reps * evals
+    # One protocol round per iteration in a distributed deployment.
+    diag.broadcasts += reps * model.n
+    diag.feedbacks += reps * model.n_links
+    return stalled, reps
+
+
 def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerState,
                      config: SolverConfig | None = None,
                      max_iterations: int | None = None,
@@ -540,27 +577,27 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
             diag.capacity_trace = [np.zeros(model.n_links)]
         return initial.copy(), diag
 
-    ws = _make_workspace(model, weights)
+    ws = weighted_links(model, weights)
     state = _seed_state(model, ws, initial)
 
     def clipped(met: LinkMetrics) -> np.ndarray:
         return np.where(weights > 0, np.maximum(met.capacity, 0.0), 0.0)
 
     metrics = link_metrics(model, state)
-    diag.objectives.append(_objective(ws, metrics))
+    diag.objectives.append(float(row_objectives(ws.w, ws.act, metrics)[0]))
     if collect_rates:
         diag.capacity_trace = [clipped(metrics)]
-    converged = False
     beta0: np.ndarray | None = None
     xi0: float | None = None
     stalled = 0
-    while diag.iterations < iters:
+    while True:
+        # The loop's certificate doubles as the budget-end one.
         start = (state.alloc, state.exponent, beta0, xi0)
         gradient = marginal_gains(model, ws, state.alloc, metrics)
         report = kkt_check(model, weights, state, config.kkt_tolerance, metrics, gradient)
         diag.kkt_residuals.append(report.normalized)
-        if report.passed:
-            converged = True
+        diag.converged = report.passed
+        if report.passed or diag.iterations >= iters:
             break
         new_alloc, evals, beta0 = alloc_sweep(model, ws, state, metrics,
                                               gradient[0], config, beta0)
@@ -568,261 +605,88 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
         new_gamma, metrics, f_after, pc_evals, xi0 = power_step(model, ws, state, config,
                                                                 xi0=xi0)
         state = PowerState(state.alloc, new_gamma)
-        # Floating point can pin the residual just above a very tight
-        # tolerance while the objective no longer moves at all; stop rather
-        # than spin, leaving the convergence flag honest.  An iterate that
-        # ends bit for bit where it started (state and stepsizes) repeats
-        # itself exactly up to that stop, so its repeats are recorded
-        # without being computed.
-        reps = 1
-        if f_after != diag.objectives[-1]:
-            stalled = 0
-        else:
-            if _exact_repeat(start, (state.alloc, state.exponent, beta0, xi0)):
-                reps = min(_STALL_ITERATES - stalled, iters - diag.iterations)
-            stalled += reps
-        diag.objectives += [f_after] * reps
-        diag.kkt_residuals += [report.normalized] * (reps - 1)
+        stalled, reps = _record_iterate(
+            model, diag, stalled, f_after, evals + pc_evals, iters,
+            lambda: _exact_repeat(start, (state.alloc, state.exponent, beta0, xi0)))
         if collect_rates:
             diag.capacity_trace += [clipped(metrics) for _ in range(reps)]
-        diag.iterations += reps
-        diag.line_search_evals += reps * (evals + pc_evals)
-        # One protocol round per iteration in a distributed deployment.
-        diag.broadcasts += reps * model.n
-        diag.feedbacks += reps * model.n_links
         if stalled >= _STALL_ITERATES:
             break
-    else:
-        report = kkt_check(model, weights, state, config.kkt_tolerance, metrics,
-                           marginal_gains(model, ws, state.alloc, metrics))
-        diag.kkt_residuals.append(report.normalized)
-        converged = report.passed
-    diag.converged = converged
     diag.metrics = metrics
     return state, diag
 
 
 # ------------------------------------------------------------ lockstep solves
 #
-# solve_max_weight_batch advances independent solves over one model as
-# stacked arrays.  On small networks a solver iterate costs numpy call
-# overhead rather than arithmetic, so B rows in one call cost little more
-# than one.  Every row gets exactly what solve_max_weight returns for it,
-# because every floating-point operation keeps the single path's order:
-#   * rows are grouped by weighted-link count, so the stacked link arrays are
-#     rectangular (zero padding would change the np.dot sums);
-#   * per-node sums are bincounts over segment ids b*n + i, which add each
-#     row's links in link order;
-#   * matrix-vector and dot products are stacked matmuls with a trailing unit
-#     axis, which numpy hands row by row to the same BLAS gemv and dot calls;
-#   * the curvature's gain columns keep the F layout of model.gain[:, dst],
-#     whose row sums add links one after another.
-# The single solve stays the path for one problem: at B=1 the lockstep
-# iterate costs 76-83% more (5- and 10-node networks).
-
-# Per-row arrays of a _Lockstep, stacked from the rows' _Workspace fields.
-_STACKED = ("act", "src", "dst", "w", "gain", "w_theta_g", "theta_g", "ln_kg", "m_node",
-            "has_active")
-_METRIC_FIELDS = tuple(f.name for f in fields(LinkMetrics))
+# solve_max_weight_batch advances independent solves over one model
+# together on the formula layer above.  On small networks an iterate costs
+# numpy call overhead rather than arithmetic, so B rows in one call cost
+# little more than one.  Rows are grouped by weighted-link count, so that
+# the rows' weighted links form rectangular (B, E_a) blocks for the
+# objective's dot products and the curvature's sums.
+#
+# The control below keeps per-row masks where the single solve stops on
+# scalars.  It stays separate: at B = 1 it costs 43-61% more per solve than
+# the single solve (5- to 40-node networks, see README), while the formulas
+# serve both.
 
 
-@dataclass
-class _Lockstep:
-    """The workspaces of B solves with equal weighted-link counts, row by row:
-    (B, E_a) link arrays and (B, n) node arrays."""
-
-    act: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    w: np.ndarray
-    gain: np.ndarray
-    w_theta_g: np.ndarray
-    theta_g: np.ndarray
-    ln_kg: np.ndarray
-    m_node: np.ndarray
-    has_active: np.ndarray
-    seg_src: np.ndarray         # b*n + src: flat (B, n) index of each link's transmitter
-    seg_dst: np.ndarray         # b*n + dst
-    flat_act: np.ndarray        # b*E + act: flat (B, E) index of each weighted link
-    gain_cols: np.ndarray       # (B, n, E_a); row b is laid out as model.gain[:, dst[b]]
-
-    def take(self, model: NetworkModel, keep: np.ndarray) -> "_Lockstep":
-        return _lockstep(model, {f: getattr(self, f)[keep] for f in _STACKED})
+def _take_rows(x, rows: int, index):
+    """Rows ``index`` of ``x`` laid end to end over ``rows`` rows: an array,
+    None, or a PowerState or LinkMetrics of such arrays (copied)."""
+    if x is None:
+        return None
+    if isinstance(x, np.ndarray):
+        return x.reshape(rows, -1)[index].reshape(-1)
+    return type(x)(**{f: _take_rows(a, rows, index).copy() for f, a in vars(x).items()})
 
 
-def _lockstep(model: NetworkModel, arrays: dict[str, np.ndarray]) -> _Lockstep:
-    row = np.arange(len(arrays["src"]))[:, None]
-    return _Lockstep(**arrays, seg_src=arrays["src"] + model.n * row,
-                     seg_dst=arrays["dst"] + model.n * row,
-                     flat_act=arrays["act"] + model.n_links * row,
-                     gain_cols=model.gain[:, arrays["dst"]].transpose(1, 0, 2))
-
-
-def _segment_sums(seg: np.ndarray, values: np.ndarray, rows: int, n: int) -> np.ndarray:
-    """(rows, n) sums of ``values`` over the segments ``seg``, in link order."""
-    return np.bincount(seg.ravel(), weights=values.ravel(),
-                       minlength=rows * n).reshape(rows, n)
-
-
-def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.dot of each row pair."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
-def _lockstep_metrics(model: NetworkModel, expo: np.ndarray, alloc: np.ndarray) -> LinkMetrics:
-    """``link_metrics`` of each row of the (B, n) exponents and (B, E)
-    allocations, stacked."""
-    rows, n = expo.shape[0], model.n
-    g = model.link_gain
-    p = (model.power_cap ** expo)[:, model.src] * alloc
-    tx_total = _segment_sums(model.src + n * np.arange(rows)[:, None], p, rows, n)
-    tx_src = tx_total[:, model.src]
-    rx_total = np.matmul(model.gain.T, tx_total[:, :, None])[:, :, 0]
-    other = rx_total[:, model.dst] - g * tx_src
-    inoise = model.link_theta * g * (tx_src - p) + other + model.link_noise
-    if not (inoise.min(initial=np.inf) > 0 and inoise.max(initial=0.0) < np.inf):
-        bad = int(np.argmin(np.where(np.isfinite(inoise), inoise, -np.inf))) % model.n_links
-        raise NumericDomainError(
-            f"interference-plus-noise is not positive and finite on link {model.links[bad]}")
-    sinr = model.processing_gain * g * p / inoise
-    capacity = np.log(sinr, out=np.full_like(sinr, -np.inf), where=sinr > 0)
-    if np.isnan(sinr.max(initial=-np.inf)):
-        bad = int(np.argmax(np.isnan(sinr))) % model.n_links
-        raise NumericDomainError(f"non-finite capacity on link {model.links[bad]}")
-    return LinkMetrics(power=p, inoise=inoise, sinr=sinr, capacity=capacity,
-                       node_power=tx_total)
-
-
-def _lockstep_objective(flat_act: np.ndarray, w: np.ndarray,
-                        metrics: LinkMetrics) -> np.ndarray:
-    if metrics.power.take(flat_act).min(initial=np.inf) <= 0:
-        raise NumericDomainError("zero power on a weighted link (log 0)")
-    return _row_dot(w, metrics.capacity.take(flat_act))
-
-
-def _lockstep_gains(model: NetworkModel, ls: _Lockstep, alloc: np.ndarray,
-                    metrics: LinkMetrics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``phy.marginal_gains`` per row: the (B, E_a) allocation gains on the
-    weighted links and the (B, n) parts ``up`` and ``down``."""
-    rows, n = alloc.shape[0], model.n
-    p = metrics.power.take(ls.flat_act)
-    if p.min(initial=np.inf) <= 0:
-        raise NumericDomainError("zero power on a weighted link")
-    inoise = metrics.inoise.take(ls.flat_act)
-    delta_alloc = ls.w / p + ls.w_theta_g / inoise
-    f = ls.w / inoise
-    own = _segment_sums(ls.seg_src, ls.gain * f, rows, n)
-    down = np.matmul(model.gain, _segment_sums(ls.seg_dst, f, rows, n)[:, :, None])[:, :, 0]
-    alloc_term = _segment_sums(ls.seg_src, delta_alloc * alloc.take(ls.flat_act), rows, n)
-    return delta_alloc, (1.0 - model.theta) * own + alloc_term, down
-
-
-def _lockstep_kkt(model: NetworkModel, ls: _Lockstep, alloc: np.ndarray, expo: np.ndarray,
-                  metrics: LinkMetrics, gradient: tuple) -> np.ndarray:
-    """``kkt_check(...).normalized`` per row."""
-    delta_alloc, up, down = gradient
-    rows, n = expo.shape[0], model.n
-    p_node = metrics.node_power
-    delta_gamma = p_node * (up - down)
-    free = ~(alloc.take(ls.flat_act) <= ETA_FLOOR * (1.0 + 1e-6))
-    seg = ls.seg_src[free]
-    hi = np.full(rows * n, -np.inf)
-    lo = np.full(rows * n, np.inf)
-    np.maximum.at(hi, seg, delta_alloc[free])
-    np.minimum.at(lo, seg, delta_alloc[free])
-    cnt = np.bincount(seg, minlength=rows * n).reshape(rows, n)
-    hi, lo = hi.reshape(rows, n), lo.reshape(rows, n)
-    spread = np.where(cnt >= 2, hi - lo, 0.0)
-    alloc_scale = np.where(cnt >= 1, np.maximum(1.0, hi), 1.0)
-    at_top = expo >= 1.0 - _BOUND_TOL
-    at_floor_g = expo <= model.gamma_floor + _BOUND_TOL
-    gamma_residual = np.where(at_top, np.maximum(0.0, -delta_gamma),
-                              np.where(at_floor_g, np.maximum(0.0, delta_gamma),
-                                       np.abs(delta_gamma)))
-    gamma_scale = np.maximum(1.0, p_node * (up + down))
-    a = (spread / alloc_scale).max(axis=1, initial=0.0)
-    g = (gamma_residual / gamma_scale).max(axis=1, initial=0.0)
-    return np.where(g > a, g, a)        # Python's max(a, g), NaN included
-
-
-def _lockstep_project(ls: _Lockstep, target: np.ndarray, invq: np.ndarray) -> np.ndarray:
-    # Each segment's projection does not depend on the others.
-    return _project_alloc_nodes(ls.seg_src.ravel(), ls.m_node.ravel(), target.ravel(),
-                                invq.ravel(), ETA_FLOOR).reshape(target.shape)
-
-
-def _lockstep_sweep(model: NetworkModel, ls: _Lockstep, alloc: np.ndarray,
+def _lockstep_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
                     metrics: LinkMetrics, delta_alloc: np.ndarray, config: SolverConfig,
                     beta0: np.ndarray | None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``alloc_sweep`` per row; returns the (B, E_a) weighted-link allocations.
+    """``alloc_sweep`` per row.
 
     Every row runs its own Armijo ladder: it stops once all its nodes have
     accepted (without shrinking that round) or once its largest unaccepted
     stepsize falls below the floor.  Stopped rows are still computed but
     change nothing.
     """
-    rows, n = alloc.shape[0], model.n
-    a = alloc.take(ls.flat_act)
-    d = delta_alloc
-    invq = (np.ones_like(a) if config.scaling == "identity"
-            else 1.0 / (ls.w / (a * a) + SCALE_EPS))
-    p_node = metrics.node_power
-    p_i = p_node.take(ls.seg_src)
-    other = (metrics.inoise.take(ls.flat_act)
-             - ls.theta_g * (p_i - metrics.power.take(ls.flat_act)))
-
+    rows, n = links.rows, model.n
+    a, d, invq = _sweep_terms(links, state.alloc, delta_alloc, config)
+    out = state.alloc.copy()
     if config.stepsize_rule == "fixed":
         target = a + config.fixed_step * d * invq
-        return _lockstep_project(ls, target, invq), np.zeros(rows, dtype=int), None
+        out[links.act] = _project_alloc_nodes(links.src, links.m_node, target, invq, ETA_FLOOR)
+        return out, np.zeros(rows, dtype=int), None
 
-    self_gain = ls.theta_g * p_i
-
-    def local_objective(x):
-        cap = ls.ln_kg + np.log(p_i * x) - np.log(self_gain * (1.0 - x) + other)
-        return _segment_sums(ls.seg_src, ls.w * cap, rows, n)
-
-    f0 = local_objective(a)
-    grad = p_i * d
-    cap = ARMIJO_INITIAL * np.maximum(p_node, 1.0)
-    beta = cap if beta0 is None else np.minimum(beta0, cap)
-    accepted = ~ls.has_active
-    x_out = a
+    local, f0, grad, cap, beta = _armijo_terms(links, metrics, a, d, beta0)
     evals = np.ones(rows, dtype=int)
+    accepted = ~links.has_active
+    x_out = a
     searching = np.ones(rows, dtype=bool)
     for _ in range(_MAX_BACKTRACKS):
-        target = a + beta.take(ls.seg_src) * d * invq
-        x = _lockstep_project(ls, target, invq)
-        f1 = local_objective(x)
+        target = a + beta[links.src] * d * invq
+        x = _project_alloc_nodes(links.src, links.m_node, target, invq, ETA_FLOOR)
+        f1 = local(x)
         evals += searching
-        gain = _segment_sums(ls.seg_src, grad * (x - a), rows, n)
-        newly = ((f1 - f0 >= ARMIJO_SIGMA * gain) & ls.has_active & ~accepted
-                 & searching[:, None])
-        x_out = np.where(newly.take(ls.seg_src), x, x_out)
+        gain = np.bincount(links.src, weights=grad * (x - a), minlength=rows * n)
+        newly = (f1 - f0 >= ARMIJO_SIGMA * gain) & ~accepted & np.repeat(searching, n)
+        x_out = np.where(newly[links.src], x, x_out)
         accepted |= newly
-        searching &= ~accepted.all(axis=1)
+        searching &= ~accepted.reshape(rows, n).all(axis=1)
         # Shrinking a stopped row changes nothing it returns: its unaccepted
         # nodes restart from the cap.
         beta = np.where(accepted, beta, beta * ARMIJO_SHRINK)
-        searching &= ~(np.where(accepted, 0.0, beta).max(axis=1) < _MIN_STEP)
+        searching &= ~(np.where(accepted, 0.0, beta).reshape(rows, n).max(axis=1) < _MIN_STEP)
         if not searching.any():
             break
-    return x_out, evals, np.where(accepted, np.minimum(2.0 * beta, cap), cap)
+    out[links.act] = x_out
+    return out, evals, np.where(accepted, np.minimum(2.0 * beta, cap), cap)
 
 
-def _lockstep_curvature(ls: _Lockstep, metrics: LinkMetrics) -> np.ndarray:
-    """``_curvature`` per row."""
-    p_node = metrics.node_power
-    contrib = ls.gain_cols * p_node[:, :, None]                         # (B, n, E_a)
-    rows = np.arange(p_node.shape[0])[:, None]
-    contrib[rows, ls.src, np.arange(ls.src.shape[1])] = ls.theta_g * (
-        p_node.take(ls.seg_src) - metrics.power.take(ls.flat_act))
-    s = contrib / metrics.inoise.take(ls.flat_act)[:, None, :]
-    return ((s * (1.0 - s)) * ls.w[:, None, :]).sum(axis=2)
-
-
-def _lockstep_power_step(model: NetworkModel, ls: _Lockstep, alloc: np.ndarray,
-                         expo: np.ndarray, config: SolverConfig, xi0: np.ndarray | None
+def _lockstep_power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
+                         config: SolverConfig, xi0: np.ndarray | None
                          ) -> tuple[np.ndarray, LinkMetrics, np.ndarray, np.ndarray, np.ndarray]:
     """``power_step`` per row: (exponents, metrics and objectives at the
     accepted points, evaluations, next first trials).
@@ -830,74 +694,54 @@ def _lockstep_power_step(model: NetworkModel, ls: _Lockstep, alloc: np.ndarray,
     Every row keeps its own stepsize, acceptance and stop; link metrics are
     evaluated only for the rows still searching.
     """
-    rows = expo.shape[0]
-    metrics = _lockstep_metrics(model, expo, alloc)
-    _, up, down = _lockstep_gains(model, ls, alloc, metrics)
-    delta_gamma = metrics.node_power * (up - down)
-    if not np.isfinite(delta_gamma).all():
-        raise NumericDomainError("non-finite power marginal gain")
-    shat = model.log_power_cap
-    if config.scaling == "identity":
-        v = np.ones((rows, model.n))
-    else:
-        v = np.maximum(shat * _lockstep_curvature(ls, metrics), SCALE_EPS)
+    rows, n, n_links = links.rows, model.n, model.n_links
+    metrics, f0 = _trial(model, links.w, links.act, state.alloc, state.exponent)
+    delta_gamma, v = (x.reshape(rows, n) for x in
+                      _power_direction(model, links, state.alloc, metrics, config))
+    gamma0 = state.exponent.reshape(rows, n)
     gfloor = model.gamma_floor
 
     if config.stepsize_rule == "fixed":
-        new = np.clip(expo + config.fixed_step * delta_gamma / v, gfloor, 1.0)
-        met = _lockstep_metrics(model, new, alloc)
-        return (new, met, _lockstep_objective(ls.flat_act, ls.w, met), np.ones(rows, dtype=int),
-                np.full(rows, config.fixed_step))
+        new = np.clip(gamma0 + config.fixed_step * delta_gamma / v, gfloor, 1.0).reshape(-1)
+        return (new, *_trial(model, links.w, links.act, state.alloc, new),
+                np.ones(rows, dtype=int), np.full(rows, config.fixed_step))
 
-    f0 = _lockstep_objective(ls.flat_act, ls.w, metrics)
-    grad = shat * delta_gamma
+    grad = model.log_power_cap * delta_gamma
     xi = np.full(rows, ARMIJO_INITIAL) if xi0 is None else np.minimum(xi0, ARMIJO_INITIAL)
     evals = np.zeros(rows, dtype=int)
     # A row that does not accept a trial keeps its start point.
-    out_expo, out_f, xi_next = expo.copy(), f0.copy(), np.full(rows, ARMIJO_INITIAL)
-    out_metrics = LinkMetrics(**{f: getattr(metrics, f).copy() for f in _METRIC_FIELDS})
+    out_expo, out_f, xi_next = gamma0.copy(), f0.copy(), np.full(rows, ARMIJO_INITIAL)
+    out_metrics = _take_rows(metrics, rows, slice(None))
+    w, act_rows = links.w.reshape(rows, -1), links.act.reshape(rows, -1)
+    alloc = state.alloc.reshape(rows, n_links)
     live = np.arange(rows)
     for _ in range(_MAX_BACKTRACKS):
-        gamma = expo[live]
+        gamma = gamma0[live]
         new = np.clip(gamma + xi[live, None] * delta_gamma[live] / v[live], gfloor, 1.0)
         move = new - gamma
         moves = move.any(axis=1)
         live, new, move = live[moves], new[moves], move[moves]
         if not live.size:
             break
-        met = _lockstep_metrics(model, new, alloc[live])
-        flat_act = ls.act[live] + model.n_links * np.arange(live.size)[:, None]
-        f1 = _lockstep_objective(flat_act, ls.w[live], met)
+        # The live rows' weighted links, their rows laid end to end.
+        act = (act_rows[live] - n_links * (live - np.arange(live.size))[:, None]).reshape(-1)
+        met, f1 = _trial(model, w[live].reshape(-1), act, alloc[live].reshape(-1),
+                         new.reshape(-1))
         evals[live] += 1
-        ok = f1 - f0[live] >= ARMIJO_SIGMA * _row_dot(grad[live], move)
+        slope = np.matmul(grad[live][:, None, :], move[:, :, None]).reshape(-1)
+        ok = f1 - f0[live] >= ARMIJO_SIGMA * slope
         took = live[ok]
         out_expo[took] = new[ok]
         out_f[took] = f1[ok]
         xi_next[took] = np.minimum(2.0 * xi[took], ARMIJO_INITIAL)
-        for f in _METRIC_FIELDS:
-            getattr(out_metrics, f)[took] = getattr(met, f)[ok]
+        for f, a in vars(met).items():
+            getattr(out_metrics, f).reshape(rows, -1)[took] = a.reshape(live.size, -1)[ok]
         live = live[~ok]
         xi[live] *= ARMIJO_SHRINK
         live = live[~(xi[live] < _MIN_STEP)]
         if not live.size:
             break
-    return out_expo, out_metrics, out_f, evals, xi_next
-
-
-def _row_metrics(metrics: LinkMetrics, index) -> LinkMetrics:
-    """Copies of the rows ``index`` of stacked metrics."""
-    return LinkMetrics(**{f: getattr(metrics, f)[index].copy() for f in _METRIC_FIELDS})
-
-
-def _stack_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState
-                ) -> tuple[_Lockstep, np.ndarray, np.ndarray]:
-    """The stacked workspaces of the rows of ``weights`` and their seeded
-    allocations and exponents."""
-    workspaces = [_make_workspace(model, w) for w in weights]
-    seeded = [_seed_state(model, ws, initial) for ws in workspaces]
-    ls = _lockstep(model, {f: np.stack([getattr(ws, f) for ws in workspaces])
-                           for f in _STACKED})
-    return ls, np.stack([s.alloc for s in seeded]), np.stack([s.exponent for s in seeded])
+    return out_expo.reshape(-1), out_metrics, out_f, evals, xi_next
 
 
 def _solve_lockstep(model: NetworkModel, weights: np.ndarray, initial: PowerState,
@@ -909,71 +753,60 @@ def _solve_lockstep(model: NetworkModel, weights: np.ndarray, initial: PowerStat
     budget-end certificate; a finished row leaves the batch.
     """
     iters = config.max_iterations
-    ls, alloc, expo = _stack_rows(model, weights, initial)
-    metrics = _lockstep_metrics(model, expo, alloc)
-    diags = [SolveDiagnostics(objectives=[float(f)])
-             for f in _lockstep_objective(ls.flat_act, ls.w, metrics)]
+    links = weighted_links(model, weights)
+    state = _seed_state(model, links, initial)
+    metrics, f = _trial(model, links.w, links.act, state.alloc, state.exponent)
+    diags = [SolveDiagnostics(objectives=[float(x)]) for x in f]
     results: list = [None] * len(weights)
-    rows = np.arange(len(weights))         # each batch row's index in ``weights``
+    ids = np.arange(len(weights))          # each batch row's index in ``weights``
     stalled = np.zeros(len(weights), dtype=int)
     beta0 = xi0 = None
 
-    def finish(done: np.ndarray, passed: np.ndarray):
-        nonlocal ls, alloc, expo, metrics, rows, stalled, beta0, xi0
+    def finish(done: np.ndarray):
+        nonlocal links, state, metrics, ids, stalled, beta0, xi0
+        rows = ids.size
         for k in np.flatnonzero(done):
-            diag = diags[rows[k]]
-            diag.converged = bool(passed[k])
-            diag.metrics = _row_metrics(metrics, k)
-            results[rows[k]] = (PowerState(alloc[k].copy(), expo[k].copy()), diag)
+            diags[ids[k]].metrics = _take_rows(metrics, rows, k)
+            results[ids[k]] = (_take_rows(state, rows, k), diags[ids[k]])
         keep = ~done
-        ls = ls.take(model, keep)
-        alloc, expo, rows, stalled = alloc[keep], expo[keep], rows[keep], stalled[keep]
-        metrics = _row_metrics(metrics, keep)
-        beta0 = None if beta0 is None else beta0[keep]
-        xi0 = None if xi0 is None else xi0[keep]
+        state, metrics, beta0, xi0 = (_take_rows(x, rows, keep)
+                                      for x in (state, metrics, beta0, xi0))
+        ids, stalled = ids[keep], stalled[keep]
+        links = weighted_links(model, weights[ids])
 
-    while rows.size:
+    while ids.size:
         # The loop's certificate doubles as the budget-end one.
-        gradient = _lockstep_gains(model, ls, alloc, metrics)
-        residual = _lockstep_kkt(model, ls, alloc, expo, metrics, gradient)
+        gradient = marginal_gains(model, links, state.alloc, metrics)
+        residual = _kkt_residuals(model, weights[ids].reshape(-1) > 0, state, metrics,
+                                  gradient)[-1]
         passed = residual < config.kkt_tolerance
-        spent = np.empty(rows.size, dtype=bool)
-        for k, r in enumerate(rows):
+        for k, r in enumerate(ids):
             diags[r].kkt_residuals.append(float(residual[k]))
-            spent[k] = diags[r].iterations >= iters
-        if (passed | spent).any():
-            keep = ~(passed | spent)
-            finish(~keep, passed)
-            if not rows.size:
+            diags[r].converged = bool(passed[k])
+        done = passed | np.array([diags[r].iterations >= iters for r in ids])
+        if done.any():
+            rows = ids.size
+            finish(done)
+            if not ids.size:
                 break
-            gradient = tuple(g[keep] for g in gradient)
-        start = (alloc, expo, beta0, xi0)
-        x, evals, beta0 = _lockstep_sweep(model, ls, alloc, metrics, gradient[0], config,
-                                          beta0)
-        alloc = alloc.copy()
-        np.put(alloc, ls.flat_act, x)
-        expo, metrics, f_after, pc_evals, xi0 = _lockstep_power_step(
-            model, ls, alloc, expo, config, xi0)
-        end = (alloc, expo, beta0, xi0)
-        for k, r in enumerate(rows):
-            diag = diags[r]
-            reps = 1
-            if f_after[k] != diag.objectives[-1]:
-                stalled[k] = 0
-            else:
-                if _exact_repeat(*(tuple(None if v is None else v[k] for v in state)
-                                   for state in (start, end))):
-                    reps = min(_STALL_ITERATES - int(stalled[k]), iters - diag.iterations)
-                stalled[k] += reps
-            diag.objectives += [float(f_after[k])] * reps
-            diag.kkt_residuals += diag.kkt_residuals[-1:] * (reps - 1)
-            diag.iterations += reps
-            diag.line_search_evals += reps * int(evals[k] + pc_evals[k])
-            diag.broadcasts += reps * model.n
-            diag.feedbacks += reps * model.n_links
+            gradient = tuple(_take_rows(g, rows, ~done) for g in gradient)
+        start = (state.alloc, state.exponent, beta0, xi0)
+        alloc, evals, beta0 = _lockstep_sweep(model, links, state, metrics, gradient[0],
+                                              config, beta0)
+        state = PowerState(alloc, state.exponent)
+        expo, metrics, f_after, pc_evals, xi0 = _lockstep_power_step(model, links, state,
+                                                                     config, xi0)
+        state = PowerState(state.alloc, expo)
+        end = (state.alloc, state.exponent, beta0, xi0)
+        rows = ids.size
+        for k, r in enumerate(ids):
+            stalled[k], _ = _record_iterate(
+                model, diags[r], int(stalled[k]), float(f_after[k]), int(evals[k] + pc_evals[k]),
+                iters, lambda: _exact_repeat(*(tuple(_take_rows(v, rows, k) for v in point)
+                                               for point in (start, end))))
         stop = stalled >= _STALL_ITERATES
         if stop.any():
-            finish(stop, np.zeros(rows.size, dtype=bool))
+            finish(stop)
     return results
 
 

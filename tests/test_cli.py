@@ -300,3 +300,14 @@ def test_verify_rejects_bad_sampling_before_loading(tmp_path, capsys, flag, valu
     assert _verify(tmp_path / "nope.json", tmp_path / "nope.csv", tmp_path, flag, value) == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_verify_rejects_trace_without_lambda_before_estimating(run_dir, tmp_path, capsys):
+    _, scen, out = run_dir
+    lines = (out / "trace_iter-conv_run0.csv").read_text().split("\n")
+    one = tmp_path / "one.csv"
+    one.write_text("\n".join(lines[:2]) + "\n")
+    assert _verify(scen, one, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert "estimated" not in captured.out
+    assert "lambda_term" in captured.err

@@ -289,7 +289,7 @@ def _power_marginal_parts_full(model, weights, state, metrics):
        zero_frac=strategies.sampled_from([0.0, 0.3, 0.7]))
 def test_one_pass_gradient_matches_full_length_reference(seed, n, zero_frac):
     """Restricting the gradient formulas to the weighted links is bit-exact."""
-    from bpsim.solver import _make_workspace, kkt_check
+    from bpsim.solver import kkt_check
     rng = np.random.default_rng(seed)
     m = random_model(rng, n=n)
     w = random_weights(rng, m, zero_frac=zero_frac)
@@ -297,11 +297,10 @@ def test_one_pass_gradient_matches_full_length_reference(seed, n, zero_frac):
     met = phy.link_metrics(m, st)
     want_d = _alloc_marginal_gain_full(m, w, met)
     want_up, want_down = _power_marginal_parts_full(m, w, st, met)
-    for links in (phy.weighted_links(m, w), _make_workspace(m, w)):
-        d, up, down = phy.marginal_gains(m, links, st.alloc, met)
-        assert d.tobytes() == want_d.tobytes()
-        assert up.tobytes() == want_up.tobytes()
-        assert down.tobytes() == want_down.tobytes()
+    d, up, down = phy.marginal_gains(m, phy.weighted_links(m, w), st.alloc, met)
+    assert d.tobytes() == want_d.tobytes()
+    assert up.tobytes() == want_up.tobytes()
+    assert down.tobytes() == want_down.tobytes()
     assert phy.alloc_marginal_gain(m, w, met).tobytes() == want_d.tobytes()
     up, down = phy.power_marginal_parts(m, w, st, met)
     assert up.tobytes() == want_up.tobytes() and down.tobytes() == want_down.tobytes()
@@ -319,9 +318,118 @@ def test_one_pass_gradient_matches_full_length_reference(seed, n, zero_frac):
     met = phy.link_metrics(m, st)
     with pytest.raises(NumericDomainError) as want:
         _power_marginal_parts_full(m, w, st, met)
-    for call in (lambda: phy.marginal_gains(m, _make_workspace(m, w), st.alloc, met),
+    for call in (lambda: phy.marginal_gains(m, phy.weighted_links(m, w), st.alloc, met),
                  lambda: phy.alloc_marginal_gain(m, w, met),
                  lambda: phy.power_marginal_parts(m, w, st, met)):
         with pytest.raises(NumericDomainError) as got:
             call()
         assert str(got.value) == str(want.value)
+
+
+# One-problem references for the formula layer that runs B problems laid end
+# to end: these are the bodies the layout replaced.
+
+def _link_metrics_reference(model, p):
+    """Reference: interference-plus-noise, SINR, capacity and node powers."""
+    src, dst = model.src, model.dst
+    g = model.link_gain
+    tx_total = np.bincount(src, weights=p, minlength=model.n)
+    tx_src = tx_total[src]
+    rx_total = model.gain.T @ tx_total
+    other = rx_total[dst] - g * tx_src
+    inoise = model.link_theta * g * (tx_src - p) + other + model.link_noise
+    sinr = model.processing_gain * g * p / inoise
+    capacity = np.log(sinr, out=np.full_like(sinr, -np.inf), where=sinr > 0)
+    return phy.LinkMetrics(power=p, inoise=inoise, sinr=sinr, capacity=capacity,
+                           node_power=tx_total)
+
+
+def _objective_reference(weights, metrics):
+    """Reference: the weighted sum rate over the weighted links."""
+    act = np.flatnonzero(weights > 0)
+    return float(np.dot(weights[act], metrics.capacity[act]))
+
+
+def _curvature_reference(model, weights, metrics):
+    """Reference: the power step's diagonal curvature, over F-ordered gain columns."""
+    act = np.flatnonzero(weights > 0)
+    src = model.src[act]
+    p_node = metrics.node_power
+    contrib = model.gain[:, model.dst[act]] * p_node[:, None]
+    contrib[src, np.arange(act.size)] = (model.link_theta[act] * model.link_gain[act]
+                                         * (p_node[src] - metrics.power[act]))
+    s = contrib / metrics.inoise[act][None, :]
+    return ((s * (1.0 - s)) * weights[act][None, :]).sum(axis=1)
+
+
+def _kkt_reference(model, weights, state, metrics, gradient):
+    """Reference: the certificate's per-node terms, floor flags and normalized residual."""
+    delta_alloc, up, down = gradient
+    p_node = metrics.node_power
+    delta_gamma = p_node * (up - down)
+    n = model.n
+    weighted = weights > 0
+    floored = weighted & (state.alloc <= phy.ETA_FLOOR * (1.0 + 1e-6))
+    free = weighted & ~floored
+    src_f = model.src[free]
+    hi = np.full(n, -np.inf)
+    lo = np.full(n, np.inf)
+    np.maximum.at(hi, src_f, delta_alloc[free])
+    np.minimum.at(lo, src_f, delta_alloc[free])
+    cnt = np.bincount(src_f, minlength=n)
+    spread = np.where(cnt >= 2, hi - lo, 0.0)
+    alloc_scale = np.where(cnt >= 1, np.maximum(1.0, hi), 1.0)
+    at_top = state.exponent >= 1.0 - 1e-9
+    at_floor_g = state.exponent <= model.gamma_floor + 1e-9
+    gamma_residual = np.where(at_top, np.maximum(0.0, -delta_gamma),
+                              np.where(at_floor_g, np.maximum(0.0, delta_gamma),
+                                       np.abs(delta_gamma)))
+    gamma_scale = np.maximum(1.0, p_node * (up + down))
+    normalized = float(max((spread / alloc_scale).max(initial=0.0),
+                           (gamma_residual / gamma_scale).max(initial=0.0)))
+    return spread, gamma_residual, alloc_scale, gamma_scale, at_floor_g, floored, normalized
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
+       rows=strategies.sampled_from([1, 3]),
+       zero_frac=strategies.sampled_from([0.0, 0.3, 0.7]))
+def test_end_to_end_rows_equal_one_problem_references(seed, n, rows, zero_frac):
+    """Every row of the shared formulas, at B = 1 and laid end to end, is bit
+    for bit its one-problem reference."""
+    from bpsim import solver
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n=n)
+    n_links = m.n_links
+    weights = [random_weights(rng, m, zero_frac=zero_frac)]
+    count = int((weights[0] > 0).sum())
+    for _ in range(rows - 1):
+        w = np.zeros(n_links)
+        w[rng.choice(n_links, count, replace=False)] = 0.1 + rng.random(count) * 10.0
+        weights.append(w)
+    weights = np.array(weights)
+    states = [phy.random_power_state(m, rng) for _ in range(rows)]
+    state = phy.PowerState(np.concatenate([s.alloc for s in states]),
+                           np.concatenate([s.exponent for s in states]))
+    p = np.concatenate([phy.link_powers(m, s) for s in states])
+
+    met = phy.link_metrics_from_powers(m, p)
+    links = phy.weighted_links(m, weights if rows > 1 else weights[0])
+    objectives = phy.row_objectives(links.w, links.act, met, rows)
+    gradient = phy.marginal_gains(m, links, state.alloc, met)
+    curvature = solver._curvature(links, met)
+    kkt = solver._kkt_residuals(m, weights.reshape(-1) > 0, state, met, gradient)
+    for b, (w, st) in enumerate(zip(weights, states)):
+        on_links, on_nodes = slice(b * n_links, (b + 1) * n_links), slice(b * n, (b + 1) * n)
+        ref = _link_metrics_reference(m, p[on_links])
+        for name in ("inoise", "sinr", "capacity"):
+            assert getattr(met, name)[on_links].tobytes() == getattr(ref, name).tobytes(), name
+        assert met.node_power[on_nodes].tobytes() == ref.node_power.tobytes()
+        assert objectives[b] == _objective_reference(w, ref)
+        want = (_alloc_marginal_gain_full(m, w, ref), *_power_marginal_parts_full(m, w, st, ref))
+        for got, exp, part in zip(gradient, want, (on_links, on_nodes, on_nodes)):
+            assert got[part].tobytes() == exp.tobytes()
+        assert curvature[b].tobytes() == _curvature_reference(m, w, ref).tobytes()
+        want = _kkt_reference(m, w, st, ref, want)
+        for got, exp, part in zip(kkt, want, (on_nodes,) * 5 + (on_links, b)):
+            assert np.asarray(got[part]).tobytes() == np.asarray(exp).tobytes()

@@ -50,6 +50,31 @@ def test_project_rejects_infeasible_floor():
         project_simplex(np.array([0.5, 0.5, 0.5]), floor=0.4)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), segments=strategies.integers(1, 12),
+       floor=strategies.sampled_from([0.0, 1e-6, 0.02]))
+def test_multi_segment_projection_is_one_segment_projection_per_segment(seed, segments,
+                                                                          floor):
+    """Segments are projected independently of each other, in any order, so
+    problems laid end to end project as they do alone."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 9, size=segments)
+    src = rng.permutation(np.repeat(np.arange(segments), lengths))
+    target = rng.normal(0.0, 1.0, src.size)
+    q = 0.1 + rng.random(src.size) * 10.0
+    got = solver._project_alloc_nodes(src, lengths.astype(float), target, 1.0 / q, floor)
+    for i in range(segments):
+        seg = src == i
+        assert got[seg].tobytes() == project_simplex(target[seg], q[seg], floor).tobytes()
+        want = projection_oracle(target[seg], q[seg], floor)
+        assert abs(got[seg].sum() - 1.0) < 1e-9
+        assert np.all(got[seg] >= floor - 1e-12)
+        val_got = float((q[seg] * (got[seg] - target[seg]) ** 2).sum())
+        val_want = float((q[seg] * (want - target[seg]) ** 2).sum())
+        assert val_got <= val_want + 1e-8
+        assert np.allclose(got[seg], want, atol=1e-6)
+
+
 # ------------------------------------------------------------- single steps
 
 def _two_link_node():
@@ -73,8 +98,8 @@ def test_alloc_step_equal_gains_fixed_point():
     cfg = SolverConfig(scaling="identity")
     # force equal allocation gains by hand: the projected identity-scaled
     # step of a uniform gain vector returns the same point
-    from bpsim.solver import _make_workspace, alloc_sweep
-    ws = _make_workspace(model, w)
+    from bpsim.solver import alloc_sweep
+    ws = phy.weighted_links(model, w)
     met = phy.link_metrics(model, st)
     d = np.full(model.n_links, 0.7)
     new_alloc, _, _ = alloc_sweep(model, ws, st, met, d, cfg)
@@ -103,10 +128,10 @@ def test_alloc_step_converges_to_grid_argmax():
 
 
 def test_power_step_boundary_cases():
-    from bpsim.solver import _make_workspace, power_step
+    from bpsim.solver import power_step
     model, w = _two_link_node()
     cfg = SolverConfig()
-    ws = _make_workspace(model, w)
+    ws = phy.weighted_links(model, w)
     st = phy.uniform_power_state(model)
 
     # positive gain at the cap stays at the cap
@@ -214,12 +239,12 @@ def test_solver_certifies_random_five_node_instances():
 
 
 def test_every_iterate_stays_feasible():
-    from bpsim.solver import _make_workspace, power_step
+    from bpsim.solver import power_step
     rng = np.random.default_rng(18)
     m = random_model(rng, n=5)
     w = random_weights(rng, m)
     cfg = SolverConfig()
-    ws = _make_workspace(m, w)
+    ws = phy.weighted_links(m, w)
     st, _ = solve_max_weight(m, w, phy.random_power_state(m, rng), cfg,
                              max_iterations=0)
     from bpsim.solver import alloc_sweep
@@ -327,7 +352,7 @@ def test_solver_reuses_link_view_and_accepted_metrics_exactly(seed, n):
     w = random_weights(rng, m)
     # The workspace's log(K*g) is the model's, indexed; it equals the log
     # taken per solve bit for bit.
-    ws = solver._make_workspace(m, w)
+    ws = phy.weighted_links(m, w)
     assert ws.ln_kg.tobytes() == np.log(m.processing_gain * m.link_gain[ws.act]).tobytes()
     start = phy.random_power_state(m, rng)
     # Break the split of some nodes so the seeding must repair them.
