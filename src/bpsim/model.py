@@ -362,14 +362,26 @@ def scenario_to_json(scenario: Scenario) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
+def _json_scalar(value, kind: type, what: str):
+    """``value`` as ``kind`` (int, or float, which also takes integers) when
+    JSON gave it as such; booleans, fractions for integers and other types
+    are malformed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise TypeError(f"{what} must be {'a number' if kind is float else 'an integer'}, "
+                        f"got {value!r}")
+    return kind(value)
+
+
 def scenario_from_json(text: str) -> Scenario:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"scenario file must hold a JSON object, not {type(doc).__name__}")
     if doc.get("format") != SCENARIO_FORMAT:
         raise ConfigError(f"unknown scenario format {doc.get('format')!r}")
-    if doc.get("version") != SCENARIO_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != SCENARIO_VERSION:
         raise ConfigError(f"unsupported scenario version {doc.get('version')!r}")
     try:
         model = NetworkModel(
@@ -377,11 +389,19 @@ def scenario_from_json(text: str) -> Scenario:
             noise=np.array(doc["noise"], dtype=float),
             theta=np.array(doc["theta"], dtype=float),
             power_cap=np.array(doc["power_cap"], dtype=float),
-            processing_gain=float(doc["processing_gain"]),
+            processing_gain=_json_scalar(doc["processing_gain"], float, "processing_gain"),
             links=tuple(tuple(l) for l in doc["links"]),
         )
+        # A file whose node count or positions disagree with its gains is corrupt.
+        if _json_scalar(doc["n"], int, "n") != model.n:
+            raise ValueError(f"n is {doc['n']!r} but the gain matrix has {model.n} nodes")
+        positions = np.array(doc["positions"], dtype=float)
+        if positions.shape != (model.n, 2):
+            raise ValueError(f"positions must be {model.n} (x, y) pairs")
         commodities = tuple(
-            Commodity(id=int(c["id"]), destinations=frozenset(int(d) for d in c["destinations"]))
+            Commodity(id=_json_scalar(c["id"], int, "commodity id"),
+                      destinations=frozenset(_json_scalar(d, int, "destination")
+                                             for d in c["destinations"]))
             for c in doc["commodities"]
         )
         traffic = TrafficSpec(
@@ -391,8 +411,8 @@ def scenario_from_json(text: str) -> Scenario:
         scenario = Scenario(
             model=model,
             traffic=traffic,
-            positions=np.array(doc["positions"], dtype=float),
-            seed=int(doc["seed"]),
+            positions=positions,
+            seed=_json_scalar(doc["seed"], int, "seed"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario file: {exc}") from exc
@@ -403,8 +423,12 @@ def scenario_from_json(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scenario file {path} is not UTF-8: {exc}") from exc
+    return scenario_from_json(text)
 
 
 def save_scenario(scenario: Scenario, path) -> None:

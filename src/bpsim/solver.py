@@ -17,6 +17,7 @@ the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,6 +43,10 @@ from .phy import (
 SCALE_EPS = 1e-8
 _MIN_STEP = 1e-14
 _MAX_BACKTRACKS = 80
+# Rounds of an allocation sweep's or lockstep power step's Armijo ladder
+# evaluated one by one; the rest are evaluated as one block (_ladder_outcome).
+# Most ladders end within them, and a block costs about five rounds.
+_SEQUENTIAL_ROUNDS = 3
 _BOUND_TOL = 1e-9
 # Iterates in a row that leave the objective bit for bit unchanged before a
 # solve gives up (see solve_max_weight).
@@ -185,19 +190,108 @@ def _armijo_terms(links: WeightedLinks, metrics: LinkMetrics, a: np.ndarray, d: 
     """The allocation line search's start: the local objective (each node's
     weighted rate over its own links, as a function of the weighted links'
     split), its value at ``a``, the gradient along the split, and the
-    per-node stepsize caps and first trials."""
+    per-node stepsize caps and first trials.
+
+    The local objective also takes a (J, k) ``x`` on the weighted links
+    ``pick``, summed by the segment of each entry."""
     p_i = metrics.node_power[links.src]
     # Interference at each link's receiver that does not depend on this
     # node's own split (totals of other transmitters plus noise).
     other = metrics.inoise[links.act] - links.theta_g * (p_i - metrics.power[links.act])
     self_gain = links.theta_g * p_i
+    terms = (links.ln_kg, p_i, self_gain, other, links.w)
 
-    def local(x: np.ndarray) -> np.ndarray:
-        rate = links.ln_kg + np.log(p_i * x) - np.log(self_gain * (1.0 - x) + other)
-        return np.bincount(links.src, weights=links.w * rate, minlength=links.m_node.size)
+    def local(x: np.ndarray, pick: np.ndarray | None = None, seg: np.ndarray = links.src,
+              size: int = links.m_node.size) -> np.ndarray:
+        ln_kg, p, s, o, w = terms if pick is None else (t[pick] for t in terms)
+        rate = ln_kg + np.log(p * x) - np.log(s * (1.0 - x) + o)
+        return np.bincount(seg, weights=(w * rate).reshape(-1), minlength=size)
 
     cap = ARMIJO_INITIAL * np.maximum(metrics.node_power, 1.0)
     return local, local(a), p_i * d, cap, (cap if beta0 is None else np.minimum(beta0, cap))
+
+
+def _halvings(first: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stepsizes of k Armijo ladders with at most ``rounds`` trials left.
+
+    Returns (depth + 1, k) stepsizes: ``first``, then each row the previous
+    one times ``ARMIJO_SHRINK``, one multiplication at a time as the ladders
+    take them.  Also returns (k,) trials per ladder: up to the one after
+    which its stepsize is below ``_MIN_STEP``, or all ``rounds`` when it
+    never gets there (NaN, or the cap).  ``depth`` is at least the largest.
+    """
+    top = float(first.max())
+    if top < np.inf:
+        rounds = min(rounds, int(math.log2(max(top / _MIN_STEP, 1.0))) + 2)
+    steps = np.full((rounds + 1, first.size), ARMIJO_SHRINK)
+    steps[0] = first
+    steps = np.multiply.accumulate(steps, axis=0)
+    # Halving never raises a stepsize: a ladder that gets below the floor
+    # ends below it.
+    below = steps[1:] < _MIN_STEP
+    return steps, np.where(below[-1], below.argmax(axis=0) + 1, rounds)
+
+
+def _ladder_outcome(ok: np.ndarray, trials: np.ndarray, groups: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What sequential Armijo ladders make of trials evaluated as one block.
+
+    The k items (nodes or rows) form ``groups`` equal runs, each sharing a
+    ladder: every round tries the group's items still waiting, and the group
+    stops after the first round at which each of them has accepted or made
+    its ``trials`` (floor, zero move or cap, whichever comes first; 0 for
+    items not in the ladder).  ``ok`` (J, k) holds whether trial j of item k
+    passes the Armijo test, False where it was not evaluated.
+
+    Returns each item's first passing trial (J if none), each group's last
+    round (``stop + 1`` trials were evaluated) and which items accepted
+    before their group stopped.
+    """
+    first = np.where(ok.any(axis=0), ok.argmax(axis=0), ok.shape[0])
+    stop = np.minimum(first, trials - 1).reshape(groups, -1).max(axis=1)
+    return first, stop, first <= np.repeat(stop, first.size // groups)
+
+
+def _sweep_block(links: WeightedLinks, a: np.ndarray, d: np.ndarray, invq: np.ndarray,
+                 local: Callable, f0: np.ndarray, grad: np.ndarray, beta: np.ndarray,
+                 waiting: np.ndarray, rounds: int) -> tuple:
+    """The remaining ``rounds`` of the allocation ladders of the ``waiting``
+    nodes, every trial projected and evaluated at once.
+
+    Trial j of node i is segment j * B*n + i of one projection, one local
+    objective and one gain ``bincount``, until the largest stepsize reaches
+    the floor.  Segments are independent and each adds its links in link
+    order, so every trial is bit for bit the one a sequential round computes
+    (``a + beta * d * invq`` keeps its association).  Returns the nodes that
+    accept, the stepsizes with theirs set, the weighted links of those nodes
+    and their accepted allocations, and (B,) evaluations per row
+    (meaningful for rows with waiting nodes).
+    """
+    size = waiting.size
+    nodes = np.flatnonzero(waiting)
+    steps, trials = _halvings(beta[nodes], rounds)
+    depth = int(trials.max())
+    # The waiting nodes' weighted links, once per trial.
+    on = waiting[links.src]
+    lw = np.flatnonzero(on)
+    src = links.src[lw]
+    seg = (np.arange(depth)[:, None] * size + src).reshape(-1)
+    col = np.cumsum(waiting) - 1            # each waiting node's column in ``steps``
+    a_w = a[lw]
+    target = a_w + steps[:depth, col[src]] * d[lw] * invq[lw]
+    x = _project_alloc_nodes(seg, end_to_end(links.m_node, depth), target.reshape(-1),
+                             end_to_end(invq[lw], depth), ETA_FLOOR).reshape(depth, -1)
+    f1 = local(x, lw, seg, depth * size).reshape(depth, size)
+    gain = np.bincount(seg, weights=(grad[lw] * (x - a_w)).reshape(-1),
+                       minlength=depth * size).reshape(depth, size)
+    node_trials = np.zeros(size, dtype=np.intp)
+    node_trials[nodes] = trials
+    first, stop, took = _ladder_outcome((f1 - f0 >= ARMIJO_SIGMA * gain) & waiting,
+                                        node_trials, links.rows)
+    beta = beta.copy()
+    beta[took] = steps[first[took], col[took]]
+    lk = np.flatnonzero(took[links.src])
+    return took, beta, lk, x[first[links.src[lk]], (np.cumsum(on) - 1)[lk]], stop + 1
 
 
 def _curvature(links: WeightedLinks, metrics: LinkMetrics) -> np.ndarray:
@@ -288,7 +382,9 @@ def alloc_sweep(model: NetworkModel, ws: WeightedLinks, state: PowerState,
 
     Returns the new full allocation vector, the number of local objective
     evaluations spent in line searches, and the per-node accepted stepsizes
-    (callers may feed them back as the next sweep's ``beta0``).
+    (callers may feed them back as the next sweep's ``beta0``).  Rounds after
+    the first ``_SEQUENTIAL_ROUNDS`` are evaluated as one block
+    (``_sweep_block``), bit for bit as round by round.
     """
     a, d, invq = _sweep_terms(ws, state.alloc, delta_alloc, config)
     out = state.alloc.copy()
@@ -301,7 +397,14 @@ def alloc_sweep(model: NetworkModel, ws: WeightedLinks, state: PowerState,
     evals = 1
     accepted = ~ws.has_active
     x_out = a.copy()
-    for _ in range(_MAX_BACKTRACKS):
+    for r in range(_MAX_BACKTRACKS):
+        if r == _SEQUENTIAL_ROUNDS:
+            newly, beta, lk, x_new, tried = _sweep_block(
+                ws, a, d, invq, local, f0, grad, beta, ~accepted, _MAX_BACKTRACKS - r)
+            x_out[lk] = x_new
+            accepted |= newly
+            evals += int(tried[0])
+            break
         target = a + beta[ws.src] * d * invq
         x = _project_alloc_nodes(ws.src, ws.m_node, target, invq, ETA_FLOOR)
         f1 = local(x)
@@ -650,7 +753,8 @@ def _lockstep_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState
     Every row runs its own Armijo ladder: it stops once all its nodes have
     accepted (without shrinking that round) or once its largest unaccepted
     stepsize falls below the floor.  Stopped rows are still computed but
-    change nothing.
+    change nothing; the block of the later rounds holds only the rows still
+    searching.
     """
     rows, n = links.rows, model.n
     a, d, invq = _sweep_terms(links, state.alloc, delta_alloc, config)
@@ -663,9 +767,17 @@ def _lockstep_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState
     local, f0, grad, cap, beta = _armijo_terms(links, metrics, a, d, beta0)
     evals = np.ones(rows, dtype=int)
     accepted = ~links.has_active
-    x_out = a
+    x_out = a.copy()
     searching = np.ones(rows, dtype=bool)
-    for _ in range(_MAX_BACKTRACKS):
+    for r in range(_MAX_BACKTRACKS):
+        if r == _SEQUENTIAL_ROUNDS:
+            newly, beta, lk, x_new, tried = _sweep_block(
+                links, a, d, invq, local, f0, grad, beta, ~accepted & np.repeat(searching, n),
+                _MAX_BACKTRACKS - r)
+            x_out[lk] = x_new
+            accepted |= newly
+            evals += searching * tried
+            break
         target = a + beta[links.src] * d * invq
         x = _project_alloc_nodes(links.src, links.m_node, target, invq, ETA_FLOOR)
         f1 = local(x)
@@ -692,7 +804,9 @@ def _lockstep_power_step(model: NetworkModel, links: WeightedLinks, state: Power
     accepted points, evaluations, next first trials).
 
     Every row keeps its own stepsize, acceptance and stop; link metrics are
-    evaluated only for the rows still searching.
+    evaluated only for the rows still searching.  Rounds after the first
+    ``_SEQUENTIAL_ROUNDS`` are evaluated as one block, bit for bit as round
+    by round.
     """
     rows, n, n_links = links.rows, model.n, model.n_links
     metrics, f0 = _trial(model, links.w, links.act, state.alloc, state.exponent)
@@ -714,28 +828,69 @@ def _lockstep_power_step(model: NetworkModel, links: WeightedLinks, state: Power
     out_metrics = _take_rows(metrics, rows, slice(None))
     w, act_rows = links.w.reshape(rows, -1), links.act.reshape(rows, -1)
     alloc = state.alloc.reshape(rows, n_links)
+
+    def evaluate(at: np.ndarray, new: np.ndarray, move: np.ndarray) -> tuple:
+        """Metrics, objectives and Armijo test of trial exponents ``new`` of
+        rows ``at``, laid end to end."""
+        # The rows' weighted links, their rows laid end to end.
+        act = (act_rows[at] - n_links * (at - np.arange(at.size))[:, None]).reshape(-1)
+        met, f1 = _trial(model, w[at].reshape(-1), act, alloc[at].reshape(-1), new.reshape(-1))
+        slope = np.matmul(grad[at][:, None, :], move[:, :, None]).reshape(-1)
+        return met, f1, f1 - f0[at] >= ARMIJO_SIGMA * slope
+
+    def keep(took: np.ndarray, pick, new: np.ndarray, f1: np.ndarray, met: LinkMetrics,
+             xi_took: np.ndarray) -> None:
+        out_expo[took] = new[pick]
+        out_f[took] = f1[pick]
+        xi_next[took] = np.minimum(2.0 * xi_took, ARMIJO_INITIAL)
+        for f, a in vars(met).items():
+            getattr(out_metrics, f).reshape(rows, -1)[took] = a.reshape(f1.size, -1)[pick]
+
     live = np.arange(rows)
-    for _ in range(_MAX_BACKTRACKS):
+    for r in range(_MAX_BACKTRACKS):
         gamma = gamma0[live]
+        if r == _SEQUENTIAL_ROUNDS:
+            # The rest of every live row's ladder in one evaluation: trial j
+            # of live row k, up to the row's floor or first trial that does
+            # not move, is one more problem laid end to end.
+            steps, trials = _halvings(xi[live], _MAX_BACKTRACKS - r)
+            depth = int(trials.max())
+            new = np.clip(gamma + steps[:depth, :, None] * delta_gamma[live] / v[live],
+                          gfloor, 1.0)
+            move = new - gamma
+            still = move.any(axis=2)
+            trials = np.minimum(trials, np.where(still.all(axis=0), depth,
+                                                 (~still).argmax(axis=0)))
+            laid = np.arange(depth)[:, None] < trials
+            j, k = np.nonzero(laid)
+            if not j.size:
+                break
+            try:
+                met, f1, passed = evaluate(live[k], new[j, k], move[j, k])
+            except NumericDomainError:
+                # A trial the ladder may never reach failed: the rounds below
+                # raise where, and as, the sequential ladder does.
+                pass
+            else:
+                ok = np.zeros(laid.shape, dtype=bool)
+                ok[j, k] = passed
+                first, stop, took = _ladder_outcome(ok, trials, live.size)
+                evals[live] += stop + 1
+                pair = (np.cumsum(laid.reshape(-1)) - 1).reshape(laid.shape)
+                cols = np.flatnonzero(took)
+                keep(live[took], pair[first[took], cols], new[j, k], f1, met,
+                     steps[first[took], cols])
+                break
         new = np.clip(gamma + xi[live, None] * delta_gamma[live] / v[live], gfloor, 1.0)
         move = new - gamma
         moves = move.any(axis=1)
         live, new, move = live[moves], new[moves], move[moves]
         if not live.size:
             break
-        # The live rows' weighted links, their rows laid end to end.
-        act = (act_rows[live] - n_links * (live - np.arange(live.size))[:, None]).reshape(-1)
-        met, f1 = _trial(model, w[live].reshape(-1), act, alloc[live].reshape(-1),
-                         new.reshape(-1))
+        met, f1, ok = evaluate(live, new, move)
         evals[live] += 1
-        slope = np.matmul(grad[live][:, None, :], move[:, :, None]).reshape(-1)
-        ok = f1 - f0[live] >= ARMIJO_SIGMA * slope
         took = live[ok]
-        out_expo[took] = new[ok]
-        out_f[took] = f1[ok]
-        xi_next[took] = np.minimum(2.0 * xi[took], ARMIJO_INITIAL)
-        for f, a in vars(met).items():
-            getattr(out_metrics, f).reshape(rows, -1)[took] = a.reshape(live.size, -1)[ok]
+        keep(took, ok, new, f1, met, xi[took])
         live = live[~ok]
         xi[live] *= ARMIJO_SHRINK
         live = live[~(xi[live] < _MIN_STEP)]

@@ -194,6 +194,17 @@ def test_run_rejects_malformed_scenario_file(tmp_path, field, value):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [b"[1, 2]", b'{"format": "bpsim-scenario", "x": "\xff"}'],
+                         ids=["not-an-object", "not-utf-8"])
+def test_run_rejects_unreadable_scenario_file(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code = main(["run", "--scenario", str(bad), "--scheme", "iter-once",
+                 "--slots", "2", "--runs", "1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: scenario file")
+
+
 @pytest.mark.parametrize("destination", [9, -1])
 def test_run_rejects_destination_outside_network(tmp_path, destination):
     doc = _scenario_doc(tmp_path)

@@ -1,11 +1,14 @@
 """Scenario generation, validation and the scenario file format."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from bpsim.errors import ConfigError
 from bpsim.model import (Commodity, NetworkModel, TrafficSpec, generate_scenario,
-                         link_radius,
+                         link_radius, load_scenario,
                          scenario_from_json, scenario_to_json, validate_model,
                          validate_scenario)
 
@@ -126,6 +129,71 @@ def test_scenario_json_rejects_garbage():
         scenario_from_json("{not json")
     with pytest.raises(ConfigError):
         scenario_from_json('{"format": "something-else", "version": 1}')
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=strategies.integers(2, 12), mean=strategies.floats(0.0, 20.0),
+       seed=strategies.integers(0, 2**31 - 1))
+def test_scenario_json_round_trip_is_exact(n, mean, seed):
+    sc = generate_scenario(n, mean, seed)
+    back = scenario_from_json(scenario_to_json(sc))
+    assert back.seed == sc.seed
+    assert back.model.links == sc.model.links
+    assert back.model.processing_gain == sc.model.processing_gain
+    for name in ("gain", "noise", "theta", "power_cap"):
+        assert getattr(back.model, name).tobytes() == getattr(sc.model, name).tobytes()
+    assert back.positions.tobytes() == sc.positions.tobytes()
+    assert back.traffic.commodities == sc.traffic.commodities
+    assert back.traffic.arrival_mean.tobytes() == sc.traffic.arrival_mean.tobytes()
+
+
+_SCENARIO_DOC = json.loads(scenario_to_json(generate_scenario(4, 2.0, seed=9)))
+# Values of a JSON type no field of the format has where it is put.
+_NOT_A_NUMBER = [None, "text", True, [], {}, [1.0, 2.0]]
+_NOT_AN_INTEGER = _NOT_A_NUMBER + [3.5, 4.0]
+_NOT_A_LIST = [None, "text", 3.5, True, {}, {"a": 1}]
+_WRONG_TYPES = {
+    "format": [None, 3, True, [], {}], "version": _NOT_AN_INTEGER + [1.0],
+    "seed": _NOT_AN_INTEGER, "n": _NOT_AN_INTEGER, "processing_gain": _NOT_A_NUMBER,
+    **{key: _NOT_A_LIST for key in ("positions", "links", "gain", "noise", "theta",
+                                    "power_cap", "commodities", "arrival_mean")},
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=strategies.data())
+def test_corrupted_scenario_files_raise_config_errors(data, tmp_path_factory):
+    """A dropped key, a value of the wrong type, a top level that is not an
+    object, or bytes that are not UTF-8 end in ConfigError, never another
+    exception."""
+    doc = json.loads(json.dumps(_SCENARIO_DOC))
+    kind = data.draw(strategies.sampled_from(["drop", "type", "top level", "bytes"]))
+    if kind == "drop":
+        del doc[data.draw(strategies.sampled_from(sorted(doc)))]
+    elif kind == "type":
+        key = data.draw(strategies.sampled_from(sorted(_WRONG_TYPES)))
+        doc[key] = data.draw(strategies.sampled_from(_WRONG_TYPES[key]))
+    elif kind == "top level":
+        doc = data.draw(strategies.sampled_from([[doc], list(doc), "text", 3, None, True]))
+    raw = json.dumps(doc).encode("utf-8")
+    if kind == "bytes":
+        at = data.draw(strategies.integers(0, len(raw)))
+        bad = data.draw(strategies.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80"]))
+        raw = raw[:at] + bad + raw[at:]
+    path = tmp_path_factory.mktemp("corrupt") / "scenario.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError):
+        load_scenario(path)
+
+
+def test_every_dropped_key_and_wrong_type_raises_config_error():
+    """The finite part of the corruptions above, each one once."""
+    drops = [{k: v for k, v in _SCENARIO_DOC.items() if k != key} for key in _SCENARIO_DOC]
+    swaps = [{**_SCENARIO_DOC, key: value}
+             for key, values in _WRONG_TYPES.items() for value in values]
+    for doc in drops + swaps:
+        with pytest.raises(ConfigError):
+            scenario_from_json(json.dumps(doc))
 
 
 def test_queue_mask_built_once_and_read_only():

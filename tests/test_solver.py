@@ -501,3 +501,255 @@ def test_lockstep_rejects_malformed_weights():
         solve_max_weight_batch(m, np.ones(m.n_links), start)
     with pytest.raises(ConfigError):
         solve_max_weight_batch(m, -np.ones((2, m.n_links)), start)
+
+
+# ------------------------------------------------ blocked ladder tails
+#
+# The Armijo ladders one trial round after another, as they ran before
+# their tails were evaluated as one block: the references the solver's
+# ladders must match bit for bit.  Each appends (round, reason) per ladder
+# to ``why``: the round after which it stopped and why.
+
+def _sequential_sweep(model, links, state, metrics, delta_alloc, config, beta0, why):
+    """``_lockstep_sweep`` (and ``alloc_sweep`` at one row), round by round."""
+    rows, n = links.rows, model.n
+    a, d, invq = solver._sweep_terms(links, state.alloc, delta_alloc, config)
+    out = state.alloc.copy()
+    local, f0, grad, cap, beta = solver._armijo_terms(links, metrics, a, d, beta0)
+    evals = np.ones(rows, dtype=int)
+    accepted = ~links.has_active
+    x_out = a
+    searching = np.ones(rows, dtype=bool)
+    for r in range(solver._MAX_BACKTRACKS):
+        target = a + beta[links.src] * d * invq
+        x = solver._project_alloc_nodes(links.src, links.m_node, target, invq, phy.ETA_FLOOR)
+        f1 = local(x)
+        evals += searching
+        gain = np.bincount(links.src, weights=grad * (x - a), minlength=rows * n)
+        newly = (f1 - f0 >= solver.ARMIJO_SIGMA * gain) & ~accepted & np.repeat(searching, n)
+        x_out = np.where(newly[links.src], x, x_out)
+        accepted |= newly
+        done = searching & accepted.reshape(rows, n).all(axis=1)
+        searching &= ~done
+        beta = np.where(accepted, beta, beta * solver.ARMIJO_SHRINK)
+        floor = searching & (np.where(accepted, 0.0, beta).reshape(rows, n).max(axis=1)
+                             < solver._MIN_STEP)
+        searching &= ~floor
+        why += [(r, "accepted")] * int(done.sum()) + [(r, "floor")] * int(floor.sum())
+        if not searching.any():
+            break
+    why += [(solver._MAX_BACKTRACKS - 1, "cap")] * int(searching.sum())
+    out[links.act] = x_out
+    return out, evals, np.where(accepted, np.minimum(2.0 * beta, cap), cap)
+
+
+def _sequential_power_step(model, links, state, config, xi0, why):
+    """``_lockstep_power_step``, round by round."""
+    rows, n, n_links = links.rows, model.n, model.n_links
+    metrics, f0 = solver._trial(model, links.w, links.act, state.alloc, state.exponent)
+    delta_gamma, v = (x.reshape(rows, n) for x in
+                      solver._power_direction(model, links, state.alloc, metrics, config))
+    gamma0 = state.exponent.reshape(rows, n)
+    grad = model.log_power_cap * delta_gamma
+    xi = (np.full(rows, solver.ARMIJO_INITIAL) if xi0 is None
+          else np.minimum(xi0, solver.ARMIJO_INITIAL))
+    evals = np.zeros(rows, dtype=int)
+    out_expo, out_f = gamma0.copy(), f0.copy()
+    xi_next = np.full(rows, solver.ARMIJO_INITIAL)
+    out_metrics = solver._take_rows(metrics, rows, slice(None))
+    w, act_rows = links.w.reshape(rows, -1), links.act.reshape(rows, -1)
+    alloc = state.alloc.reshape(rows, n_links)
+    live = np.arange(rows)
+    for r in range(solver._MAX_BACKTRACKS):
+        gamma = gamma0[live]
+        new = np.clip(gamma + xi[live, None] * delta_gamma[live] / v[live],
+                      model.gamma_floor, 1.0)
+        move = new - gamma
+        moves = move.any(axis=1)
+        why += [(r, "zero move")] * int((~moves).sum())
+        live, new, move = live[moves], new[moves], move[moves]
+        if not live.size:
+            break
+        act = (act_rows[live] - n_links * (live - np.arange(live.size))[:, None]).reshape(-1)
+        met, f1 = solver._trial(model, w[live].reshape(-1), act, alloc[live].reshape(-1),
+                                new.reshape(-1))
+        evals[live] += 1
+        slope = np.matmul(grad[live][:, None, :], move[:, :, None]).reshape(-1)
+        ok = f1 - f0[live] >= solver.ARMIJO_SIGMA * slope
+        took = live[ok]
+        out_expo[took] = new[ok]
+        out_f[took] = f1[ok]
+        xi_next[took] = np.minimum(2.0 * xi[took], solver.ARMIJO_INITIAL)
+        for f, a in vars(met).items():
+            getattr(out_metrics, f).reshape(rows, -1)[took] = a.reshape(live.size, -1)[ok]
+        why += [(r, "accepted")] * int(ok.sum())
+        live = live[~ok]
+        xi[live] *= solver.ARMIJO_SHRINK
+        floor = xi[live] < solver._MIN_STEP
+        why += [(r, "floor")] * int(floor.sum())
+        live = live[~floor]
+        if not live.size:
+            break
+    else:
+        why += [(solver._MAX_BACKTRACKS - 1, "cap")] * live.size
+    return out_expo.reshape(-1), out_metrics, out_f, evals, xi_next
+
+
+def _as_bytes(x):
+    """A ladder's outputs as comparable bytes; ``repr`` for counts."""
+    if isinstance(x, (tuple, list)):
+        return [_as_bytes(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.tobytes())
+    if isinstance(x, phy.LinkMetrics):
+        return _as_bytes(list(vars(x).values()))
+    return repr(x)
+
+
+def _checked_ladders(mp, seen):
+    """Route the solver's ladders through a comparison with the references;
+    ``seen`` collects, per kind of ladder, the references' (round, reason)."""
+    blocked_sweep, blocked_lockstep = solver.alloc_sweep, solver._lockstep_sweep
+    blocked_power = solver._lockstep_power_step
+
+    def sweep(model, ws, state, metrics, delta_alloc, config, beta0=None):
+        why = []
+        out, evals, beta = _sequential_sweep(model, ws, state, metrics, delta_alloc, config,
+                                             beta0, why)
+        got = blocked_sweep(model, ws, state, metrics, delta_alloc, config, beta0)
+        assert _as_bytes(got) == _as_bytes((out, int(evals[0]), beta))
+        seen.setdefault("sweep", []).extend(why)
+        return got
+
+    def lockstep_sweep(model, links, state, metrics, delta_alloc, config, beta0):
+        why = []
+        want = _sequential_sweep(model, links, state, metrics, delta_alloc, config, beta0, why)
+        got = blocked_lockstep(model, links, state, metrics, delta_alloc, config, beta0)
+        assert _as_bytes(got) == _as_bytes(want)
+        seen.setdefault("lockstep sweep", []).append(why)
+        return got
+
+    def power_step(model, links, state, config, xi0):
+        why = []
+        want = _sequential_power_step(model, links, state, config, xi0, why)
+        got = blocked_power(model, links, state, config, xi0)
+        assert _as_bytes(got) == _as_bytes(want)
+        seen.setdefault("lockstep power step", []).append(why)
+        return got
+
+    mp.setattr(solver, "alloc_sweep", sweep)
+    mp.setattr(solver, "_lockstep_sweep", lockstep_sweep)
+    mp.setattr(solver, "_lockstep_power_step", power_step)
+
+
+def _solve_checked(seed, n, cap, min_step, tolerance):
+    """Single and lockstep solves of random problems with every ladder
+    checked against its reference under a ``_MAX_BACKTRACKS`` of ``cap``
+    and a ``_MIN_STEP`` of ``min_step``; returns what the references saw."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n=n)
+    # Rows sharing their weighted links advance in one lockstep batch.
+    mask = random_weights(rng, m) > 0
+    rows = np.array([np.where(mask, rng.random(m.n_links) * 10.0, 0.0) for _ in range(4)])
+    start = phy.random_power_state(m, rng)
+    config = SolverConfig(kkt_tolerance=tolerance, max_iterations=60)
+    seen = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_MAX_BACKTRACKS", cap)
+        mp.setattr(solver, "_MIN_STEP", min_step)
+        _checked_ladders(mp, seen)
+        single = [_fingerprint(*solve_max_weight(m, w, start, config)) for w in rows[:2]]
+        batch = solve_max_weight_batch(m, rows, start, config)
+    assert [_fingerprint(*r) for r in batch[:2]] == single
+    return seen
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
+       cap=strategies.sampled_from([80, 80, 3, 6, 20]),
+       min_step=strategies.sampled_from([1e-14, 1e-14, 1e-4]),
+       tolerance=strategies.sampled_from([1e-9, 1e-12]))
+def test_blocked_ladders_equal_sequential_ladders(seed, n, cap, min_step, tolerance):
+    """States, evaluations, stepsizes, metrics and objectives of every
+    ladder are bit for bit the round-by-round ones."""
+    _solve_checked(seed, n, cap, min_step, tolerance)
+
+
+def test_blocked_ladders_cover_every_stop():
+    """Fixed problems on which the blocked tails meet every way a ladder
+    stops, and lockstep rows that stop in different rounds of one block.
+    On these problems a power ladder's exponents stop moving before its
+    stepsize reaches 1e-14, so a raised floor stands in for that stop."""
+    seen = {}
+    for seed, n, cap, min_step in ((7, 5, 80, 1e-14), (11, 8, 80, 1e-14), (3, 4, 6, 1e-14),
+                                   (3, 4, 80, 1e-4)):
+        for kind, why in _solve_checked(seed, n, cap, min_step, 1e-12).items():
+            seen.setdefault(kind, []).extend(why)
+    tail = solver._SEQUENTIAL_ROUNDS
+
+    def reasons(calls):
+        return {reason for r, reason in calls if r >= tail}
+
+    assert reasons(seen["sweep"]) == {"accepted", "floor", "cap"}
+    assert reasons(sum(seen["lockstep sweep"], [])) == {"accepted", "floor", "cap"}
+    assert reasons(sum(seen["lockstep power step"], [])) == {"accepted", "floor", "cap",
+                                                             "zero move"}
+    lockstep = seen["lockstep sweep"] + seen["lockstep power step"]
+    assert any(len({r for r, _ in why if r >= tail}) > 1 for why in lockstep)
+
+
+def test_blocked_power_ladder_raises_only_where_the_sequential_one_does():
+    """A trial that fails with NumericDomainError fails the blocked ladder
+    with the same error exactly when the round-by-round ladder reaches it."""
+    from bpsim.errors import NumericDomainError
+
+    rng = np.random.default_rng(7)
+    m = random_model(rng, n=5)
+    mask = random_weights(rng, m) > 0
+    rows = np.array([np.where(mask, rng.random(m.n_links) * 10.0, 0.0) for _ in range(4)])
+    calls = []
+    blocked = solver._lockstep_power_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_lockstep_power_step", lambda *args: calls.append(args) or
+                   blocked(*args))
+        solve_max_weight_batch(m, rows, phy.random_power_state(m, rng),
+                               SolverConfig(kkt_tolerance=1e-12, max_iterations=40))
+
+    metrics_of = solver.link_metrics_from_powers
+
+    def evaluated(step, args, poison=None):
+        """The trial powers ``step`` evaluates, each problem's bytes, and
+        its outputs or the error it raised, with ``poison`` failing."""
+        seen = []
+
+        def metrics(model, p):
+            for row in p.reshape(-1, model.n_links):
+                seen.append(row.tobytes())
+                if seen[-1] == poison:
+                    raise NumericDomainError("poisoned trial")
+            return metrics_of(model, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "link_metrics_from_powers", metrics)
+            try:
+                out = _as_bytes(step(*args))
+            except NumericDomainError as exc:
+                out = repr(exc)
+        return seen, out
+
+    reached = spared = 0
+    for args in calls:
+        rows_ = args[1].rows
+        ref_seen, ref_out = evaluated(lambda *a: _sequential_power_step(*a, why=[]), args)
+        got_seen, got_out = evaluated(blocked, args)
+        assert got_out == ref_out
+        late = ref_seen[rows_ * (1 + solver._SEQUENTIAL_ROUNDS):]     # block rounds
+        if late:
+            reached += 1
+            for step in (blocked, lambda *a: _sequential_power_step(*a, why=[])):
+                assert evaluated(step, args, late[0])[1] == "NumericDomainError('poisoned trial')"
+        extra = set(got_seen) - set(ref_seen)
+        if extra:
+            spared += 1
+            assert evaluated(blocked, args, extra.pop())[1] == ref_out
+    assert reached and spared
