@@ -372,6 +372,19 @@ def _json_scalar(value, kind: type, what: str):
     return kind(value)
 
 
+def _json_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array when every entry JSON gave, at any depth
+    of nesting, is a number (booleans and strings are malformed)."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack += v
+        elif type(v) not in (int, float):       # a bool is not an int here
+            raise TypeError(f"{what} must hold numbers, got {v!r}")
+    return np.array(value, dtype=float)
+
+
 def scenario_from_json(text: str) -> Scenario:
     try:
         doc = json.loads(text)
@@ -385,17 +398,18 @@ def scenario_from_json(text: str) -> Scenario:
         raise ConfigError(f"unsupported scenario version {doc.get('version')!r}")
     try:
         model = NetworkModel(
-            gain=np.array(doc["gain"], dtype=float),
-            noise=np.array(doc["noise"], dtype=float),
-            theta=np.array(doc["theta"], dtype=float),
-            power_cap=np.array(doc["power_cap"], dtype=float),
+            gain=_json_array(doc["gain"], "gain"),
+            noise=_json_array(doc["noise"], "noise"),
+            theta=_json_array(doc["theta"], "theta"),
+            power_cap=_json_array(doc["power_cap"], "power_cap"),
             processing_gain=_json_scalar(doc["processing_gain"], float, "processing_gain"),
-            links=tuple(tuple(l) for l in doc["links"]),
+            links=tuple(tuple(_json_scalar(e, int, "link endpoint") for e in l)
+                        for l in doc["links"]),
         )
         # A file whose node count or positions disagree with its gains is corrupt.
         if _json_scalar(doc["n"], int, "n") != model.n:
             raise ValueError(f"n is {doc['n']!r} but the gain matrix has {model.n} nodes")
-        positions = np.array(doc["positions"], dtype=float)
+        positions = _json_array(doc["positions"], "positions")
         if positions.shape != (model.n, 2):
             raise ValueError(f"positions must be {model.n} (x, y) pairs")
         commodities = tuple(
@@ -406,7 +420,7 @@ def scenario_from_json(text: str) -> Scenario:
         )
         traffic = TrafficSpec(
             commodities=commodities,
-            arrival_mean=np.array(doc["arrival_mean"], dtype=float),
+            arrival_mean=_json_array(doc["arrival_mean"], "arrival_mean"),
         )
         scenario = Scenario(
             model=model,

@@ -16,7 +16,7 @@ happens within a slot:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,9 +115,10 @@ class IterativeScheme(MdbScheme):
 
     def __init__(self, model, traffic, config, iterations: int = 50,
                  integrate_mean: bool = True):
-        super().__init__(model, traffic, config)
         if iterations < 1:
             raise ConfigError("per-slot iteration budget must be >= 1")
+        # The per-slot budget is the solve's iteration budget.
+        super().__init__(model, traffic, replace(config, max_iterations=iterations))
         self.iterations = iterations
         self.integrate_mean = integrate_mean
         self.power: PowerState = uniform_power_state(model)
@@ -125,9 +126,8 @@ class IterativeScheme(MdbScheme):
 
     def step(self, backlog):
         weights = compute_weights(backlog, self.traffic, self.model)
-        state, diag = solve_max_weight(
-            self.model, weights.weight, self.power, self.config,
-            max_iterations=self.iterations, collect_rates=True)
+        state, diag = solve_max_weight(self.model, weights.weight, self.power,
+                                       self.config, collect_rates=True)
         self.power = state
         trace = diag.capacity_trace
         if self.integrate_mean:

@@ -264,8 +264,8 @@ def _sweep_block(links: WeightedLinks, a: np.ndarray, d: np.ndarray, invq: np.nd
     order, so every trial is bit for bit the one a sequential round computes
     (``a + beta * d * invq`` keeps its association).  Returns the nodes that
     accept, the stepsizes with theirs set, the weighted links of those nodes
-    and their accepted allocations, and (B,) evaluations per row
-    (meaningful for rows with waiting nodes).
+    and their accepted allocations, and (B,) evaluations per row (zero for
+    rows without waiting nodes).
     """
     size = waiting.size
     nodes = np.flatnonzero(waiting)
@@ -292,6 +292,70 @@ def _sweep_block(links: WeightedLinks, a: np.ndarray, d: np.ndarray, invq: np.nd
     beta[took] = steps[first[took], col[took]]
     lk = np.flatnonzero(took[links.src])
     return took, beta, lk, x[first[links.src[lk]], (np.cumsum(on) - 1)[lk]], stop + 1
+
+
+def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
+                metrics: LinkMetrics, delta_alloc: np.ndarray, config: SolverConfig,
+                beta0: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One allocation update for every node with weighted links, in each of
+    the B problems of ``links``.
+
+    Returns the new allocations, (B,) local objective evaluations spent in
+    line searches, and the per-node accepted stepsizes (callers may feed
+    them back as the next sweep's ``beta0``).  Every node runs its own
+    Armijo ladder; a problem stops once it has no waiting node or the
+    largest stepsize among them is below the floor.  Stopped problems are
+    still computed but change nothing.  Rounds after the first
+    ``_SEQUENTIAL_ROUNDS`` are evaluated as one block (``_sweep_block``),
+    bit for bit as round by round.
+    """
+    rows, n = links.rows, model.n
+    a, d, invq = _sweep_terms(links, state.alloc, delta_alloc, config)
+    out = state.alloc.copy()
+    if config.stepsize_rule == "fixed":
+        target = a + config.fixed_step * d * invq
+        out[links.act] = _project_alloc_nodes(links.src, links.m_node, target, invq, ETA_FLOOR)
+        return out, np.zeros(rows, dtype=int), None
+
+    local, f0, grad, cap, beta = _armijo_terms(links, metrics, a, d, beta0)
+    evals = np.ones(rows, dtype=int)
+    # The unaccepted nodes of the problems still searching, and those
+    # problems: all of them in the first round.
+    waiting = links.has_active.copy()
+    live = True
+    x_out = a.copy()
+    for r in range(_MAX_BACKTRACKS):
+        if r == _SEQUENTIAL_ROUNDS:
+            took, beta, lk, x_new, tried = _sweep_block(
+                links, a, d, invq, local, f0, grad, beta, waiting, _MAX_BACKTRACKS - r)
+            x_out[lk] = x_new
+            waiting ^= took
+            evals += tried
+            break
+        target = a + beta[links.src] * d * invq
+        x = _project_alloc_nodes(links.src, links.m_node, target, invq, ETA_FLOOR)
+        f1 = local(x)
+        evals += live
+        gain = np.bincount(links.src, weights=grad * (x - a), minlength=rows * n)
+        newly = (f1 - f0 >= ARMIJO_SIGMA * gain) & waiting
+        x_out = np.where(newly[links.src], x, x_out)
+        waiting ^= newly
+        if not waiting.any():
+            break
+        beta = np.where(waiting, beta * ARMIJO_SHRINK, beta)
+        live = ~(np.where(waiting, beta, 0.0).reshape(rows, n).max(axis=1) < _MIN_STEP)
+        if not live.all():
+            if not live.any():
+                break
+            # A stopped problem's unaccepted nodes restart from the cap.
+            gone = waiting & np.repeat(~live, n)
+            beta = np.where(gone, cap, beta)
+            waiting ^= gone
+    out[links.act] = x_out
+    # An accepted step earns a doubled first trial next sweep; nodes that
+    # backtracked to nothing restart from the full trial step.
+    return out, evals, np.minimum(2.0 * np.where(waiting, cap, beta), cap)
 
 
 def _curvature(links: WeightedLinks, metrics: LinkMetrics) -> np.ndarray:
@@ -372,60 +436,6 @@ def _kkt_residuals(model: NetworkModel, weighted: np.ndarray, state: PowerState,
 
 
 # ------------------------------------------------------------ one problem
-
-def alloc_sweep(model: NetworkModel, ws: WeightedLinks, state: PowerState,
-                metrics: LinkMetrics, delta_alloc: np.ndarray,
-                config: SolverConfig,
-                beta0: np.ndarray | None = None
-                ) -> tuple[np.ndarray, int, np.ndarray | None]:
-    """One allocation update for every node with weighted links.
-
-    Returns the new full allocation vector, the number of local objective
-    evaluations spent in line searches, and the per-node accepted stepsizes
-    (callers may feed them back as the next sweep's ``beta0``).  Rounds after
-    the first ``_SEQUENTIAL_ROUNDS`` are evaluated as one block
-    (``_sweep_block``), bit for bit as round by round.
-    """
-    a, d, invq = _sweep_terms(ws, state.alloc, delta_alloc, config)
-    out = state.alloc.copy()
-    if config.stepsize_rule == "fixed":
-        target = a + config.fixed_step * d * invq
-        out[ws.act] = _project_alloc_nodes(ws.src, ws.m_node, target, invq, ETA_FLOOR)
-        return out, 0, None
-
-    local, f0, grad, cap, beta = _armijo_terms(ws, metrics, a, d, beta0)
-    evals = 1
-    accepted = ~ws.has_active
-    x_out = a.copy()
-    for r in range(_MAX_BACKTRACKS):
-        if r == _SEQUENTIAL_ROUNDS:
-            newly, beta, lk, x_new, tried = _sweep_block(
-                ws, a, d, invq, local, f0, grad, beta, ~accepted, _MAX_BACKTRACKS - r)
-            x_out[lk] = x_new
-            accepted |= newly
-            evals += int(tried[0])
-            break
-        target = a + beta[ws.src] * d * invq
-        x = _project_alloc_nodes(ws.src, ws.m_node, target, invq, ETA_FLOOR)
-        f1 = local(x)
-        evals += 1
-        gain = np.bincount(ws.src, weights=grad * (x - a), minlength=model.n)
-        # Nodes without weighted links start accepted.
-        newly = (f1 - f0 >= ARMIJO_SIGMA * gain) & ~accepted
-        if newly.any():
-            take = newly[ws.src]
-            x_out[take] = x[take]
-            accepted |= newly
-        if accepted.all():
-            break
-        beta = np.where(accepted, beta, beta * ARMIJO_SHRINK)
-        if beta[~accepted].max(initial=0.0) < _MIN_STEP:
-            break
-    out[ws.act] = x_out
-    # An accepted step earns a doubled first trial next sweep; nodes that
-    # backtracked to nothing restart from the full trial step.
-    return out, evals, np.where(accepted, np.minimum(2.0 * beta, cap), cap)
-
 
 def power_step(model: NetworkModel, ws: WeightedLinks, state: PowerState,
                config: SolverConfig,
@@ -603,17 +613,6 @@ class SolveDiagnostics:
     # Link metrics of the returned state; None when no link carries weight.
     metrics: LinkMetrics | None = None
 
-    def csv_rows(self) -> list[str]:
-        rows = ["iteration,objective,kkt_residual,messages"]
-        msgs = 0
-        per_iter = (self.broadcasts + self.feedbacks) // max(self.iterations, 1)
-        for k in range(self.iterations):
-            msgs += per_iter
-            res = self.kkt_residuals[k] if k < len(self.kkt_residuals) else float("nan")
-            obj = self.objectives[k + 1] if k + 1 < len(self.objectives) else float("nan")
-            rows.append(f"{k + 1},{obj!r},{res!r},{msgs}")
-        return rows
-
 
 def _exact_repeat(start: tuple, end: tuple) -> bool:
     """True when every solver variable (arrays, floats or None) ends bit for
@@ -656,7 +655,6 @@ def _record_iterate(model: NetworkModel, diag: SolveDiagnostics, stalled: int, f
 
 def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerState,
                      config: SolverConfig | None = None,
-                     max_iterations: int | None = None,
                      collect_rates: bool = False) -> tuple[PowerState, SolveDiagnostics]:
     """Iterate allocation sweeps and power steps until the KKT check passes.
 
@@ -667,7 +665,7 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
     """
     if config is None:
         config = SolverConfig()
-    iters = config.max_iterations if max_iterations is None else max_iterations
+    iters = config.max_iterations
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (model.n_links,):
         raise ConfigError("weights must be one value per link")
@@ -709,7 +707,7 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
                                                                 xi0=xi0)
         state = PowerState(state.alloc, new_gamma)
         stalled, reps = _record_iterate(
-            model, diag, stalled, f_after, evals + pc_evals, iters,
+            model, diag, stalled, f_after, int(evals[0]) + pc_evals, iters,
             lambda: _exact_repeat(start, (state.alloc, state.exponent, beta0, xi0)))
         if collect_rates:
             diag.capacity_trace += [clipped(metrics) for _ in range(reps)]
@@ -728,10 +726,11 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
 # the rows' weighted links form rectangular (B, E_a) blocks for the
 # objective's dot products and the curvature's sums.
 #
-# The control below keeps per-row masks where the single solve stops on
-# scalars.  It stays separate: at B = 1 it costs 43-61% more per solve than
-# the single solve (5- to 40-node networks, see README), while the formulas
-# serve both.
+# Both solves share alloc_sweep.  The power step and the solve loop below
+# keep per-row masks where the single solve stops on scalars.  They stay
+# separate: at B = 1 the lockstep power step costs 74% more per call than
+# power_step, and the lockstep loop around the scalar power step still 5%
+# more per solve (5- and 10-node networks, see README).
 
 
 def _take_rows(x, rows: int, index):
@@ -742,59 +741,6 @@ def _take_rows(x, rows: int, index):
     if isinstance(x, np.ndarray):
         return x.reshape(rows, -1)[index].reshape(-1)
     return type(x)(**{f: _take_rows(a, rows, index).copy() for f, a in vars(x).items()})
-
-
-def _lockstep_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
-                    metrics: LinkMetrics, delta_alloc: np.ndarray, config: SolverConfig,
-                    beta0: np.ndarray | None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``alloc_sweep`` per row.
-
-    Every row runs its own Armijo ladder: it stops once all its nodes have
-    accepted (without shrinking that round) or once its largest unaccepted
-    stepsize falls below the floor.  Stopped rows are still computed but
-    change nothing; the block of the later rounds holds only the rows still
-    searching.
-    """
-    rows, n = links.rows, model.n
-    a, d, invq = _sweep_terms(links, state.alloc, delta_alloc, config)
-    out = state.alloc.copy()
-    if config.stepsize_rule == "fixed":
-        target = a + config.fixed_step * d * invq
-        out[links.act] = _project_alloc_nodes(links.src, links.m_node, target, invq, ETA_FLOOR)
-        return out, np.zeros(rows, dtype=int), None
-
-    local, f0, grad, cap, beta = _armijo_terms(links, metrics, a, d, beta0)
-    evals = np.ones(rows, dtype=int)
-    accepted = ~links.has_active
-    x_out = a.copy()
-    searching = np.ones(rows, dtype=bool)
-    for r in range(_MAX_BACKTRACKS):
-        if r == _SEQUENTIAL_ROUNDS:
-            newly, beta, lk, x_new, tried = _sweep_block(
-                links, a, d, invq, local, f0, grad, beta, ~accepted & np.repeat(searching, n),
-                _MAX_BACKTRACKS - r)
-            x_out[lk] = x_new
-            accepted |= newly
-            evals += searching * tried
-            break
-        target = a + beta[links.src] * d * invq
-        x = _project_alloc_nodes(links.src, links.m_node, target, invq, ETA_FLOOR)
-        f1 = local(x)
-        evals += searching
-        gain = np.bincount(links.src, weights=grad * (x - a), minlength=rows * n)
-        newly = (f1 - f0 >= ARMIJO_SIGMA * gain) & ~accepted & np.repeat(searching, n)
-        x_out = np.where(newly[links.src], x, x_out)
-        accepted |= newly
-        searching &= ~accepted.reshape(rows, n).all(axis=1)
-        # Shrinking a stopped row changes nothing it returns: its unaccepted
-        # nodes restart from the cap.
-        beta = np.where(accepted, beta, beta * ARMIJO_SHRINK)
-        searching &= ~(np.where(accepted, 0.0, beta).reshape(rows, n).max(axis=1) < _MIN_STEP)
-        if not searching.any():
-            break
-    out[links.act] = x_out
-    return out, evals, np.where(accepted, np.minimum(2.0 * beta, cap), cap)
 
 
 def _lockstep_power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
@@ -946,8 +892,8 @@ def _solve_lockstep(model: NetworkModel, weights: np.ndarray, initial: PowerStat
                 break
             gradient = tuple(_take_rows(g, rows, ~done) for g in gradient)
         start = (state.alloc, state.exponent, beta0, xi0)
-        alloc, evals, beta0 = _lockstep_sweep(model, links, state, metrics, gradient[0],
-                                              config, beta0)
+        alloc, evals, beta0 = alloc_sweep(model, links, state, metrics, gradient[0],
+                                          config, beta0)
         state = PowerState(alloc, state.exponent)
         expo, metrics, f_after, pc_evals, xi0 = _lockstep_power_step(model, links, state,
                                                                      config, xi0)

@@ -194,6 +194,25 @@ def test_run_rejects_malformed_scenario_file(tmp_path, field, value):
     assert code == 2
 
 
+@pytest.mark.parametrize("field,at,value", [
+    ("noise", (0,), True),                  # a boolean, not a number
+    ("links", (0, 0), 0.5),                 # an endpoint that is not an integer
+    ("gain", (0, 1), "1e-3"),               # a number written as a JSON string
+], ids=["boolean-noise", "fractional-endpoint", "string-gain"])
+def test_run_rejects_wrongly_typed_scenario_entries(tmp_path, capsys, field, at, value):
+    doc = _scenario_doc(tmp_path)
+    entry = doc[field]
+    for i in at[:-1]:
+        entry = entry[i]
+    entry[at[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(bad), "--scheme", "iter-once",
+                 "--slots", "2", "--runs", "1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: malformed scenario file")
+
+
 @pytest.mark.parametrize("content", [b"[1, 2]", b'{"format": "bpsim-scenario", "x": "\xff"}'],
                          ids=["not-an-object", "not-utf-8"])
 def test_run_rejects_unreadable_scenario_file(tmp_path, capsys, content):

@@ -158,21 +158,47 @@ _WRONG_TYPES = {
     **{key: _NOT_A_LIST for key in ("positions", "links", "gain", "noise", "theta",
                                     "power_cap", "commodities", "arrival_mean")},
 }
+# Entries nested in the arrays, and values of a type none of them has.
+_NUMBER_ARRAYS = ("positions", "gain", "noise", "theta", "power_cap", "arrival_mean")
+_WRONG_ENTRIES = {**{key: _NOT_A_NUMBER + ["1e-3", False] for key in _NUMBER_ARRAYS},
+                  "links": _NOT_AN_INTEGER + [0.5, 1.0, "1"]}
+
+
+def _entries(value, path=()):
+    """Index paths of the entries of nested lists."""
+    if not isinstance(value, list):
+        return [path]
+    return [p for i, v in enumerate(value) for p in _entries(v, path + (i,))]
+
+
+def _with_entry(doc, key, path, value):
+    """``doc`` with entry ``path`` of array ``key`` replaced by ``value``."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc[key]
+    for i in path[:-1]:
+        parent = parent[i]
+    parent[path[-1]] = value
+    return doc
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=strategies.data())
 def test_corrupted_scenario_files_raise_config_errors(data, tmp_path_factory):
-    """A dropped key, a value of the wrong type, a top level that is not an
-    object, or bytes that are not UTF-8 end in ConfigError, never another
-    exception."""
+    """A dropped key, a value of the wrong type, at the top level or nested
+    in an array, a top level that is not an object, or bytes that are not
+    UTF-8 end in ConfigError, never another exception."""
     doc = json.loads(json.dumps(_SCENARIO_DOC))
-    kind = data.draw(strategies.sampled_from(["drop", "type", "top level", "bytes"]))
+    kind = data.draw(strategies.sampled_from(["drop", "type", "nested", "top level",
+                                              "bytes"]))
     if kind == "drop":
         del doc[data.draw(strategies.sampled_from(sorted(doc)))]
     elif kind == "type":
         key = data.draw(strategies.sampled_from(sorted(_WRONG_TYPES)))
         doc[key] = data.draw(strategies.sampled_from(_WRONG_TYPES[key]))
+    elif kind == "nested":
+        key = data.draw(strategies.sampled_from(sorted(_WRONG_ENTRIES)))
+        doc = _with_entry(doc, key, data.draw(strategies.sampled_from(_entries(doc[key]))),
+                          data.draw(strategies.sampled_from(_WRONG_ENTRIES[key])))
     elif kind == "top level":
         doc = data.draw(strategies.sampled_from([[doc], list(doc), "text", 3, None, True]))
     raw = json.dumps(doc).encode("utf-8")
@@ -191,7 +217,10 @@ def test_every_dropped_key_and_wrong_type_raises_config_error():
     drops = [{k: v for k, v in _SCENARIO_DOC.items() if k != key} for key in _SCENARIO_DOC]
     swaps = [{**_SCENARIO_DOC, key: value}
              for key, values in _WRONG_TYPES.items() for value in values]
-    for doc in drops + swaps:
+    # Nested: the first and the last entry of each array.
+    nested = [_with_entry(_SCENARIO_DOC, key, _entries(_SCENARIO_DOC[key])[at], value)
+              for key, values in _WRONG_ENTRIES.items() for value in values for at in (0, -1)]
+    for doc in drops + swaps + nested:
         with pytest.raises(ConfigError):
             scenario_from_json(json.dumps(doc))
 

@@ -1,5 +1,7 @@
 """Differential-backlog weights, rate assignments and the three schemes."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from bpsim import phy
@@ -143,8 +145,8 @@ def test_iter_conv_mean_below_final_capacity():
     # independent recomputation of the within-slot capacity trajectory
     from bpsim.policy import compute_weights as cw
     w = cw(u2, sc.traffic, sc.model)
-    _, diag = solve_max_weight(sc.model, w.weight, warm, cfg,
-                               max_iterations=50, collect_rates=True)
+    _, diag = solve_max_weight(sc.model, w.weight, warm, replace(cfg, max_iterations=50),
+                               collect_rates=True)
     trace = diag.capacity_trace
     samples = trace[:50]
     mean = np.sum(samples, axis=0) + (50 - len(samples)) * trace[-1]

@@ -245,8 +245,8 @@ def test_every_iterate_stays_feasible():
     w = random_weights(rng, m)
     cfg = SolverConfig()
     ws = phy.weighted_links(m, w)
-    st, _ = solve_max_weight(m, w, phy.random_power_state(m, rng), cfg,
-                             max_iterations=0)
+    st, _ = solve_max_weight(m, w, phy.random_power_state(m, rng),
+                             SolverConfig(max_iterations=0))
     from bpsim.solver import alloc_sweep
     from bpsim.phy import alloc_marginal_gain, link_metrics
     for _ in range(12):
@@ -308,17 +308,14 @@ def test_kkt_residual_reports_raw_value():
     assert not report.passed
 
 
-def test_diagnostics_csv_export():
+def test_diagnostics_count_protocol_messages():
     model, w = two_tx_instance(0)
     _, diag = solve_max_weight(model, np.asarray(w),
                                phy.uniform_power_state(model), SolverConfig())
-    rows = diag.csv_rows()
-    assert rows[0] == "iteration,objective,kkt_residual,messages"
-    assert len(rows) == diag.iterations + 1
-    # message counter: one broadcast per node plus one feedback per link,
-    # per iteration
-    last = rows[-1].split(",")
-    assert int(last[-1]) == diag.iterations * (model.n + model.n_links)
+    assert diag.iterations > 0
+    # One broadcast per node plus one feedback per link, per iteration.
+    assert diag.broadcasts == diag.iterations * model.n
+    assert diag.feedbacks == diag.iterations * model.n_links
 
 
 def test_kkt_grid_optimum_passes_loose_tolerance():
@@ -361,7 +358,7 @@ def test_solver_reuses_link_view_and_accepted_metrics_exactly(seed, n):
     # Loop reference for the seeded start (zero iterations return it): a
     # node without weighted links keeps a valid split and gets an even one
     # otherwise; a node with weighted links drops its unweighted ones.
-    seeded, _ = solve_max_weight(m, w, start, SolverConfig(), max_iterations=0)
+    seeded, _ = solve_max_weight(m, w, start, SolverConfig(max_iterations=0))
     for out in (np.flatnonzero(m.src == i) for i in range(m.n)):
         if np.any(w[out] > 0):
             assert np.all(seeded.alloc[out][w[out] == 0] == 0.0)
@@ -511,7 +508,7 @@ def test_lockstep_rejects_malformed_weights():
 # to ``why``: the round after which it stopped and why.
 
 def _sequential_sweep(model, links, state, metrics, delta_alloc, config, beta0, why):
-    """``_lockstep_sweep`` (and ``alloc_sweep`` at one row), round by round."""
+    """``alloc_sweep``, round by round."""
     rows, n = links.rows, model.n
     a, d, invq = solver._sweep_terms(links, state.alloc, delta_alloc, config)
     out = state.alloc.copy()
@@ -609,24 +606,17 @@ def _as_bytes(x):
 def _checked_ladders(mp, seen):
     """Route the solver's ladders through a comparison with the references;
     ``seen`` collects, per kind of ladder, the references' (round, reason)."""
-    blocked_sweep, blocked_lockstep = solver.alloc_sweep, solver._lockstep_sweep
-    blocked_power = solver._lockstep_power_step
+    blocked_sweep, blocked_power = solver.alloc_sweep, solver._lockstep_power_step
 
-    def sweep(model, ws, state, metrics, delta_alloc, config, beta0=None):
-        why = []
-        out, evals, beta = _sequential_sweep(model, ws, state, metrics, delta_alloc, config,
-                                             beta0, why)
-        got = blocked_sweep(model, ws, state, metrics, delta_alloc, config, beta0)
-        assert _as_bytes(got) == _as_bytes((out, int(evals[0]), beta))
-        seen.setdefault("sweep", []).extend(why)
-        return got
-
-    def lockstep_sweep(model, links, state, metrics, delta_alloc, config, beta0):
+    def sweep(model, links, state, metrics, delta_alloc, config, beta0=None):
         why = []
         want = _sequential_sweep(model, links, state, metrics, delta_alloc, config, beta0, why)
-        got = blocked_lockstep(model, links, state, metrics, delta_alloc, config, beta0)
+        got = blocked_sweep(model, links, state, metrics, delta_alloc, config, beta0)
         assert _as_bytes(got) == _as_bytes(want)
-        seen.setdefault("lockstep sweep", []).append(why)
+        if links.rows == 1:
+            seen.setdefault("sweep", []).extend(why)
+        else:
+            seen.setdefault("lockstep sweep", []).append(why)
         return got
 
     def power_step(model, links, state, config, xi0):
@@ -638,7 +628,6 @@ def _checked_ladders(mp, seen):
         return got
 
     mp.setattr(solver, "alloc_sweep", sweep)
-    mp.setattr(solver, "_lockstep_sweep", lockstep_sweep)
     mp.setattr(solver, "_lockstep_power_step", power_step)
 
 
