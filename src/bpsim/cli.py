@@ -249,13 +249,13 @@ def cmd_verify(args) -> int:
     eps = args.epsilon
     if eps is None:
         eps = estimate_epsilon(oracle, a, rng, samples=args.eps_samples)
-        print(f"estimated interior margin eps = {eps:.6g}")
+        print(f"estimated interior margin eps = {float(eps)!r}")
     if eps <= 0:
         raise ConfigError("arrival point has no positive interior margin")
     report = check_drift_condition(oracle, a, eps, lam, args.eps0, lyap, flat, rng,
                                    direction_samples=args.direction_samples)
     out.write_text(report.to_csv(), encoding="utf-8", newline="\n")
-    print(f"checked {len(report.checked)} slots above omega={report.omega:.6g}; "
+    print(f"checked {len(report.checked)} slots above omega={report.omega!r}; "
           f"{report.violations} violations")
     return 0
 

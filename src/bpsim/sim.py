@@ -262,22 +262,21 @@ def trace_to_csv(trace: SimTrace, per_queue: bool = False) -> str:
     """
     header = ["slot", "total_backlog", "V", "realized_drift", "drift_bound",
               "drift_bound_nominal", "lambda_term"]
-    nq = trace.backlog.shape[1] * trace.backlog.shape[2]
     if per_queue:
         n, nk = trace.backlog.shape[1], trace.backlog.shape[2]
         header += [f"u_{i}_{k}" for i in range(n) for k in range(nk)]
     lines = [",".join(header)]
     flat = trace.queue_vectors()
+    # Cells come from tolist(), a row at a time so that only one row's
+    # Python floats are alive: repr of a Python float is repr(float(x)).
+    head = np.column_stack([trace.total_backlog, trace.lyapunov]).tolist()
+    drift = np.column_stack([trace.drift, trace.drift_bound, trace.drift_bound_nominal,
+                             trace.lambda_term]).tolist()
     for t in range(trace.slots + 1):
-        row = [str(t), repr(float(trace.total_backlog[t])), repr(float(trace.lyapunov[t]))]
-        if t < trace.slots:
-            row += [repr(float(trace.drift[t])), repr(float(trace.drift_bound[t])),
-                    repr(float(trace.drift_bound_nominal[t])),
-                    repr(float(trace.lambda_term[t]))]
-        else:
-            row += ["", "", "", ""]
+        row = [str(t), *map(repr, head[t])]
+        row += map(repr, drift[t]) if t < trace.slots else ["", "", "", ""]
         if per_queue:
-            row += [repr(float(x)) for x in flat[t]]
+            row += map(repr, flat[t].tolist())
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

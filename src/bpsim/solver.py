@@ -42,6 +42,10 @@ from .phy import (
 # Safeguards under the diagonal scaling matrices.
 SCALE_EPS = 1e-8
 _MIN_STEP = 1e-14
+# An Armijo trial that fails while predicting a gain of at most this fraction
+# of its start objective ends its ladder: the objective's difference is
+# rounding noise there, and halving further only compares noise.
+_ROUNDING_FLOOR = 1e-15
 _MAX_BACKTRACKS = 80
 # Rounds of an allocation sweep's or lockstep power step's Armijo ladder
 # evaluated one by one; the rest are evaluated as one block (_ladder_outcome).
@@ -232,24 +236,37 @@ def _halvings(first: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
     return steps, np.where(below[-1], below.argmax(axis=0) + 1, rounds)
 
 
-def _ladder_outcome(ok: np.ndarray, trials: np.ndarray, groups: int
+def _armijo_test(f1: np.ndarray, f0: np.ndarray, gain: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each trial passes the Armijo test, and whether it fails at the
+    rounding floor: its predicted gain is at most ``_ROUNDING_FLOOR * |f0|``,
+    so its ladder ends without accepting."""
+    ok = f1 - f0 >= ARMIJO_SIGMA * gain
+    return ok, ~ok & (gain <= _ROUNDING_FLOOR * np.abs(f0))
+
+
+def _ladder_outcome(ok: np.ndarray, flat: np.ndarray, trials: np.ndarray, groups: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What sequential Armijo ladders make of trials evaluated as one block.
 
     The k items (nodes or rows) form ``groups`` equal runs, each sharing a
     ladder: every round tries the group's items still waiting, and the group
-    stops after the first round at which each of them has accepted or made
-    its ``trials`` (floor, zero move or cap, whichever comes first; 0 for
-    items not in the ladder).  ``ok`` (J, k) holds whether trial j of item k
-    passes the Armijo test, False where it was not evaluated.
+    stops after the first round at which each of them has accepted, failed
+    at the rounding floor or made its ``trials`` (floor, zero move or cap,
+    whichever comes first; 0 for items not in the ladder).  ``ok`` (J, k)
+    holds whether trial j of item k passes the Armijo test and ``flat``
+    whether it fails at the rounding floor (``_armijo_test``), both False
+    where it was not evaluated.
 
-    Returns each item's first passing trial (J if none), each group's last
-    round (``stop + 1`` trials were evaluated) and which items accepted
-    before their group stopped.
+    Returns each item's first passing or flat trial (J if none), each
+    group's last round (``stop + 1`` trials were evaluated) and which items
+    accepted before their group stopped.
     """
-    first = np.where(ok.any(axis=0), ok.argmax(axis=0), ok.shape[0])
+    end = ok | flat
+    first = np.where(end.any(axis=0), end.argmax(axis=0), ok.shape[0])
     stop = np.minimum(first, trials - 1).reshape(groups, -1).max(axis=1)
-    return first, stop, first <= np.repeat(stop, first.size // groups)
+    passed = ok[np.minimum(first, ok.shape[0] - 1), np.arange(first.size)]
+    return first, stop, passed & (first <= np.repeat(stop, first.size // groups))
 
 
 def _sweep_block(links: WeightedLinks, a: np.ndarray, d: np.ndarray, invq: np.ndarray,
@@ -286,8 +303,8 @@ def _sweep_block(links: WeightedLinks, a: np.ndarray, d: np.ndarray, invq: np.nd
                        minlength=depth * size).reshape(depth, size)
     node_trials = np.zeros(size, dtype=np.intp)
     node_trials[nodes] = trials
-    first, stop, took = _ladder_outcome((f1 - f0 >= ARMIJO_SIGMA * gain) & waiting,
-                                        node_trials, links.rows)
+    ok, flat = _armijo_test(f1, f0, gain)
+    first, stop, took = _ladder_outcome(ok & waiting, flat & waiting, node_trials, links.rows)
     beta = beta.copy()
     beta[took] = steps[first[took], col[took]]
     lk = np.flatnonzero(took[links.src])
@@ -304,8 +321,9 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     Returns the new allocations, (B,) local objective evaluations spent in
     line searches, and the per-node accepted stepsizes (callers may feed
     them back as the next sweep's ``beta0``).  Every node runs its own
-    Armijo ladder; a problem stops once it has no waiting node or the
-    largest stepsize among them is below the floor.  Stopped problems are
+    Armijo ladder, which ends when a trial passes or fails at the rounding
+    floor (``_armijo_test``); a problem stops once it has no waiting node or
+    the largest stepsize among them is below the floor.  Stopped problems are
     still computed but change nothing.  Rounds after the first
     ``_SEQUENTIAL_ROUNDS`` are evaluated as one block (``_sweep_block``),
     bit for bit as round by round.
@@ -338,9 +356,12 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
         f1 = local(x)
         evals += live
         gain = np.bincount(links.src, weights=grad * (x - a), minlength=rows * n)
-        newly = (f1 - f0 >= ARMIJO_SIGMA * gain) & waiting
-        x_out = np.where(newly[links.src], x, x_out)
-        waiting ^= newly
+        ok, flat = _armijo_test(f1, f0, gain)
+        x_out = np.where((ok & waiting)[links.src], x, x_out)
+        # A node that fails at the rounding floor leaves without accepting
+        # and restarts from the cap.
+        beta = np.where(flat & waiting, cap, beta)
+        waiting &= ~(ok | flat)
         if not waiting.any():
             break
         beta = np.where(waiting, beta * ARMIJO_SHRINK, beta)
@@ -448,7 +469,8 @@ def power_step(model: NetworkModel, ws: WeightedLinks, state: PowerState,
     Returns (new exponents, link metrics and objective at the accepted point,
     objective evaluations, accepted stepsize to seed the next call).  The
     accepted point is the accepted line-search trial, or the start when the
-    step does not move.
+    step does not move or a trial fails at the rounding floor (see
+    ``_armijo_test``).
     """
     if metrics is None:
         metrics = link_metrics(model, state)
@@ -473,8 +495,11 @@ def power_step(model: NetworkModel, ws: WeightedLinks, state: PowerState,
         met, f1 = _trial(model, ws.w, ws.act, state.alloc, new)
         f1 = float(f1[0])
         evals += 1
-        if f1 - f0 >= ARMIJO_SIGMA * float(np.dot(grad, move)):
+        slope = float(np.dot(grad, move))
+        if f1 - f0 >= ARMIJO_SIGMA * slope:
             return new, met, f1, evals, min(2.0 * xi, ARMIJO_INITIAL)
+        if slope <= _ROUNDING_FLOOR * abs(f0):
+            break
         xi *= ARMIJO_SHRINK
         if xi < _MIN_STEP:
             break
@@ -782,7 +807,7 @@ def _lockstep_power_step(model: NetworkModel, links: WeightedLinks, state: Power
         act = (act_rows[at] - n_links * (at - np.arange(at.size))[:, None]).reshape(-1)
         met, f1 = _trial(model, w[at].reshape(-1), act, alloc[at].reshape(-1), new.reshape(-1))
         slope = np.matmul(grad[at][:, None, :], move[:, :, None]).reshape(-1)
-        return met, f1, f1 - f0[at] >= ARMIJO_SIGMA * slope
+        return (met, f1, *_armijo_test(f1, f0[at], slope))
 
     def keep(took: np.ndarray, pick, new: np.ndarray, f1: np.ndarray, met: LinkMetrics,
              xi_took: np.ndarray) -> None:
@@ -812,15 +837,17 @@ def _lockstep_power_step(model: NetworkModel, links: WeightedLinks, state: Power
             if not j.size:
                 break
             try:
-                met, f1, passed = evaluate(live[k], new[j, k], move[j, k])
+                met, f1, passed, noise = evaluate(live[k], new[j, k], move[j, k])
             except NumericDomainError:
                 # A trial the ladder may never reach failed: the rounds below
                 # raise where, and as, the sequential ladder does.
                 pass
             else:
                 ok = np.zeros(laid.shape, dtype=bool)
+                flat = np.zeros(laid.shape, dtype=bool)
                 ok[j, k] = passed
-                first, stop, took = _ladder_outcome(ok, trials, live.size)
+                flat[j, k] = noise
+                first, stop, took = _ladder_outcome(ok, flat, trials, live.size)
                 evals[live] += stop + 1
                 pair = (np.cumsum(laid.reshape(-1)) - 1).reshape(laid.shape)
                 cols = np.flatnonzero(took)
@@ -833,11 +860,11 @@ def _lockstep_power_step(model: NetworkModel, links: WeightedLinks, state: Power
         live, new, move = live[moves], new[moves], move[moves]
         if not live.size:
             break
-        met, f1, ok = evaluate(live, new, move)
+        met, f1, ok, flat = evaluate(live, new, move)
         evals[live] += 1
         took = live[ok]
         keep(took, ok, new, f1, met, xi[took])
-        live = live[~ok]
+        live = live[~(ok | flat)]
         xi[live] *= ARMIJO_SHRINK
         live = live[~(xi[live] < _MIN_STEP)]
         if not live.size:

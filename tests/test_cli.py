@@ -138,9 +138,25 @@ def test_verify_empty_trace_empty_report(run_dir, tmp_path):
     assert report.read_text().strip() == "slot,V,omega,lhs,violation"
 
 
-def test_verify_stable_trace_no_violations(run_dir, tmp_path):
+def test_verify_stable_trace_no_violations(run_dir, tmp_path, capsys, monkeypatch):
+    """No violations; the printed margin and omega read back to their exact values."""
+    import bpsim.cli
+    from bpsim import stability
+
     _, scen, out = run_dir
     report = tmp_path / "report.csv"
+    seen = {}
+
+    def estimate(*args, **kwargs):
+        seen["eps"] = stability.estimate_epsilon(*args, **kwargs)
+        return seen["eps"]
+
+    def check(*args, **kwargs):
+        seen["report"] = stability.check_drift_condition(*args, **kwargs)
+        return seen["report"]
+
+    monkeypatch.setattr(bpsim.cli, "estimate_epsilon", estimate)
+    monkeypatch.setattr(bpsim.cli, "check_drift_condition", check)
     code = main(["verify", "--scenario", str(scen),
                  "--trace", str(out / "trace_iter-conv_run0.csv"),
                  "--out", str(report), "--eps-samples", "12",
@@ -149,6 +165,9 @@ def test_verify_stable_trace_no_violations(run_dir, tmp_path):
     lines = report.read_text().strip().split("\n")
     violations = sum(int(l.split(",")[-1]) for l in lines[1:])
     assert violations == 0
+    printed = capsys.readouterr().out
+    assert f"eps = {float(seen['eps'])!r}\n" in printed
+    assert f"omega={seen['report'].omega!r};" in printed
 
 
 def test_verify_requires_per_queue_columns(run_dir, tmp_path):

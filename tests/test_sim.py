@@ -234,6 +234,52 @@ def test_trace_csv_shape_and_stability():
     assert text == trace_to_csv(tr, per_queue=True)
 
 
+def _per_cell_csv(trace, per_queue=False):
+    """``trace_to_csv`` one ``repr(float(x))`` per cell: the reference its
+    row-wise rendering must match byte for byte."""
+    header = ["slot", "total_backlog", "V", "realized_drift", "drift_bound",
+              "drift_bound_nominal", "lambda_term"]
+    if per_queue:
+        n, nk = trace.backlog.shape[1], trace.backlog.shape[2]
+        header += [f"u_{i}_{k}" for i in range(n) for k in range(nk)]
+    lines = [",".join(header)]
+    flat = trace.queue_vectors()
+    for t in range(trace.slots + 1):
+        row = [str(t), repr(float(trace.total_backlog[t])), repr(float(trace.lyapunov[t]))]
+        if t < trace.slots:
+            row += [repr(float(trace.drift[t])), repr(float(trace.drift_bound[t])),
+                    repr(float(trace.drift_bound_nominal[t])),
+                    repr(float(trace.lambda_term[t]))]
+        else:
+            row += ["", "", "", ""]
+        if per_queue:
+            row += [repr(float(x)) for x in flat[t]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("per_queue", [False, True])
+def test_trace_csv_equals_per_cell_rendering(per_queue):
+    """Byte for byte the per-cell rendering, on a simulated trace and on one
+    whose cells hold signed zeros, infinities, NaN, tiny and huge values."""
+    import dataclasses
+
+    sc = generate_scenario(5, 3.0, seed=6)
+    tr = run_simulation(sc, "iter-once", 12, _quick_config(), seed=0)
+    assert trace_to_csv(tr, per_queue) == _per_cell_csv(tr, per_queue)
+    rng = np.random.default_rng(3)
+    odd = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 0.1, 1 / 3, 1e16])
+
+    def cells(shape):
+        return np.where(rng.random(shape) < 0.5, rng.choice(odd, shape),
+                        rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape))
+
+    fields = ("backlog", "total_backlog", "lyapunov", "drift", "drift_bound",
+              "drift_bound_nominal", "lambda_term")
+    weird = dataclasses.replace(tr, **{f: cells(getattr(tr, f).shape) for f in fields})
+    assert trace_to_csv(weird, per_queue) == _per_cell_csv(weird, per_queue)
+
+
 class _Failing:
     """Scheme stand-in whose step raises a given exception."""
 

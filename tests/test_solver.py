@@ -504,17 +504,22 @@ def test_lockstep_rejects_malformed_weights():
 #
 # The Armijo ladders one trial round after another, as they ran before
 # their tails were evaluated as one block: the references the solver's
-# ladders must match bit for bit.  Each appends (round, reason) per ladder
-# to ``why``: the round after which it stopped and why.
+# ladders must match bit for bit.  A trial that fails while predicting a
+# gain of at most ``_ROUNDING_FLOOR * |f0|`` ends its ladder without
+# accepting.  Each appends (round, reason) per ladder to ``why``: the round
+# after which it stopped and why.
 
 def _sequential_sweep(model, links, state, metrics, delta_alloc, config, beta0, why):
-    """``alloc_sweep``, round by round."""
+    """``alloc_sweep``, round by round.  A problem whose last waiting nodes
+    leave in a round in which one of them fails at the rounding floor
+    stops for "rounding"."""
     rows, n = links.rows, model.n
     a, d, invq = solver._sweep_terms(links, state.alloc, delta_alloc, config)
     out = state.alloc.copy()
     local, f0, grad, cap, beta = solver._armijo_terms(links, metrics, a, d, beta0)
     evals = np.ones(rows, dtype=int)
     accepted = ~links.has_active
+    left = np.zeros_like(accepted)          # failed at the rounding floor
     x_out = a
     searching = np.ones(rows, dtype=bool)
     for r in range(solver._MAX_BACKTRACKS):
@@ -523,16 +528,22 @@ def _sequential_sweep(model, links, state, metrics, delta_alloc, config, beta0, 
         f1 = local(x)
         evals += searching
         gain = np.bincount(links.src, weights=grad * (x - a), minlength=rows * n)
-        newly = (f1 - f0 >= solver.ARMIJO_SIGMA * gain) & ~accepted & np.repeat(searching, n)
+        waiting = ~accepted & ~left & np.repeat(searching, n)
+        passed = f1 - f0 >= solver.ARMIJO_SIGMA * gain
+        newly = passed & waiting
+        flat = ~passed & (gain <= solver._ROUNDING_FLOOR * np.abs(f0)) & waiting
         x_out = np.where(newly[links.src], x, x_out)
         accepted |= newly
-        done = searching & accepted.reshape(rows, n).all(axis=1)
+        left |= flat
+        done = searching & (accepted | left).reshape(rows, n).all(axis=1)
+        rounding = done & flat.reshape(rows, n).any(axis=1)
         searching &= ~done
-        beta = np.where(accepted, beta, beta * solver.ARMIJO_SHRINK)
-        floor = searching & (np.where(accepted, 0.0, beta).reshape(rows, n).max(axis=1)
+        beta = np.where(accepted | left, beta, beta * solver.ARMIJO_SHRINK)
+        floor = searching & (np.where(accepted | left, 0.0, beta).reshape(rows, n).max(axis=1)
                              < solver._MIN_STEP)
         searching &= ~floor
-        why += [(r, "accepted")] * int(done.sum()) + [(r, "floor")] * int(floor.sum())
+        why += ([(r, "accepted")] * int((done & ~rounding).sum())
+                + [(r, "rounding")] * int(rounding.sum()) + [(r, "floor")] * int(floor.sum()))
         if not searching.any():
             break
     why += [(solver._MAX_BACKTRACKS - 1, "cap")] * int(searching.sum())
@@ -573,14 +584,15 @@ def _sequential_power_step(model, links, state, config, xi0, why):
         evals[live] += 1
         slope = np.matmul(grad[live][:, None, :], move[:, :, None]).reshape(-1)
         ok = f1 - f0[live] >= solver.ARMIJO_SIGMA * slope
+        flat = ~ok & (slope <= solver._ROUNDING_FLOOR * np.abs(f0[live]))
         took = live[ok]
         out_expo[took] = new[ok]
         out_f[took] = f1[ok]
         xi_next[took] = np.minimum(2.0 * xi[took], solver.ARMIJO_INITIAL)
         for f, a in vars(met).items():
             getattr(out_metrics, f).reshape(rows, -1)[took] = a.reshape(live.size, -1)[ok]
-        why += [(r, "accepted")] * int(ok.sum())
-        live = live[~ok]
+        why += [(r, "accepted")] * int(ok.sum()) + [(r, "rounding")] * int(flat.sum())
+        live = live[~(ok | flat)]
         xi[live] *= solver.ARMIJO_SHRINK
         floor = xi[live] < solver._MIN_STEP
         why += [(r, "floor")] * int(floor.sum())
@@ -631,10 +643,11 @@ def _checked_ladders(mp, seen):
     mp.setattr(solver, "_lockstep_power_step", power_step)
 
 
-def _solve_checked(seed, n, cap, min_step, tolerance):
+def _solve_checked(seed, n, cap, min_step, tolerance, rounding=solver._ROUNDING_FLOOR):
     """Single and lockstep solves of random problems with every ladder
-    checked against its reference under a ``_MAX_BACKTRACKS`` of ``cap``
-    and a ``_MIN_STEP`` of ``min_step``; returns what the references saw."""
+    checked against its reference under a ``_MAX_BACKTRACKS`` of ``cap``,
+    a ``_MIN_STEP`` of ``min_step`` and a ``_ROUNDING_FLOOR`` of
+    ``rounding``; returns what the references saw."""
     rng = np.random.default_rng(seed)
     m = random_model(rng, n=n)
     # Rows sharing their weighted links advance in one lockstep batch.
@@ -646,6 +659,7 @@ def _solve_checked(seed, n, cap, min_step, tolerance):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_MAX_BACKTRACKS", cap)
         mp.setattr(solver, "_MIN_STEP", min_step)
+        mp.setattr(solver, "_ROUNDING_FLOOR", rounding)
         _checked_ladders(mp, seen)
         single = [_fingerprint(*solve_max_weight(m, w, start, config)) for w in rows[:2]]
         batch = solve_max_weight_batch(m, rows, start, config)
@@ -657,34 +671,44 @@ def _solve_checked(seed, n, cap, min_step, tolerance):
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
        cap=strategies.sampled_from([80, 80, 3, 6, 20]),
        min_step=strategies.sampled_from([1e-14, 1e-14, 1e-4]),
-       tolerance=strategies.sampled_from([1e-9, 1e-12]))
-def test_blocked_ladders_equal_sequential_ladders(seed, n, cap, min_step, tolerance):
+       tolerance=strategies.sampled_from([1e-9, 1e-12]),
+       rounding=strategies.sampled_from([1e-15, 1e-15, 0.0, 0.03]))
+def test_blocked_ladders_equal_sequential_ladders(seed, n, cap, min_step, tolerance, rounding):
     """States, evaluations, stepsizes, metrics and objectives of every
     ladder are bit for bit the round-by-round ones."""
-    _solve_checked(seed, n, cap, min_step, tolerance)
+    _solve_checked(seed, n, cap, min_step, tolerance, rounding)
 
 
 def test_blocked_ladders_cover_every_stop():
     """Fixed problems on which the blocked tails meet every way a ladder
     stops, and lockstep rows that stop in different rounds of one block.
-    On these problems a power ladder's exponents stop moving before its
-    stepsize reaches 1e-14, so a raised floor stands in for that stop."""
+    Ladders stopped at the rounding floor rarely reach the other stops, so
+    a rounding floor of 0 lets them run on.  On these problems a power
+    ladder's exponents stop moving before its stepsize reaches 1e-14, and
+    its predicted gain is rounding noise only within its first rounds, so
+    a raised ``_MIN_STEP`` and a raised rounding floor stand in for those
+    stops."""
     seen = {}
-    for seed, n, cap, min_step in ((7, 5, 80, 1e-14), (11, 8, 80, 1e-14), (3, 4, 6, 1e-14),
-                                   (3, 4, 80, 1e-4)):
-        for kind, why in _solve_checked(seed, n, cap, min_step, 1e-12).items():
+    for seed, n, cap, min_step, rounding in ((7, 5, 80, 1e-14, 0.0), (11, 8, 80, 1e-14, 0.0),
+                                             (3, 4, 6, 1e-14, 0.0), (3, 4, 80, 1e-4, 0.0),
+                                             (9, 4, 80, 1e-14, 0.03)):
+        for kind, why in _solve_checked(seed, n, cap, min_step, 1e-12, rounding).items():
             seen.setdefault(kind, []).extend(why)
     tail = solver._SEQUENTIAL_ROUNDS
 
     def reasons(calls):
         return {reason for r, reason in calls if r >= tail}
 
-    assert reasons(seen["sweep"]) == {"accepted", "floor", "cap"}
-    assert reasons(sum(seen["lockstep sweep"], [])) == {"accepted", "floor", "cap"}
-    assert reasons(sum(seen["lockstep power step"], [])) == {"accepted", "floor", "cap",
-                                                             "zero move"}
+    every = {"accepted", "floor", "cap", "rounding"}
+    assert reasons(seen["sweep"]) == every
+    assert reasons(sum(seen["lockstep sweep"], [])) == every
+    assert reasons(sum(seen["lockstep power step"], [])) == every | {"zero move"}
     lockstep = seen["lockstep sweep"] + seen["lockstep power step"]
     assert any(len({r for r, _ in why if r >= tail}) > 1 for why in lockstep)
+    # The sweeps meet the rounding floor itself, single and lockstep.
+    at_floor = _solve_checked(2, 8, 6, 1e-14, 1e-12)
+    assert "rounding" in reasons(at_floor["sweep"])
+    assert "rounding" in reasons(sum(at_floor["lockstep sweep"], []))
 
 
 def test_blocked_power_ladder_raises_only_where_the_sequential_one_does():
@@ -692,7 +716,9 @@ def test_blocked_power_ladder_raises_only_where_the_sequential_one_does():
     with the same error exactly when the round-by-round ladder reaches it."""
     from bpsim.errors import NumericDomainError
 
-    rng = np.random.default_rng(7)
+    # A problem on which a power ladder reaches its block and the block
+    # evaluates trials the ladder never reaches.
+    rng = np.random.default_rng(0)
     m = random_model(rng, n=5)
     mask = random_weights(rng, m) > 0
     rows = np.array([np.where(mask, rng.random(m.n_links) * 10.0, 0.0) for _ in range(4)])
@@ -742,3 +768,59 @@ def test_blocked_power_ladder_raises_only_where_the_sequential_one_does():
             spared += 1
             assert evaluated(blocked, args, extra.pop())[1] == ref_out
     assert reached and spared
+
+
+# ------------------------------------------------ the rounding floor
+
+def _ascent_checked(mp, drops):
+    """Route every sweep and power step, single and lockstep, through a
+    strict check that no accepted step lowers its objective: a node's local
+    objective in the sweep, a problem's objective in the power step.
+    ``drops`` collects (kind, amount) for each that does."""
+    sweep, single, lockstep = solver.alloc_sweep, solver.power_step, solver._lockstep_power_step
+
+    def checked_sweep(model, links, state, metrics, delta_alloc, config, beta0=None):
+        out = sweep(model, links, state, metrics, delta_alloc, config, beta0)
+        a, d, _ = solver._sweep_terms(links, state.alloc, delta_alloc, config)
+        local, f0, *_ = solver._armijo_terms(links, metrics, a, d, beta0)
+        f1 = local(out[0][links.act])
+        drops.extend(("sweep", float(x)) for x in (f0 - f1)[f1 < f0])
+        return out
+
+    def checked_power_step(model, ws, state, config, xi0=None):
+        out = single(model, ws, state, config, xi0=xi0)
+        _, f0 = solver._trial(model, ws.w, ws.act, state.alloc, state.exponent)
+        if out[2] < f0[0]:
+            drops.append(("power step", float(f0[0] - out[2])))
+        return out
+
+    def checked_lockstep(model, links, state, config, xi0):
+        out = lockstep(model, links, state, config, xi0)
+        _, f0 = solver._trial(model, links.w, links.act, state.alloc, state.exponent)
+        drops.extend(("lockstep power step", float(x)) for x in (f0 - out[2])[out[2] < f0])
+        return out
+
+    mp.setattr(solver, "alloc_sweep", checked_sweep)
+    mp.setattr(solver, "power_step", checked_power_step)
+    mp.setattr(solver, "_lockstep_power_step", checked_lockstep)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8))
+def test_no_accepted_step_lowers_its_objective(seed, n):
+    """Warm-started near the optimum, where most trials compare rounding
+    noise, no accepted sweep or power step of a single or lockstep solve
+    lowers its objective, not even in the last bit."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n=n)
+    w = random_weights(rng, m)
+    near, _ = solve_max_weight(m, w, phy.random_power_state(m, rng))
+    # Rows sharing the weighted links of ``w``, each near its own optimum.
+    rows = np.array([w * (1.0 + 1e-9 * rng.random(m.n_links)) for _ in range(3)])
+    config = SolverConfig(kkt_tolerance=1e-14, max_iterations=40)
+    drops = []
+    with pytest.MonkeyPatch.context() as mp:
+        _ascent_checked(mp, drops)
+        solve_max_weight(m, w, near, config)
+        solve_max_weight_batch(m, rows, near, config)
+    assert drops == []
