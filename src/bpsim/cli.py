@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
     eps = args.epsilon
     if eps is None:
         eps = estimate_epsilon(oracle, a, rng, samples=args.eps_samples)
-        print(f"estimated interior margin eps = {float(eps)!r}")
+        print(f"sampled upper bound on the interior margin eps = {float(eps)!r}")
     if eps <= 0:
         raise ConfigError("arrival point has no positive interior margin")
     report = check_drift_condition(oracle, a, eps, lam, args.eps0, lyap, flat, rng,
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trace", required=True)
     v.add_argument("--out", required=True)
     v.add_argument("--epsilon", type=float, default=None,
-                   help="interior margin; estimated from the region if omitted")
+                   help="interior margin; defaults to a sampled upper bound from the region")
     v.add_argument("--eps0", type=float, default=1.0)
     v.add_argument("--eps-samples", type=int, default=48)
     v.add_argument("--direction-samples", type=int, default=16)

@@ -163,11 +163,6 @@ def link_metrics(model: NetworkModel, state: PowerState) -> LinkMetrics:
     return link_metrics_from_powers(model, link_powers(model, state))
 
 
-def shannon_capacity(metrics: LinkMetrics) -> np.ndarray:
-    """Exact log(1 + SINR) capacities, kept as a diagnostic."""
-    return np.log1p(metrics.sinr)
-
-
 def row_objectives(w: np.ndarray, act: np.ndarray, metrics: LinkMetrics,
                    rows: int = 1) -> np.ndarray:
     """(rows,) weighted sum rate of each of ``rows`` problems laid end to end.
@@ -191,10 +186,6 @@ def objective_from_metrics(weights: "np.ndarray", metrics: LinkMetrics) -> float
     """
     act = np.flatnonzero(weights > 0)
     return float(row_objectives(weights[act], act, metrics)[0])
-
-
-def objective_value(model: NetworkModel, weights: np.ndarray, state: PowerState) -> float:
-    return objective_from_metrics(weights, link_metrics(model, state))
 
 
 @dataclass
@@ -305,28 +296,3 @@ def power_marginal_parts(model: NetworkModel, weights: np.ndarray, state: PowerS
     ``marginal_gains``.  Links without positive weight contribute nothing."""
     _, up, down = marginal_gains(model, weighted_links(model, weights), state.alloc, metrics)
     return up, down
-
-
-def power_marginal_gain(model: NetworkModel, weights: np.ndarray, state: PowerState,
-                        metrics: LinkMetrics) -> np.ndarray:
-    """Power-control marginal gain per node.
-
-    The objective gradient with respect to the power exponent of node i is
-    ``model.log_power_cap[i]`` times this quantity.
-    """
-    up, down = power_marginal_parts(model, weights, state, metrics)
-    return metrics.node_power * (up - down)
-
-
-def alloc_grad_full(model: NetworkModel, weights: np.ndarray, state: PowerState,
-                    metrics: LinkMetrics) -> np.ndarray:
-    """Full (E,) dF/d(alloc), treating allocations as free coordinates.
-
-    Per link: P_i * (delta_alloc - c_i) with a per-node constant c_i, so on
-    the allocation simplex only the marginal-gain differences matter.
-    """
-    links = weighted_links(model, weights)
-    delta_alloc = _alloc_gains(model, links, metrics)
-    own, down = _pressures(model, links, metrics)
-    common = down + (model.theta - 1.0) * own
-    return metrics.node_power[model.src] * (delta_alloc - common[model.src])

@@ -3,9 +3,8 @@
 Each node repeatedly improves its own variables: the allocation fractions
 over its outgoing links (projected onto the simplex under a diagonal norm)
 and its power exponent (clamped to a box).  A backtracking (Armijo) rule
-makes every accepted step non-decreasing in the weighted sum rate; a fixed
-stepsize mode emulates a fully distributed deployment.  Optimality is
-certified by the marginal-gain conditions: per node, the allocation gains
+makes every accepted step non-decreasing in the weighted sum rate.
+Optimality is certified by the marginal-gain conditions: per node, the allocation gains
 are equalized across its weighted links and the power gain vanishes unless
 the exponent sits at its cap.
 
@@ -30,7 +29,7 @@ from .phy import (
     LinkMetrics,
     PowerState,
     WeightedLinks,
-    alloc_marginal_gain,
+    alloc_marginal_gain,  # noqa: F401  (not called here; bench/tracer.py wraps it)
     end_to_end,
     link_metrics,
     link_metrics_from_powers,
@@ -66,18 +65,10 @@ RESEED_FRACTION = 0.05
 
 @dataclass
 class SolverConfig:
-    """Iteration budget, certificate tolerance and stepsize/scaling variant.
-
-    The default variant is the Armijo line search under diagonal-Hessian
-    scaling.  ``stepsize_rule="fixed"`` takes ``fixed_step`` without any
-    objective evaluation, as a fully distributed deployment would.
-    """
+    """Iteration budget and certificate tolerance of one solve."""
 
     max_iterations: int = 400
     kkt_tolerance: float = 1e-6
-    stepsize_rule: str = "armijo"           # "armijo" | "fixed"
-    fixed_step: float = 0.5
-    scaling: str = "diagonal_hessian"       # "diagonal_hessian" | "identity"
 
     def __post_init__(self):
         # NaN fails the comparison, so it is rejected with the infinities.
@@ -86,26 +77,6 @@ class SolverConfig:
                               f"got {self.kkt_tolerance!r}")
         if self.max_iterations < 0:
             raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
-        if self.stepsize_rule not in ("armijo", "fixed"):
-            raise ConfigError(f"unknown stepsize rule {self.stepsize_rule!r}")
-        if self.scaling not in ("diagonal_hessian", "identity"):
-            raise ConfigError(f"unknown scaling {self.scaling!r}")
-
-
-def project_simplex(target: np.ndarray, scale: np.ndarray | None = None,
-                    floor: float = 0.0) -> np.ndarray:
-    """Projection of one vector onto {x >= floor, sum x = 1} in a diagonal norm.
-
-    Minimizes sum(scale * (x - target)**2); the one-segment case of
-    ``_project_alloc_nodes``.
-    """
-    target = np.asarray(target, dtype=float)
-    m = target.size
-    if m * floor > 1.0 + 1e-15:
-        raise ConfigError(f"infeasible projection: {m} * floor {floor} > 1")
-    invq = np.ones(m) if scale is None else 1.0 / np.asarray(scale, dtype=float)
-    return _project_alloc_nodes(np.zeros(m, dtype=np.intp), np.array([float(m)]),
-                                target, invq, floor)
 
 
 def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray,
@@ -179,14 +150,12 @@ def _seed_state(model: NetworkModel, links: WeightedLinks, initial: PowerState) 
     return PowerState(alloc, exponent)
 
 
-def _sweep_terms(links: WeightedLinks, alloc: np.ndarray, delta_alloc: np.ndarray,
-                 config: SolverConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sweep_terms(links: WeightedLinks, alloc: np.ndarray, delta_alloc: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The weighted links' allocations and gains, and the allocation sweep's
     inverse diagonal scaling (w / a**2 approximates the curvature)."""
     a = alloc[links.act]
-    invq = (np.ones_like(a) if config.scaling == "identity"
-            else 1.0 / (links.w / (a * a) + SCALE_EPS))
-    return a, delta_alloc[links.act], invq
+    return a, delta_alloc[links.act], 1.0 / (links.w / (a * a) + SCALE_EPS)
 
 
 def _armijo_terms(links: WeightedLinks, metrics: LinkMetrics, a: np.ndarray, d: np.ndarray,
@@ -312,9 +281,8 @@ def _sweep_block(links: WeightedLinks, a: np.ndarray, d: np.ndarray, invq: np.nd
 
 
 def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
-                metrics: LinkMetrics, delta_alloc: np.ndarray, config: SolverConfig,
-                beta0: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+                metrics: LinkMetrics, delta_alloc: np.ndarray,
+                beta0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One allocation update for every node with weighted links, in each of
     the B problems of ``links``.
 
@@ -329,13 +297,8 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     bit for bit as round by round.
     """
     rows, n = links.rows, model.n
-    a, d, invq = _sweep_terms(links, state.alloc, delta_alloc, config)
+    a, d, invq = _sweep_terms(links, state.alloc, delta_alloc)
     out = state.alloc.copy()
-    if config.stepsize_rule == "fixed":
-        target = a + config.fixed_step * d * invq
-        out[links.act] = _project_alloc_nodes(links.src, links.m_node, target, invq, ETA_FLOOR)
-        return out, np.zeros(rows, dtype=int), None
-
     local, f0, grad, cap, beta = _armijo_terms(links, metrics, a, d, beta0)
     evals = np.ones(rows, dtype=int)
     # The unaccepted nodes of the problems still searching, and those
@@ -397,8 +360,8 @@ def _curvature(links: WeightedLinks, metrics: LinkMetrics) -> np.ndarray:
 
 
 def _power_direction(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray,
-                     metrics: LinkMetrics, config: SolverConfig,
-                     delta_gamma: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     metrics: LinkMetrics, delta_gamma: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """(B*n,) power marginal gains, unless given, and the power step's
     diagonal scaling."""
     if delta_gamma is None:
@@ -406,8 +369,6 @@ def _power_direction(model: NetworkModel, links: WeightedLinks, alloc: np.ndarra
         delta_gamma = metrics.node_power * (up - down)
     if not np.isfinite(delta_gamma).all():
         raise NumericDomainError("non-finite power marginal gain")
-    if config.scaling == "identity":
-        return delta_gamma, np.ones(delta_gamma.size)
     return delta_gamma, np.maximum(model.log_power_cap * _curvature(links, metrics),
                                    SCALE_EPS).reshape(-1)
 
@@ -459,7 +420,6 @@ def _kkt_residuals(model: NetworkModel, weighted: np.ndarray, state: PowerState,
 # ------------------------------------------------------------ one problem
 
 def power_step(model: NetworkModel, ws: WeightedLinks, state: PowerState,
-               config: SolverConfig,
                metrics: LinkMetrics | None = None,
                delta_gamma: np.ndarray | None = None,
                xi0: float | None = None
@@ -474,15 +434,9 @@ def power_step(model: NetworkModel, ws: WeightedLinks, state: PowerState,
     """
     if metrics is None:
         metrics = link_metrics(model, state)
-    delta_gamma, v = _power_direction(model, ws, state.alloc, metrics, config, delta_gamma)
+    delta_gamma, v = _power_direction(model, ws, state.alloc, metrics, delta_gamma)
     gamma = state.exponent
     gfloor = model.gamma_floor
-
-    if config.stepsize_rule == "fixed":
-        new = np.clip(gamma + config.fixed_step * delta_gamma / v, gfloor, 1.0)
-        met, f = _trial(model, ws.w, ws.act, state.alloc, new)
-        return new, met, float(f[0]), 1, config.fixed_step
-
     f0 = float(row_objectives(ws.w, ws.act, metrics)[0])
     grad = model.log_power_cap * delta_gamma
     xi = ARMIJO_INITIAL if xi0 is None else min(xi0, ARMIJO_INITIAL)
@@ -504,19 +458,6 @@ def power_step(model: NetworkModel, ws: WeightedLinks, state: PowerState,
         if xi < _MIN_STEP:
             break
     return gamma.copy(), metrics, f0, evals, ARMIJO_INITIAL
-
-
-def alloc_step(model: NetworkModel, weights: np.ndarray, state: PowerState,
-               node: int, config: SolverConfig) -> PowerState:
-    """Allocation update for a single node; other nodes' variables untouched."""
-    own = np.where(model.src == node, weights, 0.0)
-    ws = weighted_links(model, own)
-    if not ws.has_active[node]:
-        return state.copy()
-    metrics = link_metrics(model, state)
-    delta = alloc_marginal_gain(model, weights, metrics)
-    alloc, _, _ = alloc_sweep(model, ws, state, metrics, delta, config)
-    return PowerState(alloc, state.exponent.copy())
 
 
 @dataclass
@@ -639,43 +580,23 @@ class SolveDiagnostics:
     metrics: LinkMetrics | None = None
 
 
-def _exact_repeat(start: tuple, end: tuple) -> bool:
-    """True when every solver variable (arrays, floats or None) ends bit for
-    bit as it started."""
-    return all(a is b or (a is not None and b is not None
-                          and np.asarray(a).tobytes() == np.asarray(b).tobytes())
-               for a, b in zip(start, end))
-
-
-
 def _record_iterate(model: NetworkModel, diag: SolveDiagnostics, stalled: int, f_after: float,
-                    evals: int, budget: int, repeated: Callable[[], bool]) -> tuple[int, int]:
-    """Book one iterate of one problem: its objective, residual and counts.
+                    evals: int) -> int:
+    """Book one iterate of one problem: its objective and counts.
 
     Floating point can pin the residual just above a very tight tolerance
     while the objective no longer moves at all; the solve then stops after
     ``_STALL_ITERATES`` such iterates rather than spin, leaving the
-    convergence flag honest.  An iterate that ends bit for bit where it
-    started (state and stepsizes; ``repeated`` tells, and is asked only when
-    the objective did not move) repeats itself exactly up to that stop, so
-    its repeats are recorded without being computed.  Returns the new stall
-    count and the number of iterates recorded.
+    convergence flag honest.  Returns the new stall count.
     """
-    reps = 1
-    if f_after != diag.objectives[-1]:
-        stalled = 0
-    else:
-        if repeated():
-            reps = min(_STALL_ITERATES - stalled, budget - diag.iterations)
-        stalled += reps
-    diag.objectives += [f_after] * reps
-    diag.kkt_residuals += diag.kkt_residuals[-1:] * (reps - 1)
-    diag.iterations += reps
-    diag.line_search_evals += reps * evals
+    stalled = stalled + 1 if f_after == diag.objectives[-1] else 0
+    diag.objectives.append(f_after)
+    diag.iterations += 1
+    diag.line_search_evals += evals
     # One protocol round per iteration in a distributed deployment.
-    diag.broadcasts += reps * model.n
-    diag.feedbacks += reps * model.n_links
-    return stalled, reps
+    diag.broadcasts += model.n
+    diag.feedbacks += model.n_links
+    return stalled
 
 
 def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerState,
@@ -718,24 +639,19 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
     stalled = 0
     while True:
         # The loop's certificate doubles as the budget-end one.
-        start = (state.alloc, state.exponent, beta0, xi0)
         gradient = marginal_gains(model, ws, state.alloc, metrics)
         report = kkt_check(model, weights, state, config.kkt_tolerance, metrics, gradient)
         diag.kkt_residuals.append(report.normalized)
         diag.converged = report.passed
         if report.passed or diag.iterations >= iters:
             break
-        new_alloc, evals, beta0 = alloc_sweep(model, ws, state, metrics,
-                                              gradient[0], config, beta0)
+        new_alloc, evals, beta0 = alloc_sweep(model, ws, state, metrics, gradient[0], beta0)
         state = PowerState(new_alloc, state.exponent)
-        new_gamma, metrics, f_after, pc_evals, xi0 = power_step(model, ws, state, config,
-                                                                xi0=xi0)
+        new_gamma, metrics, f_after, pc_evals, xi0 = power_step(model, ws, state, xi0=xi0)
         state = PowerState(state.alloc, new_gamma)
-        stalled, reps = _record_iterate(
-            model, diag, stalled, f_after, int(evals[0]) + pc_evals, iters,
-            lambda: _exact_repeat(start, (state.alloc, state.exponent, beta0, xi0)))
+        stalled = _record_iterate(model, diag, stalled, f_after, int(evals[0]) + pc_evals)
         if collect_rates:
-            diag.capacity_trace += [clipped(metrics) for _ in range(reps)]
+            diag.capacity_trace.append(clipped(metrics))
         if stalled >= _STALL_ITERATES:
             break
     diag.metrics = metrics
@@ -753,8 +669,8 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
 #
 # Both solves share alloc_sweep.  The power step and the solve loop below
 # keep per-row masks where the single solve stops on scalars.  They stay
-# separate: at B = 1 the lockstep power step costs 74% more per call than
-# power_step, and the lockstep loop around the scalar power step still 5%
+# separate: at B = 1 the lockstep power step costs 79-82% more per call than
+# power_step, and the lockstep loop around the scalar power step still 5-8%
 # more per solve (5- and 10-node networks, see README).
 
 
@@ -769,7 +685,7 @@ def _take_rows(x, rows: int, index):
 
 
 def _lockstep_power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
-                         config: SolverConfig, xi0: np.ndarray | None
+                         xi0: np.ndarray | None
                          ) -> tuple[np.ndarray, LinkMetrics, np.ndarray, np.ndarray, np.ndarray]:
     """``power_step`` per row: (exponents, metrics and objectives at the
     accepted points, evaluations, next first trials).
@@ -782,15 +698,9 @@ def _lockstep_power_step(model: NetworkModel, links: WeightedLinks, state: Power
     rows, n, n_links = links.rows, model.n, model.n_links
     metrics, f0 = _trial(model, links.w, links.act, state.alloc, state.exponent)
     delta_gamma, v = (x.reshape(rows, n) for x in
-                      _power_direction(model, links, state.alloc, metrics, config))
+                      _power_direction(model, links, state.alloc, metrics))
     gamma0 = state.exponent.reshape(rows, n)
     gfloor = model.gamma_floor
-
-    if config.stepsize_rule == "fixed":
-        new = np.clip(gamma0 + config.fixed_step * delta_gamma / v, gfloor, 1.0).reshape(-1)
-        return (new, *_trial(model, links.w, links.act, state.alloc, new),
-                np.ones(rows, dtype=int), np.full(rows, config.fixed_step))
-
     grad = model.log_power_cap * delta_gamma
     xi = np.full(rows, ARMIJO_INITIAL) if xi0 is None else np.minimum(xi0, ARMIJO_INITIAL)
     evals = np.zeros(rows, dtype=int)
@@ -877,8 +787,8 @@ def _solve_lockstep(model: NetworkModel, weights: np.ndarray, initial: PowerStat
     """``solve_max_weight`` of every row of ``weights``, all with the same
     positive number of weighted links, advanced together.
 
-    Each row keeps its own KKT stop, stall counter, exact-repeat replay and
-    budget-end certificate; a finished row leaves the batch.
+    Each row keeps its own KKT stop, stall counter and budget-end
+    certificate; a finished row leaves the batch.
     """
     iters = config.max_iterations
     links = weighted_links(model, weights)
@@ -918,20 +828,13 @@ def _solve_lockstep(model: NetworkModel, weights: np.ndarray, initial: PowerStat
             if not ids.size:
                 break
             gradient = tuple(_take_rows(g, rows, ~done) for g in gradient)
-        start = (state.alloc, state.exponent, beta0, xi0)
-        alloc, evals, beta0 = alloc_sweep(model, links, state, metrics, gradient[0],
-                                          config, beta0)
+        alloc, evals, beta0 = alloc_sweep(model, links, state, metrics, gradient[0], beta0)
         state = PowerState(alloc, state.exponent)
-        expo, metrics, f_after, pc_evals, xi0 = _lockstep_power_step(model, links, state,
-                                                                     config, xi0)
+        expo, metrics, f_after, pc_evals, xi0 = _lockstep_power_step(model, links, state, xi0)
         state = PowerState(state.alloc, expo)
-        end = (state.alloc, state.exponent, beta0, xi0)
-        rows = ids.size
         for k, r in enumerate(ids):
-            stalled[k], _ = _record_iterate(
-                model, diags[r], int(stalled[k]), float(f_after[k]), int(evals[k] + pc_evals[k]),
-                iters, lambda: _exact_repeat(*(tuple(_take_rows(v, rows, k) for v in point)
-                                               for point in (start, end))))
+            stalled[k] = _record_iterate(model, diags[r], int(stalled[k]), float(f_after[k]),
+                                         int(evals[k] + pc_evals[k]))
         stop = stalled >= _STALL_ITERATES
         if stop.any():
             finish(stop)

@@ -211,8 +211,11 @@ def estimate_epsilon(oracle: RateRegionOracle, a: np.ndarray,
     """Largest eps with support(u) >= u.(a + eps) on sampled directions.
 
     The support is positively homogeneous, so each sampled nonnegative
-    direction yields the exact cutoff (support(u) - u.a) / |u|_1; the
-    estimate is the minimum over the sample.
+    direction yields the exact cutoff (support(u) - u.a) / |u|_1, and the
+    minimum over the sample is returned.  That minimum is an upper bound on
+    the interior margin (the minimum over every direction), not an estimate
+    of it: on a 10-node paper network, 1,000 directions gave 2.80 where
+    mirror descent certifies [0.095, 0.281].
     """
     mask = oracle.mask()
     a = np.where(mask, a, 0.0)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bpsim import phy, solver
+from bpsim.errors import ConfigError
 from bpsim.model import Commodity, NetworkModel, Scenario, TrafficSpec
 
 
@@ -145,6 +147,73 @@ def projection_oracle(target: np.ndarray, q: np.ndarray, floor: float) -> np.nda
             best_val = val
             best = x
     return best
+
+
+# ------------------------------------------------------------ references
+#
+# One-problem forms of the library's formulas that only tests call.
+
+def project_simplex(target: np.ndarray, scale: np.ndarray | None = None,
+                    floor: float = 0.0) -> np.ndarray:
+    """Projection of one vector onto {x >= floor, sum x = 1} in a diagonal norm.
+
+    Minimizes sum(scale * (x - target)**2); the one-segment case of
+    ``solver._project_alloc_nodes``.
+    """
+    target = np.asarray(target, dtype=float)
+    m = target.size
+    if m * floor > 1.0 + 1e-15:
+        raise ConfigError(f"infeasible projection: {m} * floor {floor} > 1")
+    invq = np.ones(m) if scale is None else 1.0 / np.asarray(scale, dtype=float)
+    return solver._project_alloc_nodes(np.zeros(m, dtype=np.intp), np.array([float(m)]),
+                                       target, invq, floor)
+
+
+def alloc_step(model: NetworkModel, weights: np.ndarray, state: phy.PowerState,
+               node: int) -> phy.PowerState:
+    """Allocation update for a single node; other nodes' variables untouched."""
+    own = np.where(model.src == node, weights, 0.0)
+    ws = phy.weighted_links(model, own)
+    if not ws.has_active[node]:
+        return state.copy()
+    metrics = phy.link_metrics(model, state)
+    delta = phy.alloc_marginal_gain(model, weights, metrics)
+    alloc, _, _ = solver.alloc_sweep(model, ws, state, metrics, delta)
+    return phy.PowerState(alloc, state.exponent.copy())
+
+
+def objective_value(model: NetworkModel, weights: np.ndarray, state: phy.PowerState) -> float:
+    return phy.objective_from_metrics(weights, phy.link_metrics(model, state))
+
+
+def shannon_capacity(metrics: phy.LinkMetrics) -> np.ndarray:
+    """Exact log(1 + SINR) capacities."""
+    return np.log1p(metrics.sinr)
+
+
+def power_marginal_gain(model: NetworkModel, weights: np.ndarray, state: phy.PowerState,
+                        metrics: phy.LinkMetrics) -> np.ndarray:
+    """Power-control marginal gain per node.
+
+    The objective gradient with respect to the power exponent of node i is
+    ``model.log_power_cap[i]`` times this quantity.
+    """
+    up, down = phy.power_marginal_parts(model, weights, state, metrics)
+    return metrics.node_power * (up - down)
+
+
+def alloc_grad_full(model: NetworkModel, weights: np.ndarray, state: phy.PowerState,
+                    metrics: phy.LinkMetrics) -> np.ndarray:
+    """Full (E,) dF/d(alloc), treating allocations as free coordinates.
+
+    Per link: P_i * (delta_alloc - c_i) with a per-node constant c_i, so on
+    the allocation simplex only the marginal-gain differences matter.
+    """
+    links = phy.weighted_links(model, weights)
+    delta_alloc = phy._alloc_gains(model, links, metrics)
+    own, down = phy._pressures(model, links, metrics)
+    common = down + (model.theta - 1.0) * own
+    return metrics.node_power[model.src] * (delta_alloc - common[model.src])
 
 
 def tandem_scenario(theta: float = 0.25) -> Scenario:

@@ -25,7 +25,8 @@ from bpsim.solver import (SolverConfig, exchange_messages, kkt_check,
                           solve_max_weight)
 from bpsim.stability import RateRegionOracle, halfspace_margin, queue_norm
 
-from conftest import (diamond_scenario, grid_search_two_tx, random_model,
+from conftest import (alloc_grad_full, diamond_scenario, grid_search_two_tx,
+                      objective_value, power_marginal_gain, random_model,
                       random_weights, tandem_scenario, two_tx_instance)
 
 SLOTS = 1000
@@ -106,8 +107,8 @@ def test_criterion_1_gradient_correctness():
         st = phy.random_power_state(m, rng)
         w = random_weights(rng, m)
         met = phy.link_metrics(m, st)
-        full = phy.alloc_grad_full(m, w, st, met)
-        grad_g = m.log_power_cap * phy.power_marginal_gain(m, w, st, met)
+        full = alloc_grad_full(m, w, st, met)
+        grad_g = m.log_power_cap * power_marginal_gain(m, w, st, met)
         p0 = phy.link_powers(m, st)
         pn = phy.node_powers(m, st)
 
@@ -135,7 +136,7 @@ def test_criterion_1_gradient_correctness():
             def f_g(x):
                 e2 = e.copy()
                 e2[i] = x
-                return phy.objective_value(m, w, phy.PowerState(st.alloc, e2))
+                return objective_value(m, w, phy.PowerState(st.alloc, e2))
 
             fd = (f_g(e[i] + step) - f_g(e[i] - step)) / (2 * step)
             worst = max(worst, abs(fd - grad_g[i]) / max(1.0, abs(grad_g[i])))
@@ -157,7 +158,7 @@ def test_criterion_2_protocol_equivalence():
         st = phy.random_power_state(m, rng)
         w = random_weights(rng, m)
         met = phy.link_metrics(m, st)
-        direct = phy.power_marginal_gain(m, w, st, met)
+        direct = power_marginal_gain(m, w, st, met)
         res = exchange_messages(m, w, st, met)
         scale = max(1.0, float(np.abs(direct).max()))
         worst = max(worst, float(np.abs(res.delta_gamma - direct).max()) / scale)
@@ -175,7 +176,7 @@ def test_criterion_3_solver_optimality(solver_batch):
     all_kkt = True
     for model, w, final, diag in solver_batch["entries"]:
         f_grid, _, _ = grid_search_two_tx(model, w, res=200)
-        f_sol = phy.objective_value(model, w, final)
+        f_sol = objective_value(model, w, final)
         worst_gap = max(worst_gap, abs(f_sol - f_grid) / abs(f_grid))
         all_kkt &= kkt_check(model, w, final, 1e-6).passed
     elapsed = solver_batch["elapsed"] + (time.time() - t0)

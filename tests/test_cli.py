@@ -358,5 +358,5 @@ def test_verify_rejects_trace_without_lambda_before_estimating(run_dir, tmp_path
     one.write_text("\n".join(lines[:2]) + "\n")
     assert _verify(scen, one, tmp_path) == 2
     captured = capsys.readouterr()
-    assert "estimated" not in captured.out
+    assert "interior margin" not in captured.out
     assert "lambda_term" in captured.err

@@ -11,7 +11,8 @@ from bpsim import phy
 from bpsim.errors import NumericDomainError
 from bpsim.model import NetworkModel, generate_scenario
 
-from conftest import random_model, random_weights
+from conftest import (alloc_grad_full, objective_value, power_marginal_gain, random_model,
+                      random_weights, shannon_capacity)
 
 
 def isolated_link(cap=10.0, theta=0.0, h=1.0, noise=0.1):
@@ -56,8 +57,8 @@ def test_five_node_scenario_metrics_finite():
 def test_objective_zero_weights_and_single_link():
     m = isolated_link()
     st = phy.uniform_power_state(m)
-    assert phy.objective_value(m, np.array([0.0]), st) == 0.0
-    got = phy.objective_value(m, np.array([2.0]), st)
+    assert objective_value(m, np.array([0.0]), st) == 0.0
+    got = objective_value(m, np.array([2.0]), st)
     assert np.isclose(got, 2.0 * math.log(1e7))
 
 
@@ -69,7 +70,7 @@ def test_objective_matches_term_sum():
     w[[0, 3, 7]] = rng.random(3) * 4
     met = phy.link_metrics(m, st)
     by_hand = sum(w[l] * met.capacity[l] for l in (0, 3, 7))
-    assert np.isclose(phy.objective_value(m, w, st), by_hand, rtol=1e-12)
+    assert np.isclose(objective_value(m, w, st), by_hand, rtol=1e-12)
 
 
 def test_objective_rejects_zero_power_weighted_link():
@@ -77,7 +78,7 @@ def test_objective_rejects_zero_power_weighted_link():
     st = phy.uniform_power_state(m)
     st.alloc[0] = 0.0
     with pytest.raises(NumericDomainError):
-        phy.objective_value(m, np.array([1.0]), st)
+        objective_value(m, np.array([1.0]), st)
 
 
 def test_alloc_gain_theta_zero_is_weight_over_power():
@@ -131,7 +132,7 @@ def test_alloc_gradient_matches_finite_differences():
         st = phy.random_power_state(m, rng)
         w = random_weights(rng, m)
         met = phy.link_metrics(m, st)
-        full = phy.alloc_grad_full(m, w, st, met)
+        full = alloc_grad_full(m, w, st, met)
         for i in range(m.n):
             out = list(np.flatnonzero(m.src == i))
             # stay away from near-zero allocations where the differencing
@@ -156,14 +157,14 @@ def test_power_gradient_matches_finite_differences():
         st = phy.random_power_state(m, rng)
         w = random_weights(rng, m)
         met = phy.link_metrics(m, st)
-        grad = m.log_power_cap * phy.power_marginal_gain(m, w, st, met)
+        grad = m.log_power_cap * power_marginal_gain(m, w, st, met)
         node = int(rng.integers(0, m.n))
         h = 1e-6
 
         def f(gi):
             e = st.exponent.copy()
             e[node] = gi
-            return phy.objective_value(m, w, phy.PowerState(st.alloc, e))
+            return objective_value(m, w, phy.PowerState(st.alloc, e))
 
         fd = (f(st.exponent[node] + h) - f(st.exponent[node] - h)) / (2 * h)
         worst = max(worst, abs(fd - grad[node]) / max(1.0, abs(grad[node])))
@@ -177,7 +178,7 @@ def test_isolated_link_power_gain_reduces_to_weight():
     st = phy.uniform_power_state(m, exponent=0.7)
     met = phy.link_metrics(m, st)
     w = np.array([3.5])
-    dg = phy.power_marginal_gain(m, w, st, met)
+    dg = power_marginal_gain(m, w, st, met)
     assert np.isclose(dg[0], 3.5, rtol=1e-12)
     assert np.isclose(m.log_power_cap[0] * dg[0], 3.5 * math.log(10.0), rtol=1e-12)
     assert dg[1] == 0.0
@@ -201,7 +202,7 @@ def test_high_sinr_gap_bound():
     rng = np.random.default_rng(11)
     m = random_model(rng, n=6)
     met = phy.link_metrics(m, phy.random_power_state(m, rng))
-    exact = phy.shannon_capacity(met)
+    exact = shannon_capacity(met)
     ok = met.sinr > 0
     gap = np.abs(exact[ok] - met.capacity[ok])
     assert np.all(gap <= 1.0 / met.sinr[ok] + 1e-15)

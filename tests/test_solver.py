@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies
 from bpsim import phy, solver
 from bpsim.errors import ConfigError
 from bpsim.model import NetworkModel
-from bpsim.solver import (SolverConfig, alloc_step,
-                          exchange_messages, kkt_check, project_simplex,
-                          solve_max_weight, solve_max_weight_batch)
+from bpsim.solver import (SolverConfig, exchange_messages, kkt_check, solve_max_weight,
+                          solve_max_weight_batch)
 
-from conftest import (grid_search_two_tx, projection_oracle, random_model,
-                      random_weights, two_tx_instance)
+from conftest import (alloc_step, grid_search_two_tx, objective_value, power_marginal_gain,
+                      project_simplex, projection_oracle, random_model, random_weights,
+                      two_tx_instance)
 
 
 # ---------------------------------------------------------------- projection
@@ -95,23 +95,21 @@ def _two_link_node():
 def test_alloc_step_equal_gains_fixed_point():
     model, w = _two_link_node()
     st = phy.uniform_power_state(model)
-    cfg = SolverConfig(scaling="identity")
-    # force equal allocation gains by hand: the projected identity-scaled
-    # step of a uniform gain vector returns the same point
+    # force equal allocation gains by hand: under any diagonal scaling, the
+    # projected step of a uniform gain vector returns the same point
     from bpsim.solver import alloc_sweep
     ws = phy.weighted_links(model, w)
     met = phy.link_metrics(model, st)
     d = np.full(model.n_links, 0.7)
-    new_alloc, _, _ = alloc_sweep(model, ws, st, met, d, cfg)
+    new_alloc, _, _ = alloc_sweep(model, ws, st, met, d)
     assert np.allclose(new_alloc, st.alloc, atol=1e-9)
 
 
 def test_alloc_step_converges_to_grid_argmax():
     model, w = _two_link_node()
     st = phy.uniform_power_state(model)
-    cfg = SolverConfig()
     for _ in range(200):
-        st = alloc_step(model, w, st, node=0, config=cfg)
+        st = alloc_step(model, w, st, node=0)
     # oracle: 1e4-point sweep of the 1-D allocation simplex of node 0,
     # straight from the capacity formulas
     x = np.linspace(1e-9, 1 - 1e-9, 10_000)
@@ -130,18 +128,17 @@ def test_alloc_step_converges_to_grid_argmax():
 def test_power_step_boundary_cases():
     from bpsim.solver import power_step
     model, w = _two_link_node()
-    cfg = SolverConfig()
     ws = phy.weighted_links(model, w)
     st = phy.uniform_power_state(model)
 
     # positive gain at the cap stays at the cap
     met = phy.link_metrics(model, st)
     up = np.array([1.0, 0.0, 0.5, 0.0])
-    new, _, _, _, _ = power_step(model, ws, st, cfg, met, delta_gamma=up)
+    new, _, _, _, _ = power_step(model, ws, st, met, delta_gamma=up)
     assert new[0] == 1.0
 
     # zero gain moves nothing
-    new, _, _, _, _ = power_step(model, ws, st, cfg, met, delta_gamma=np.zeros(4))
+    new, _, _, _, _ = power_step(model, ws, st, met, delta_gamma=np.zeros(4))
     assert np.array_equal(new, st.exponent)
 
 
@@ -166,7 +163,7 @@ def test_protocol_matches_direct_marginals(theta):
         st = phy.random_power_state(m, rng)
         w = random_weights(rng, m)
         met = phy.link_metrics(m, st)
-        direct = phy.power_marginal_gain(m, w, st, met)
+        direct = power_marginal_gain(m, w, st, met)
         res = exchange_messages(m, w, st, met)
         scale = max(1.0, float(np.abs(direct).max()))
         assert np.abs(res.delta_gamma - direct).max() <= 1e-12 * scale
@@ -207,7 +204,7 @@ def test_two_tx_solver_matches_grid():
         final, diag = solve_max_weight(model, np.asarray(w),
                                        phy.uniform_power_state(model), cfg)
         f_grid, _, _ = grid_search_two_tx(model, w, res=200)
-        f_sol = phy.objective_value(model, np.asarray(w), final)
+        f_sol = objective_value(model, np.asarray(w), final)
         assert abs(f_sol - f_grid) / abs(f_grid) < 1e-3
         assert diag.converged
         report = kkt_check(model, np.asarray(w), final, 1e-6)
@@ -243,7 +240,6 @@ def test_every_iterate_stays_feasible():
     rng = np.random.default_rng(18)
     m = random_model(rng, n=5)
     w = random_weights(rng, m)
-    cfg = SolverConfig()
     ws = phy.weighted_links(m, w)
     st, _ = solve_max_weight(m, w, phy.random_power_state(m, rng),
                              SolverConfig(max_iterations=0))
@@ -252,25 +248,11 @@ def test_every_iterate_stays_feasible():
     for _ in range(12):
         met = link_metrics(m, st)
         d = alloc_marginal_gain(m, w, met)
-        alloc, _, _ = alloc_sweep(m, ws, st, met, d, cfg)
+        alloc, _, _ = alloc_sweep(m, ws, st, met, d)
         st = phy.PowerState(alloc, st.exponent)
-        gam, _, _, _, _ = power_step(m, ws, st, cfg)
+        gam, _, _, _, _ = power_step(m, ws, st)
         st = phy.PowerState(st.alloc, gam)
         assert phy.validate_power_state(m, st, m.gamma_floor) == []
-
-
-def test_fixed_stepsize_mode_converges_with_small_step():
-    # No line search in this mode, so convergence needs a small enough step
-    # (large ones cycle on interference landscapes).
-    model, w = two_tx_instance(1)
-    cfg = SolverConfig(stepsize_rule="fixed", fixed_step=0.03,
-                       max_iterations=3000, kkt_tolerance=1e-5)
-    final, diag = solve_max_weight(model, np.asarray(w),
-                                   phy.uniform_power_state(model), cfg)
-    assert diag.converged
-    f_grid, _, _ = grid_search_two_tx(model, w, res=200)
-    f_sol = phy.objective_value(model, np.asarray(w), final)
-    assert abs(f_sol - f_grid) / abs(f_grid) < 1e-3
 
 
 # ------------------------------------------------------------------ kkt
@@ -376,7 +358,7 @@ def test_solver_reuses_link_view_and_accepted_metrics_exactly(seed, n):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("bpsim.solver.link_metrics", counted)
         final, diag = solve_max_weight(m, w, start, SolverConfig(max_iterations=40))
-    assert diag.objectives[-1] == phy.objective_value(m, w, final)
+    assert diag.objectives[-1] == objective_value(m, w, final)
     assert len(calls) <= diag.iterations + 1
     # The diagnostics carry the metrics of the returned state.
     again = phy.link_metrics(m, final)
@@ -384,18 +366,11 @@ def test_solver_reuses_link_view_and_accepted_metrics_exactly(seed, n):
         assert np.array_equal(getattr(diag.metrics, name), getattr(again, name))
 
 
-def _solve_record(model, weights, config):
-    state, diag = solve_max_weight(model, weights, phy.uniform_power_state(model), config,
-                                   collect_rates=True)
-    return (state.alloc.tobytes(), state.exponent.tobytes(),
-            np.array(diag.objectives).tobytes(), np.array(diag.kkt_residuals).tobytes(),
-            diag.iterations, diag.converged, diag.line_search_evals, diag.broadcasts,
-            diag.feedbacks, [c.tobytes() for c in diag.capacity_trace],
-            diag.metrics.capacity.tobytes())
-
-
-def test_replayed_repeats_equal_computed_ones(monkeypatch):
-    """Stalled cold solves replay exact repeats; computing them changes nothing."""
+def test_stalled_solves_stop_with_an_honest_flag():
+    """Cold solves at a tolerance below their rounding floor stop after
+    ``_STALL_ITERATES`` iterates that leave the objective unchanged, flagged
+    unconverged.  A budget that ends first, inside such a run, still
+    certifies the last state."""
     from bpsim.model import generate_scenario
     from bpsim.policy import compute_weights
 
@@ -406,22 +381,27 @@ def test_replayed_repeats_equal_computed_ones(monkeypatch):
         u = rng.random((sc.model.n, sc.traffic.n_commodities)) * 100.0
         queries.append(compute_weights(np.where(sc.traffic.queue_mask, u, 0.0),
                                        sc.traffic, sc.model).weight)
-    configs = (SolverConfig(kkt_tolerance=1e-12, max_iterations=2000),
-               # A budget that ends inside a replay: the final check runs.
-               SolverConfig(kkt_tolerance=1e-12, max_iterations=70))
-    detect = solver._exact_repeat
-    fired = []
+    start = phy.uniform_power_state(sc.model)
 
-    def counted(start, end):
-        fired.append(detect(start, end))
-        return fired[-1]
+    def stalled(diag):
+        return len(set(diag.objectives[-solver._STALL_ITERATES - 1:])) == 1
 
-    monkeypatch.setattr(solver, "_exact_repeat", counted)
-    replayed = [_solve_record(sc.model, w, cfg) for cfg in configs for w in queries]
-    assert any(fired)
-    monkeypatch.setattr(solver, "_exact_repeat", lambda start, end: False)
-    computed = [_solve_record(sc.model, w, cfg) for cfg in configs for w in queries]
-    assert replayed == computed
+    ends = []
+    for budget in (2000, 70):
+        for w in queries:
+            _, diag = solve_max_weight(sc.model, w, start,
+                                       SolverConfig(kkt_tolerance=1e-12, max_iterations=budget))
+            assert not diag.converged
+            if len(diag.kkt_residuals) == diag.iterations:
+                # The stall stop: no certificate after the last iterate.
+                assert stalled(diag)
+                ends.append((budget, "stall", diag.iterations < budget))
+            else:
+                # The budget-end certificate ran.
+                assert len(diag.kkt_residuals) == diag.iterations + 1 == budget + 1
+                ends.append((budget, "budget", diag.objectives[-1] == diag.objectives[-2]))
+    assert (2000, "stall", True) in ends
+    assert (70, "budget", True) in ends
 
 
 @pytest.mark.parametrize("kwargs", [{"kkt_tolerance": float("nan")},
@@ -457,16 +437,11 @@ def _assert_lockstep_matches(model, weights, start, config):
     assert [_fingerprint(*r) for r in batch] == single
 
 
-_VARIANTS = [{}, {"scaling": "identity"}, {"stepsize_rule": "fixed", "fixed_step": 0.05},
-             {"stepsize_rule": "fixed", "fixed_step": 0.02, "scaling": "identity"}]
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
-       variant=strategies.sampled_from(_VARIANTS),
        tolerance=strategies.sampled_from([1e-9, 1e-12]),
        budget=strategies.sampled_from([0, 70]))
-def test_lockstep_rows_equal_single_solves(seed, n, variant, tolerance, budget):
+def test_lockstep_rows_equal_single_solves(seed, n, tolerance, budget):
     """Every row of a lockstep batch is bit for bit its single solve."""
     rng = np.random.default_rng(seed)
     m = random_model(rng, n=n)
@@ -474,12 +449,12 @@ def test_lockstep_rows_equal_single_solves(seed, n, variant, tolerance, budget):
     rows = [random_weights(rng, m, zero_frac=f) for f in (0.1, 0.3, 0.3, 0.6, 0.9)]
     rows.append(np.where(rows[1] > 0, rng.random(m.n_links) + 0.5, 0.0))
     rows.insert(2, np.zeros(m.n_links))
-    config = SolverConfig(kkt_tolerance=tolerance, max_iterations=budget, **variant)
+    config = SolverConfig(kkt_tolerance=tolerance, max_iterations=budget)
     _assert_lockstep_matches(m, np.array(rows), phy.random_power_state(m, rng), config)
 
 
 def test_lockstep_rows_equal_single_cold_oracle_solves():
-    """The verify oracle's cold solves at 1e-7, stalls and replays included."""
+    """The verify oracle's cold solves at 1e-7, stalls included."""
     from bpsim.model import generate_scenario
     from bpsim.policy import compute_weights
 
@@ -509,12 +484,12 @@ def test_lockstep_rejects_malformed_weights():
 # accepting.  Each appends (round, reason) per ladder to ``why``: the round
 # after which it stopped and why.
 
-def _sequential_sweep(model, links, state, metrics, delta_alloc, config, beta0, why):
+def _sequential_sweep(model, links, state, metrics, delta_alloc, beta0, why):
     """``alloc_sweep``, round by round.  A problem whose last waiting nodes
     leave in a round in which one of them fails at the rounding floor
     stops for "rounding"."""
     rows, n = links.rows, model.n
-    a, d, invq = solver._sweep_terms(links, state.alloc, delta_alloc, config)
+    a, d, invq = solver._sweep_terms(links, state.alloc, delta_alloc)
     out = state.alloc.copy()
     local, f0, grad, cap, beta = solver._armijo_terms(links, metrics, a, d, beta0)
     evals = np.ones(rows, dtype=int)
@@ -551,12 +526,12 @@ def _sequential_sweep(model, links, state, metrics, delta_alloc, config, beta0, 
     return out, evals, np.where(accepted, np.minimum(2.0 * beta, cap), cap)
 
 
-def _sequential_power_step(model, links, state, config, xi0, why):
+def _sequential_power_step(model, links, state, xi0, why):
     """``_lockstep_power_step``, round by round."""
     rows, n, n_links = links.rows, model.n, model.n_links
     metrics, f0 = solver._trial(model, links.w, links.act, state.alloc, state.exponent)
     delta_gamma, v = (x.reshape(rows, n) for x in
-                      solver._power_direction(model, links, state.alloc, metrics, config))
+                      solver._power_direction(model, links, state.alloc, metrics))
     gamma0 = state.exponent.reshape(rows, n)
     grad = model.log_power_cap * delta_gamma
     xi = (np.full(rows, solver.ARMIJO_INITIAL) if xi0 is None
@@ -620,10 +595,10 @@ def _checked_ladders(mp, seen):
     ``seen`` collects, per kind of ladder, the references' (round, reason)."""
     blocked_sweep, blocked_power = solver.alloc_sweep, solver._lockstep_power_step
 
-    def sweep(model, links, state, metrics, delta_alloc, config, beta0=None):
+    def sweep(model, links, state, metrics, delta_alloc, beta0=None):
         why = []
-        want = _sequential_sweep(model, links, state, metrics, delta_alloc, config, beta0, why)
-        got = blocked_sweep(model, links, state, metrics, delta_alloc, config, beta0)
+        want = _sequential_sweep(model, links, state, metrics, delta_alloc, beta0, why)
+        got = blocked_sweep(model, links, state, metrics, delta_alloc, beta0)
         assert _as_bytes(got) == _as_bytes(want)
         if links.rows == 1:
             seen.setdefault("sweep", []).extend(why)
@@ -631,10 +606,10 @@ def _checked_ladders(mp, seen):
             seen.setdefault("lockstep sweep", []).append(why)
         return got
 
-    def power_step(model, links, state, config, xi0):
+    def power_step(model, links, state, xi0):
         why = []
-        want = _sequential_power_step(model, links, state, config, xi0, why)
-        got = blocked_power(model, links, state, config, xi0)
+        want = _sequential_power_step(model, links, state, xi0, why)
+        got = blocked_power(model, links, state, xi0)
         assert _as_bytes(got) == _as_bytes(want)
         seen.setdefault("lockstep power step", []).append(why)
         return got
@@ -779,23 +754,23 @@ def _ascent_checked(mp, drops):
     ``drops`` collects (kind, amount) for each that does."""
     sweep, single, lockstep = solver.alloc_sweep, solver.power_step, solver._lockstep_power_step
 
-    def checked_sweep(model, links, state, metrics, delta_alloc, config, beta0=None):
-        out = sweep(model, links, state, metrics, delta_alloc, config, beta0)
-        a, d, _ = solver._sweep_terms(links, state.alloc, delta_alloc, config)
+    def checked_sweep(model, links, state, metrics, delta_alloc, beta0=None):
+        out = sweep(model, links, state, metrics, delta_alloc, beta0)
+        a, d, _ = solver._sweep_terms(links, state.alloc, delta_alloc)
         local, f0, *_ = solver._armijo_terms(links, metrics, a, d, beta0)
         f1 = local(out[0][links.act])
         drops.extend(("sweep", float(x)) for x in (f0 - f1)[f1 < f0])
         return out
 
-    def checked_power_step(model, ws, state, config, xi0=None):
-        out = single(model, ws, state, config, xi0=xi0)
+    def checked_power_step(model, ws, state, xi0=None):
+        out = single(model, ws, state, xi0=xi0)
         _, f0 = solver._trial(model, ws.w, ws.act, state.alloc, state.exponent)
         if out[2] < f0[0]:
             drops.append(("power step", float(f0[0] - out[2])))
         return out
 
-    def checked_lockstep(model, links, state, config, xi0):
-        out = lockstep(model, links, state, config, xi0)
+    def checked_lockstep(model, links, state, xi0):
+        out = lockstep(model, links, state, xi0)
         _, f0 = solver._trial(model, links.w, links.act, state.alloc, state.exponent)
         drops.extend(("lockstep power step", float(x)) for x in (f0 - out[2])[out[2] < f0])
         return out
