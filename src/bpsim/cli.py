@@ -127,6 +127,8 @@ def cmd_run(args) -> int:
             raise ConfigError(f"unknown scheme {s!r}; choose from {SCHEME_NAMES}")
     if args.runs < 1 or args.slots < 1:
         raise ConfigError("runs and slots must be >= 1")
+    if args.iterations < 1:
+        raise ConfigError(f"--iterations must be >= 1, got {args.iterations}")
     config = _sim_config(args)
     # Same per-run seed for every scheme: identical arrival realizations.
     jobs = [(scenario, scheme, args.slots, config, args.seed + r)
@@ -213,8 +215,9 @@ def _trace_columns(rows: list[dict], fields: list[str], cols: list[str]) -> np.n
 
 def cmd_verify(args) -> int:
     for flag, value in (("--epsilon", args.epsilon), ("--eps0", args.eps0)):
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{flag} must be a finite number, got {value!r}")
+        # NaN fails the comparison, so it is rejected with the infinities.
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"{flag} must be finite and positive, got {value!r}")
     for flag, value in (("--eps-samples", args.eps_samples),
                         ("--direction-samples", args.direction_samples)):
         if value < 1:

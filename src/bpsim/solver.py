@@ -52,7 +52,7 @@ _MAX_BACKTRACKS = 80
 _SEQUENTIAL_ROUNDS = 3
 _BOUND_TOL = 1e-9
 # Iterates in a row that leave the objective bit for bit unchanged before a
-# solve gives up (see solve_max_weight).
+# solve gives up (see _solve_rows).
 _STALL_ITERATES = 12
 # Armijo rule: sufficient-increase fraction, backtracking factor, first trial.
 ARMIJO_SIGMA = 1e-4
@@ -114,8 +114,8 @@ def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray
 
 # ------------------------------------------------------------ formula layer
 #
-# Written once for B problems over one model laid end to end (see phy): the
-# single solve calls it at B = 1, solve_max_weight_batch at B > 1.
+# Written once for B problems over one model laid end to end (see phy), for
+# the one solve loop, _solve_rows, at any B.
 
 def _seed_state(model: NetworkModel, links: WeightedLinks, initial: PowerState) -> PowerState:
     """Restrict the warm start to the weighted links and keep it off the log barrier.
@@ -525,10 +525,7 @@ class KKTReport:
 
 
 def kkt_check(model: NetworkModel, weights: np.ndarray, state: PowerState,
-              tolerance: float,
-              metrics: LinkMetrics | None = None,
-              gradient: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-              ) -> KKTReport:
+              tolerance: float) -> KKTReport:
     """Certify optimality: equalized allocation gains, vanishing power gains.
 
     Power gains may be nonnegative at the exponent cap.  Floors active at
@@ -536,15 +533,10 @@ def kkt_check(model: NetworkModel, weights: np.ndarray, state: PowerState,
     projected condition (the gain must not push further down).  Residuals
     are normalized per node: the allocation spread by the node's largest
     allocation gain, the power residual by the total magnitude of the
-    raise/drop components whose cancellation it certifies.  ``gradient`` is
-    what ``phy.marginal_gains`` returns at the tested point, when the caller
-    already has it.
+    raise/drop components whose cancellation it certifies.
     """
-    if metrics is None:
-        metrics = link_metrics(model, state)
-    if gradient is None:
-        gradient = marginal_gains(model, weighted_links(model, weights), state.alloc,
-                                  metrics)
+    metrics = link_metrics(model, state)
+    gradient = marginal_gains(model, weighted_links(model, weights), state.alloc, metrics)
     spread, gamma_residual, alloc_scale, gamma_scale, at_floor_g, floored, normalized = (
         _kkt_residuals(model, weights > 0, state, metrics, gradient))
     max_residual = float(max(spread.max(initial=0.0), gamma_residual.max(initial=0.0)))
@@ -580,25 +572,6 @@ class SolveDiagnostics:
     metrics: LinkMetrics | None = None
 
 
-def _record_iterate(model: NetworkModel, diag: SolveDiagnostics, stalled: int, f_after: float,
-                    evals: int) -> int:
-    """Book one iterate of one problem: its objective and counts.
-
-    Floating point can pin the residual just above a very tight tolerance
-    while the objective no longer moves at all; the solve then stops after
-    ``_STALL_ITERATES`` such iterates rather than spin, leaving the
-    convergence flag honest.  Returns the new stall count.
-    """
-    stalled = stalled + 1 if f_after == diag.objectives[-1] else 0
-    diag.objectives.append(f_after)
-    diag.iterations += 1
-    diag.line_search_evals += evals
-    # One protocol round per iteration in a distributed deployment.
-    diag.broadcasts += model.n
-    diag.feedbacks += model.n_links
-    return stalled
-
-
 def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerState,
                      config: SolverConfig | None = None,
                      collect_rates: bool = False) -> tuple[PowerState, SolveDiagnostics]:
@@ -611,67 +584,33 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
     """
     if config is None:
         config = SolverConfig()
-    iters = config.max_iterations
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (model.n_links,):
         raise ConfigError("weights must be one value per link")
     if np.any(weights < 0):
         raise ConfigError("link weights must be nonnegative")
-    diag = SolveDiagnostics()
     if not np.any(weights > 0):
-        diag.objectives.append(0.0)
+        diag = SolveDiagnostics(objectives=[0.0])
         if collect_rates:
             diag.capacity_trace = [np.zeros(model.n_links)]
         return initial.copy(), diag
-
-    ws = weighted_links(model, weights)
-    state = _seed_state(model, ws, initial)
-
-    def clipped(met: LinkMetrics) -> np.ndarray:
-        return np.where(weights > 0, np.maximum(met.capacity, 0.0), 0.0)
-
-    metrics = link_metrics(model, state)
-    diag.objectives.append(float(row_objectives(ws.w, ws.act, metrics)[0]))
-    if collect_rates:
-        diag.capacity_trace = [clipped(metrics)]
-    beta0: np.ndarray | None = None
-    xi0: float | None = None
-    stalled = 0
-    while True:
-        # The loop's certificate doubles as the budget-end one.
-        gradient = marginal_gains(model, ws, state.alloc, metrics)
-        report = kkt_check(model, weights, state, config.kkt_tolerance, metrics, gradient)
-        diag.kkt_residuals.append(report.normalized)
-        diag.converged = report.passed
-        if report.passed or diag.iterations >= iters:
-            break
-        new_alloc, evals, beta0 = alloc_sweep(model, ws, state, metrics, gradient[0], beta0)
-        state = PowerState(new_alloc, state.exponent)
-        new_gamma, metrics, f_after, pc_evals, xi0 = power_step(model, ws, state, xi0=xi0)
-        state = PowerState(state.alloc, new_gamma)
-        stalled = _record_iterate(model, diag, stalled, f_after, int(evals[0]) + pc_evals)
-        if collect_rates:
-            diag.capacity_trace.append(clipped(metrics))
-        if stalled >= _STALL_ITERATES:
-            break
-    diag.metrics = metrics
-    return state, diag
+    return _solve_rows(model, weights[None], initial, config, collect_rates)[0]
 
 
-# ------------------------------------------------------------ lockstep solves
+# ------------------------------------------------------------ the solve loop
 #
-# solve_max_weight_batch advances independent solves over one model
-# together on the formula layer above.  On small networks an iterate costs
-# numpy call overhead rather than arithmetic, so B rows in one call cost
-# little more than one.  Rows are grouped by weighted-link count, so that
-# the rows' weighted links form rectangular (B, E_a) blocks for the
-# objective's dot products and the curvature's sums.
+# _solve_rows advances independent solves over one model together on the
+# formula layer above: solve_max_weight's one row, or a group of
+# solve_max_weight_batch's rows.  On small networks an iterate costs numpy
+# call overhead rather than arithmetic, so B rows in one call cost little
+# more than one.  Rows are grouped by weighted-link count, so that the
+# rows' weighted links form rectangular (B, E_a) blocks for the objective's
+# dot products and the curvature's sums.
 #
-# Both solves share alloc_sweep.  The power step and the solve loop below
-# keep per-row masks where the single solve stops on scalars.  They stay
-# separate: at B = 1 the lockstep power step costs 79-82% more per call than
-# power_step, and the lockstep loop around the scalar power step still 5-8%
-# more per solve (5- and 10-node networks, see README).
+# Only the power step depends on the number of rows: power_step at one row,
+# _lockstep_power_step with its per-row masks at more.  At one row the
+# lockstep step costs about 80% more per call (5- and 10-node networks, see
+# README).
 
 
 def _take_rows(x, rows: int, index):
@@ -782,62 +721,104 @@ def _lockstep_power_step(model: NetworkModel, links: WeightedLinks, state: Power
     return out_expo.reshape(-1), out_metrics, out_f, evals, xi_next
 
 
-def _solve_lockstep(model: NetworkModel, weights: np.ndarray, initial: PowerState,
-                    config: SolverConfig) -> list[tuple[PowerState, SolveDiagnostics]]:
-    """``solve_max_weight`` of every row of ``weights``, all with the same
-    positive number of weighted links, advanced together.
+def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
+                config: SolverConfig, collect_rates: bool = False
+                ) -> list[tuple[PowerState, SolveDiagnostics]]:
+    """``solve_max_weight`` of every row of (B, E) ``weights``, all with the
+    same positive number of weighted links, advanced together.
 
     Each row keeps its own KKT stop, stall counter and budget-end
-    certificate; a finished row leaves the batch.
+    certificate; a finished row leaves the batch.  Rows advance one iterate
+    at a time, so every row still in the batch has made ``it`` iterates.
+    Floating point can pin the residual just above a very tight tolerance
+    while the objective no longer moves at all; a row then stops after
+    ``_STALL_ITERATES`` iterates that leave its objective unchanged rather
+    than spin, flagged unconverged.  The per-row bookkeeping runs on the
+    Python numbers of one ``tolist()`` per quantity and iterate: at one row,
+    numpy operations on (B,) arrays would cost more than the bookkeeping.
     """
-    iters = config.max_iterations
+    tol = config.kkt_tolerance
     links = weighted_links(model, weights)
     state = _seed_state(model, links, initial)
     metrics, f = _trial(model, links.w, links.act, state.alloc, state.exponent)
-    diags = [SolveDiagnostics(objectives=[float(x)]) for x in f]
+    diags = [SolveDiagnostics(objectives=[x]) for x in f.tolist()]
     results: list = [None] * len(weights)
-    ids = np.arange(len(weights))          # each batch row's index in ``weights``
-    stalled = np.zeros(len(weights), dtype=int)
+    ids = np.arange(len(weights))           # each batch row's index in ``weights``
+    weighted = weights > 0
+    stalled = [0] * len(weights)
     beta0 = xi0 = None
+    it = 0
 
-    def finish(done: np.ndarray):
-        nonlocal links, state, metrics, ids, stalled, beta0, xi0
-        rows = ids.size
-        for k in np.flatnonzero(done):
-            diags[ids[k]].metrics = _take_rows(metrics, rows, k)
-            results[ids[k]] = (_take_rows(state, rows, k), diags[ids[k]])
-        keep = ~done
+    def book_rates():
+        cap = np.where(weighted, np.maximum(metrics.capacity.reshape(len(diags), -1), 0.0), 0.0)
+        for d, c in zip(diags, cap):
+            d.capacity_trace.append(c)
+
+    if collect_rates:
+        for d in diags:
+            d.capacity_trace = []
+        book_rates()
+
+    def finish(done: list[bool]):
+        nonlocal links, state, metrics, diags, ids, weighted, stalled, beta0, xi0
+        rows = len(diags)
+        for k in [k for k, x in enumerate(done) if x]:
+            d = diags[k]
+            # A row that passes a certificate leaves the batch at once.
+            d.converged = d.kkt_residuals[-1] < tol
+            d.iterations = it
+            # One protocol round per iteration in a distributed deployment.
+            d.broadcasts, d.feedbacks = model.n * it, model.n_links * it
+            # The last row keeps the batch's arrays.
+            d.metrics = metrics if rows == 1 else _take_rows(metrics, rows, k)
+            results[ids[k]] = (state if rows == 1 else _take_rows(state, rows, k), d)
+        keep = [not x for x in done]
+        diags = [d for d, k in zip(diags, keep) if k]
+        if not diags:
+            return
+        stalled = [s for s, k in zip(stalled, keep) if k]
+        keep = np.array(keep)
         state, metrics, beta0, xi0 = (_take_rows(x, rows, keep)
                                       for x in (state, metrics, beta0, xi0))
-        ids, stalled = ids[keep], stalled[keep]
+        if len(diags) == 1 and xi0 is not None:
+            xi0 = float(xi0[0])             # power_step's first trial
+        ids, weighted = ids[keep], weighted[keep]
         links = weighted_links(model, weights[ids])
 
-    while ids.size:
+    while diags:
         # The loop's certificate doubles as the budget-end one.
         gradient = marginal_gains(model, links, state.alloc, metrics)
-        residual = _kkt_residuals(model, weights[ids].reshape(-1) > 0, state, metrics,
-                                  gradient)[-1]
-        passed = residual < config.kkt_tolerance
-        for k, r in enumerate(ids):
-            diags[r].kkt_residuals.append(float(residual[k]))
-            diags[r].converged = bool(passed[k])
-        done = passed | np.array([diags[r].iterations >= iters for r in ids])
-        if done.any():
-            rows = ids.size
+        residual = _kkt_residuals(model, weighted.reshape(-1), state, metrics, gradient)[-1]
+        done = []
+        for d, r in zip(diags, residual.tolist()):
+            d.kkt_residuals.append(r)
+            done.append(r < tol or it >= config.max_iterations)
+        if any(done):
+            rows = len(diags)
             finish(done)
-            if not ids.size:
+            if not diags:
                 break
-            gradient = tuple(_take_rows(g, rows, ~done) for g in gradient)
-        alloc, evals, beta0 = alloc_sweep(model, links, state, metrics, gradient[0], beta0)
+            gradient = tuple(_take_rows(g, rows, ~np.array(done)) for g in gradient)
+        alloc, sweep_evals, beta0 = alloc_sweep(model, links, state, metrics, gradient[0],
+                                                beta0)
         state = PowerState(alloc, state.exponent)
-        expo, metrics, f_after, pc_evals, xi0 = _lockstep_power_step(model, links, state, xi0)
+        if links.rows == 1:
+            expo, metrics, f1, pc_evals, xi0 = power_step(model, links, state, xi0=xi0)
+            f_after = [f1]
+        else:
+            expo, metrics, f_after, pc_evals, xi0 = _lockstep_power_step(model, links, state,
+                                                                         xi0)
+            f_after = f_after.tolist()
         state = PowerState(state.alloc, expo)
-        for k, r in enumerate(ids):
-            stalled[k] = _record_iterate(model, diags[r], int(stalled[k]), float(f_after[k]),
-                                         int(evals[k] + pc_evals[k]))
-        stop = stalled >= _STALL_ITERATES
-        if stop.any():
-            finish(stop)
+        it += 1
+        for k, (d, x, e) in enumerate(zip(diags, f_after, (sweep_evals + pc_evals).tolist())):
+            stalled[k] = stalled[k] + 1 if x == d.objectives[-1] else 0
+            d.objectives.append(x)
+            d.line_search_evals += e
+        if collect_rates:
+            book_rates()
+        if max(stalled) >= _STALL_ITERATES:
+            finish([s >= _STALL_ITERATES for s in stalled])
     return results
 
 
@@ -865,7 +846,7 @@ def solve_max_weight_batch(model: NetworkModel, weights: np.ndarray, initial: Po
         if count == 0:
             solved = [solve_max_weight(model, w, initial, config) for w in weights[group]]
         else:
-            solved = _solve_lockstep(model, weights[group], initial, config)
+            solved = _solve_rows(model, weights[group], initial, config)
         for r, res in zip(group, solved):
             results[r] = res
     return results

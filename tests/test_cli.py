@@ -299,16 +299,20 @@ def test_verify_rejects_directory_as_trace(run_dir, tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--epsilon", "nan"), ("--eps0", "nan"),
-                                        ("--eps0", "inf")])
-def test_verify_rejects_non_finite_margins(run_dir, tmp_path, flag, value):
+                                        ("--eps0", "inf"), ("--eps0", "0"), ("--eps0", "-1"),
+                                        ("--epsilon", "-1")])
+def test_verify_rejects_non_finite_margins(run_dir, tmp_path, capsys, flag, value):
     _, scen, out = run_dir
     report = tmp_path / "r.csv"
     assert _verify(scen, out / "trace_iter-conv_run0.csv", tmp_path, flag, value) == 2
     assert not report.exists()
+    # Rejected before the margin is estimated.
+    assert "interior margin" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag,value", [("--kkt-tol", "nan"), ("--kkt-tol", "inf"),
-                                        ("--kkt-tol", "0"), ("--max-iter", "-3")])
+                                        ("--kkt-tol", "0"), ("--max-iter", "-3"),
+                                        ("--iterations", "0"), ("--iterations", "-4")])
 def test_run_rejects_bad_solver_settings(run_dir, tmp_path, flag, value):
     _, scen, _ = run_dir
     code = main(["run", "--scenario", str(scen), "--scheme", "iter-once",

@@ -1,6 +1,5 @@
 """SINR, capacities, objective and marginal gains against hand oracles."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -290,7 +289,6 @@ def _power_marginal_parts_full(model, weights, state, metrics):
        zero_frac=strategies.sampled_from([0.0, 0.3, 0.7]))
 def test_one_pass_gradient_matches_full_length_reference(seed, n, zero_frac):
     """Restricting the gradient formulas to the weighted links is bit-exact."""
-    from bpsim.solver import kkt_check
     rng = np.random.default_rng(seed)
     m = random_model(rng, n=n)
     w = random_weights(rng, m, zero_frac=zero_frac)
@@ -305,13 +303,6 @@ def test_one_pass_gradient_matches_full_length_reference(seed, n, zero_frac):
     assert phy.alloc_marginal_gain(m, w, met).tobytes() == want_d.tobytes()
     up, down = phy.power_marginal_parts(m, w, st, met)
     assert up.tobytes() == want_up.tobytes() and down.tobytes() == want_down.tobytes()
-    # The certificate gives the same report with or without the caller's pass.
-    given_pass = kkt_check(m, w, st, 1e-6, met, phy.marginal_gains(
-        m, phy.weighted_links(m, w), st.alloc, met))
-    own_pass = kkt_check(m, w, st, 1e-6)
-    for f in dataclasses.fields(own_pass):
-        a, b = getattr(given_pass, f.name), getattr(own_pass, f.name)
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
     # A weighted link without power: the same error, naming the same link.
     dead = rng.choice(np.flatnonzero(w > 0))

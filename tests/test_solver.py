@@ -799,3 +799,54 @@ def test_no_accepted_step_lowers_its_objective(seed, n):
         solve_max_weight(m, w, near, config)
         solve_max_weight_batch(m, rows, near, config)
     assert drops == []
+
+
+# ------------------------------------------------ one solve loop
+
+def test_row_count_picks_the_power_step():
+    """One solve loop serves one row and many: a one-row solve takes the
+    scalar power step only, and a batch takes the lockstep step while two
+    or more rows remain, then the scalar one for its last row.  Its rows
+    stay bit for bit their single solves."""
+    rng = np.random.default_rng(4)
+    m = random_model(rng, n=6)
+    # Rows sharing their weighted links advance in one batch.
+    mask = random_weights(rng, m) > 0
+    rows = np.array([np.where(mask, rng.random(m.n_links) * 10.0, 0.0) for _ in range(4)])
+    start = phy.random_power_state(m, rng)
+    config = SolverConfig(kkt_tolerance=1e-9, max_iterations=400)
+    single, lockstep = solver.power_step, solver._lockstep_power_step
+    calls = []
+
+    def counted_single(model, links, state, xi0=None):
+        calls.append(("single", links.rows))
+        return single(model, links, state, xi0=xi0)
+
+    def counted_lockstep(model, links, state, xi0):
+        calls.append(("lockstep", links.rows))
+        return lockstep(model, links, state, xi0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "power_step", counted_single)
+        mp.setattr(solver, "_lockstep_power_step", counted_lockstep)
+        _, diag = solve_max_weight(m, rows[0], start, config)
+        assert diag.iterations > 0
+        assert calls == [("single", 1)] * diag.iterations
+        calls.clear()
+        batch = solve_max_weight_batch(m, rows, start, config)
+    iterations = sorted(d.iterations for _, d in batch)
+    assert 0 < iterations[-2] < iterations[-1]  # the last row runs on alone
+    kinds = [kind for kind, _ in calls]
+    n_lockstep = kinds.count("lockstep")
+    assert n_lockstep == iterations[-2]
+    assert kinds == ["lockstep"] * n_lockstep + ["single"] * (len(kinds) - n_lockstep)
+    assert all(r >= 2 for kind, r in calls if kind == "lockstep")
+    assert all(r == 1 for kind, r in calls if kind == "single")
+    _assert_lockstep_matches(m, rows, start, config)
+
+    # The capacity trace: the start point and one entry per iterate, the
+    # last one the returned metrics' capacities clipped on the weighted links.
+    _, diag = solve_max_weight(m, rows[0], start, config, collect_rates=True)
+    assert len(diag.capacity_trace) == diag.iterations + 1
+    clipped = np.where(mask, np.maximum(diag.metrics.capacity, 0.0), 0.0)
+    assert diag.capacity_trace[-1].tobytes() == clipped.tobytes()
