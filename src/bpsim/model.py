@@ -236,6 +236,13 @@ def generate_scenario(n: int, arrival_mean: float, seed: int) -> Scenario:
         raise ConfigError(f"arrival mean must be finite and nonnegative, got {arrival_mean}")
     if seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    # The (n, n, 2) pairwise offsets are the largest array drawn below.
+    # Reserving one first (np.empty writes no page) rejects a size that
+    # cannot be held before any array of n values is filled.
+    try:
+        np.empty((n, n, 2))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"n={n} is too many nodes to generate: {exc}") from None
     rng = np.random.default_rng(seed)
     radius = link_radius(n)
     positions = dist = None

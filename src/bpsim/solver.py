@@ -46,9 +46,9 @@ _MIN_STEP = 1e-14
 # rounding noise there, and halving further only compares noise.
 _ROUNDING_FLOOR = 1e-15
 _MAX_BACKTRACKS = 80
-# Rounds of an allocation sweep's or lockstep power step's Armijo ladder
-# evaluated one by one; the rest are evaluated as one block (_ladder_outcome).
-# Most ladders end within them, and a block costs about five rounds.
+# Rounds of an allocation sweep's Armijo ladders evaluated one by one; the
+# rest are evaluated as one block (_sweep_block).  Most ladders end within
+# them, and a block costs about five rounds.
 _SEQUENTIAL_ROUNDS = 3
 _BOUND_TOL = 1e-9
 # Iterates in a row that leave the objective bit for bit unchanged before a
@@ -216,20 +216,20 @@ def _armijo_test(f1: np.ndarray, f0: np.ndarray, gain: np.ndarray
 
 def _ladder_outcome(ok: np.ndarray, flat: np.ndarray, trials: np.ndarray, groups: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What sequential Armijo ladders make of trials evaluated as one block.
+    """What the sweep's sequential Armijo ladders make of trials evaluated
+    as one block (``_sweep_block``).
 
-    The k items (nodes or rows) form ``groups`` equal runs, each sharing a
-    ladder: every round tries the group's items still waiting, and the group
-    stops after the first round at which each of them has accepted, failed
-    at the rounding floor or made its ``trials`` (floor, zero move or cap,
-    whichever comes first; 0 for items not in the ladder).  ``ok`` (J, k)
-    holds whether trial j of item k passes the Armijo test and ``flat``
-    whether it fails at the rounding floor (``_armijo_test``), both False
-    where it was not evaluated.
+    The k nodes form ``groups`` equal runs, one per problem: every round
+    tries the problem's nodes still waiting, and the problem stops after the
+    first round at which each of them has accepted, failed at the rounding
+    floor or made its ``trials`` (floor or cap, whichever comes first; 0 for
+    nodes not waiting).  ``ok`` (J, k) holds whether trial j of node k
+    passes the Armijo test and ``flat`` whether it fails at the rounding
+    floor (``_armijo_test``), both False where it was not evaluated.
 
-    Returns each item's first passing or flat trial (J if none), each
-    group's last round (``stop + 1`` trials were evaluated) and which items
-    accepted before their group stopped.
+    Returns each node's first passing or flat trial (J if none), each
+    problem's last round (``stop + 1`` trials were evaluated) and which
+    nodes accepted before their problem stopped.
     """
     end = ok | flat
     first = np.where(end.any(axis=0), end.argmax(axis=0), ok.shape[0])
@@ -360,17 +360,14 @@ def _curvature(links: WeightedLinks, metrics: LinkMetrics) -> np.ndarray:
 
 
 def _power_direction(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray,
-                     metrics: LinkMetrics, delta_gamma: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(B*n,) power marginal gains, unless given, and the power step's
-    diagonal scaling."""
-    if delta_gamma is None:
-        _, up, down = marginal_gains(model, links, alloc, metrics)
-        delta_gamma = metrics.node_power * (up - down)
+                     metrics: LinkMetrics) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n) power marginal gains and the power step's diagonal scaling."""
+    _, up, down = marginal_gains(model, links, alloc, metrics)
+    delta_gamma = metrics.node_power * (up - down)
     if not np.isfinite(delta_gamma).all():
         raise NumericDomainError("non-finite power marginal gain")
-    return delta_gamma, np.maximum(model.log_power_cap * _curvature(links, metrics),
-                                   SCALE_EPS).reshape(-1)
+    return (delta_gamma.reshape(links.rows, -1),
+            np.maximum(model.log_power_cap * _curvature(links, metrics), SCALE_EPS))
 
 
 def _trial(model: NetworkModel, w: np.ndarray, act: np.ndarray, alloc: np.ndarray,
@@ -380,6 +377,75 @@ def _trial(model: NetworkModel, w: np.ndarray, act: np.ndarray, alloc: np.ndarra
     p_node = end_to_end(model.power_cap, rows) ** expo
     met = link_metrics_from_powers(model, p_node[end_to_end(model.src, rows, model.n)] * alloc)
     return met, row_objectives(w, act, met, rows)
+
+
+def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
+               xi0: np.ndarray | None = None
+               ) -> tuple[np.ndarray, LinkMetrics, np.ndarray, np.ndarray, np.ndarray]:
+    """One joint power-exponent update (diagonal scaling, box clamp) for
+    each of the B problems of ``links``.
+
+    Returns (exponents, link metrics and (B,) objectives at the accepted
+    points, (B,) objective evaluations, (B,) accepted stepsizes to seed the
+    next call's ``xi0``).  A problem's accepted point is its accepted
+    line-search trial, or its start when its step does not move, a trial
+    fails at the rounding floor (see ``_armijo_test``) or the stepsize
+    falls below the floor.
+
+    The problems' ladders advance round by round, and each round evaluates
+    all B trials at once.  A problem that has stopped keeps the stepsize of
+    its last trial (accepted, flat or not moving; a halving that would take
+    it below the floor is not taken), so it is evaluated again only where it
+    was evaluated before: no problem evaluates, or raises at, a trial its
+    own ladder does not reach.  The per-problem bookkeeping runs on Python
+    numbers, as in ``_solve_rows``.
+    """
+    rows = links.rows
+    metrics, f0 = _trial(model, links.w, links.act, state.alloc, state.exponent)
+    delta_gamma, v = _power_direction(model, links, state.alloc, metrics)
+    gamma = state.exponent.reshape(rows, -1)
+    gfloor = end_to_end(model.gamma_floor, rows).reshape(rows, -1)
+    # Same-shape operands: a broadcast costs more than the product at one row.
+    grad = (end_to_end(model.log_power_cap, rows).reshape(rows, -1) * delta_gamma)[:, None, :]
+    xi = [ARMIJO_INITIAL] * rows if xi0 is None else [min(x, ARMIJO_INITIAL) for x in xi0.tolist()]
+    start = f0.tolist()
+    live, took, evals, xi_next = [True] * rows, [False] * rows, [0] * rows, [ARMIJO_INITIAL] * rows
+    for _ in range(_MAX_BACKTRACKS):
+        new = (gamma + np.array(xi)[:, None] * delta_gamma / v).clip(gfloor, 1.0)
+        move = new - gamma
+        moves = move.any(axis=1).tolist()
+        if not all(moves):
+            live = [on and m for on, m in zip(live, moves)]
+            if not any(live):
+                break
+        met, f1 = _trial(model, links.w, links.act, state.alloc, new.reshape(-1))
+        slope = np.matmul(grad, move[..., None]).ravel().tolist()
+        for k, (on, a, b, s) in enumerate(zip(live, start, f1.tolist(), slope)):
+            if not on:
+                continue
+            evals[k] += 1
+            if b - a >= ARMIJO_SIGMA * s:
+                took[k] = True
+                xi_next[k] = min(2.0 * xi[k], ARMIJO_INITIAL)
+            elif not s <= _ROUNDING_FLOOR * abs(a) and not xi[k] * ARMIJO_SHRINK < _MIN_STEP:
+                # Failed above the rounding floor (a NaN slope too), and the
+                # halved stepsize is not below the floor.
+                xi[k] *= ARMIJO_SHRINK
+                continue
+            live[k] = False
+        if not any(live):
+            break
+    evals, xi_next = np.array(evals), np.array(xi_next)
+    if all(took):
+        return new.reshape(-1), met, f1, evals, xi_next
+    if not any(took):
+        return state.exponent.copy(), metrics, f0, evals, xi_next
+    # An accepted row kept its stepsize, so its last trial is the accepted one.
+    pick = np.array(took)[:, None]
+    met = LinkMetrics(**{f: np.where(pick, a.reshape(rows, -1),
+                                     getattr(metrics, f).reshape(rows, -1)).reshape(-1)
+                         for f, a in vars(met).items()})
+    return np.where(pick, new, gamma).reshape(-1), met, np.where(took, f1, f0), evals, xi_next
 
 
 def _kkt_residuals(model: NetworkModel, weighted: np.ndarray, state: PowerState,
@@ -418,47 +484,6 @@ def _kkt_residuals(model: NetworkModel, weighted: np.ndarray, state: PowerState,
 
 
 # ------------------------------------------------------------ one problem
-
-def power_step(model: NetworkModel, ws: WeightedLinks, state: PowerState,
-               metrics: LinkMetrics | None = None,
-               delta_gamma: np.ndarray | None = None,
-               xi0: float | None = None
-               ) -> tuple[np.ndarray, LinkMetrics, float, int, float]:
-    """One joint power-exponent update (diagonal scaling, box clamp).
-
-    Returns (new exponents, link metrics and objective at the accepted point,
-    objective evaluations, accepted stepsize to seed the next call).  The
-    accepted point is the accepted line-search trial, or the start when the
-    step does not move or a trial fails at the rounding floor (see
-    ``_armijo_test``).
-    """
-    if metrics is None:
-        metrics = link_metrics(model, state)
-    delta_gamma, v = _power_direction(model, ws, state.alloc, metrics, delta_gamma)
-    gamma = state.exponent
-    gfloor = model.gamma_floor
-    f0 = float(row_objectives(ws.w, ws.act, metrics)[0])
-    grad = model.log_power_cap * delta_gamma
-    xi = ARMIJO_INITIAL if xi0 is None else min(xi0, ARMIJO_INITIAL)
-    evals = 0
-    for _ in range(_MAX_BACKTRACKS):
-        new = np.clip(gamma + xi * delta_gamma / v, gfloor, 1.0)
-        move = new - gamma
-        if not np.any(move):
-            return gamma.copy(), metrics, f0, evals, ARMIJO_INITIAL
-        met, f1 = _trial(model, ws.w, ws.act, state.alloc, new)
-        f1 = float(f1[0])
-        evals += 1
-        slope = float(np.dot(grad, move))
-        if f1 - f0 >= ARMIJO_SIGMA * slope:
-            return new, met, f1, evals, min(2.0 * xi, ARMIJO_INITIAL)
-        if slope <= _ROUNDING_FLOOR * abs(f0):
-            break
-        xi *= ARMIJO_SHRINK
-        if xi < _MIN_STEP:
-            break
-    return gamma.copy(), metrics, f0, evals, ARMIJO_INITIAL
-
 
 @dataclass
 class ProtocolResult:
@@ -572,6 +597,13 @@ class SolveDiagnostics:
     metrics: LinkMetrics | None = None
 
 
+def _check_weights(weights: np.ndarray) -> None:
+    """Reject negative and non-finite link weights (NaN fails the
+    comparison, so it is rejected with the infinities)."""
+    if not ((weights >= 0) & (weights < np.inf)).all():
+        raise ConfigError("link weights must be finite and nonnegative")
+
+
 def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerState,
                      config: SolverConfig | None = None,
                      collect_rates: bool = False) -> tuple[PowerState, SolveDiagnostics]:
@@ -587,8 +619,7 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (model.n_links,):
         raise ConfigError("weights must be one value per link")
-    if np.any(weights < 0):
-        raise ConfigError("link weights must be nonnegative")
+    _check_weights(weights)
     if not np.any(weights > 0):
         diag = SolveDiagnostics(objectives=[0.0])
         if collect_rates:
@@ -605,12 +636,8 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
 # call overhead rather than arithmetic, so B rows in one call cost little
 # more than one.  Rows are grouped by weighted-link count, so that the
 # rows' weighted links form rectangular (B, E_a) blocks for the objective's
-# dot products and the curvature's sums.
-#
-# Only the power step depends on the number of rows: power_step at one row,
-# _lockstep_power_step with its per-row masks at more.  At one row the
-# lockstep step costs about 80% more per call (5- and 10-node networks, see
-# README).
+# dot products and the curvature's sums.  No step depends on the number of
+# rows: alloc_sweep and power_step serve one row and many alike.
 
 
 def _take_rows(x, rows: int, index):
@@ -621,104 +648,6 @@ def _take_rows(x, rows: int, index):
     if isinstance(x, np.ndarray):
         return x.reshape(rows, -1)[index].reshape(-1)
     return type(x)(**{f: _take_rows(a, rows, index).copy() for f, a in vars(x).items()})
-
-
-def _lockstep_power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
-                         xi0: np.ndarray | None
-                         ) -> tuple[np.ndarray, LinkMetrics, np.ndarray, np.ndarray, np.ndarray]:
-    """``power_step`` per row: (exponents, metrics and objectives at the
-    accepted points, evaluations, next first trials).
-
-    Every row keeps its own stepsize, acceptance and stop; link metrics are
-    evaluated only for the rows still searching.  Rounds after the first
-    ``_SEQUENTIAL_ROUNDS`` are evaluated as one block, bit for bit as round
-    by round.
-    """
-    rows, n, n_links = links.rows, model.n, model.n_links
-    metrics, f0 = _trial(model, links.w, links.act, state.alloc, state.exponent)
-    delta_gamma, v = (x.reshape(rows, n) for x in
-                      _power_direction(model, links, state.alloc, metrics))
-    gamma0 = state.exponent.reshape(rows, n)
-    gfloor = model.gamma_floor
-    grad = model.log_power_cap * delta_gamma
-    xi = np.full(rows, ARMIJO_INITIAL) if xi0 is None else np.minimum(xi0, ARMIJO_INITIAL)
-    evals = np.zeros(rows, dtype=int)
-    # A row that does not accept a trial keeps its start point.
-    out_expo, out_f, xi_next = gamma0.copy(), f0.copy(), np.full(rows, ARMIJO_INITIAL)
-    out_metrics = _take_rows(metrics, rows, slice(None))
-    w, act_rows = links.w.reshape(rows, -1), links.act.reshape(rows, -1)
-    alloc = state.alloc.reshape(rows, n_links)
-
-    def evaluate(at: np.ndarray, new: np.ndarray, move: np.ndarray) -> tuple:
-        """Metrics, objectives and Armijo test of trial exponents ``new`` of
-        rows ``at``, laid end to end."""
-        # The rows' weighted links, their rows laid end to end.
-        act = (act_rows[at] - n_links * (at - np.arange(at.size))[:, None]).reshape(-1)
-        met, f1 = _trial(model, w[at].reshape(-1), act, alloc[at].reshape(-1), new.reshape(-1))
-        slope = np.matmul(grad[at][:, None, :], move[:, :, None]).reshape(-1)
-        return (met, f1, *_armijo_test(f1, f0[at], slope))
-
-    def keep(took: np.ndarray, pick, new: np.ndarray, f1: np.ndarray, met: LinkMetrics,
-             xi_took: np.ndarray) -> None:
-        out_expo[took] = new[pick]
-        out_f[took] = f1[pick]
-        xi_next[took] = np.minimum(2.0 * xi_took, ARMIJO_INITIAL)
-        for f, a in vars(met).items():
-            getattr(out_metrics, f).reshape(rows, -1)[took] = a.reshape(f1.size, -1)[pick]
-
-    live = np.arange(rows)
-    for r in range(_MAX_BACKTRACKS):
-        gamma = gamma0[live]
-        if r == _SEQUENTIAL_ROUNDS:
-            # The rest of every live row's ladder in one evaluation: trial j
-            # of live row k, up to the row's floor or first trial that does
-            # not move, is one more problem laid end to end.
-            steps, trials = _halvings(xi[live], _MAX_BACKTRACKS - r)
-            depth = int(trials.max())
-            new = np.clip(gamma + steps[:depth, :, None] * delta_gamma[live] / v[live],
-                          gfloor, 1.0)
-            move = new - gamma
-            still = move.any(axis=2)
-            trials = np.minimum(trials, np.where(still.all(axis=0), depth,
-                                                 (~still).argmax(axis=0)))
-            laid = np.arange(depth)[:, None] < trials
-            j, k = np.nonzero(laid)
-            if not j.size:
-                break
-            try:
-                met, f1, passed, noise = evaluate(live[k], new[j, k], move[j, k])
-            except NumericDomainError:
-                # A trial the ladder may never reach failed: the rounds below
-                # raise where, and as, the sequential ladder does.
-                pass
-            else:
-                ok = np.zeros(laid.shape, dtype=bool)
-                flat = np.zeros(laid.shape, dtype=bool)
-                ok[j, k] = passed
-                flat[j, k] = noise
-                first, stop, took = _ladder_outcome(ok, flat, trials, live.size)
-                evals[live] += stop + 1
-                pair = (np.cumsum(laid.reshape(-1)) - 1).reshape(laid.shape)
-                cols = np.flatnonzero(took)
-                keep(live[took], pair[first[took], cols], new[j, k], f1, met,
-                     steps[first[took], cols])
-                break
-        new = np.clip(gamma + xi[live, None] * delta_gamma[live] / v[live], gfloor, 1.0)
-        move = new - gamma
-        moves = move.any(axis=1)
-        live, new, move = live[moves], new[moves], move[moves]
-        if not live.size:
-            break
-        met, f1, ok, flat = evaluate(live, new, move)
-        evals[live] += 1
-        took = live[ok]
-        keep(took, ok, new, f1, met, xi[took])
-        live = live[~(ok | flat)]
-        xi[live] *= ARMIJO_SHRINK
-        live = live[~(xi[live] < _MIN_STEP)]
-        if not live.size:
-            break
-    return out_expo.reshape(-1), out_metrics, out_f, evals, xi_next
 
 
 def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
@@ -780,8 +709,6 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
         keep = np.array(keep)
         state, metrics, beta0, xi0 = (_take_rows(x, rows, keep)
                                       for x in (state, metrics, beta0, xi0))
-        if len(diags) == 1 and xi0 is not None:
-            xi0 = float(xi0[0])             # power_step's first trial
         ids, weighted = ids[keep], weighted[keep]
         links = weighted_links(model, weights[ids])
 
@@ -802,16 +729,11 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
         alloc, sweep_evals, beta0 = alloc_sweep(model, links, state, metrics, gradient[0],
                                                 beta0)
         state = PowerState(alloc, state.exponent)
-        if links.rows == 1:
-            expo, metrics, f1, pc_evals, xi0 = power_step(model, links, state, xi0=xi0)
-            f_after = [f1]
-        else:
-            expo, metrics, f_after, pc_evals, xi0 = _lockstep_power_step(model, links, state,
-                                                                         xi0)
-            f_after = f_after.tolist()
+        expo, metrics, f_after, pc_evals, xi0 = power_step(model, links, state, xi0)
         state = PowerState(state.alloc, expo)
         it += 1
-        for k, (d, x, e) in enumerate(zip(diags, f_after, (sweep_evals + pc_evals).tolist())):
+        for k, (d, x, e) in enumerate(zip(diags, f_after.tolist(),
+                                          (sweep_evals + pc_evals).tolist())):
             stalled[k] = stalled[k] + 1 if x == d.objectives[-1] else 0
             d.objectives.append(x)
             d.line_search_evals += e
@@ -836,8 +758,7 @@ def solve_max_weight_batch(model: NetworkModel, weights: np.ndarray, initial: Po
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != model.n_links:
         raise ConfigError("weights must be one row of one value per link per problem")
-    if np.any(weights < 0):
-        raise ConfigError("link weights must be nonnegative")
+    _check_weights(weights)
     counts = (weights > 0).sum(axis=1)
     results: list = [None] * len(weights)
     # Not np.unique: it imports numpy.ma, half a megabyte this path otherwise never loads.

@@ -38,6 +38,20 @@ def test_generate_rejects_malformed_params(tmp_path):
     assert main(["generate", "n=6", "--out", str(out)]) == 2
 
 
+# Sizes whose (n, n, 2) distance arrays numpy refuses at once: 1e8 nodes need
+# 142 PiB, beyond any address space, and 1e14 nodes overflow the array size.
+# A size that numpy would really allocate is never tried.
+@pytest.mark.parametrize("n", [10**8, 10**14])
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_generation_rejects_unallocatable_sizes(tmp_path, capsys, n, command):
+    params = [f"n={n}", "B=4", "seed=1"]
+    argv = (["generate", *params] if command == "generate"
+            else ["run", "--generate", *params, "--slots", "5", "--runs", "1"])
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert f"n={n}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli_runs")

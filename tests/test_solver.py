@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from bpsim import phy, solver
-from bpsim.errors import ConfigError
+from bpsim.errors import ConfigError, NumericDomainError
 from bpsim.model import NetworkModel
 from bpsim.solver import (SolverConfig, exchange_messages, kkt_check, solve_max_weight,
                           solve_max_weight_batch)
@@ -126,20 +126,38 @@ def test_alloc_step_converges_to_grid_argmax():
 
 
 def test_power_step_boundary_cases():
+    """A positive gain at the exponent cap stays at the cap and a zero gain
+    moves nothing, at one row and in a batch whose other row moves."""
     from bpsim.solver import power_step
-    model, w = _two_link_node()
+    g = np.array([[0.0, 1.0], [1.0, 0.0]])
+    model = NetworkModel(gain=g, noise=np.array([0.1, 0.1]), theta=np.zeros(2),
+                         power_cap=np.array([40.0, 40.0]), processing_gain=1e5,
+                         links=((0, 1),))
+    w = np.array([3.0])
     ws = phy.weighted_links(model, w)
-    st = phy.uniform_power_state(model)
+    at_cap = phy.PowerState(np.array([1.0]), np.array([1.0, 0.3]))
+    below = phy.PowerState(np.array([1.0]), np.array([0.5, 0.3]))
+    # Node 0 gains from more power; node 1 interferes with no weighted link.
+    gain, _ = solver._power_direction(model, ws, at_cap.alloc, phy.link_metrics(model, at_cap))
+    assert gain[0, 0] > 0.0 and gain[0, 1] == 0.0
 
-    # positive gain at the cap stays at the cap
-    met = phy.link_metrics(model, st)
-    up = np.array([1.0, 0.0, 0.5, 0.0])
-    new, _, _, _, _ = power_step(model, ws, st, met, delta_gamma=up)
-    assert new[0] == 1.0
+    # At the cap, with the other gain zero, nothing moves: the start comes
+    # back without an evaluation.
+    capped = power_step(model, ws, at_cap)
+    assert np.array_equal(capped[0], at_cap.exponent)
+    assert capped[3].tolist() == [0] and capped[4].tolist() == [solver.ARMIJO_INITIAL]
+    # Below the cap node 0 rises; node 1's zero gain moves nothing.
+    rising = power_step(model, ws, below)
+    assert rising[0][0] > 0.5 and rising[0][1] == 0.3 and rising[3].tolist() == [1]
 
-    # zero gain moves nothing
-    new, _, _, _, _ = power_step(model, ws, st, met, delta_gamma=np.zeros(4))
-    assert np.array_equal(new, st.exponent)
+    # One call for both rows: each row is its own single step.
+    both = power_step(model, phy.weighted_links(model, np.array([w, w])),
+                      phy.PowerState(np.concatenate([at_cap.alloc, below.alloc]),
+                                     np.concatenate([at_cap.exponent, below.exponent])))
+    joined = [np.concatenate([a, b]) for a, b in zip(capped, rising) if isinstance(a, np.ndarray)]
+    assert _as_bytes([both[0], *both[2:]]) == _as_bytes(joined)
+    assert _as_bytes([np.concatenate([getattr(capped[1], f), getattr(rising[1], f)])
+                      for f in vars(both[1])]) == _as_bytes(list(vars(both[1]).values()))
 
 
 def test_isolated_link_drives_exponent_to_cap():
@@ -364,6 +382,12 @@ def test_solver_reuses_link_view_and_accepted_metrics_exactly(seed, n):
     again = phy.link_metrics(m, final)
     for name in ("power", "inoise", "sinr", "capacity", "node_power"):
         assert np.array_equal(getattr(diag.metrics, name), getattr(again, name))
+    # The capacity trace: the start point and one entry per iterate, the
+    # last one the returned metrics' capacities clipped on the weighted links.
+    _, diag = solve_max_weight(m, w, start, SolverConfig(max_iterations=40), collect_rates=True)
+    assert len(diag.capacity_trace) == diag.iterations + 1
+    clipped = np.where(w > 0, np.maximum(diag.metrics.capacity, 0.0), 0.0)
+    assert diag.capacity_trace[-1].tobytes() == clipped.tobytes()
 
 
 def test_stalled_solves_stop_with_an_honest_flag():
@@ -475,11 +499,26 @@ def test_lockstep_rejects_malformed_weights():
         solve_max_weight_batch(m, -np.ones((2, m.n_links)), start)
 
 
-# ------------------------------------------------ blocked ladder tails
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_both_entries_reject_negative_and_non_finite_weights(bad):
+    """A NaN weight fails every comparison, so ``weights < 0`` alone lets
+    it through, and the solve treats its link as unweighted."""
+    m = random_model(np.random.default_rng(5), n=5)
+    start = phy.uniform_power_state(m)
+    w = np.ones(m.n_links)
+    w[0] = bad
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        solve_max_weight(m, w, start)
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        solve_max_weight_batch(m, np.array([np.ones(m.n_links), w]), start)
+
+
+# ------------------------------------------------ ladder references
 #
-# The Armijo ladders one trial round after another, as they ran before
-# their tails were evaluated as one block: the references the solver's
-# ladders must match bit for bit.  A trial that fails while predicting a
+# The Armijo ladders one trial round after another, each round evaluating
+# only what is still searching: the references that the sweep, with its
+# blocked tail, and the power step, which evaluates every row each round,
+# must match bit for bit.  A trial that fails while predicting a
 # gain of at most ``_ROUNDING_FLOOR * |f0|`` ends its ladder without
 # accepting.  Each appends (round, reason) per ladder to ``why``: the round
 # after which it stopped and why.
@@ -527,11 +566,11 @@ def _sequential_sweep(model, links, state, metrics, delta_alloc, beta0, why):
 
 
 def _sequential_power_step(model, links, state, xi0, why):
-    """``_lockstep_power_step``, round by round."""
+    """``power_step``, round by round, each round evaluating only the rows
+    still searching."""
     rows, n, n_links = links.rows, model.n, model.n_links
     metrics, f0 = solver._trial(model, links.w, links.act, state.alloc, state.exponent)
-    delta_gamma, v = (x.reshape(rows, n) for x in
-                      solver._power_direction(model, links, state.alloc, metrics))
+    delta_gamma, v = solver._power_direction(model, links, state.alloc, metrics)
     gamma0 = state.exponent.reshape(rows, n)
     grad = model.log_power_cap * delta_gamma
     xi = (np.full(rows, solver.ARMIJO_INITIAL) if xi0 is None
@@ -590,10 +629,35 @@ def _as_bytes(x):
     return repr(x)
 
 
+def _evaluated(step, args, poison=None):
+    """The trial powers ``step(*args)`` evaluates, each problem's bytes, and
+    its outputs; when the trial powers ``poison`` are evaluated they raise
+    NumericDomainError, and its ``repr`` replaces the outputs."""
+    metrics_of = solver.link_metrics_from_powers
+    seen = []
+
+    def metrics(model, p):
+        for row in p.reshape(-1, model.n_links):
+            seen.append(row.tobytes())
+            if seen[-1] == poison:
+                raise NumericDomainError("poisoned trial")
+        return metrics_of(model, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "link_metrics_from_powers", metrics)
+        try:
+            out = step(*args)
+        except NumericDomainError as exc:
+            if poison is None:
+                raise
+            out = repr(exc)
+    return seen, out
+
+
 def _checked_ladders(mp, seen):
     """Route the solver's ladders through a comparison with the references;
     ``seen`` collects, per kind of ladder, the references' (round, reason)."""
-    blocked_sweep, blocked_power = solver.alloc_sweep, solver._lockstep_power_step
+    blocked_sweep, one_power_step = solver.alloc_sweep, solver.power_step
 
     def sweep(model, links, state, metrics, delta_alloc, beta0=None):
         why = []
@@ -606,16 +670,22 @@ def _checked_ladders(mp, seen):
             seen.setdefault("lockstep sweep", []).append(why)
         return got
 
-    def power_step(model, links, state, xi0):
+    def power_step(model, links, state, xi0=None):
         why = []
-        want = _sequential_power_step(model, links, state, xi0, why)
-        got = blocked_power(model, links, state, xi0)
+        args = (model, links, state, xi0)
+        want_seen, want = _evaluated(lambda *a: _sequential_power_step(*a, why), args)
+        got_seen, got = _evaluated(one_power_step, args)
         assert _as_bytes(got) == _as_bytes(want)
-        seen.setdefault("lockstep power step", []).append(why)
+        # No row evaluates a trial its own ladder does not reach.
+        assert set(got_seen) <= set(want_seen)
+        if links.rows == 1:
+            seen.setdefault("power step", []).extend(why)
+        else:
+            seen.setdefault("lockstep power step", []).append(why)
         return got
 
     mp.setattr(solver, "alloc_sweep", sweep)
-    mp.setattr(solver, "_lockstep_power_step", power_step)
+    mp.setattr(solver, "power_step", power_step)
 
 
 def _solve_checked(seed, n, cap, min_step, tolerance, rounding=solver._ROUNDING_FLOOR):
@@ -655,18 +725,19 @@ def test_blocked_ladders_equal_sequential_ladders(seed, n, cap, min_step, tolera
 
 
 def test_blocked_ladders_cover_every_stop():
-    """Fixed problems on which the blocked tails meet every way a ladder
-    stops, and lockstep rows that stop in different rounds of one block.
-    Ladders stopped at the rounding floor rarely reach the other stops, so
-    a rounding floor of 0 lets them run on.  On these problems a power
-    ladder's exponents stop moving before its stepsize reaches 1e-14, and
-    its predicted gain is rounding noise only within its first rounds, so
-    a raised ``_MIN_STEP`` and a raised rounding floor stand in for those
-    stops."""
+    """Fixed problems on which the sweep's blocked tails and the power
+    step's ladders meet every way a ladder stops, and lockstep rows that
+    stop in different rounds: of one sweep block, and of one power step,
+    some accepting and some not, one at the stepsize floor.  Ladders stopped at the rounding floor
+    rarely reach the other stops, so a rounding floor of 0 lets them run
+    on.  On these problems a power ladder's exponents stop moving before its
+    stepsize reaches 1e-14, and its predicted gain is rounding noise only
+    within its first rounds, so a raised ``_MIN_STEP`` and a raised rounding
+    floor stand in for those stops."""
     seen = {}
     for seed, n, cap, min_step, rounding in ((7, 5, 80, 1e-14, 0.0), (11, 8, 80, 1e-14, 0.0),
                                              (3, 4, 6, 1e-14, 0.0), (3, 4, 80, 1e-4, 0.0),
-                                             (9, 4, 80, 1e-14, 0.03)):
+                                             (9, 4, 80, 1e-14, 0.03), (0, 4, 80, 1e-4, 0.0)):
         for kind, why in _solve_checked(seed, n, cap, min_step, 1e-12, rounding).items():
             seen.setdefault(kind, []).extend(why)
     tail = solver._SEQUENTIAL_ROUNDS
@@ -677,72 +748,61 @@ def test_blocked_ladders_cover_every_stop():
     every = {"accepted", "floor", "cap", "rounding"}
     assert reasons(seen["sweep"]) == every
     assert reasons(sum(seen["lockstep sweep"], [])) == every
-    assert reasons(sum(seen["lockstep power step"], [])) == every | {"zero move"}
-    lockstep = seen["lockstep sweep"] + seen["lockstep power step"]
-    assert any(len({r for r, _ in why if r >= tail}) > 1 for why in lockstep)
+    # The power step has no block: every round counts.
+    power = seen["lockstep power step"]
+    assert {reason for _, reason in sum(power, [])} == every | {"zero move"}
+    assert seen["power step"]
+    assert any(len({r for r, _ in why if r >= tail}) > 1 for why in seen["lockstep sweep"])
+    assert any(len({r for r, _ in why}) > 1 for why in power)
+    # Rows of one power step that stop in different rounds, some accepting
+    # and some not: the step returns accepted and start points side by side.
+    assert any(len({r for r, _ in why}) > 1 and len({reason for _, reason in why}) > 1
+               and "accepted" in {reason for _, reason in why} for why in power)
+    # A row stops at the stepsize floor while another searches on, so the
+    # stopped row is evaluated again: at its last trial, not a halved one.
+    assert any(r < max(r for r, _ in why) for why in power for r, reason in why
+               if reason == "floor")
     # The sweeps meet the rounding floor itself, single and lockstep.
     at_floor = _solve_checked(2, 8, 6, 1e-14, 1e-12)
     assert "rounding" in reasons(at_floor["sweep"])
     assert "rounding" in reasons(sum(at_floor["lockstep sweep"], []))
 
 
-def test_blocked_power_ladder_raises_only_where_the_sequential_one_does():
-    """A trial that fails with NumericDomainError fails the blocked ladder
-    with the same error exactly when the round-by-round ladder reaches it."""
-    from bpsim.errors import NumericDomainError
-
-    # A problem on which a power ladder reaches its block and the block
-    # evaluates trials the ladder never reaches.
+def test_power_step_evaluates_and_raises_only_where_the_reference_does():
+    """The power step evaluates no trial powers the round-by-round reference
+    does not, at one row and at more, although every round evaluates the
+    stopped rows again; and a trial that fails with NumericDomainError fails
+    both steps alike."""
+    # Batch rows that stop in different rounds, and one row alone.
     rng = np.random.default_rng(0)
     m = random_model(rng, n=5)
     mask = random_weights(rng, m) > 0
     rows = np.array([np.where(mask, rng.random(m.n_links) * 10.0, 0.0) for _ in range(4)])
+    start = phy.random_power_state(m, rng)
+    config = SolverConfig(kkt_tolerance=1e-12, max_iterations=40)
     calls = []
-    blocked = solver._lockstep_power_step
+    step = solver.power_step
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_lockstep_power_step", lambda *args: calls.append(args) or
-                   blocked(*args))
-        solve_max_weight_batch(m, rows, phy.random_power_state(m, rng),
-                               SolverConfig(kkt_tolerance=1e-12, max_iterations=40))
+        mp.setattr(solver, "power_step", lambda *args: calls.append(args) or step(*args))
+        solve_max_weight_batch(m, rows, start, config)
+        solve_max_weight(m, rows[0], start, config)
 
-    metrics_of = solver.link_metrics_from_powers
+    def reference(*args):
+        return _sequential_power_step(*args, why=[])
 
-    def evaluated(step, args, poison=None):
-        """The trial powers ``step`` evaluates, each problem's bytes, and
-        its outputs or the error it raised, with ``poison`` failing."""
-        seen = []
-
-        def metrics(model, p):
-            for row in p.reshape(-1, model.n_links):
-                seen.append(row.tobytes())
-                if seen[-1] == poison:
-                    raise NumericDomainError("poisoned trial")
-            return metrics_of(model, p)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "link_metrics_from_powers", metrics)
-            try:
-                out = _as_bytes(step(*args))
-            except NumericDomainError as exc:
-                out = repr(exc)
-        return seen, out
-
-    reached = spared = 0
+    sizes, again = set(), 0
     for args in calls:
-        rows_ = args[1].rows
-        ref_seen, ref_out = evaluated(lambda *a: _sequential_power_step(*a, why=[]), args)
-        got_seen, got_out = evaluated(blocked, args)
-        assert got_out == ref_out
-        late = ref_seen[rows_ * (1 + solver._SEQUENTIAL_ROUNDS):]     # block rounds
-        if late:
-            reached += 1
-            for step in (blocked, lambda *a: _sequential_power_step(*a, why=[])):
-                assert evaluated(step, args, late[0])[1] == "NumericDomainError('poisoned trial')"
-        extra = set(got_seen) - set(ref_seen)
-        if extra:
-            spared += 1
-            assert evaluated(blocked, args, extra.pop())[1] == ref_out
-    assert reached and spared
+        ref_seen, ref_out = _evaluated(reference, args)
+        got_seen, got_out = _evaluated(step, args)
+        assert _as_bytes(got_out) == _as_bytes(ref_out)
+        assert set(got_seen) <= set(ref_seen)
+        for poison in dict.fromkeys(ref_seen):
+            assert (_evaluated(step, args, poison)[1] == _evaluated(reference, args, poison)[1]
+                    == "NumericDomainError('poisoned trial')")
+        sizes.add(args[1].rows)
+        again += len(got_seen) > len(ref_seen)
+    assert 1 in sizes and max(sizes) > 1
+    assert again
 
 
 # ------------------------------------------------ the rounding floor
@@ -752,7 +812,7 @@ def _ascent_checked(mp, drops):
     strict check that no accepted step lowers its objective: a node's local
     objective in the sweep, a problem's objective in the power step.
     ``drops`` collects (kind, amount) for each that does."""
-    sweep, single, lockstep = solver.alloc_sweep, solver.power_step, solver._lockstep_power_step
+    sweep, step = solver.alloc_sweep, solver.power_step
 
     def checked_sweep(model, links, state, metrics, delta_alloc, beta0=None):
         out = sweep(model, links, state, metrics, delta_alloc, beta0)
@@ -762,22 +822,15 @@ def _ascent_checked(mp, drops):
         drops.extend(("sweep", float(x)) for x in (f0 - f1)[f1 < f0])
         return out
 
-    def checked_power_step(model, ws, state, xi0=None):
-        out = single(model, ws, state, xi0=xi0)
-        _, f0 = solver._trial(model, ws.w, ws.act, state.alloc, state.exponent)
-        if out[2] < f0[0]:
-            drops.append(("power step", float(f0[0] - out[2])))
-        return out
-
-    def checked_lockstep(model, links, state, xi0):
-        out = lockstep(model, links, state, xi0)
+    def checked_power_step(model, links, state, xi0=None):
+        out = step(model, links, state, xi0)
         _, f0 = solver._trial(model, links.w, links.act, state.alloc, state.exponent)
-        drops.extend(("lockstep power step", float(x)) for x in (f0 - out[2])[out[2] < f0])
+        kind = "power step" if links.rows == 1 else "lockstep power step"
+        drops.extend((kind, float(x)) for x in (f0 - out[2])[out[2] < f0])
         return out
 
     mp.setattr(solver, "alloc_sweep", checked_sweep)
     mp.setattr(solver, "power_step", checked_power_step)
-    mp.setattr(solver, "_lockstep_power_step", checked_lockstep)
 
 
 @settings(max_examples=25, deadline=None)
@@ -799,54 +852,3 @@ def test_no_accepted_step_lowers_its_objective(seed, n):
         solve_max_weight(m, w, near, config)
         solve_max_weight_batch(m, rows, near, config)
     assert drops == []
-
-
-# ------------------------------------------------ one solve loop
-
-def test_row_count_picks_the_power_step():
-    """One solve loop serves one row and many: a one-row solve takes the
-    scalar power step only, and a batch takes the lockstep step while two
-    or more rows remain, then the scalar one for its last row.  Its rows
-    stay bit for bit their single solves."""
-    rng = np.random.default_rng(4)
-    m = random_model(rng, n=6)
-    # Rows sharing their weighted links advance in one batch.
-    mask = random_weights(rng, m) > 0
-    rows = np.array([np.where(mask, rng.random(m.n_links) * 10.0, 0.0) for _ in range(4)])
-    start = phy.random_power_state(m, rng)
-    config = SolverConfig(kkt_tolerance=1e-9, max_iterations=400)
-    single, lockstep = solver.power_step, solver._lockstep_power_step
-    calls = []
-
-    def counted_single(model, links, state, xi0=None):
-        calls.append(("single", links.rows))
-        return single(model, links, state, xi0=xi0)
-
-    def counted_lockstep(model, links, state, xi0):
-        calls.append(("lockstep", links.rows))
-        return lockstep(model, links, state, xi0)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "power_step", counted_single)
-        mp.setattr(solver, "_lockstep_power_step", counted_lockstep)
-        _, diag = solve_max_weight(m, rows[0], start, config)
-        assert diag.iterations > 0
-        assert calls == [("single", 1)] * diag.iterations
-        calls.clear()
-        batch = solve_max_weight_batch(m, rows, start, config)
-    iterations = sorted(d.iterations for _, d in batch)
-    assert 0 < iterations[-2] < iterations[-1]  # the last row runs on alone
-    kinds = [kind for kind, _ in calls]
-    n_lockstep = kinds.count("lockstep")
-    assert n_lockstep == iterations[-2]
-    assert kinds == ["lockstep"] * n_lockstep + ["single"] * (len(kinds) - n_lockstep)
-    assert all(r >= 2 for kind, r in calls if kind == "lockstep")
-    assert all(r == 1 for kind, r in calls if kind == "single")
-    _assert_lockstep_matches(m, rows, start, config)
-
-    # The capacity trace: the start point and one entry per iterate, the
-    # last one the returned metrics' capacities clipped on the weighted links.
-    _, diag = solve_max_weight(m, rows[0], start, config, collect_rates=True)
-    assert len(diag.capacity_trace) == diag.iterations + 1
-    clipped = np.where(mask, np.maximum(diag.metrics.capacity, 0.0), 0.0)
-    assert diag.capacity_trace[-1].tobytes() == clipped.tobytes()
