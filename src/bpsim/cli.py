@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericDomainError
-from .model import Scenario, generate_scenario, load_scenario, save_scenario
+from .model import Scenario, generate_scenario, load_scenario, reserve, save_scenario
 from .policy import SCHEME_NAMES
 from .sim import SimConfig, SimTrace, curve_to_csv, run_simulation, trace_to_csv
 from .solver import SolverConfig
@@ -129,6 +129,10 @@ def cmd_run(args) -> int:
         raise ConfigError("runs and slots must be >= 1")
     if args.iterations < 1:
         raise ConfigError(f"--iterations must be >= 1, got {args.iterations}")
+    # A run's largest arrays hold a value per slot and link, or per slot and queue.
+    m, queues = scenario.model, scenario.traffic.arrival_mean.size
+    reserve((args.slots + 1, max(m.n_links, queues)),
+            f"--slots {args.slots} is too many slots to simulate")
     config = _sim_config(args)
     # Same per-run seed for every scheme: identical arrival realizations.
     jobs = [(scenario, scheme, args.slots, config, args.seed + r)
@@ -161,9 +165,9 @@ def cmd_run(args) -> int:
     for scheme in schemes:
         traces = [results[(scheme, args.seed + r)] for r in range(args.runs)]
         for r, tr in enumerate(traces):
-            path = outdir / f"trace_{scheme}_run{r}.csv"
-            path.write_text(trace_to_csv(tr, per_queue=args.per_queue),
-                            encoding="utf-8", newline="\n")
+            with open(outdir / f"trace_{scheme}_run{r}.csv", "w", encoding="utf-8",
+                      newline="\n") as fh:
+                trace_to_csv(tr, fh, per_queue=args.per_queue)
         mean = np.mean([tr.total_backlog for tr in traces], axis=0)
         (outdir / f"avg_{scheme}.csv").write_text(
             curve_to_csv(mean), encoding="utf-8", newline="\n")

@@ -222,6 +222,15 @@ def _connected(n: int, links: list[tuple[int, int]]) -> bool:
     return all(seen)
 
 
+def reserve(shape: tuple, what: str) -> None:
+    """Reject an array size numpy cannot hold before any work that needs it:
+    ``np.empty`` writes no page, so a size that fits costs nothing here."""
+    try:
+        np.empty(shape)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def generate_scenario(n: int, arrival_mean: float, seed: int) -> Scenario:
     """Random disc scenario: n uniform nodes, range-limited links, one session per node.
 
@@ -237,12 +246,7 @@ def generate_scenario(n: int, arrival_mean: float, seed: int) -> Scenario:
     if seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     # The (n, n, 2) pairwise offsets are the largest array drawn below.
-    # Reserving one first (np.empty writes no page) rejects a size that
-    # cannot be held before any array of n values is filled.
-    try:
-        np.empty((n, n, 2))
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"n={n} is too many nodes to generate: {exc}") from None
+    reserve((n, n, 2), f"n={n} is too many nodes to generate")
     rng = np.random.default_rng(seed)
     radius = link_radius(n)
     positions = dist = None

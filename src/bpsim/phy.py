@@ -18,6 +18,7 @@ values are bit for bit its own.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ from .model import POWER_FLOOR_RATIO, NetworkModel  # noqa: F401  (re-exported)
 # Allocation fractions are floored here inside projections; low enough that
 # the floor is inactive at any optimum with positive link weights.
 ETA_FLOOR = 1e-12
+# Exponents within this of their floor or cap count as at that bound.
+BOUND_TOL = 1e-9
 
 
 @dataclass
@@ -51,6 +54,26 @@ def end_to_end(x: np.ndarray, rows: int, stride: int | None = None) -> np.ndarra
     if stride is None:
         return x[None].repeat(rows, 0).reshape(-1)
     return (x + stride * np.arange(rows)[:, None]).reshape(-1)
+
+
+# The model's constants laid end to end over B problems (its own arrays at
+# B = 1), built once per solve: rows; size B*n; (B*E,) src, dst (b*n + node),
+# link_gain, link_theta_gain, link_noise, link_kg; (B*n,) power_cap,
+# keep_theta (1 - theta), floor_bound (floor + BOUND_TOL), no_high and
+# no_low (-inf, inf: to copy); (B, n) log_power_cap and gamma_floor.
+Layout = namedtuple("Layout", "rows size src dst link_gain link_theta_gain link_noise link_kg"
+                    " power_cap keep_theta floor_bound no_high no_low log_power_cap gamma_floor")
+
+
+def layout(model: NetworkModel, rows: int) -> Layout:
+    n = model.n
+    floor = end_to_end(model.gamma_floor, rows)
+    return Layout(rows, rows * n, end_to_end(model.src, rows, n), end_to_end(model.dst, rows, n),
+                  *(end_to_end(x, rows) for x in (
+                      model.link_gain, model.link_theta_gain, model.link_noise, model.link_kg,
+                      model.power_cap, 1.0 - model.theta)),
+                  floor + BOUND_TOL, np.full(rows * n, -np.inf), np.full(rows * n, np.inf),
+                  end_to_end(model.log_power_cap, rows).reshape(rows, n), floor.reshape(rows, n))
 
 
 def node_powers(model: NetworkModel, state: PowerState) -> np.ndarray:
@@ -124,39 +147,39 @@ class LinkMetrics:
     node_power: np.ndarray  # (n,)
 
 
-def link_metrics_from_powers(model: NetworkModel, p: np.ndarray) -> LinkMetrics:
+def link_metrics_from_powers(model: NetworkModel, p: np.ndarray,
+                             lay: Layout | None = None) -> LinkMetrics:
     """Metrics from raw per-link powers, of one problem or of several laid
-    end to end (``p`` of length B*E).
+    end to end (``p`` of length B*E; ``lay`` their layout, if at hand).
 
     Does not assume the allocations sum to one, so callers may evaluate
     perturbed configurations (finite differences, midpoints in log powers).
     """
-    n, n_links = model.n, model.n_links
-    rows = p.size // n_links
-    src = end_to_end(model.src, rows, n)
-    g = end_to_end(model.link_gain, rows)
-    tx_total = np.bincount(src, weights=p, minlength=rows * n)
-    tx_src = tx_total[src]
+    if lay is None:
+        lay = layout(model, p.size // model.n_links)
+    tx_total = np.bincount(lay.src, weights=p, minlength=lay.size)
+    tx_src = tx_total[lay.src]
     # Received power at each node from every transmitter (diagonal gain is 0).
-    rx_total = np.matmul(model.gain.T, tx_total.reshape(rows, n, 1)).reshape(-1)
-    other = rx_total[end_to_end(model.dst, rows, n)] - g * tx_src
-    inoise = (end_to_end(model.link_theta_gain, rows) * (tx_src - p) + other
-              + end_to_end(model.link_noise, rows))
+    rx_total = np.matmul(model.gain.T, tx_total.reshape(lay.rows, -1, 1)).reshape(-1)
+    other = rx_total[lay.dst] - lay.link_gain * tx_src
+    inoise = lay.link_theta_gain * (tx_src - p) + other + lay.link_noise
     # NaN fails both comparisons, so these two reductions reject exactly the
     # non-finite and non-positive values.
-    if not (inoise.min(initial=np.inf) > 0 and inoise.max(initial=0.0) < np.inf):
-        bad = int(np.argmin(np.where(np.isfinite(inoise), inoise, -np.inf))) % n_links
-        raise NumericDomainError(
-            f"interference-plus-noise is not positive and finite on link {model.links[bad]}"
-        )
-    sinr = end_to_end(model.link_kg, rows) * p / inoise
-    # log runs only where sinr > 0, so capacity is never NaN; sinr may be.
-    capacity = np.log(sinr, out=np.full_like(sinr, -np.inf), where=sinr > 0)
-    if np.isnan(sinr.max(initial=-np.inf)):
-        bad = int(np.argmax(np.isnan(sinr))) % n_links
-        raise NumericDomainError(f"non-finite capacity on link {model.links[bad]}")
-    return LinkMetrics(power=p, inoise=inoise, sinr=sinr, capacity=capacity,
-                       node_power=tx_total)
+    if not (np.minimum.reduce(inoise) > 0 and np.maximum.reduce(inoise) < np.inf):
+        bad = int(np.argmin(np.where(np.isfinite(inoise), inoise, -np.inf))) % model.n_links
+        raise NumericDomainError(f"interference-plus-noise is not positive and finite"
+                                 f" on link {model.links[bad]}")
+    sinr = lay.link_kg * p / inoise
+    # log(0) is the -inf wanted without power.  A NaN, which fails the
+    # comparison, comes from a NaN or negative SINR: only then look closer.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        capacity = np.log(sinr)
+    if not np.maximum.reduce(capacity) >= -np.inf:
+        if np.isnan(sinr).any():
+            bad = int(np.argmax(np.isnan(sinr))) % model.n_links
+            raise NumericDomainError(f"non-finite capacity on link {model.links[bad]}")
+        capacity = np.log(sinr, out=np.full_like(sinr, -np.inf), where=sinr > 0)
+    return LinkMetrics(p, inoise, sinr, capacity, tx_total)
 
 
 def link_metrics(model: NetworkModel, state: PowerState) -> LinkMetrics:
@@ -170,12 +193,19 @@ def row_objectives(w: np.ndarray, act: np.ndarray, metrics: LinkMetrics,
     ``w`` and ``act`` are the weights of the problems' weighted links and
     their ids in the end-to-end link arrays; every problem has as many.
     """
-    p = metrics.power[act]
-    if p.min(initial=np.inf) <= 0:
+    f = np.matmul(w.reshape(rows, 1, -1),
+                  metrics.capacity[act].reshape(rows, -1, 1)).reshape(rows)
+    # A weighted link without power has capacity -inf, which takes its row
+    # to -inf or NaN: only then are the powers looked at.
+    if not np.minimum.reduce(f) > -np.inf:
+        _check_powers(act, metrics.power[act], " (log 0)")
+    return f
+
+
+def _check_powers(act: np.ndarray, p: np.ndarray, why: str = "") -> None:
+    if (p <= 0).any():
         bad = int(act[np.argmax(p <= 0)])
-        raise NumericDomainError(f"zero power on weighted link index {bad} (log 0)")
-    return np.matmul(w.reshape(rows, 1, -1),
-                     metrics.capacity[act].reshape(rows, -1, 1)).reshape(rows)
+        raise NumericDomainError(f"zero power on weighted link index {bad}{why}")
 
 
 def objective_from_metrics(weights: "np.ndarray", metrics: LinkMetrics) -> float:
@@ -191,13 +221,14 @@ def objective_from_metrics(weights: "np.ndarray", metrics: LinkMetrics) -> float
 @dataclass
 class WeightedLinks:
     """The links with positive weight of B problems over one model, laid end
-    to end (see the module docstring), and their per-link constants.
+    to end (see the module docstring), their constants and the model's.
 
     Links without weight contribute exact zeros to every marginal-gain sum,
     so the gradient formulas run over these links only.
     """
 
     rows: int               # B
+    lay: Layout
     act: np.ndarray         # b*E + link: ids into the end-to-end link arrays
     src: np.ndarray         # b*n + transmitter
     dst: np.ndarray         # b*n + receiver
@@ -208,7 +239,7 @@ class WeightedLinks:
     ln_kg: np.ndarray       # log(processing_gain * gain[src, dst]), model.link_log_kg
     m_node: np.ndarray      # (B*n,) weighted out-degree
     has_active: np.ndarray  # (B*n,) bool
-    gain_rows: np.ndarray   # (B*E_a, n) gain from every node to each link's receiver
+    gain_rows: np.ndarray   # (B, E_a, n) gain from every node to each link's receiver
     own_slot: np.ndarray    # flat index in gain_rows of each link's own transmitter
 
 
@@ -217,66 +248,63 @@ def weighted_links(model: NetworkModel, weights: np.ndarray) -> WeightedLinks:
     ``weights`` laid end to end, and their per-link constants."""
     n, n_links = model.n, model.n_links
     rows = weights.size // n_links
+    lay = layout(model, rows)
     act = np.flatnonzero(weights > 0)
     link = act if rows == 1 else act % n_links
-    src, dst = model.src[link], model.dst[link]
-    gain_rows = model.gain.T[dst]
-    own_slot = np.arange(act.size) * n + src
-    if rows > 1:
-        shift = n * (act // n_links)
-        src, dst = src + shift, dst + shift
     w = weights.reshape(-1)[act]
     g = model.link_gain[link]
-    m_node = np.bincount(src, minlength=rows * n).astype(float)
-    return WeightedLinks(rows=rows, act=act, src=src, dst=dst, w=w, gain=g, gain_rows=gain_rows,
-                         w_theta_g=w * model.link_theta[link] * g, own_slot=own_slot,
+    m_node = np.bincount(lay.src[act], minlength=rows * n).astype(float)
+    return WeightedLinks(rows=rows, lay=lay, act=act, src=lay.src[act], dst=lay.dst[act], w=w,
+                         gain=g, gain_rows=model.gain.T[model.dst[link]].reshape(rows, -1, n),
+                         own_slot=np.arange(act.size) * n + model.src[link],
+                         w_theta_g=w * model.link_theta[link] * g,
                          theta_g=model.link_theta_gain[link], ln_kg=model.link_log_kg[link],
                          m_node=m_node, has_active=m_node > 0)
 
 
-def _pressures(model: NetworkModel, links: WeightedLinks,
-               metrics: LinkMetrics) -> tuple[np.ndarray, np.ndarray]:
-    """(B*n,) own pressure sum(g * w / IN) over each node's outgoing links, and
-    receiver pressure: the gain-weighted sum of w / IN over every receiver's
-    incoming links."""
-    size = links.rows * model.n
-    f = links.w / metrics.inoise[links.act]
+# One point's allocations and link metrics gathered at the weighted links
+# once, for every formula that reads them there: metrics; alloc, power and
+# inoise at act; src_power, metrics.node_power[src].
+WeightedView = namedtuple("WeightedView", "metrics alloc power inoise src_power")
+
+
+def weighted_view(links: WeightedLinks, alloc: np.ndarray, metrics: LinkMetrics) -> WeightedView:
+    return WeightedView(metrics, alloc[links.act], metrics.power[links.act],
+                        metrics.inoise[links.act], metrics.node_power[links.src])
+
+
+def weighted_gains(model: NetworkModel, links: WeightedLinks,
+                   at: WeightedView) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``marginal_gains`` with the allocation gains on the weighted links
+    only, at a point whose weighted links all carry power."""
+    size, f = links.lay.size, links.w / at.inoise
+    delta_alloc = links.w / at.power + links.w_theta_g / at.inoise
+    # Own pressure sum(g * w / IN) over each node's outgoing links, and the
+    # gain-weighted sum of w / IN over every receiver's incoming links.
     own = np.bincount(links.src, weights=links.gain * f, minlength=size)
     at_rx = np.bincount(links.dst, weights=f, minlength=size)
-    down = np.matmul(model.gain, at_rx.reshape(links.rows, model.n, 1)).reshape(size)
-    return own, down
-
-
-def _alloc_gains(model: NetworkModel, links: WeightedLinks,
-                 metrics: LinkMetrics) -> np.ndarray:
-    """(B*E,) b * (1/P + theta*h/IN) on the weighted links, zero elsewhere."""
-    p = metrics.power[links.act]
-    if p.min(initial=np.inf) <= 0:
-        bad = int(links.act[np.argmax(p <= 0)])
-        raise NumericDomainError(f"zero power on weighted link index {bad}")
-    out = np.zeros(links.rows * model.n_links)
-    out[links.act] = links.w / p + links.w_theta_g / metrics.inoise[links.act]
-    return out
+    down = np.matmul(model.gain, at_rx.reshape(links.rows, -1, 1)).reshape(size)
+    alloc_term = np.bincount(links.src, weights=delta_alloc * at.alloc, minlength=size)
+    return delta_alloc, links.lay.keep_theta * own + alloc_term, down
 
 
 def marginal_gains(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray,
                    metrics: LinkMetrics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Allocation marginal gains and the power gain's raise/drop parts, one pass.
 
-    Returns the (E,) allocation gains, zero on links without weight, and the
-    (n,) parts ``up`` and ``down`` of the power marginal gain
-    p_node * (up - down), each laid end to end over the B problems of
-    ``links``.  ``up`` collects the node's own weighted-rate terms, ``down``
-    the interference it imposes on every other receiver.  Both are
-    nonnegative; their near-cancellation is what the optimality certificate
-    measures, so they also set its natural scale.
+    Returns the (E,) allocation gains b * (1/P + theta*h/IN), zero on links
+    without weight, and the (n,) parts ``up`` and ``down`` of the power
+    marginal gain p_node * (up - down), each laid end to end over the B
+    problems of ``links``.  ``up`` collects the node's own weighted-rate
+    terms, ``down`` the interference it imposes on every other receiver.
+    Both are nonnegative; their near-cancellation is what the optimality
+    certificate measures, so they also set its natural scale.
     """
-    n, rows = model.n, links.rows
-    delta_alloc = _alloc_gains(model, links, metrics)
-    own, down = _pressures(model, links, metrics)
-    alloc_term = np.bincount(links.src, weights=(delta_alloc * alloc)[links.act],
-                             minlength=rows * n)
-    up = end_to_end(1.0 - model.theta, rows) * own + alloc_term
+    at = weighted_view(links, alloc, metrics)
+    _check_powers(links.act, at.power)
+    delta, up, down = weighted_gains(model, links, at)
+    delta_alloc = np.zeros(links.rows * model.n_links)
+    delta_alloc[links.act] = delta
     return delta_alloc, up, down
 
 
@@ -285,9 +313,9 @@ def alloc_marginal_gain(model: NetworkModel, weights: np.ndarray,
     """Allocation marginal gain per link, b * (1/P + theta*h/IN).
 
     Zero on links with zero weight.  Equals (b/P) * (1 + theta*SINR/K),
-    which a node can assemble from local measurements alone.
-    """
-    return _alloc_gains(model, weighted_links(model, weights), metrics)
+    which a node can assemble from local measurements alone."""
+    links = weighted_links(model, weights)      # the allocations do not enter it
+    return marginal_gains(model, links, np.zeros(links.rows * model.n_links), metrics)[0]
 
 
 def power_marginal_parts(model: NetworkModel, weights: np.ndarray, state: PowerState,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -254,8 +255,8 @@ def average_runs(scenario: Scenario, scheme: str, runs: int, slots: int,
     return mean, traces
 
 
-def trace_to_csv(trace: SimTrace, per_queue: bool = False) -> str:
-    """Render a trace in the documented column layout.
+def trace_to_csv(trace: SimTrace, out: TextIO, per_queue: bool = False) -> None:
+    """Write a trace to ``out`` in the documented column layout, row by row.
 
     Drift columns describe the transition out of each slot; the final
     boundary row carries empty drift cells.
@@ -265,7 +266,7 @@ def trace_to_csv(trace: SimTrace, per_queue: bool = False) -> str:
     if per_queue:
         n, nk = trace.backlog.shape[1], trace.backlog.shape[2]
         header += [f"u_{i}_{k}" for i in range(n) for k in range(nk)]
-    lines = [",".join(header)]
+    out.write(",".join(header) + "\n")
     flat = trace.queue_vectors()
     # Cells come from tolist(), a row at a time so that only one row's
     # Python floats are alive: repr of a Python float is repr(float(x)).
@@ -277,8 +278,7 @@ def trace_to_csv(trace: SimTrace, per_queue: bool = False) -> str:
         row += map(repr, drift[t]) if t < trace.slots else ["", "", "", ""]
         if per_queue:
             row += map(repr, flat[t].tolist())
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        out.write(",".join(row) + "\n")
 
 
 def curve_to_csv(curve: np.ndarray) -> str:

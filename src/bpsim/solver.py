@@ -24,19 +24,10 @@ import numpy as np
 
 from .errors import ConfigError, NumericDomainError
 from .model import NetworkModel
-from .phy import (
-    ETA_FLOOR,
-    LinkMetrics,
-    PowerState,
-    WeightedLinks,
-    alloc_marginal_gain,  # noqa: F401  (not called here; bench/tracer.py wraps it)
-    end_to_end,
-    link_metrics,
-    link_metrics_from_powers,
-    marginal_gains,
-    row_objectives,
-    weighted_links,
-)
+from .phy import (BOUND_TOL, ETA_FLOOR, LinkMetrics, PowerState, WeightedLinks, WeightedView,
+                  end_to_end, link_metrics, link_metrics_from_powers, marginal_gains,
+                  row_objectives, weighted_gains, weighted_links, weighted_view)
+from .phy import alloc_marginal_gain  # noqa: F401  (not called here; bench/tracer.py wraps it)
 
 # Safeguards under the diagonal scaling matrices.
 SCALE_EPS = 1e-8
@@ -50,7 +41,9 @@ _MAX_BACKTRACKS = 80
 # rest are evaluated as one block (_sweep_block).  Most ladders end within
 # them, and a block costs about five rounds.
 _SEQUENTIAL_ROUNDS = 3
-_BOUND_TOL = 1e-9
+# The certificate's bounds: allocations pinned at the floor, exponents at the cap.
+_ALLOC_AT_FLOOR = ETA_FLOOR * (1.0 + 1e-6)
+_EXPONENT_AT_CAP = 1.0 - BOUND_TOL
 # Iterates in a row that leave the objective bit for bit unchanged before a
 # solve gives up (see _solve_rows).
 _STALL_ITERATES = 12
@@ -83,13 +76,13 @@ def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray
                          invq: np.ndarray, floor: float) -> np.ndarray:
     """Weighted-simplex projection of each segment ``src == i`` (length ``m_node[i]``).
 
-    Minimizes sum((x - target)**2 / invq) per segment by the exact finite
-    active-set method: solve for the multiplier on the free set, clamp
-    violators, repeat.  A segment without violations keeps its free set, so
-    the loop ends within the longest segment's length plus one passes.  The
-    first pass has every coordinate free, so its sums need no mask and its
-    goal is exactly 1.  When it clamps nothing, every x is at or above the
-    floor (or NaN) and is returned as it is.
+    Minimizes sum((x - target)**2 / invq) per segment, ``invq`` positive, by
+    the exact finite active-set method: solve for the multiplier on the free
+    set, clamp violators, repeat.  A segment without violations keeps its
+    free set, so the loop ends within the longest segment's length plus one
+    passes.  The first pass has every coordinate free, so its sums need no
+    mask and its goal is exactly 1.  When it clamps nothing, every x is at
+    or above the floor (or NaN) and is returned as it is.
     """
     n = m_node.size
     free = True         # every coordinate, until the first clamp
@@ -97,12 +90,13 @@ def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray
     s_iq = np.bincount(src, weights=invq, minlength=n)
     goal = 1.0
     for _ in range(target.size + 1):
-        mu = np.divide(s_t - goal, s_iq, out=np.zeros(n), where=s_iq > 0)
+        # A zero sum divides by 1: no free coordinate (or invq 0) reads it.
+        mu = (s_t - goal) / (s_iq + (s_iq == 0))
         x = target - mu[src] * invq
         viol = x < floor
         if free is not True:
             viol &= free
-        if not viol.any():
+        if not np.count_nonzero(viol):
             break
         free = free & ~viol
         s_t = np.bincount(src, weights=target * free, minlength=n)
@@ -115,7 +109,9 @@ def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray
 # ------------------------------------------------------------ formula layer
 #
 # Written once for B problems over one model laid end to end (see phy), for
-# the one solve loop, _solve_rows, at any B.
+# the one solve loop, _solve_rows, at any B.  Each iterate point gathers its
+# weighted-link view once (phy.weighted_view), for the gains, the
+# certificate, the sweep and the curvature.
 
 def _seed_state(model: NetworkModel, links: WeightedLinks, initial: PowerState) -> PowerState:
     """Restrict the warm start to the weighted links and keep it off the log barrier.
@@ -132,7 +128,7 @@ def _seed_state(model: NetworkModel, links: WeightedLinks, initial: PowerState) 
     alloc = np.where(~(np.abs(total - 1.0) <= 1e-9)[src], 1.0 / model.out_degree[src],
                      initial.alloc)
     alloc = end_to_end(alloc, rows)
-    alloc[links.has_active[end_to_end(src, rows, n)]] = 0.0
+    alloc[links.has_active[links.lay.src]] = 0.0
     a = end_to_end(initial.alloc, rows)[links.act]
     # Links that were essentially unused get a small positive seed; established
     # allocations above the floor are kept so a converged point stays fixed.
@@ -150,48 +146,38 @@ def _seed_state(model: NetworkModel, links: WeightedLinks, initial: PowerState) 
     return PowerState(alloc, exponent)
 
 
-def _sweep_terms(links: WeightedLinks, alloc: np.ndarray, delta_alloc: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The weighted links' allocations and gains, and the allocation sweep's
-    inverse diagonal scaling (w / a**2 approximates the curvature)."""
-    a = alloc[links.act]
-    return a, delta_alloc[links.act], 1.0 / (links.w / (a * a) + SCALE_EPS)
-
-
-def _armijo_terms(links: WeightedLinks, metrics: LinkMetrics, a: np.ndarray, d: np.ndarray,
+def _armijo_terms(links: WeightedLinks, at: WeightedView, d: np.ndarray,
                   beta0: np.ndarray | None) -> tuple:
-    """The allocation line search's start: the local objective (each node's
-    weighted rate over its own links, as a function of the weighted links'
-    split), its value at ``a``, the gradient along the split, and the
-    per-node stepsize caps and first trials.
-
-    The local objective also takes a (J, k) ``x`` on the weighted links
-    ``pick``, summed by the segment of each entry."""
-    p_i = metrics.node_power[links.src]
+    """The allocation line search's start: the inverse diagonal scaling
+    (w / a**2 approximates the curvature), the local objective (each node's
+    weighted rate over its own links as a function of their split; it also
+    takes a (J, k) ``x`` on the weighted links ``pick``, summed by segment),
+    its value at the view's split, the gradient along the split, and the
+    per-node stepsize caps and first trials."""
+    p_i = at.src_power
     # Interference at each link's receiver that does not depend on this
     # node's own split (totals of other transmitters plus noise).
-    other = metrics.inoise[links.act] - links.theta_g * (p_i - metrics.power[links.act])
-    self_gain = links.theta_g * p_i
-    terms = (links.ln_kg, p_i, self_gain, other, links.w)
+    other = at.inoise - links.theta_g * (p_i - at.power)
+    terms = (links.ln_kg, p_i, links.theta_g * p_i, other, links.w)
 
     def local(x: np.ndarray, pick: np.ndarray | None = None, seg: np.ndarray = links.src,
-              size: int = links.m_node.size) -> np.ndarray:
+              size: int = links.lay.size) -> np.ndarray:
         ln_kg, p, s, o, w = terms if pick is None else (t[pick] for t in terms)
         rate = ln_kg + np.log(p * x) - np.log(s * (1.0 - x) + o)
         return np.bincount(seg, weights=(w * rate).reshape(-1), minlength=size)
 
-    cap = ARMIJO_INITIAL * np.maximum(metrics.node_power, 1.0)
-    return local, local(a), p_i * d, cap, (cap if beta0 is None else np.minimum(beta0, cap))
+    cap = ARMIJO_INITIAL * np.maximum(at.metrics.node_power, 1.0)
+    invq = 1.0 / (links.w / (at.alloc * at.alloc) + SCALE_EPS)
+    return (invq, local, local(at.alloc), p_i * d, cap,
+            cap if beta0 is None else np.minimum(beta0, cap))
 
 
 def _halvings(first: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stepsizes of k Armijo ladders with at most ``rounds`` trials left.
-
-    Returns (depth + 1, k) stepsizes: ``first``, then each row the previous
-    one times ``ARMIJO_SHRINK``, one multiplication at a time as the ladders
-    take them.  Also returns (k,) trials per ladder: up to the one after
-    which its stepsize is below ``_MIN_STEP``, or all ``rounds`` when it
-    never gets there (NaN, or the cap).  ``depth`` is at least the largest.
+    """Stepsizes of k Armijo ladders with at most ``rounds`` trials left:
+    (depth + 1, k) of them, ``first`` and then each row the previous one
+    times ``ARMIJO_SHRINK``, as the ladders take them; and (k,) trials per
+    ladder, up to the one after which its stepsize is below ``_MIN_STEP``,
+    or all ``rounds`` (NaN, or the cap).  ``depth`` is at least the largest.
     """
     top = float(first.max())
     if top < np.inf:
@@ -205,33 +191,29 @@ def _halvings(first: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
     return steps, np.where(below[-1], below.argmax(axis=0) + 1, rounds)
 
 
-def _armijo_test(f1: np.ndarray, f0: np.ndarray, gain: np.ndarray
+def _armijo_test(f1: np.ndarray, f0: np.ndarray, gain: np.ndarray, flat_gain: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each trial passes the Armijo test, and whether it fails at the
-    rounding floor: its predicted gain is at most ``_ROUNDING_FLOOR * |f0|``,
-    so its ladder ends without accepting."""
+    """Whether each trial passes the Armijo test, and whether it ends its
+    ladder: it passes, or it fails at the rounding floor, predicting a gain
+    of at most ``flat_gain`` (``_ROUNDING_FLOOR * |f0|``)."""
     ok = f1 - f0 >= ARMIJO_SIGMA * gain
-    return ok, ~ok & (gain <= _ROUNDING_FLOOR * np.abs(f0))
+    return ok, ok | (gain <= flat_gain)
 
 
-def _ladder_outcome(ok: np.ndarray, flat: np.ndarray, trials: np.ndarray, groups: int
+def _ladder_outcome(ok: np.ndarray, end: np.ndarray, trials: np.ndarray, groups: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What the sweep's sequential Armijo ladders make of trials evaluated
     as one block (``_sweep_block``).
 
-    The k nodes form ``groups`` equal runs, one per problem: every round
-    tries the problem's nodes still waiting, and the problem stops after the
-    first round at which each of them has accepted, failed at the rounding
-    floor or made its ``trials`` (floor or cap, whichever comes first; 0 for
-    nodes not waiting).  ``ok`` (J, k) holds whether trial j of node k
-    passes the Armijo test and ``flat`` whether it fails at the rounding
-    floor (``_armijo_test``), both False where it was not evaluated.
-
-    Returns each node's first passing or flat trial (J if none), each
-    problem's last round (``stop + 1`` trials were evaluated) and which
-    nodes accepted before their problem stopped.
+    The k nodes form ``groups`` equal runs, one per problem, which stops
+    after the first round at which each of its waiting nodes has accepted,
+    failed at the rounding floor or made its ``trials`` (0 for nodes not
+    waiting).  ``ok`` (J, k) holds whether trial j of node k passes the
+    Armijo test and ``end`` whether it ends its ladder (``_armijo_test``),
+    both False where it was not evaluated.  Returns each node's first
+    passing or flat trial (J if none), each problem's last round (``stop +
+    1`` trials were evaluated) and which nodes accepted before it.
     """
-    end = ok | flat
     first = np.where(end.any(axis=0), end.argmax(axis=0), ok.shape[0])
     stop = np.minimum(first, trials - 1).reshape(groups, -1).max(axis=1)
     passed = ok[np.minimum(first, ok.shape[0] - 1), np.arange(first.size)]
@@ -239,19 +221,15 @@ def _ladder_outcome(ok: np.ndarray, flat: np.ndarray, trials: np.ndarray, groups
 
 
 def _sweep_block(links: WeightedLinks, a: np.ndarray, d: np.ndarray, invq: np.ndarray,
-                 local: Callable, f0: np.ndarray, grad: np.ndarray, beta: np.ndarray,
-                 waiting: np.ndarray, rounds: int) -> tuple:
+                 local: Callable, f0: np.ndarray, flat_gain: np.ndarray, grad: np.ndarray,
+                 beta: np.ndarray, waiting: np.ndarray, rounds: int) -> tuple:
     """The remaining ``rounds`` of the allocation ladders of the ``waiting``
-    nodes, every trial projected and evaluated at once.
-
-    Trial j of node i is segment j * B*n + i of one projection, one local
-    objective and one gain ``bincount``, until the largest stepsize reaches
-    the floor.  Segments are independent and each adds its links in link
-    order, so every trial is bit for bit the one a sequential round computes
-    (``a + beta * d * invq`` keeps its association).  Returns the nodes that
-    accept, the stepsizes with theirs set, the weighted links of those nodes
-    and their accepted allocations, and (B,) evaluations per row (zero for
-    rows without waiting nodes).
+    nodes, every trial projected and evaluated at once: trial j of node i is
+    segment j * B*n + i of one projection, local objective and gain
+    ``bincount``, each adding its links in link order, so every trial is bit
+    for bit a sequential round's.  Returns the nodes that accept, the
+    stepsizes with theirs set, their weighted links and accepted
+    allocations, and (B,) evaluations per row (0 without waiting nodes).
     """
     size = waiting.size
     nodes = np.flatnonzero(waiting)
@@ -272,8 +250,8 @@ def _sweep_block(links: WeightedLinks, a: np.ndarray, d: np.ndarray, invq: np.nd
                        minlength=depth * size).reshape(depth, size)
     node_trials = np.zeros(size, dtype=np.intp)
     node_trials[nodes] = trials
-    ok, flat = _armijo_test(f1, f0, gain)
-    first, stop, took = _ladder_outcome(ok & waiting, flat & waiting, node_trials, links.rows)
+    ok, end = _armijo_test(f1, f0, gain, flat_gain)
+    first, stop, took = _ladder_outcome(ok & waiting, end & waiting, node_trials, links.rows)
     beta = beta.copy()
     beta[took] = steps[first[took], col[took]]
     lk = np.flatnonzero(took[links.src])
@@ -281,68 +259,69 @@ def _sweep_block(links: WeightedLinks, a: np.ndarray, d: np.ndarray, invq: np.nd
 
 
 def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
-                metrics: LinkMetrics, delta_alloc: np.ndarray,
-                beta0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                at: WeightedView, delta: np.ndarray, beta0: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One allocation update for every node with weighted links, in each of
-    the B problems of ``links``.
+    the B problems of ``links``, from the view ``at`` of ``state`` with the
+    allocation gains ``delta`` on the weighted links.
 
     Returns the new allocations, (B,) local objective evaluations spent in
-    line searches, and the per-node accepted stepsizes (callers may feed
-    them back as the next sweep's ``beta0``).  Every node runs its own
-    Armijo ladder, which ends when a trial passes or fails at the rounding
-    floor (``_armijo_test``); a problem stops once it has no waiting node or
-    the largest stepsize among them is below the floor.  Stopped problems are
-    still computed but change nothing.  Rounds after the first
-    ``_SEQUENTIAL_ROUNDS`` are evaluated as one block (``_sweep_block``),
-    bit for bit as round by round.
+    line searches, and the per-node accepted stepsizes (the next sweep's
+    ``beta0``).  Each node's Armijo ladder ends when a trial passes or fails
+    at the rounding floor (``_armijo_test``); a problem stops once it has no
+    waiting node or their largest stepsize is below the floor, and is still
+    computed but changes nothing.  Rounds after the first
+    ``_SEQUENTIAL_ROUNDS`` are one block (``_sweep_block``), bit for bit.
     """
-    rows, n = links.rows, model.n
-    a, d, invq = _sweep_terms(links, state.alloc, delta_alloc)
-    out = state.alloc.copy()
-    local, f0, grad, cap, beta = _armijo_terms(links, metrics, a, d, beta0)
+    rows, n, a = links.rows, model.n, at.alloc
+    invq, local, f0, grad, cap, beta = _armijo_terms(links, at, delta, beta0)
+    flat_gain = _ROUNDING_FLOOR * np.abs(f0)
     evals = np.ones(rows, dtype=int)
-    # The unaccepted nodes of the problems still searching, and those
-    # problems: all of them in the first round.
+    # The unaccepted nodes of the problems still searching (all of them in
+    # the first round), and the nodes whose stepsize is an accepted one or
+    # was never tried.
     waiting = links.has_active.copy()
+    kept = ~links.has_active
     live = True
-    x_out = a.copy()
+    x_out = a
     for r in range(_MAX_BACKTRACKS):
         if r == _SEQUENTIAL_ROUNDS:
             took, beta, lk, x_new, tried = _sweep_block(
-                links, a, d, invq, local, f0, grad, beta, waiting, _MAX_BACKTRACKS - r)
+                links, a, delta, invq, local, f0, flat_gain, grad, beta, waiting,
+                _MAX_BACKTRACKS - r)
+            x_out = x_out.copy()        # it may still be the view's own ``a``
             x_out[lk] = x_new
-            waiting ^= took
+            kept |= took
             evals += tried
             break
-        target = a + beta[links.src] * d * invq
+        target = a + beta[links.src] * delta * invq
         x = _project_alloc_nodes(links.src, links.m_node, target, invq, ETA_FLOOR)
         f1 = local(x)
         evals += live
         gain = np.bincount(links.src, weights=grad * (x - a), minlength=rows * n)
-        ok, flat = _armijo_test(f1, f0, gain)
-        x_out = np.where((ok & waiting)[links.src], x, x_out)
-        # A node that fails at the rounding floor leaves without accepting
-        # and restarts from the cap.
-        beta = np.where(flat & waiting, cap, beta)
-        waiting &= ~(ok | flat)
-        if not waiting.any():
+        ok, end = _armijo_test(f1, f0, gain, flat_gain)
+        took = ok & waiting
+        x_out = np.where(took[links.src], x, x_out)
+        kept |= took
+        waiting &= ~end
+        if not np.count_nonzero(waiting):
             break
         beta = np.where(waiting, beta * ARMIJO_SHRINK, beta)
-        live = ~(np.where(waiting, beta, 0.0).reshape(rows, n).max(axis=1) < _MIN_STEP)
-        if not live.all():
-            if not live.any():
+        live = ~(np.maximum.reduce(np.where(waiting, beta, 0.0).reshape(rows, n), axis=1)
+                 < _MIN_STEP)
+        if np.count_nonzero(live) < rows:
+            if not np.count_nonzero(live):
                 break
-            # A stopped problem's unaccepted nodes restart from the cap.
-            gone = waiting & np.repeat(~live, n)
-            beta = np.where(gone, cap, beta)
-            waiting ^= gone
+            # A stopped problem's unaccepted nodes leave their ladders.
+            waiting &= np.repeat(live, n)
+    out = state.alloc.copy()
     out[links.act] = x_out
     # An accepted step earns a doubled first trial next sweep; nodes that
     # backtracked to nothing restart from the full trial step.
-    return out, evals, np.minimum(2.0 * np.where(waiting, cap, beta), cap)
+    return out, evals, np.minimum(2.0 * np.where(kept, beta, cap), cap)
 
 
-def _curvature(links: WeightedLinks, metrics: LinkMetrics) -> np.ndarray:
+def _curvature(links: WeightedLinks, at: WeightedView) -> np.ndarray:
     """(B, n) diagonal curvature of the objective in each node's log power.
 
     Each weighted link contributes w * s * (1 - s) where s is the share of
@@ -350,33 +329,30 @@ def _curvature(links: WeightedLinks, metrics: LinkMetrics) -> np.ndarray:
     (B, E_a, n) terms are C-ordered, so the sum over the middle axis adds
     each node's links one after another.
     """
-    rows, n = links.rows, links.gain_rows.shape[1]
-    p_node = metrics.node_power
-    contrib = links.gain_rows.reshape(rows, -1, n) * p_node.reshape(rows, 1, n)
-    np.put(contrib, links.own_slot,
-           links.theta_g * (p_node[links.src] - metrics.power[links.act]))
-    s = contrib / metrics.inoise[links.act].reshape(rows, -1, 1)
-    return ((s * (1.0 - s)) * links.w.reshape(rows, -1, 1)).sum(axis=1)
+    rows = links.rows
+    contrib = links.gain_rows * at.metrics.node_power.reshape(rows, 1, -1)
+    np.put(contrib, links.own_slot, links.theta_g * (at.src_power - at.power))
+    s = contrib / at.inoise.reshape(rows, -1, 1)
+    return np.add.reduce((s * (1.0 - s)) * links.w.reshape(rows, -1, 1), axis=1)
 
 
-def _power_direction(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray,
-                     metrics: LinkMetrics) -> tuple[np.ndarray, np.ndarray]:
+def _power_direction(model: NetworkModel, links: WeightedLinks, at: WeightedView
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """(B, n) power marginal gains and the power step's diagonal scaling."""
-    _, up, down = marginal_gains(model, links, alloc, metrics)
-    delta_gamma = metrics.node_power * (up - down)
-    if not np.isfinite(delta_gamma).all():
+    _, up, down = weighted_gains(model, links, at)
+    delta_gamma = at.metrics.node_power * (up - down)
+    if np.count_nonzero(np.isfinite(delta_gamma)) < delta_gamma.size:
         raise NumericDomainError("non-finite power marginal gain")
     return (delta_gamma.reshape(links.rows, -1),
-            np.maximum(model.log_power_cap * _curvature(links, metrics), SCALE_EPS))
+            np.maximum(links.lay.log_power_cap * _curvature(links, at), SCALE_EPS))
 
 
-def _trial(model: NetworkModel, w: np.ndarray, act: np.ndarray, alloc: np.ndarray,
-           expo: np.ndarray) -> tuple[LinkMetrics, np.ndarray]:
+def _trial(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray, expo: np.ndarray
+           ) -> tuple[LinkMetrics, np.ndarray]:
     """Link metrics and per-problem objectives at trial exponents."""
-    rows = expo.size // model.n
-    p_node = end_to_end(model.power_cap, rows) ** expo
-    met = link_metrics_from_powers(model, p_node[end_to_end(model.src, rows, model.n)] * alloc)
-    return met, row_objectives(w, act, met, rows)
+    lay = links.lay
+    met = link_metrics_from_powers(model, (lay.power_cap ** expo)[lay.src] * alloc, lay)
+    return met, row_objectives(links.w, links.act, met, links.rows)
 
 
 def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
@@ -387,38 +363,31 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
 
     Returns (exponents, link metrics and (B,) objectives at the accepted
     points, (B,) objective evaluations, (B,) accepted stepsizes to seed the
-    next call's ``xi0``).  A problem's accepted point is its accepted
-    line-search trial, or its start when its step does not move, a trial
-    fails at the rounding floor (see ``_armijo_test``) or the stepsize
-    falls below the floor.
-
-    The problems' ladders advance round by round, and each round evaluates
-    all B trials at once.  A problem that has stopped keeps the stepsize of
-    its last trial (accepted, flat or not moving; a halving that would take
-    it below the floor is not taken), so it is evaluated again only where it
-    was evaluated before: no problem evaluates, or raises at, a trial its
-    own ladder does not reach.  The per-problem bookkeeping runs on Python
-    numbers, as in ``_solve_rows``.
+    next call's ``xi0``).  A problem's accepted point is its accepted trial,
+    or its start when its step does not move, a trial fails at the rounding
+    floor (``_armijo_test``) or the stepsize falls below the floor.  Each
+    round evaluates all B trials at once; a stopped problem keeps the
+    stepsize of its last trial (a halving below the floor is not taken), so
+    no problem evaluates, or raises at, a trial its own ladder does not
+    reach.  The per-problem bookkeeping runs on Python numbers.
     """
     rows = links.rows
-    metrics, f0 = _trial(model, links.w, links.act, state.alloc, state.exponent)
-    delta_gamma, v = _power_direction(model, links, state.alloc, metrics)
+    metrics, f0 = _trial(model, links, state.alloc, state.exponent)
+    delta_gamma, v = _power_direction(model, links, weighted_view(links, state.alloc, metrics))
     gamma = state.exponent.reshape(rows, -1)
-    gfloor = end_to_end(model.gamma_floor, rows).reshape(rows, -1)
-    # Same-shape operands: a broadcast costs more than the product at one row.
-    grad = (end_to_end(model.log_power_cap, rows).reshape(rows, -1) * delta_gamma)[:, None, :]
+    grad = (links.lay.log_power_cap * delta_gamma)[:, None, :]
     xi = [ARMIJO_INITIAL] * rows if xi0 is None else [min(x, ARMIJO_INITIAL) for x in xi0.tolist()]
     start = f0.tolist()
     live, took, evals, xi_next = [True] * rows, [False] * rows, [0] * rows, [ARMIJO_INITIAL] * rows
     for _ in range(_MAX_BACKTRACKS):
-        new = (gamma + np.array(xi)[:, None] * delta_gamma / v).clip(gfloor, 1.0)
+        new = (gamma + np.array(xi)[:, None] * delta_gamma / v).clip(links.lay.gamma_floor, 1.0)
         move = new - gamma
-        moves = move.any(axis=1).tolist()
+        moves = np.logical_or.reduce(move, axis=1).tolist()
         if not all(moves):
             live = [on and m for on, m in zip(live, moves)]
             if not any(live):
                 break
-        met, f1 = _trial(model, links.w, links.act, state.alloc, new.reshape(-1))
+        met, f1 = _trial(model, links, state.alloc, new.reshape(-1))
         slope = np.matmul(grad, move[..., None]).ravel().tolist()
         for k, (on, a, b, s) in enumerate(zip(live, start, f1.tolist(), slope)):
             if not on:
@@ -448,38 +417,36 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
     return np.where(pick, new, gamma).reshape(-1), met, np.where(took, f1, f0), evals, xi_next
 
 
-def _kkt_residuals(model: NetworkModel, weighted: np.ndarray, state: PowerState,
-                   metrics: LinkMetrics, gradient: tuple) -> tuple:
-    """The certificate's terms for B problems laid end to end: per-node
-    allocation spread, projected power residual and their scales, the
-    floor flags, and each problem's normalized residual (see ``kkt_check``)."""
-    n = model.n
-    alloc, expo = state.alloc, state.exponent
-    rows = expo.size // n
+def _kkt_residuals(links: WeightedLinks, expo: np.ndarray, at: WeightedView,
+                   gradient: tuple) -> tuple:
+    """The certificate's terms at the view ``at`` with exponents ``expo`` and
+    the ``weighted_gains`` there: per-node allocation spread, projected power
+    residual and their scales, the floor flags and each problem's normalized
+    residual (see ``kkt_check``)."""
+    rows = links.rows
     delta_alloc, up, down = gradient
-    p_node = metrics.node_power
+    p_node = at.metrics.node_power
     delta_gamma = p_node * (up - down)
-    floored = weighted & (alloc <= ETA_FLOOR * (1.0 + 1e-6))
-    free = weighted & ~floored
-    src_f = end_to_end(model.src, rows, n)[free]
+    floored = at.alloc <= _ALLOC_AT_FLOOR
+    free = ~floored
+    src_f = links.src[free]
     gain_f = delta_alloc[free]
-    hi = np.full(rows * n, -np.inf)
-    lo = np.full(rows * n, np.inf)
+    hi = links.lay.no_high.copy()
+    lo = links.lay.no_low.copy()
     np.maximum.at(hi, src_f, gain_f)
     np.minimum.at(lo, src_f, gain_f)
-    cnt = np.bincount(src_f, minlength=rows * n)
+    cnt = np.bincount(src_f, minlength=links.lay.size)
     spread = np.where(cnt >= 2, hi - lo, 0.0)
-    alloc_scale = np.where(cnt >= 1, np.maximum(1.0, hi), 1.0)
+    alloc_scale = np.maximum(1.0, hi)       # 1.0 where hi is still -inf: no free link
 
-    at_top = expo >= 1.0 - _BOUND_TOL
-    at_floor_g = expo <= end_to_end(model.gamma_floor, rows) + _BOUND_TOL
-    gamma_residual = np.where(at_top, np.maximum(0.0, -delta_gamma),
-                              np.where(at_floor_g, np.maximum(0.0, delta_gamma),
-                                       np.abs(delta_gamma)))
+    at_top = expo >= _EXPONENT_AT_CAP
+    at_floor_g = expo <= links.lay.floor_bound
+    gamma_residual = np.maximum(0.0, np.where(at_top, -delta_gamma, np.where(
+        at_floor_g, delta_gamma, np.abs(delta_gamma))))
     gamma_scale = np.maximum(1.0, p_node * (up + down))
-    a = (spread / alloc_scale).reshape(rows, n).max(axis=1, initial=0.0)
-    g = (gamma_residual / gamma_scale).reshape(rows, n).max(axis=1, initial=0.0)
-    normalized = np.where(g > a, g, a)      # Python's max(a, g), NaN included
+    a = np.maximum.reduce((spread / alloc_scale).reshape(rows, -1), axis=1, initial=0.0)
+    g = np.maximum.reduce((gamma_residual / gamma_scale).reshape(rows, -1), axis=1, initial=0.0)
+    normalized = [max(x, y) for x, y in zip(a.tolist(), g.tolist())]   # NaN in a is kept
     return spread, gamma_residual, alloc_scale, gamma_scale, at_floor_g, floored, normalized
 
 
@@ -561,22 +528,19 @@ def kkt_check(model: NetworkModel, weights: np.ndarray, state: PowerState,
     raise/drop components whose cancellation it certifies.
     """
     metrics = link_metrics(model, state)
-    gradient = marginal_gains(model, weighted_links(model, weights), state.alloc, metrics)
-    spread, gamma_residual, alloc_scale, gamma_scale, at_floor_g, floored, normalized = (
-        _kkt_residuals(model, weights > 0, state, metrics, gradient))
+    links = weighted_links(model, weights)
+    delta_alloc, up, down = marginal_gains(model, links, state.alloc, metrics)
+    spread, gamma_residual, alloc_scale, gamma_scale, at_floor_g, pinned, normalized = (
+        _kkt_residuals(links, state.exponent, weighted_view(links, state.alloc, metrics),
+                       (delta_alloc[links.act], up, down)))
+    floored = np.zeros(model.n_links, dtype=bool)
+    floored[links.act] = pinned
     max_residual = float(max(spread.max(initial=0.0), gamma_residual.max(initial=0.0)))
-    return KKTReport(
-        alloc_spread=spread,
-        gamma_residual=gamma_residual,
-        alloc_scale=alloc_scale,
-        gamma_scale=gamma_scale,
-        max_residual=max_residual,
-        normalized=float(normalized[0]),
-        passed=bool(normalized[0] < tolerance),
-        tolerance=tolerance,
-        gamma_floor_active=at_floor_g,
-        alloc_floor_active=floored,
-    )
+    return KKTReport(alloc_spread=spread, gamma_residual=gamma_residual,
+                     alloc_scale=alloc_scale, gamma_scale=gamma_scale, max_residual=max_residual,
+                     normalized=float(normalized[0]), passed=bool(normalized[0] < tolerance),
+                     tolerance=tolerance, gamma_floor_active=at_floor_g,
+                     alloc_floor_active=floored)
 
 
 @dataclass
@@ -632,12 +596,10 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
 #
 # _solve_rows advances independent solves over one model together on the
 # formula layer above: solve_max_weight's one row, or a group of
-# solve_max_weight_batch's rows.  On small networks an iterate costs numpy
-# call overhead rather than arithmetic, so B rows in one call cost little
-# more than one.  Rows are grouped by weighted-link count, so that the
-# rows' weighted links form rectangular (B, E_a) blocks for the objective's
-# dot products and the curvature's sums.  No step depends on the number of
-# rows: alloc_sweep and power_step serve one row and many alike.
+# solve_max_weight_batch's rows with equal weighted-link counts, whose
+# weighted links then form rectangular (B, E_a) blocks.  An iterate costs
+# numpy call overhead more than arithmetic, so B rows cost little more than
+# one, and no step depends on the number of rows.
 
 
 def _take_rows(x, rows: int, index):
@@ -654,22 +616,20 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
                 config: SolverConfig, collect_rates: bool = False
                 ) -> list[tuple[PowerState, SolveDiagnostics]]:
     """``solve_max_weight`` of every row of (B, E) ``weights``, all with the
-    same positive number of weighted links, advanced together.
+    same positive number of weighted links, advanced together one iterate at
+    a time (every row still in the batch has made ``it`` iterates).
 
     Each row keeps its own KKT stop, stall counter and budget-end
-    certificate; a finished row leaves the batch.  Rows advance one iterate
-    at a time, so every row still in the batch has made ``it`` iterates.
-    Floating point can pin the residual just above a very tight tolerance
-    while the objective no longer moves at all; a row then stops after
-    ``_STALL_ITERATES`` iterates that leave its objective unchanged rather
-    than spin, flagged unconverged.  The per-row bookkeeping runs on the
-    Python numbers of one ``tolist()`` per quantity and iterate: at one row,
-    numpy operations on (B,) arrays would cost more than the bookkeeping.
+    certificate, and leaves the batch when it finishes.  Floating point can
+    pin the residual just above a very tight tolerance while the objective no
+    longer moves; a row then stops, unconverged, after ``_STALL_ITERATES``
+    iterates that leave its objective unchanged.  Per-row bookkeeping runs on
+    Python numbers, one ``tolist()`` per quantity and iterate.
     """
     tol = config.kkt_tolerance
     links = weighted_links(model, weights)
     state = _seed_state(model, links, initial)
-    metrics, f = _trial(model, links.w, links.act, state.alloc, state.exponent)
+    metrics, f = _trial(model, links, state.alloc, state.exponent)
     diags = [SolveDiagnostics(objectives=[x]) for x in f.tolist()]
     results: list = [None] * len(weights)
     ids = np.arange(len(weights))           # each batch row's index in ``weights``
@@ -689,7 +649,7 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
         book_rates()
 
     def finish(done: list[bool]):
-        nonlocal links, state, metrics, diags, ids, weighted, stalled, beta0, xi0
+        nonlocal links, state, metrics, diags, ids, weighted, stalled, beta0, xi0, at
         rows = len(diags)
         for k in [k for k, x in enumerate(done) if x]:
             d = diags[k]
@@ -711,13 +671,17 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
                                       for x in (state, metrics, beta0, xi0))
         ids, weighted = ids[keep], weighted[keep]
         links = weighted_links(model, weights[ids])
+        at = weighted_view(links, state.alloc, metrics)
 
     while diags:
+        # The metrics come from _trial at this point, whose objective check
+        # found power on every weighted link, so the gains need no check.
+        at = weighted_view(links, state.alloc, metrics)
+        gradient = weighted_gains(model, links, at)
         # The loop's certificate doubles as the budget-end one.
-        gradient = marginal_gains(model, links, state.alloc, metrics)
-        residual = _kkt_residuals(model, weighted.reshape(-1), state, metrics, gradient)[-1]
+        residual = _kkt_residuals(links, state.exponent, at, gradient)[-1]
         done = []
-        for d, r in zip(diags, residual.tolist()):
+        for d, r in zip(diags, residual):
             d.kkt_residuals.append(r)
             done.append(r < tol or it >= config.max_iterations)
         if any(done):
@@ -726,8 +690,7 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
             if not diags:
                 break
             gradient = tuple(_take_rows(g, rows, ~np.array(done)) for g in gradient)
-        alloc, sweep_evals, beta0 = alloc_sweep(model, links, state, metrics, gradient[0],
-                                                beta0)
+        alloc, sweep_evals, beta0 = alloc_sweep(model, links, state, at, gradient[0], beta0)
         state = PowerState(alloc, state.exponent)
         expo, metrics, f_after, pc_evals, xi0 = power_step(model, links, state, xi0)
         state = PowerState(state.alloc, expo)

@@ -177,8 +177,9 @@ def alloc_step(model: NetworkModel, weights: np.ndarray, state: phy.PowerState,
     if not ws.has_active[node]:
         return state.copy()
     metrics = phy.link_metrics(model, state)
-    delta = phy.alloc_marginal_gain(model, weights, metrics)
-    alloc, _, _ = solver.alloc_sweep(model, ws, state, metrics, delta)
+    delta = phy.alloc_marginal_gain(model, weights, metrics)[ws.act]
+    alloc, _, _ = solver.alloc_sweep(model, ws, state, phy.weighted_view(ws, state.alloc, metrics),
+                                     delta)
     return phy.PowerState(alloc, state.exponent.copy())
 
 
@@ -209,9 +210,10 @@ def alloc_grad_full(model: NetworkModel, weights: np.ndarray, state: phy.PowerSt
     Per link: P_i * (delta_alloc - c_i) with a per-node constant c_i, so on
     the allocation simplex only the marginal-gain differences matter.
     """
-    links = phy.weighted_links(model, weights)
-    delta_alloc = phy._alloc_gains(model, links, metrics)
-    own, down = phy._pressures(model, links, metrics)
+    delta_alloc = phy.alloc_marginal_gain(model, weights, metrics)
+    f = np.where(weights > 0, weights / metrics.inoise, 0.0)
+    own = np.bincount(model.src, weights=model.link_gain * f, minlength=model.n)
+    down = model.gain @ np.bincount(model.dst, weights=f, minlength=model.n)
     common = down + (model.theta - 1.0) * own
     return metrics.node_power[model.src] * (delta_alloc - common[model.src])
 

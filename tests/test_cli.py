@@ -52,6 +52,17 @@ def test_generation_rejects_unallocatable_sizes(tmp_path, capsys, n, command):
     assert not (tmp_path / "x").exists()
 
 
+# Run lengths whose per-slot arrays numpy refuses at once: 1e13 slots of a
+# 5-node scenario need 1.78 PiB, and 1e20 slots overflow the array size.
+@pytest.mark.parametrize("slots", [10**13, 10**20])
+def test_run_rejects_unallocatable_slot_counts(tmp_path, capsys, slots):
+    out = tmp_path / "x"
+    assert main(["run", "--generate", "n=5", "B=7", "seed=1", "--slots", str(slots),
+                 "--runs", "1", "--scheme", "iter-once", "--out", str(out)]) == 2
+    assert f"--slots {slots}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli_runs")

@@ -318,6 +318,60 @@ def test_one_pass_gradient_matches_full_length_reference(seed, n, zero_frac):
         assert str(got.value) == str(want.value)
 
 
+def _with_noise(m, receiver, value):
+    noise = m.noise.copy()
+    noise[receiver] = value
+    return NetworkModel(gain=m.gain, noise=noise, theta=m.theta, power_cap=m.power_cap,
+                        processing_gain=m.processing_gain, links=m.links)
+
+
+def test_moved_domain_checks_raise_as_before():
+    """The link metrics and the objective check their results and look for a
+    fault only when the check fails; each fault still raises
+    NumericDomainError with the message of the check made up front."""
+    rng = np.random.default_rng(4)
+    m = random_model(rng, n=6)
+    w = random_weights(rng, m, zero_frac=0.5)
+    p = phy.link_powers(m, phy.random_power_state(m, rng))
+    act = np.flatnonzero(w > 0)
+    idle = np.flatnonzero(w == 0)
+    # Zero power on weighted links (the first is named) and a negative one.
+    for bad in (0.0, -1e-9 * p[act[-1]]):
+        q = p.copy()
+        q[act[-2:]] = bad
+        met = phy.link_metrics_from_powers(m, q)
+        for call in (lambda: phy.row_objectives(w[act], act, met),
+                     lambda: phy.objective_from_metrics(w, met)):
+            with pytest.raises(NumericDomainError) as got:
+                call()
+            assert str(got.value) == f"zero power on weighted link index {act[-2]} (log 0)"
+    # Interference-plus-noise that is negative, NaN or infinite at one
+    # receiver: the first non-finite link is named, else the smallest.
+    for value in (-1e3 * m.noise.max(), np.nan, np.inf):
+        bad_model = _with_noise(m, int(m.dst[idle[0]]), value)
+        inoise = _link_metrics_reference(bad_model, p).inoise
+        bad = int(np.argmin(np.where(np.isfinite(inoise), inoise, -np.inf)))
+        with pytest.raises(NumericDomainError) as got:
+            phy.link_metrics_from_powers(bad_model, p)
+        assert str(got.value) == ("interference-plus-noise is not positive and finite on link "
+                                  f"{m.links[bad]}")
+    # A NaN SINR (infinite processing gain on a link without power).
+    inf_gain = NetworkModel(gain=m.gain, noise=m.noise, theta=m.theta, power_cap=m.power_cap,
+                            processing_gain=np.inf, links=m.links)
+    q = p.copy()
+    q[idle] = 0.0
+    with np.errstate(invalid="ignore"), pytest.raises(NumericDomainError) as got:
+        phy.link_metrics_from_powers(inf_gain, q)
+    assert str(got.value) == f"non-finite capacity on link {m.links[idle[0]]}"
+    # A negative SINR is no fault: its capacity is -inf, as up front.
+    q = p.copy()
+    q[idle[0]] = -1e-9 * p[idle[0]]
+    got, want = phy.link_metrics_from_powers(m, q), _link_metrics_reference(m, q)
+    assert got.capacity[idle[0]] == -np.inf
+    for name in ("power", "inoise", "sinr", "capacity", "node_power"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 # One-problem references for the formula layer that runs B problems laid end
 # to end: these are the bodies the layout replaced.
 
@@ -409,8 +463,13 @@ def test_end_to_end_rows_equal_one_problem_references(seed, n, rows, zero_frac):
     links = phy.weighted_links(m, weights if rows > 1 else weights[0])
     objectives = phy.row_objectives(links.w, links.act, met, rows)
     gradient = phy.marginal_gains(m, links, state.alloc, met)
-    curvature = solver._curvature(links, met)
-    kkt = solver._kkt_residuals(m, weights.reshape(-1) > 0, state, met, gradient)
+    view = phy.weighted_view(links, state.alloc, met)
+    curvature = solver._curvature(links, view)
+    kkt = solver._kkt_residuals(links, state.exponent, view,
+                                (gradient[0][links.act], *gradient[1:]))
+    floored = np.zeros(rows * n_links, dtype=bool)      # the (E,) floor flags
+    floored[links.act] = kkt[5]
+    kkt = (*kkt[:5], floored, kkt[6])
     for b, (w, st) in enumerate(zip(weights, states)):
         on_links, on_nodes = slice(b * n_links, (b + 1) * n_links), slice(b * n, (b + 1) * n)
         ref = _link_metrics_reference(m, p[on_links])

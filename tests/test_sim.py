@@ -1,5 +1,7 @@
 """Queue stepping, virtual rates, full runs and the recorded Lyapunov columns."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
@@ -227,11 +229,18 @@ def test_lambda_bound_dominates_trace_terms():
 def test_trace_csv_shape_and_stability():
     sc = generate_scenario(5, 3.0, seed=6)
     tr = run_simulation(sc, "iter-once", 10, _quick_config(), seed=0)
-    text = trace_to_csv(tr, per_queue=True)
+    text = _csv(tr, per_queue=True)
     lines = text.strip().split("\n")
     assert len(lines) == 12      # header + slots + final boundary row
     assert lines[0].startswith("slot,total_backlog,V,realized_drift,drift_bound")
-    assert text == trace_to_csv(tr, per_queue=True)
+    assert text == _csv(tr, per_queue=True)
+
+
+def _csv(trace, per_queue=False):
+    """What ``trace_to_csv`` writes."""
+    out = io.StringIO()
+    trace_to_csv(trace, out, per_queue)
+    return out.getvalue()
 
 
 def _per_cell_csv(trace, per_queue=False):
@@ -266,7 +275,7 @@ def test_trace_csv_equals_per_cell_rendering(per_queue):
 
     sc = generate_scenario(5, 3.0, seed=6)
     tr = run_simulation(sc, "iter-once", 12, _quick_config(), seed=0)
-    assert trace_to_csv(tr, per_queue) == _per_cell_csv(tr, per_queue)
+    assert _csv(tr, per_queue) == _per_cell_csv(tr, per_queue)
     rng = np.random.default_rng(3)
     odd = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 0.1, 1 / 3, 1e16])
 
@@ -277,7 +286,7 @@ def test_trace_csv_equals_per_cell_rendering(per_queue):
     fields = ("backlog", "total_backlog", "lyapunov", "drift", "drift_bound",
               "drift_bound_nominal", "lambda_term")
     weird = dataclasses.replace(tr, **{f: cells(getattr(tr, f).shape) for f in fields})
-    assert trace_to_csv(weird, per_queue) == _per_cell_csv(weird, per_queue)
+    assert _csv(weird, per_queue) == _per_cell_csv(weird, per_queue)
 
 
 class _Failing:

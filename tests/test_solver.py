@@ -75,6 +75,61 @@ def test_multi_segment_projection_is_one_segment_projection_per_segment(seed, se
         assert np.allclose(got[seg], want, atol=1e-6)
 
 
+def _project_alloc_nodes_masked(src, m_node, target, invq, floor):
+    """The projection with its multiplier taken by a ``where=``-masked
+    division (0 where a segment's sum of ``invq`` is 0): the body that the
+    unmasked division replaced, and the reference it must match."""
+    n = m_node.size
+    free = True
+    s_t = np.bincount(src, weights=target, minlength=n)
+    s_iq = np.bincount(src, weights=invq, minlength=n)
+    goal = 1.0
+    for _ in range(target.size + 1):
+        mu = np.divide(s_t - goal, s_iq, out=np.zeros(n), where=s_iq > 0)
+        x = target - mu[src] * invq
+        viol = x < floor
+        if free is not True:
+            viol &= free
+        if not viol.any():
+            break
+        free = free & ~viol
+        s_t = np.bincount(src, weights=target * free, minlength=n)
+        s_iq = np.bincount(src, weights=invq * free, minlength=n)
+        n_free = np.bincount(src, weights=free.astype(float), minlength=n)
+        goal = 1.0 - floor * (m_node - n_free)
+    return x if free is True else np.where(free, np.maximum(x, floor), floor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=strategies.lists(strategies.integers(0, 6), min_size=1, max_size=8),
+       floor=strategies.sampled_from([0.0, 1e-12, 0.02, 0.3, 0.6]),
+       seed=strategies.integers(0, 2**32 - 1))
+def test_projection_equals_masked_division_reference(lengths, floor, seed):
+    """Bit for bit the masked-division body, on segments of random lengths:
+    nodes without a coordinate (length 0), and floors so high that segments
+    end fully clamped (every coordinate at the floor, no free sum left)."""
+    rng = np.random.default_rng(seed)
+    m_node = np.array(lengths, dtype=float)
+    src = rng.permutation(np.repeat(np.arange(len(lengths)), lengths))
+    target = rng.normal(0.3, 1.0, src.size)
+    invq = 1.0 / (0.1 + rng.random(src.size) * 10.0)
+    got = solver._project_alloc_nodes(src, m_node, target, invq, floor)
+    want = _project_alloc_nodes_masked(src, m_node, target, invq, floor)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_projection_masked_division_cases():
+    """A fully clamped segment beside nodes without coordinates: the masked
+    body's zero multiplier and the unmasked one's never-read one agree."""
+    src = np.array([1, 1, 1, 3])
+    m_node = np.array([0.0, 3.0, 0.0, 1.0])
+    target = np.array([0.2, 0.3, 0.5, 0.4])
+    got = solver._project_alloc_nodes(src, m_node, target, np.ones(4), 0.5)
+    assert got.tolist() == [0.5, 0.5, 0.5, 1.0]
+    assert got.tobytes() == _project_alloc_nodes_masked(src, m_node, target, np.ones(4),
+                                                        0.5).tobytes()
+
+
 # ------------------------------------------------------------- single steps
 
 def _two_link_node():
@@ -100,8 +155,8 @@ def test_alloc_step_equal_gains_fixed_point():
     from bpsim.solver import alloc_sweep
     ws = phy.weighted_links(model, w)
     met = phy.link_metrics(model, st)
-    d = np.full(model.n_links, 0.7)
-    new_alloc, _, _ = alloc_sweep(model, ws, st, met, d)
+    d = np.full(ws.act.size, 0.7)
+    new_alloc, _, _ = alloc_sweep(model, ws, st, phy.weighted_view(ws, st.alloc, met), d)
     assert np.allclose(new_alloc, st.alloc, atol=1e-9)
 
 
@@ -138,7 +193,8 @@ def test_power_step_boundary_cases():
     at_cap = phy.PowerState(np.array([1.0]), np.array([1.0, 0.3]))
     below = phy.PowerState(np.array([1.0]), np.array([0.5, 0.3]))
     # Node 0 gains from more power; node 1 interferes with no weighted link.
-    gain, _ = solver._power_direction(model, ws, at_cap.alloc, phy.link_metrics(model, at_cap))
+    gain, _ = solver._power_direction(
+        model, ws, phy.weighted_view(ws, at_cap.alloc, phy.link_metrics(model, at_cap)))
     assert gain[0, 0] > 0.0 and gain[0, 1] == 0.0
 
     # At the cap, with the other gain zero, nothing moves: the start comes
@@ -265,8 +321,8 @@ def test_every_iterate_stays_feasible():
     from bpsim.phy import alloc_marginal_gain, link_metrics
     for _ in range(12):
         met = link_metrics(m, st)
-        d = alloc_marginal_gain(m, w, met)
-        alloc, _, _ = alloc_sweep(m, ws, st, met, d)
+        d = alloc_marginal_gain(m, w, met)[ws.act]
+        alloc, _, _ = alloc_sweep(m, ws, st, phy.weighted_view(ws, st.alloc, met), d)
         st = phy.PowerState(alloc, st.exponent)
         gam, _, _, _, _ = power_step(m, ws, st)
         st = phy.PowerState(st.alloc, gam)
@@ -513,6 +569,25 @@ def test_both_entries_reject_negative_and_non_finite_weights(bad):
         solve_max_weight_batch(m, np.array([np.ones(m.n_links), w]), start)
 
 
+def test_power_direction_domain_check_raises_as_before():
+    """A non-finite power marginal gain still raises NumericDomainError with
+    its message, NaN and infinite alike."""
+    rng = np.random.default_rng(2)
+    m = random_model(rng, n=5)
+    st = phy.random_power_state(m, rng)
+    links = phy.weighted_links(m, random_weights(rng, m))
+    at = phy.weighted_view(links, st.alloc, phy.link_metrics(m, st))
+    d, up, down = phy.weighted_gains(m, links, at)
+    for bad in (np.nan, np.inf, -np.inf):
+        poisoned = up.copy()
+        poisoned[int(links.src[0])] = bad
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "weighted_gains", lambda *args: (d, poisoned, down))
+            with pytest.raises(NumericDomainError) as got:
+                solver._power_direction(m, links, at)
+        assert str(got.value) == "non-finite power marginal gain"
+
+
 # ------------------------------------------------ ladder references
 #
 # The Armijo ladders one trial round after another, each round evaluating
@@ -523,14 +598,14 @@ def test_both_entries_reject_negative_and_non_finite_weights(bad):
 # accepting.  Each appends (round, reason) per ladder to ``why``: the round
 # after which it stopped and why.
 
-def _sequential_sweep(model, links, state, metrics, delta_alloc, beta0, why):
+def _sequential_sweep(model, links, state, at, d, beta0, why):
     """``alloc_sweep``, round by round.  A problem whose last waiting nodes
     leave in a round in which one of them fails at the rounding floor
     stops for "rounding"."""
     rows, n = links.rows, model.n
-    a, d, invq = solver._sweep_terms(links, state.alloc, delta_alloc)
+    a = at.alloc
     out = state.alloc.copy()
-    local, f0, grad, cap, beta = solver._armijo_terms(links, metrics, a, d, beta0)
+    invq, local, f0, grad, cap, beta = solver._armijo_terms(links, at, d, beta0)
     evals = np.ones(rows, dtype=int)
     accepted = ~links.has_active
     left = np.zeros_like(accepted)          # failed at the rounding floor
@@ -569,8 +644,9 @@ def _sequential_power_step(model, links, state, xi0, why):
     """``power_step``, round by round, each round evaluating only the rows
     still searching."""
     rows, n, n_links = links.rows, model.n, model.n_links
-    metrics, f0 = solver._trial(model, links.w, links.act, state.alloc, state.exponent)
-    delta_gamma, v = solver._power_direction(model, links, state.alloc, metrics)
+    metrics, f0 = solver._trial(model, links, state.alloc, state.exponent)
+    delta_gamma, v = solver._power_direction(model, links,
+                                             phy.weighted_view(links, state.alloc, metrics))
     gamma0 = state.exponent.reshape(rows, n)
     grad = model.log_power_cap * delta_gamma
     xi = (np.full(rows, solver.ARMIJO_INITIAL) if xi0 is None
@@ -579,7 +655,9 @@ def _sequential_power_step(model, links, state, xi0, why):
     out_expo, out_f = gamma0.copy(), f0.copy()
     xi_next = np.full(rows, solver.ARMIJO_INITIAL)
     out_metrics = solver._take_rows(metrics, rows, slice(None))
-    w, act_rows = links.w.reshape(rows, -1), links.act.reshape(rows, -1)
+    weights = np.zeros(rows * n_links)
+    weights[links.act] = links.w
+    weights = weights.reshape(rows, n_links)
     alloc = state.alloc.reshape(rows, n_links)
     live = np.arange(rows)
     for r in range(solver._MAX_BACKTRACKS):
@@ -592,9 +670,8 @@ def _sequential_power_step(model, links, state, xi0, why):
         live, new, move = live[moves], new[moves], move[moves]
         if not live.size:
             break
-        act = (act_rows[live] - n_links * (live - np.arange(live.size))[:, None]).reshape(-1)
-        met, f1 = solver._trial(model, w[live].reshape(-1), act, alloc[live].reshape(-1),
-                                new.reshape(-1))
+        met, f1 = solver._trial(model, phy.weighted_links(model, weights[live]),
+                                alloc[live].reshape(-1), new.reshape(-1))
         evals[live] += 1
         slope = np.matmul(grad[live][:, None, :], move[:, :, None]).reshape(-1)
         ok = f1 - f0[live] >= solver.ARMIJO_SIGMA * slope
@@ -636,12 +713,12 @@ def _evaluated(step, args, poison=None):
     metrics_of = solver.link_metrics_from_powers
     seen = []
 
-    def metrics(model, p):
+    def metrics(model, p, *lay):
         for row in p.reshape(-1, model.n_links):
             seen.append(row.tobytes())
             if seen[-1] == poison:
                 raise NumericDomainError("poisoned trial")
-        return metrics_of(model, p)
+        return metrics_of(model, p, *lay)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "link_metrics_from_powers", metrics)
@@ -659,10 +736,10 @@ def _checked_ladders(mp, seen):
     ``seen`` collects, per kind of ladder, the references' (round, reason)."""
     blocked_sweep, one_power_step = solver.alloc_sweep, solver.power_step
 
-    def sweep(model, links, state, metrics, delta_alloc, beta0=None):
+    def sweep(model, links, state, at, delta, beta0=None):
         why = []
-        want = _sequential_sweep(model, links, state, metrics, delta_alloc, beta0, why)
-        got = blocked_sweep(model, links, state, metrics, delta_alloc, beta0)
+        want = _sequential_sweep(model, links, state, at, delta, beta0, why)
+        got = blocked_sweep(model, links, state, at, delta, beta0)
         assert _as_bytes(got) == _as_bytes(want)
         if links.rows == 1:
             seen.setdefault("sweep", []).extend(why)
@@ -814,17 +891,16 @@ def _ascent_checked(mp, drops):
     ``drops`` collects (kind, amount) for each that does."""
     sweep, step = solver.alloc_sweep, solver.power_step
 
-    def checked_sweep(model, links, state, metrics, delta_alloc, beta0=None):
-        out = sweep(model, links, state, metrics, delta_alloc, beta0)
-        a, d, _ = solver._sweep_terms(links, state.alloc, delta_alloc)
-        local, f0, *_ = solver._armijo_terms(links, metrics, a, d, beta0)
+    def checked_sweep(model, links, state, at, delta, beta0=None):
+        out = sweep(model, links, state, at, delta, beta0)
+        _, local, f0, *_ = solver._armijo_terms(links, at, delta, beta0)
         f1 = local(out[0][links.act])
         drops.extend(("sweep", float(x)) for x in (f0 - f1)[f1 < f0])
         return out
 
     def checked_power_step(model, links, state, xi0=None):
         out = step(model, links, state, xi0)
-        _, f0 = solver._trial(model, links.w, links.act, state.alloc, state.exponent)
+        _, f0 = solver._trial(model, links, state.alloc, state.exponent)
         kind = "power step" if links.rows == 1 else "lockstep power step"
         drops.extend((kind, float(x)) for x in (f0 - out[2])[out[2] < f0])
         return out
