@@ -10,6 +10,7 @@ with i.i.d. per-slot Poisson bit arrivals at each source.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -231,6 +232,25 @@ def reserve(shape: tuple, what: str) -> None:
         raise ConfigError(f"{what}: {exc}") from None
 
 
+@functools.cache
+def _sampler() -> np.random.Generator:
+    """A generator asked only for draws of no samples, which leave its state
+    as it is.  Made on first use, so that importing bpsim does not import
+    numpy.random, which a solve alone never needs."""
+    return np.random.default_rng(0)
+
+
+def poisson_rejects(mean) -> str | None:
+    """Why numpy's Poisson sampler refuses draws with mean ``mean`` (a scalar
+    or an array), or None: a draw of no samples raises exactly when one
+    would."""
+    try:
+        _sampler().poisson(mean, size=(0,) + np.shape(mean))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def generate_scenario(n: int, arrival_mean: float, seed: int) -> Scenario:
     """Random disc scenario: n uniform nodes, range-limited links, one session per node.
 
@@ -243,6 +263,8 @@ def generate_scenario(n: int, arrival_mean: float, seed: int) -> Scenario:
     # NaN fails the comparison, so it is rejected with the infinities.
     if not 0 <= arrival_mean < np.inf:
         raise ConfigError(f"arrival mean must be finite and nonnegative, got {arrival_mean}")
+    if problem := poisson_rejects(arrival_mean):
+        raise ConfigError(f"arrival mean {arrival_mean} is too large to sample: {problem}")
     if seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     # The (n, n, 2) pairwise offsets are the largest array drawn below.
@@ -332,6 +354,8 @@ def validate_traffic(traffic: TrafficSpec, n: int) -> list[str]:
         return out
     if np.any(~np.isfinite(traffic.arrival_mean)) or np.any(traffic.arrival_mean < 0):
         out.append("arrival means must be finite and nonnegative")
+    elif problem := poisson_rejects(traffic.arrival_mean):
+        out.append(f"arrival mean {traffic.arrival_mean.max()} is too large to sample: {problem}")
     for k, com in enumerate(traffic.commodities):
         if not com.destinations:
             out.append(f"commodity {com.id} has no destination")

@@ -79,8 +79,8 @@ def step_queues(backlog: np.ndarray, rates: RateAssignment, arrivals: np.ndarray
             served[l] = take
             remaining[i, k] -= take
 
-    new = np.where(mask, backlog, 0.0)
-    np.subtract.at(new, (model.src, rates.commodity), served)
+    # What the slot-start backlog keeps after service, in link order.
+    new = remaining
     # Relayed bits join the receiver's queue; bits reaching a destination of
     # their commodity leave.  np.add.at and cumsum add in link order, so the
     # sums round exactly as a per-link loop's would.

@@ -134,12 +134,7 @@ def _seed_state(model: NetworkModel, links: WeightedLinks, initial: PowerState) 
     # allocations above the floor are kept so a converged point stays fixed.
     seed_min = RESEED_FRACTION / np.maximum(links.m_node[links.src], 1.0)
     a = np.where(a < 10.0 * ETA_FLOOR, np.maximum(a, seed_min), a)
-    total = np.bincount(links.src, weights=a, minlength=rows * n)
-    bad = (total <= 0) & links.has_active
-    if bad.any():
-        a = np.where(bad[links.src], 1.0, a)
-        total = np.bincount(links.src, weights=a, minlength=rows * n)
-    a = a / total[links.src]
+    a = a / np.bincount(links.src, weights=a, minlength=rows * n)[links.src]
     alloc[links.act] = _project_alloc_nodes(links.src, links.m_node, a, np.ones_like(a),
                                             ETA_FLOOR)
     exponent = end_to_end(np.clip(initial.exponent, model.gamma_floor, 1.0), rows)
@@ -604,11 +599,13 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
 
 def _take_rows(x, rows: int, index):
     """Rows ``index`` of ``x`` laid end to end over ``rows`` rows: an array,
-    None, or a PowerState or LinkMetrics of such arrays (copied)."""
+    None, or a tuple, PowerState or LinkMetrics of such arrays (copied)."""
     if x is None:
         return None
     if isinstance(x, np.ndarray):
         return x.reshape(rows, -1)[index].reshape(-1)
+    if isinstance(x, tuple):
+        return tuple(_take_rows(a, rows, index) for a in x)
     return type(x)(**{f: _take_rows(a, rows, index).copy() for f, a in vars(x).items()})
 
 
@@ -620,60 +617,31 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
     a time (every row still in the batch has made ``it`` iterates).
 
     Each row keeps its own KKT stop, stall counter and budget-end
-    certificate, and leaves the batch when it finishes.  Floating point can
-    pin the residual just above a very tight tolerance while the objective no
-    longer moves; a row then stops, unconverged, after ``_STALL_ITERATES``
-    iterates that leave its objective unchanged.  Per-row bookkeeping runs on
-    Python numbers, one ``tolist()`` per quantity and iterate.
+    certificate.  Floating point can pin the residual just above a very
+    tight tolerance while the objective no longer moves; a row then stops,
+    unconverged, after ``_STALL_ITERATES`` iterates that leave its objective
+    unchanged, keeping the certificate of the iterate before.  Rows leave
+    the batch in one place, at the top of an iterate.  Per-row bookkeeping
+    runs on Python numbers, one ``tolist()`` per quantity and iterate.
     """
     tol = config.kkt_tolerance
     links = weighted_links(model, weights)
     state = _seed_state(model, links, initial)
     metrics, f = _trial(model, links, state.alloc, state.exponent)
-    diags = [SolveDiagnostics(objectives=[x]) for x in f.tolist()]
+    diags = [SolveDiagnostics(objectives=[x], capacity_trace=[] if collect_rates else None)
+             for x in f.tolist()]
     results: list = [None] * len(weights)
     ids = np.arange(len(weights))           # each batch row's index in ``weights``
     weighted = weights > 0
     stalled = [0] * len(weights)
     beta0 = xi0 = None
     it = 0
-
-    def book_rates():
-        cap = np.where(weighted, np.maximum(metrics.capacity.reshape(len(diags), -1), 0.0), 0.0)
-        for d, c in zip(diags, cap):
-            d.capacity_trace.append(c)
-
-    if collect_rates:
-        for d in diags:
-            d.capacity_trace = []
-        book_rates()
-
-    def finish(done: list[bool]):
-        nonlocal links, state, metrics, diags, ids, weighted, stalled, beta0, xi0, at
+    while True:
         rows = len(diags)
-        for k in [k for k, x in enumerate(done) if x]:
-            d = diags[k]
-            # A row that passes a certificate leaves the batch at once.
-            d.converged = d.kkt_residuals[-1] < tol
-            d.iterations = it
-            # One protocol round per iteration in a distributed deployment.
-            d.broadcasts, d.feedbacks = model.n * it, model.n_links * it
-            # The last row keeps the batch's arrays.
-            d.metrics = metrics if rows == 1 else _take_rows(metrics, rows, k)
-            results[ids[k]] = (state if rows == 1 else _take_rows(state, rows, k), d)
-        keep = [not x for x in done]
-        diags = [d for d, k in zip(diags, keep) if k]
-        if not diags:
-            return
-        stalled = [s for s, k in zip(stalled, keep) if k]
-        keep = np.array(keep)
-        state, metrics, beta0, xi0 = (_take_rows(x, rows, keep)
-                                      for x in (state, metrics, beta0, xi0))
-        ids, weighted = ids[keep], weighted[keep]
-        links = weighted_links(model, weights[ids])
-        at = weighted_view(links, state.alloc, metrics)
-
-    while diags:
+        if collect_rates:
+            cap = np.where(weighted, np.maximum(metrics.capacity.reshape(rows, -1), 0.0), 0.0)
+            for d, c in zip(diags, cap):
+                d.capacity_trace.append(c)
         # The metrics come from _trial at this point, whose objective check
         # found power on every weighted link, so the gains need no check.
         at = weighted_view(links, state.alloc, metrics)
@@ -681,15 +649,32 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
         # The loop's certificate doubles as the budget-end one.
         residual = _kkt_residuals(links, state.exponent, at, gradient)[-1]
         done = []
-        for d, r in zip(diags, residual):
-            d.kkt_residuals.append(r)
-            done.append(r < tol or it >= config.max_iterations)
+        for d, r, s in zip(diags, residual, stalled):
+            # A stalled row keeps the certificate of the iterate before.
+            if s < _STALL_ITERATES:
+                d.kkt_residuals.append(r)
+            done.append(s >= _STALL_ITERATES or r < tol or it >= config.max_iterations)
         if any(done):
-            rows = len(diags)
-            finish(done)
-            if not diags:
-                break
-            gradient = tuple(_take_rows(g, rows, ~np.array(done)) for g in gradient)
+            for k in [k for k, x in enumerate(done) if x]:
+                d = diags[k]
+                d.converged = d.kkt_residuals[-1] < tol
+                d.iterations = it
+                # One protocol round per iteration in a distributed deployment.
+                d.broadcasts, d.feedbacks = model.n * it, model.n_links * it
+                # The last row keeps the batch's arrays.
+                d.metrics = metrics if rows == 1 else _take_rows(metrics, rows, k)
+                results[ids[k]] = (state if rows == 1 else _take_rows(state, rows, k), d)
+            keep = [not x for x in done]
+            if not any(keep):
+                return results
+            diags = [d for d, k in zip(diags, keep) if k]
+            stalled = [s for s, k in zip(stalled, keep) if k]
+            keep = np.array(keep)
+            state, metrics, beta0, xi0, gradient = _take_rows(
+                (state, metrics, beta0, xi0, gradient), rows, keep)
+            ids, weighted = ids[keep], weighted[keep]
+            links = weighted_links(model, weights[ids])
+            at = weighted_view(links, state.alloc, metrics)
         alloc, sweep_evals, beta0 = alloc_sweep(model, links, state, at, gradient[0], beta0)
         state = PowerState(alloc, state.exponent)
         expo, metrics, f_after, pc_evals, xi0 = power_step(model, links, state, xi0)
@@ -700,11 +685,6 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
             stalled[k] = stalled[k] + 1 if x == d.objectives[-1] else 0
             d.objectives.append(x)
             d.line_search_evals += e
-        if collect_rates:
-            book_rates()
-        if max(stalled) >= _STALL_ITERATES:
-            finish([s >= _STALL_ITERATES for s in stalled])
-    return results
 
 
 def solve_max_weight_batch(model: NetworkModel, weights: np.ndarray, initial: PowerState,

@@ -20,8 +20,12 @@ from .errors import ConfigError
 from .model import NetworkModel, TrafficSpec
 from .phy import link_metrics, random_power_state, uniform_power_state
 from .policy import compute_weights, rates_from_power
-from .sim import SimTrace, virtual_rates
+from .sim import virtual_rates
 from .solver import SolverConfig, solve_max_weight, solve_max_weight_batch
+
+# The smallest sampled support margin per unit of queue weight that makes an
+# arrival point verifiably interior (check_drift_condition).
+INTERIOR_MARGIN = 1e-9
 
 
 def queue_norm(u: np.ndarray) -> float:
@@ -279,8 +283,7 @@ class DriftCheckReport:
 def check_drift_condition(oracle: RateRegionOracle, a: np.ndarray, eps: float,
                           lam: float, eps0: float, lyapunov: np.ndarray,
                           queues: np.ndarray, rng: np.random.Generator,
-                          direction_samples: int = 32,
-                          interior_margin: float = 1e-9) -> DriftCheckReport:
+                          direction_samples: int = 32) -> DriftCheckReport:
     """Audit the negative-drift condition over a recorded trajectory.
 
     ``lyapunov`` is the (slots+1,) V column of a trace and ``queues`` the
@@ -307,7 +310,7 @@ def check_drift_condition(oracle: RateRegionOracle, a: np.ndarray, eps: float,
         worst = min(worst, margin / max(u.sum(), 1e-300))
         if dominant is None:
             dominant = rt
-    if not (worst > interior_margin):
+    if not (worst > INTERIOR_MARGIN):
         raise ConfigError(
             f"arrival point not verifiably interior (margin {worst:.3e})")
 
@@ -333,10 +336,3 @@ def check_drift_condition(oracle: RateRegionOracle, a: np.ndarray, eps: float,
                                   violation=bool(lhs > -eps0)))
     return DriftCheckReport(omega=omega, alpha=alpha, eps=eps, eps0=eps0,
                             lam=lam, checked=rows)
-
-
-def lambda_from_trace(traffic: TrafficSpec, trace: SimTrace) -> float:
-    """Uniform bound 2(|b| + ||RT||^2) over the realized trace."""
-    second = float(traffic.second_moments().sum())
-    vr = trace.vr_actual.reshape(trace.slots, -1)
-    return 2.0 * (second + float((vr * vr).sum(axis=1).max(initial=0.0)))

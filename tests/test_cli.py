@@ -360,6 +360,31 @@ def test_generate_rejects_negative_seed_and_non_finite_mean(tmp_path, capsys, pa
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_arrival_means_too_large_to_sample_exit_2(tmp_path, capsys):
+    """numpy's Poisson sampler refuses means above about 9.22e18: generate,
+    run --generate and a scenario file each stop with exit 2, naming the
+    arrival mean, before they write anything."""
+    from bpsim.model import validate_scenario
+
+    params = ["n=3", "B=1e19", "seed=1"]
+    out = tmp_path / "x.json"
+    run = ["--scheme", "iter-once", "--slots", "3", "--runs", "1", "--out", str(tmp_path / "x")]
+    ok = tmp_path / "ok.json"
+    assert main(["generate", "n=3", "B=9.2e18", "seed=1", "--out", str(ok)]) == 0
+    assert validate_scenario(load_scenario(ok)) == []
+    doc = json.loads(ok.read_text())
+    doc["arrival_mean"] = [[1e19 if x else 0.0 for x in row] for row in doc["arrival_mean"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (["generate", *params, "--out", str(out)], ["run", "--generate", *params, *run],
+                 ["run", "--scenario", str(bad), *run]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "arrival mean 1e+19" in err and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "x").exists()
+
+
 def test_run_rejects_negative_seed(run_dir, tmp_path, capsys):
     _, scen, _ = run_dir
     code = main(["run", "--scenario", str(scen), "--scheme", "iter-once", "--slots", "2",

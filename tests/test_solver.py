@@ -450,7 +450,9 @@ def test_stalled_solves_stop_with_an_honest_flag():
     """Cold solves at a tolerance below their rounding floor stop after
     ``_STALL_ITERATES`` iterates that leave the objective unchanged, flagged
     unconverged.  A budget that ends first, inside such a run, still
-    certifies the last state."""
+    certifies the last state.  Either way a solve that collects rates ends
+    the same, its capacity trace holding the start and every iterate, the
+    last at the returned metrics."""
     from bpsim.model import generate_scenario
     from bpsim.policy import compute_weights
 
@@ -469,9 +471,16 @@ def test_stalled_solves_stop_with_an_honest_flag():
     ends = []
     for budget in (2000, 70):
         for w in queries:
-            _, diag = solve_max_weight(sc.model, w, start,
-                                       SolverConfig(kkt_tolerance=1e-12, max_iterations=budget))
+            config = SolverConfig(kkt_tolerance=1e-12, max_iterations=budget)
+            _, diag = solve_max_weight(sc.model, w, start, config)
+            _, traced = solve_max_weight(sc.model, w, start, config, collect_rates=True)
             assert not diag.converged
+            assert (traced.objectives, traced.kkt_residuals, traced.iterations,
+                    traced.converged) == (diag.objectives, diag.kkt_residuals,
+                                          diag.iterations, diag.converged)
+            assert len(traced.capacity_trace) == diag.iterations + 1
+            assert np.array_equal(traced.capacity_trace[-1],
+                                  np.where(w > 0, np.maximum(traced.metrics.capacity, 0.0), 0.0))
             if len(diag.kkt_residuals) == diag.iterations:
                 # The stall stop: no certificate after the last iterate.
                 assert stalled(diag)
