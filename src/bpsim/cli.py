@@ -138,19 +138,6 @@ def cmd_run(args) -> int:
     jobs = [(scenario, scheme, args.slots, config, args.seed + r)
             for scheme in schemes for r in range(args.runs)]
     workers = _max_workers(len(jobs))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    save_scenario(scenario, outdir / "scenario.json")
-    echo = {
-        "schemes": schemes, "slots": args.slots, "runs": args.runs,
-        "seed": args.seed, "iterations_per_slot": args.iterations,
-        "kkt_tolerance": args.kkt_tol, "max_iterations": args.max_iter,
-        "per_queue": bool(args.per_queue),
-    }
-    (outdir / "config_echo.json").write_text(
-        json.dumps(echo, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-
     results: dict[tuple[str, int], SimTrace] = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -161,6 +148,19 @@ def cmd_run(args) -> int:
             scheme, seed, trace = _run_one(payload)
             results[(scheme, seed)] = trace
 
+    # Every run is done before ``--out`` is made: a run that fails leaves no
+    # partial directory.
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    save_scenario(scenario, outdir / "scenario.json")
+    echo = {
+        "schemes": schemes, "slots": args.slots, "runs": args.runs,
+        "seed": args.seed, "iterations_per_slot": args.iterations,
+        "kkt_tolerance": args.kkt_tol, "max_iterations": args.max_iter,
+        "per_queue": bool(args.per_queue),
+    }
+    (outdir / "config_echo.json").write_text(
+        json.dumps(echo, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     summary = ["scheme,runs,slots,mean_total_backlog_last_half,arrival_checksum"]
     for scheme in schemes:
         traces = [results[(scheme, args.seed + r)] for r in range(args.runs)]

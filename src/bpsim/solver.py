@@ -16,9 +16,7 @@ the result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -36,10 +34,11 @@ _MIN_STEP = 1e-14
 # of its start objective ends its ladder: the objective's difference is
 # rounding noise there, and halving further only compares noise.
 _ROUNDING_FLOOR = 1e-15
+# Trials of a power step's Armijo ladder.
 _MAX_BACKTRACKS = 80
-# Rounds of an allocation sweep's Armijo ladders evaluated one by one; the
-# rest are evaluated as one block (_sweep_block).  Most ladders end within
-# them, and a block costs about five rounds.
+# Trials of an allocation sweep's Armijo ladder.  Most ladders accept at
+# their first trial; a node that has not accepted by the last keeps its split
+# and resumes its ladder next sweep (see alloc_sweep).
 _SEQUENTIAL_ROUNDS = 3
 # The certificate's bounds: allocations pinned at the floor, exponents at the cap.
 _ALLOC_AT_FLOOR = ETA_FLOOR * (1.0 + 1e-6)
@@ -72,8 +71,16 @@ class SolverConfig:
             raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
 
 
+def _invq_sums(src: np.ndarray, invq: np.ndarray, n: int) -> np.ndarray:
+    """Per-segment sums of ``invq``, a zero sum read as 1 (no free
+    coordinate, or ``invq`` 0, reads it): the projection's divisors."""
+    s_iq = np.bincount(src, weights=invq, minlength=n)
+    return s_iq + (s_iq == 0)
+
+
 def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray,
-                         invq: np.ndarray, floor: float) -> np.ndarray:
+                         invq: np.ndarray, floor: float, iq_sums: np.ndarray | None = None
+                         ) -> np.ndarray:
     """Weighted-simplex projection of each segment ``src == i`` (length ``m_node[i]``).
 
     Minimizes sum((x - target)**2 / invq) per segment, ``invq`` positive, by
@@ -81,17 +88,18 @@ def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray
     set, clamp violators, repeat.  A segment without violations keeps its
     free set, so the loop ends within the longest segment's length plus one
     passes.  The first pass has every coordinate free, so its sums need no
-    mask and its goal is exactly 1.  When it clamps nothing, every x is at
-    or above the floor (or NaN) and is returned as it is.
+    mask and its goal is exactly 1; a caller projecting with one ``invq``
+    many times passes its ``_invq_sums`` as ``iq_sums``.  When the first
+    pass clamps nothing, every x is at or above the floor (or NaN) and is
+    returned as it is.
     """
     n = m_node.size
     free = True         # every coordinate, until the first clamp
     s_t = np.bincount(src, weights=target, minlength=n)
-    s_iq = np.bincount(src, weights=invq, minlength=n)
+    div = _invq_sums(src, invq, n) if iq_sums is None else iq_sums
     goal = 1.0
     for _ in range(target.size + 1):
-        # A zero sum divides by 1: no free coordinate (or invq 0) reads it.
-        mu = (s_t - goal) / (s_iq + (s_iq == 0))
+        mu = (s_t - goal) / div
         x = target - mu[src] * invq
         viol = x < floor
         if free is not True:
@@ -100,7 +108,7 @@ def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray
             break
         free = free & ~viol
         s_t = np.bincount(src, weights=target * free, minlength=n)
-        s_iq = np.bincount(src, weights=invq * free, minlength=n)
+        div = _invq_sums(src, invq * free, n)
         n_free = np.bincount(src, weights=free.astype(float), minlength=n)
         goal = 1.0 - floor * (m_node - n_free)
     return x if free is True else np.where(free, np.maximum(x, floor), floor)
@@ -145,45 +153,28 @@ def _armijo_terms(links: WeightedLinks, at: WeightedView, d: np.ndarray,
                   beta0: np.ndarray | None) -> tuple:
     """The allocation line search's start: the inverse diagonal scaling
     (w / a**2 approximates the curvature), the local objective (each node's
-    weighted rate over its own links as a function of their split; it also
-    takes a (J, k) ``x`` on the weighted links ``pick``, summed by segment),
-    its value at the view's split, the gradient along the split, and the
+    weighted rate over its own links as a function of their split), its
+    value at the view's split, the gradient along the split, and the
     per-node stepsize caps and first trials."""
     p_i = at.src_power
     # Interference at each link's receiver that does not depend on this
     # node's own split (totals of other transmitters plus noise).
     other = at.inoise - links.theta_g * (p_i - at.power)
-    terms = (links.ln_kg, p_i, links.theta_g * p_i, other, links.w)
+    s = links.theta_g * p_i
 
-    def local(x: np.ndarray, pick: np.ndarray | None = None, seg: np.ndarray = links.src,
-              size: int = links.lay.size) -> np.ndarray:
-        ln_kg, p, s, o, w = terms if pick is None else (t[pick] for t in terms)
-        rate = ln_kg + np.log(p * x) - np.log(s * (1.0 - x) + o)
-        return np.bincount(seg, weights=(w * rate).reshape(-1), minlength=size)
+    def local(x: np.ndarray) -> np.ndarray:
+        rate = links.ln_kg + np.log(p_i * x) - np.log(s * (1.0 - x) + other)
+        return np.bincount(links.src, weights=links.w * rate, minlength=links.lay.size)
 
-    cap = ARMIJO_INITIAL * np.maximum(at.metrics.node_power, 1.0)
+    # The gradient along a node's split is its power times ``d``, so a
+    # stepsize of the node's power is the scaled (Newton) step: the cap.  A
+    # larger cap lets a node below unit power overshoot by its inverse, and
+    # with doubled stepsizes it can alternate between two overshoots that
+    # both pass the Armijo test.
+    cap = ARMIJO_INITIAL * at.metrics.node_power
     invq = 1.0 / (links.w / (at.alloc * at.alloc) + SCALE_EPS)
     return (invq, local, local(at.alloc), p_i * d, cap,
             cap if beta0 is None else np.minimum(beta0, cap))
-
-
-def _halvings(first: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stepsizes of k Armijo ladders with at most ``rounds`` trials left:
-    (depth + 1, k) of them, ``first`` and then each row the previous one
-    times ``ARMIJO_SHRINK``, as the ladders take them; and (k,) trials per
-    ladder, up to the one after which its stepsize is below ``_MIN_STEP``,
-    or all ``rounds`` (NaN, or the cap).  ``depth`` is at least the largest.
-    """
-    top = float(first.max())
-    if top < np.inf:
-        rounds = min(rounds, int(math.log2(max(top / _MIN_STEP, 1.0))) + 2)
-    steps = np.full((rounds + 1, first.size), ARMIJO_SHRINK)
-    steps[0] = first
-    steps = np.multiply.accumulate(steps, axis=0)
-    # Halving never raises a stepsize: a ladder that gets below the floor
-    # ends below it.
-    below = steps[1:] < _MIN_STEP
-    return steps, np.where(below[-1], below.argmax(axis=0) + 1, rounds)
 
 
 def _armijo_test(f1: np.ndarray, f0: np.ndarray, gain: np.ndarray, flat_gain: np.ndarray
@@ -195,64 +186,6 @@ def _armijo_test(f1: np.ndarray, f0: np.ndarray, gain: np.ndarray, flat_gain: np
     return ok, ok | (gain <= flat_gain)
 
 
-def _ladder_outcome(ok: np.ndarray, end: np.ndarray, trials: np.ndarray, groups: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What the sweep's sequential Armijo ladders make of trials evaluated
-    as one block (``_sweep_block``).
-
-    The k nodes form ``groups`` equal runs, one per problem, which stops
-    after the first round at which each of its waiting nodes has accepted,
-    failed at the rounding floor or made its ``trials`` (0 for nodes not
-    waiting).  ``ok`` (J, k) holds whether trial j of node k passes the
-    Armijo test and ``end`` whether it ends its ladder (``_armijo_test``),
-    both False where it was not evaluated.  Returns each node's first
-    passing or flat trial (J if none), each problem's last round (``stop +
-    1`` trials were evaluated) and which nodes accepted before it.
-    """
-    first = np.where(end.any(axis=0), end.argmax(axis=0), ok.shape[0])
-    stop = np.minimum(first, trials - 1).reshape(groups, -1).max(axis=1)
-    passed = ok[np.minimum(first, ok.shape[0] - 1), np.arange(first.size)]
-    return first, stop, passed & (first <= np.repeat(stop, first.size // groups))
-
-
-def _sweep_block(links: WeightedLinks, a: np.ndarray, d: np.ndarray, invq: np.ndarray,
-                 local: Callable, f0: np.ndarray, flat_gain: np.ndarray, grad: np.ndarray,
-                 beta: np.ndarray, waiting: np.ndarray, rounds: int) -> tuple:
-    """The remaining ``rounds`` of the allocation ladders of the ``waiting``
-    nodes, every trial projected and evaluated at once: trial j of node i is
-    segment j * B*n + i of one projection, local objective and gain
-    ``bincount``, each adding its links in link order, so every trial is bit
-    for bit a sequential round's.  Returns the nodes that accept, the
-    stepsizes with theirs set, their weighted links and accepted
-    allocations, and (B,) evaluations per row (0 without waiting nodes).
-    """
-    size = waiting.size
-    nodes = np.flatnonzero(waiting)
-    steps, trials = _halvings(beta[nodes], rounds)
-    depth = int(trials.max())
-    # The waiting nodes' weighted links, once per trial.
-    on = waiting[links.src]
-    lw = np.flatnonzero(on)
-    src = links.src[lw]
-    seg = (np.arange(depth)[:, None] * size + src).reshape(-1)
-    col = np.cumsum(waiting) - 1            # each waiting node's column in ``steps``
-    a_w = a[lw]
-    target = a_w + steps[:depth, col[src]] * d[lw] * invq[lw]
-    x = _project_alloc_nodes(seg, end_to_end(links.m_node, depth), target.reshape(-1),
-                             end_to_end(invq[lw], depth), ETA_FLOOR).reshape(depth, -1)
-    f1 = local(x, lw, seg, depth * size).reshape(depth, size)
-    gain = np.bincount(seg, weights=(grad[lw] * (x - a_w)).reshape(-1),
-                       minlength=depth * size).reshape(depth, size)
-    node_trials = np.zeros(size, dtype=np.intp)
-    node_trials[nodes] = trials
-    ok, end = _armijo_test(f1, f0, gain, flat_gain)
-    first, stop, took = _ladder_outcome(ok & waiting, end & waiting, node_trials, links.rows)
-    beta = beta.copy()
-    beta[took] = steps[first[took], col[took]]
-    lk = np.flatnonzero(took[links.src])
-    return took, beta, lk, x[first[links.src[lk]], (np.cumsum(on) - 1)[lk]], stop + 1
-
-
 def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
                 at: WeightedView, delta: np.ndarray, beta0: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,15 +194,16 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     allocation gains ``delta`` on the weighted links.
 
     Returns the new allocations, (B,) local objective evaluations spent in
-    line searches, and the per-node accepted stepsizes (the next sweep's
-    ``beta0``).  Each node's Armijo ladder ends when a trial passes or fails
-    at the rounding floor (``_armijo_test``); a problem stops once it has no
-    waiting node or their largest stepsize is below the floor, and is still
-    computed but changes nothing.  Rounds after the first
-    ``_SEQUENTIAL_ROUNDS`` are one block (``_sweep_block``), bit for bit.
+    line searches, and the per-node stepsizes for the next sweep's
+    ``beta0``.  Each node's Armijo ladder ends when a trial passes or fails
+    at the rounding floor (``_armijo_test``), or after ``_SEQUENTIAL_ROUNDS``
+    trials; a problem stops once it has no waiting node or their largest
+    stepsize is below the floor, and is still computed but changes nothing.
+    A node that does not accept keeps its split bit for bit.
     """
     rows, n, a = links.rows, model.n, at.alloc
     invq, local, f0, grad, cap, beta = _armijo_terms(links, at, delta, beta0)
+    iq_sums = _invq_sums(links.src, invq, rows * n)
     flat_gain = _ROUNDING_FLOOR * np.abs(f0)
     evals = np.ones(rows, dtype=int)
     # The unaccepted nodes of the problems still searching (all of them in
@@ -279,18 +213,9 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     kept = ~links.has_active
     live = True
     x_out = a
-    for r in range(_MAX_BACKTRACKS):
-        if r == _SEQUENTIAL_ROUNDS:
-            took, beta, lk, x_new, tried = _sweep_block(
-                links, a, delta, invq, local, f0, flat_gain, grad, beta, waiting,
-                _MAX_BACKTRACKS - r)
-            x_out = x_out.copy()        # it may still be the view's own ``a``
-            x_out[lk] = x_new
-            kept |= took
-            evals += tried
-            break
+    for _ in range(_SEQUENTIAL_ROUNDS):
         target = a + beta[links.src] * delta * invq
-        x = _project_alloc_nodes(links.src, links.m_node, target, invq, ETA_FLOOR)
+        x = _project_alloc_nodes(links.src, links.m_node, target, invq, ETA_FLOOR, iq_sums)
         f1 = local(x)
         evals += live
         gain = np.bincount(links.src, weights=grad * (x - a), minlength=rows * n)
@@ -305,15 +230,16 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
         live = ~(np.maximum.reduce(np.where(waiting, beta, 0.0).reshape(rows, n), axis=1)
                  < _MIN_STEP)
         if np.count_nonzero(live) < rows:
-            if not np.count_nonzero(live):
-                break
             # A stopped problem's unaccepted nodes leave their ladders.
             waiting &= np.repeat(live, n)
+            if not np.count_nonzero(live):
+                break
     out = state.alloc.copy()
     out[links.act] = x_out
-    # An accepted step earns a doubled first trial next sweep; nodes that
-    # backtracked to nothing restart from the full trial step.
-    return out, evals, np.minimum(2.0 * np.where(kept, beta, cap), cap)
+    # An accepted step earns a doubled first trial next sweep, and a ladder
+    # still waiting after its last round resumes at its halved stepsize;
+    # ladders stopped at either floor restart from the full trial step.
+    return out, evals, np.where(waiting, beta, np.minimum(2.0 * np.where(kept, beta, cap), cap))
 
 
 def _curvature(links: WeightedLinks, at: WeightedView) -> np.ndarray:

@@ -63,6 +63,24 @@ def test_run_rejects_unallocatable_slot_counts(tmp_path, capsys, slots):
     assert not out.exists()
 
 
+def test_run_failing_mid_simulation_leaves_no_output(tmp_path, capsys, monkeypatch):
+    """A slot that fails with NumericDomainError exits 3, and ``--out`` is
+    not made: no scenario, echo or trace of a run that did not finish."""
+    import bpsim.cli
+    from bpsim.errors import NumericDomainError
+
+    def failing(*args, **kwargs):
+        raise NumericDomainError("slot 3: non-finite power marginal gain")
+
+    monkeypatch.setenv("BPSIM_THREADS", "1")        # the runs stay in this process
+    monkeypatch.setattr(bpsim.cli, "run_simulation", failing)
+    out = tmp_path / "x"
+    assert main(["run", "--generate", "n=4", "B=2", "seed=1", "--scheme", "iter-once",
+                 "--slots", "5", "--runs", "2", "--out", str(out)]) == 3
+    assert "slot 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli_runs")

@@ -600,17 +600,20 @@ def test_power_direction_domain_check_raises_as_before():
 # ------------------------------------------------ ladder references
 #
 # The Armijo ladders one trial round after another, each round evaluating
-# only what is still searching: the references that the sweep, with its
-# blocked tail, and the power step, which evaluates every row each round,
-# must match bit for bit.  A trial that fails while predicting a
-# gain of at most ``_ROUNDING_FLOOR * |f0|`` ends its ladder without
-# accepting.  Each appends (round, reason) per ladder to ``why``: the round
-# after which it stopped and why.
+# only what is still searching: the references that the sweep, which
+# carries its stopped problems along, and the power step, which evaluates
+# every row each round, must match bit for bit.  A trial that fails while
+# predicting a gain of at most ``_ROUNDING_FLOOR * |f0|`` ends its ladder
+# without accepting.  Each appends (round, reason) per ladder to ``why``: the
+# round after which it stopped and why.
 
 def _sequential_sweep(model, links, state, at, d, beta0, why):
-    """``alloc_sweep``, round by round.  A problem whose last waiting nodes
-    leave in a round in which one of them fails at the rounding floor
-    stops for "rounding"."""
+    """``alloc_sweep``, round by round, for at most ``_SEQUENTIAL_ROUNDS``
+    rounds.  A problem whose last waiting nodes leave in a round in which
+    one of them fails at the rounding floor stops for "rounding"; one still
+    searching after the last round stops for "rounds", and its waiting
+    nodes resume at their halved stepsizes next sweep.  Every other node
+    that did not accept restarts from the cap."""
     rows, n = links.rows, model.n
     a = at.alloc
     out = state.alloc.copy()
@@ -620,7 +623,7 @@ def _sequential_sweep(model, links, state, at, d, beta0, why):
     left = np.zeros_like(accepted)          # failed at the rounding floor
     x_out = a
     searching = np.ones(rows, dtype=bool)
-    for r in range(solver._MAX_BACKTRACKS):
+    for r in range(solver._SEQUENTIAL_ROUNDS):
         target = a + beta[links.src] * d * invq
         x = solver._project_alloc_nodes(links.src, links.m_node, target, invq, phy.ETA_FLOOR)
         f1 = local(x)
@@ -644,9 +647,11 @@ def _sequential_sweep(model, links, state, at, d, beta0, why):
                 + [(r, "rounding")] * int(rounding.sum()) + [(r, "floor")] * int(floor.sum()))
         if not searching.any():
             break
-    why += [(solver._MAX_BACKTRACKS - 1, "cap")] * int(searching.sum())
+    why += [(solver._SEQUENTIAL_ROUNDS - 1, "rounds")] * int(searching.sum())
     out[links.act] = x_out
-    return out, evals, np.where(accepted, np.minimum(2.0 * beta, cap), cap)
+    resumed = ~accepted & ~left & np.repeat(searching, n)
+    return out, evals, np.where(accepted, np.minimum(2.0 * beta, cap),
+                                np.where(resumed, beta, cap))
 
 
 def _sequential_power_step(model, links, state, xi0, why):
@@ -743,12 +748,12 @@ def _evaluated(step, args, poison=None):
 def _checked_ladders(mp, seen):
     """Route the solver's ladders through a comparison with the references;
     ``seen`` collects, per kind of ladder, the references' (round, reason)."""
-    blocked_sweep, one_power_step = solver.alloc_sweep, solver.power_step
+    one_sweep, one_power_step = solver.alloc_sweep, solver.power_step
 
     def sweep(model, links, state, at, delta, beta0=None):
         why = []
         want = _sequential_sweep(model, links, state, at, delta, beta0, why)
-        got = blocked_sweep(model, links, state, at, delta, beta0)
+        got = one_sweep(model, links, state, at, delta, beta0)
         assert _as_bytes(got) == _as_bytes(want)
         if links.rows == 1:
             seen.setdefault("sweep", []).extend(why)
@@ -776,9 +781,9 @@ def _checked_ladders(mp, seen):
 
 def _solve_checked(seed, n, cap, min_step, tolerance, rounding=solver._ROUNDING_FLOOR):
     """Single and lockstep solves of random problems with every ladder
-    checked against its reference under a ``_MAX_BACKTRACKS`` of ``cap``,
-    a ``_MIN_STEP`` of ``min_step`` and a ``_ROUNDING_FLOOR`` of
-    ``rounding``; returns what the references saw."""
+    checked against its reference under a ``_MAX_BACKTRACKS`` (the power
+    step's ladder length) of ``cap``, a ``_MIN_STEP`` of ``min_step`` and a
+    ``_ROUNDING_FLOOR`` of ``rounding``; returns what the references saw."""
     rng = np.random.default_rng(seed)
     m = random_model(rng, n=n)
     # Rows sharing their weighted links advance in one lockstep batch.
@@ -804,46 +809,49 @@ def _solve_checked(seed, n, cap, min_step, tolerance, rounding=solver._ROUNDING_
        min_step=strategies.sampled_from([1e-14, 1e-14, 1e-4]),
        tolerance=strategies.sampled_from([1e-9, 1e-12]),
        rounding=strategies.sampled_from([1e-15, 1e-15, 0.0, 0.03]))
-def test_blocked_ladders_equal_sequential_ladders(seed, n, cap, min_step, tolerance, rounding):
+def test_capped_ladders_equal_sequential_ladders(seed, n, cap, min_step, tolerance, rounding):
     """States, evaluations, stepsizes, metrics and objectives of every
     ladder are bit for bit the round-by-round ones."""
     _solve_checked(seed, n, cap, min_step, tolerance, rounding)
 
 
-def test_blocked_ladders_cover_every_stop():
-    """Fixed problems on which the sweep's blocked tails and the power
+def test_capped_ladders_cover_every_stop():
+    """Fixed problems on which the sweep's three-round ladders and the power
     step's ladders meet every way a ladder stops, and lockstep rows that
-    stop in different rounds: of one sweep block, and of one power step,
-    some accepting and some not, one at the stepsize floor.  Ladders stopped at the rounding floor
-    rarely reach the other stops, so a rounding floor of 0 lets them run
-    on.  On these problems a power ladder's exponents stop moving before its
-    stepsize reaches 1e-14, and its predicted gain is rounding noise only
-    within its first rounds, so a raised ``_MIN_STEP`` and a raised rounding
-    floor stand in for those stops."""
+    stop in different rounds: of one sweep, and of one power step, some
+    accepting and some not, one at the stepsize floor.  Ladders stopped at
+    the rounding floor rarely reach the other stops, so a rounding floor of
+    0 lets them run on.  On these problems a power ladder's exponents stop
+    moving before its stepsize reaches 1e-14, and its predicted gain is
+    rounding noise only within its first rounds, so a raised ``_MIN_STEP``
+    and a raised rounding floor stand in for those stops."""
     seen = {}
     for seed, n, cap, min_step, rounding in ((7, 5, 80, 1e-14, 0.0), (11, 8, 80, 1e-14, 0.0),
                                              (3, 4, 6, 1e-14, 0.0), (3, 4, 80, 1e-4, 0.0),
-                                             (9, 4, 80, 1e-14, 0.03), (0, 4, 80, 1e-4, 0.0)):
+                                             (9, 4, 80, 1e-14, 0.03), (0, 4, 80, 1e-4, 0.0),
+                                             (1, 4, 80, 1e-4, 0.0)):
         for kind, why in _solve_checked(seed, n, cap, min_step, 1e-12, rounding).items():
             seen.setdefault(kind, []).extend(why)
-    tail = solver._SEQUENTIAL_ROUNDS
 
     def reasons(calls):
-        return {reason for r, reason in calls if r >= tail}
+        return {reason for _, reason in calls}
 
-    every = {"accepted", "floor", "cap", "rounding"}
-    assert reasons(seen["sweep"]) == every
-    assert reasons(sum(seen["lockstep sweep"], [])) == every
-    # The power step has no block: every round counts.
+    # The sweep's ladders stop at an accepted trial, at the rounding floor,
+    # at the stepsize floor, or after their last round; the power step's at
+    # its cap of ``_MAX_BACKTRACKS`` trials instead, or when its step does
+    # not move.
+    sweep = {"accepted", "rounding", "floor", "rounds"}
+    assert reasons(seen["sweep"]) == sweep
+    assert reasons(sum(seen["lockstep sweep"], [])) == sweep
     power = seen["lockstep power step"]
-    assert {reason for _, reason in sum(power, [])} == every | {"zero move"}
+    assert reasons(sum(power, [])) == {"accepted", "rounding", "floor", "cap", "zero move"}
     assert seen["power step"]
-    assert any(len({r for r, _ in why if r >= tail}) > 1 for why in seen["lockstep sweep"])
+    assert any(len({r for r, _ in why}) > 1 for why in seen["lockstep sweep"])
     assert any(len({r for r, _ in why}) > 1 for why in power)
     # Rows of one power step that stop in different rounds, some accepting
     # and some not: the step returns accepted and start points side by side.
-    assert any(len({r for r, _ in why}) > 1 and len({reason for _, reason in why}) > 1
-               and "accepted" in {reason for _, reason in why} for why in power)
+    assert any(len({r for r, _ in why}) > 1 and len(reasons(why)) > 1
+               and "accepted" in reasons(why) for why in power)
     # A row stops at the stepsize floor while another searches on, so the
     # stopped row is evaluated again: at its last trial, not a halved one.
     assert any(r < max(r for r, _ in why) for why in power for r, reason in why
@@ -937,3 +945,79 @@ def test_no_accepted_step_lowers_its_objective(seed, n):
         solve_max_weight(m, w, near, config)
         solve_max_weight_batch(m, rows, near, config)
     assert drops == []
+
+
+# ------------------------------------------------ the three-round sweep
+
+@settings(max_examples=30, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
+       rows=strategies.sampled_from([1, 3]), warm=strategies.sampled_from([0, 3, 30]),
+       carried=strategies.booleans(), min_step=strategies.sampled_from([1e-14, 0.05]))
+def test_capped_sweep_ascends_and_sets_stepsizes_by_rule(seed, n, rows, warm, carried,
+                                                          min_step):
+    """On random single and lockstep problems, from cold, warm and nearly
+    converged points and with carried stepsizes, one ``alloc_sweep``:
+    lowers no problem's weighted objective; leaves every node that does not
+    accept its split bit for bit and moves every node that does to its
+    accepted trial; spends at most 1 + ``_SEQUENTIAL_ROUNDS`` evaluations
+    per row; and returns the doubled stepsize (at most the cap) for an
+    accepted trial, the halved one for a ladder still waiting after its last
+    round, and the cap, the node's power, after a stop at the rounding or
+    the stepsize floor.  Each node's ladder is replayed here from its own
+    trials."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n=n)
+    mask = random_weights(rng, m) > 0
+    weights = np.array([np.where(mask, rng.random(m.n_links) * 10.0, 0.0) for _ in range(rows)])
+    start, _ = solve_max_weight(m, weights[0], phy.random_power_state(m, rng),
+                                SolverConfig(max_iterations=warm))
+    links = phy.weighted_links(m, weights)
+    state = solver._seed_state(m, links, start)
+    metrics, f_before = solver._trial(m, links, state.alloc, state.exponent)
+    at = phy.weighted_view(links, state.alloc, metrics)
+    delta = phy.weighted_gains(m, links, at)[0]
+    beta0 = 10.0 ** rng.uniform(-3.0, 1.0, rows * n) if carried else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_MIN_STEP", min_step)
+        alloc, evals, beta = solver.alloc_sweep(m, links, state, at, delta, beta0)
+    assert (solver._trial(m, links, alloc, state.exponent)[1] >= f_before).all()
+
+    # Every node's trials, round by round, with the Armijo test's outcome.
+    invq, local, f0, grad, cap, first = solver._armijo_terms(links, at, delta, beta0)
+    # The cap is each node's power: the gradient along its split is its
+    # power times ``delta``, so that stepsize is the scaled (Newton) step.
+    assert cap.tobytes() == (solver.ARMIJO_INITIAL * metrics.node_power).tobytes()
+    a, src = at.alloc, links.src
+    rounds = solver._SEQUENTIAL_ROUNDS
+    trials = []
+    for j in range(rounds):
+        step = first * solver.ARMIJO_SHRINK ** j
+        x = solver._project_alloc_nodes(src, links.m_node, a + step[src] * delta * invq, invq,
+                                        phy.ETA_FLOOR)
+        gain = np.bincount(src, weights=grad * (x - a), minlength=rows * n)
+        ok = local(x) - f0 >= solver.ARMIJO_SIGMA * gain
+        trials.append((step, x, ok, ok | (gain <= solver._ROUNDING_FLOOR * np.abs(f0))))
+    want = a.copy()
+    want_beta = np.minimum(2.0 * first, cap)        # nodes without weighted links
+    for p in range(rows):
+        waiting = [i for i in range(p * n, (p + 1) * n) if links.has_active[i]]
+        used = 1
+        for j, (step, x, ok, end) in enumerate(trials):
+            used += 1
+            for i in [i for i in waiting if end[i]]:
+                waiting.remove(i)
+                if ok[i]:
+                    want[src == i] = x[src == i]
+                    want_beta[i] = min(2.0 * step[i], cap[i])
+                else:
+                    want_beta[i] = cap[i]
+            if waiting and max(step[i] * solver.ARMIJO_SHRINK for i in waiting) < min_step:
+                want_beta[waiting] = cap[waiting]
+                waiting = []
+            if not waiting:
+                break
+        # Still waiting after the last round: resume at the halved stepsize.
+        want_beta[waiting] = first[waiting] * solver.ARMIJO_SHRINK ** rounds
+        assert evals[p] == used <= 1 + rounds
+    assert alloc[links.act].tobytes() == want.tobytes()
+    assert beta.tobytes() == want_beta.tobytes()
