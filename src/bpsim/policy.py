@@ -90,9 +90,14 @@ class MdbScheme:
 
 class InstantScheme(MdbScheme):
     """Idealized control: the optimum for the slot-start backlog applied
-    instantly for the whole slot.  Cold-started every slot."""
+    instantly for the whole slot.  Cold-started every slot, and a
+    centralized solve (``SolverConfig.centralized``): the optimum is what
+    matters here, not a distributed path to it."""
 
     name = "instant"
+
+    def __init__(self, model, traffic, config):
+        super().__init__(model, traffic, replace(config, centralized=True))
 
     def step(self, backlog):
         weights = compute_weights(backlog, self.traffic, self.model)

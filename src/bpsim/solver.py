@@ -12,6 +12,11 @@ Allocation updates of different nodes are independent at fixed exponents
 (a node's split does not change its total radiated power), so one sweep
 updates all nodes from a common snapshot; no processing order can change
 the result.
+
+A centralized solve (``SolverConfig.centralized``), for callers that need
+the optimum rather than the distributed path to it, steps the exponents
+along a projected-Newton direction of the full curvature and tests the
+allocation ladders on exact local changes.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ _MIN_STEP = 1e-14
 _ROUNDING_FLOOR = 1e-15
 # Trials of a power step's Armijo ladder.
 _MAX_BACKTRACKS = 80
+# The largest eps of the Newton power step's two-metric projection: an
+# exponent this close to the bound its gain points at moves on the diagonal
+# scaling (see _newton_direction).
+_NEWTON_EPS = 1e-2
 # Trials of an allocation sweep's Armijo ladder.  Most ladders accept at
 # their first trial; a node that has not accepted by the last keeps its split
 # and resumes its ladder next sweep (see alloc_sweep).
@@ -57,10 +66,15 @@ RESEED_FRACTION = 0.05
 
 @dataclass
 class SolverConfig:
-    """Iteration budget and certificate tolerance of one solve."""
+    """Iteration budget and certificate tolerance of one solve, and whether
+    it is a centralized solve (``centralized``): the projected-Newton power
+    step (``power_step``) and the allocation ladders on exact local changes
+    (``alloc_sweep``), for callers that need the optimum and not the
+    paper's distributed path to it."""
 
     max_iterations: int = 400
     kkt_tolerance: float = 1e-6
+    centralized: bool = False
 
     def __post_init__(self):
         # NaN fails the comparison, so it is rejected with the infinities.
@@ -150,21 +164,35 @@ def _seed_state(model: NetworkModel, links: WeightedLinks, initial: PowerState) 
 
 
 def _armijo_terms(links: WeightedLinks, at: WeightedView, d: np.ndarray,
-                  beta0: np.ndarray | None) -> tuple:
+                  beta0: np.ndarray | None, exact: bool = False) -> tuple:
     """The allocation line search's start: the inverse diagonal scaling
     (w / a**2 approximates the curvature), the local objective (each node's
     weighted rate over its own links as a function of their split), its
     value at the view's split, the gradient along the split, and the
-    per-node stepsize caps and first trials."""
-    p_i = at.src_power
-    # Interference at each link's receiver that does not depend on this
-    # node's own split (totals of other transmitters plus noise).
-    other = at.inoise - links.theta_g * (p_i - at.power)
-    s = links.theta_g * p_i
+    per-node stepsize caps and first trials.
 
-    def local(x: np.ndarray) -> np.ndarray:
-        rate = links.ln_kg + np.log(p_i * x) - np.log(s * (1.0 - x) + other)
-        return np.bincount(links.src, weights=links.w * rate, minlength=links.lay.size)
+    With ``exact`` the local objective is its change from the view's split,
+    summed from log1p terms, and its value there is 0: the change is then
+    exact to its own rounding, not to the rounding of the objective, so the
+    Armijo test resolves the small gains of a nearly equalized split.
+    """
+    p_i = at.src_power
+    s = links.theta_g * p_i
+    if exact:
+        def local(x: np.ndarray) -> np.ndarray:
+            # The split's self-interference s * (1 - x) plus the rest is
+            # the view's interference-plus-noise less s * (x - a).
+            dx = x - at.alloc
+            rate = np.log1p(dx / at.alloc) - np.log1p(-s * dx / at.inoise)
+            return np.bincount(links.src, weights=links.w * rate, minlength=links.lay.size)
+    else:
+        # Interference at each link's receiver that does not depend on this
+        # node's own split (totals of other transmitters plus noise).
+        other = at.inoise - links.theta_g * (p_i - at.power)
+
+        def local(x: np.ndarray) -> np.ndarray:
+            rate = links.ln_kg + np.log(p_i * x) - np.log(s * (1.0 - x) + other)
+            return np.bincount(links.src, weights=links.w * rate, minlength=links.lay.size)
 
     # The gradient along a node's split is its power times ``d``, so a
     # stepsize of the node's power is the scaled (Newton) step: the cap.  A
@@ -173,22 +201,25 @@ def _armijo_terms(links: WeightedLinks, at: WeightedView, d: np.ndarray,
     # both pass the Armijo test.
     cap = ARMIJO_INITIAL * at.metrics.node_power
     invq = 1.0 / (links.w / (at.alloc * at.alloc) + SCALE_EPS)
-    return (invq, local, local(at.alloc), p_i * d, cap,
+    return (invq, local, np.zeros(links.lay.size) if exact else local(at.alloc), p_i * d, cap,
             cap if beta0 is None else np.minimum(beta0, cap))
 
 
-def _armijo_test(f1: np.ndarray, f0: np.ndarray, gain: np.ndarray, flat_gain: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _armijo_test(f1: np.ndarray, f0: np.ndarray, gain: np.ndarray, flat_gain: np.ndarray,
+                 strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Whether each trial passes the Armijo test, and whether it ends its
     ladder: it passes, or it fails at the rounding floor, predicting a gain
-    of at most ``flat_gain`` (``_ROUNDING_FLOOR * |f0|``)."""
+    of at most ``flat_gain`` (``_ROUNDING_FLOOR * |f0|``).  A ``strict``
+    test passes only trials that also raise the objective."""
     ok = f1 - f0 >= ARMIJO_SIGMA * gain
+    if strict:
+        ok &= f1 > f0
     return ok, ok | (gain <= flat_gain)
 
 
 def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
-                at: WeightedView, delta: np.ndarray, beta0: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                at: WeightedView, delta: np.ndarray, beta0: np.ndarray | None = None,
+                exact: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One allocation update for every node with weighted links, in each of
     the B problems of ``links``, from the view ``at`` of ``state`` with the
     allocation gains ``delta`` on the weighted links.
@@ -199,11 +230,21 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     at the rounding floor (``_armijo_test``), or after ``_SEQUENTIAL_ROUNDS``
     trials; a problem stops once it has no waiting node or their largest
     stepsize is below the floor, and is still computed but changes nothing.
-    A node that does not accept keeps its split bit for bit.
+    A node that does not accept keeps its split bit for bit.  With
+    ``exact`` (a centralized solve) the ladders test exact local changes
+    (``_armijo_terms``) and pass only positive ones, and the gains are
+    centred per node before the projection.
     """
     rows, n, a = links.rows, model.n, at.alloc
-    invq, local, f0, grad, cap, beta = _armijo_terms(links, at, delta, beta0)
+    invq, local, f0, grad, cap, beta = _armijo_terms(links, at, delta, beta0, exact)
     iq_sums = _invq_sums(links.src, invq, rows * n)
+    if exact:
+        # The projection is the same for gains shifted by a constant per
+        # node.  Centred on their invq-weighted mean, they leave the trial
+        # targets near the split, so the trial points carry the rounding of
+        # the split rather than of a target far outside the simplex.
+        delta = delta - (np.bincount(links.src, weights=invq * delta, minlength=rows * n)
+                         / iq_sums)[links.src]
     flat_gain = _ROUNDING_FLOOR * np.abs(f0)
     evals = np.ones(rows, dtype=int)
     # The unaccepted nodes of the problems still searching (all of them in
@@ -219,7 +260,7 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
         f1 = local(x)
         evals += live
         gain = np.bincount(links.src, weights=grad * (x - a), minlength=rows * n)
-        ok, end = _armijo_test(f1, f0, gain, flat_gain)
+        ok, end = _armijo_test(f1, f0, gain, flat_gain, exact)
         took = ok & waiting
         x_out = np.where(took[links.src], x, x_out)
         kept |= took
@@ -242,30 +283,83 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     return out, evals, np.where(waiting, beta, np.minimum(2.0 * np.where(kept, beta, cap), cap))
 
 
-def _curvature(links: WeightedLinks, at: WeightedView) -> np.ndarray:
-    """(B, n) diagonal curvature of the objective in each node's log power.
+def _curvature(links: WeightedLinks, at: WeightedView, full: bool = False) -> np.ndarray:
+    """(B, n) diagonal curvature of the objective in each node's log power,
+    or with ``full`` the (B, n, n) curvature M whose diagonal that is.
 
     Each weighted link contributes w * s * (1 - s) where s is the share of
     its interference-plus-noise sourced from the node in question.  The
     (B, E_a, n) terms are C-ordered, so the sum over the middle axis adds
-    each node's links one after another.
+    each node's links one after another.  Off the diagonal, M holds
+    -sum(w * s_i * s_j), so M = sum_l w_l (diag(s_l) - s_l s_l'), the
+    negated Hessian of the objective in the log powers: positive
+    semidefinite, and definite on the nodes with a positive share anywhere,
+    because every link's shares sum to below 1 (noise takes the rest).
     """
     rows = links.rows
     contrib = links.gain_rows * at.metrics.node_power.reshape(rows, 1, -1)
     np.put(contrib, links.own_slot, links.theta_g * (at.src_power - at.power))
     s = contrib / at.inoise.reshape(rows, -1, 1)
-    return np.add.reduce((s * (1.0 - s)) * links.w.reshape(rows, -1, 1), axis=1)
+    w = links.w.reshape(rows, -1, 1)
+    diagonal = np.add.reduce((s * (1.0 - s)) * w, axis=1)
+    if not full:
+        return diagonal
+    m = np.matmul((-w * s).transpose(0, 2, 1), s)
+    m.reshape(rows, -1)[:, ::m.shape[1] + 1] = diagonal
+    return m
 
 
-def _power_direction(model: NetworkModel, links: WeightedLinks, at: WeightedView
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(B, n) power marginal gains and the power step's diagonal scaling."""
+def _power_direction(model: NetworkModel, links: WeightedLinks, at: WeightedView,
+                     full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(B, n) power marginal gains and the power step's diagonal scaling, and
+    with ``full`` the (B, n, n) curvature (see ``_curvature``)."""
     _, up, down = weighted_gains(model, links, at)
     delta_gamma = at.metrics.node_power * (up - down)
     if np.count_nonzero(np.isfinite(delta_gamma)) < delta_gamma.size:
         raise NumericDomainError("non-finite power marginal gain")
+    m = _curvature(links, at, full)
+    diagonal = np.diagonal(m, axis1=1, axis2=2) if full else m
     return (delta_gamma.reshape(links.rows, -1),
-            np.maximum(links.lay.log_power_cap * _curvature(links, at), SCALE_EPS))
+            np.maximum(links.lay.log_power_cap * diagonal, SCALE_EPS), m if full else None)
+
+
+def _newton_direction(links: WeightedLinks, gamma: np.ndarray, delta_gamma: np.ndarray,
+                      v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(B, n) projected-Newton exponent directions, NaN in each row that has
+    none (a singular or non-finite system).
+
+    Two-metric projection (Bertsekas, SIAM J. Control Optim. 1982): an
+    exponent within eps of the bound its gain points at moves on the
+    diagonal scaling ``v`` alone, decoupled from the others; the rest take
+    the Newton direction of the curvature ``m`` restricted to them.  Per
+    row, eps is the largest move of the diagonal step's unit trial, at most
+    ``_NEWTON_EPS``, so it vanishes at a stationary point.  With x = log
+    power = log_power_cap * gamma, the system M dx = delta_gamma reads
+    A dgamma = delta_gamma with A = M scaled by log_power_cap per column;
+    its diagonal is ``v``, whose floor keeps a node with no share anywhere
+    (a zero row of M) solvable.  All B systems are one stacked solve, which
+    LAPACK factors matrix by matrix.
+    """
+    floor = links.lay.gamma_floor
+    unit = np.minimum(np.maximum(gamma + delta_gamma / v, floor), 1.0) - gamma
+    eps = np.minimum(np.maximum.reduce(np.abs(unit), axis=1), _NEWTON_EPS)[:, None]
+    room = np.where(delta_gamma > 0.0, 1.0 - gamma, gamma - floor)
+    free = (room > eps) | (delta_gamma == 0.0)
+    a = m * np.where(free, links.lay.log_power_cap, 0.0)[:, None, :]
+    a *= free[:, :, None]
+    a.reshape(links.rows, -1)[:, ::a.shape[1] + 1] = v
+    rhs = delta_gamma[..., None]
+    try:
+        return np.linalg.solve(a, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        # Some row is singular: solve row by row, that row has no direction.
+        d = np.full_like(delta_gamma, np.nan)
+        for k in range(links.rows):
+            try:
+                d[k] = np.linalg.solve(a[k], rhs[k])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return d
 
 
 def _trial(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray, expo: np.ndarray
@@ -277,65 +371,103 @@ def _trial(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray, expo: n
 
 
 def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
-               xi0: np.ndarray | None = None
-               ) -> tuple[np.ndarray, LinkMetrics, np.ndarray, np.ndarray, np.ndarray]:
-    """One joint power-exponent update (diagonal scaling, box clamp) for
-    each of the B problems of ``links``.
+               xi0: np.ndarray | None = None, newton: bool = False
+               ) -> tuple[np.ndarray, LinkMetrics, np.ndarray, np.ndarray, np.ndarray,
+                          np.ndarray]:
+    """One joint power-exponent update (box clamp) for each of the B
+    problems of ``links``: along the diagonal scaling, the paper's
+    node-local step, or with ``newton`` along the centralized
+    projected-Newton direction (``_newton_direction``).
 
     Returns (exponents, link metrics and (B,) objectives at the accepted
     points, (B,) objective evaluations, (B,) accepted stepsizes to seed the
-    next call's ``xi0``).  A problem's accepted point is its accepted trial,
-    or its start when its step does not move, a trial fails at the rounding
-    floor (``_armijo_test``) or the stepsize falls below the floor.  Each
-    round evaluates all B trials at once; a stopped problem keeps the
-    stepsize of its last trial (a halving below the floor is not taken), so
-    no problem evaluates, or raises at, a trial its own ladder does not
-    reach.  The per-problem bookkeeping runs on Python numbers.
+    next call's ``xi0``, (B,) whether the row fell back to the diagonal
+    direction).  A problem's accepted point is its accepted trial, or its
+    start when its step does not move, a trial fails at the rounding floor
+    (``_armijo_test``) or the stepsize falls below the floor.  Each round
+    evaluates all B trials at once; a stopped problem keeps the stepsize of
+    its last trial (a halving below the floor is not taken), so no problem
+    evaluates, or raises at, a trial its own ladder does not reach.  A
+    Newton ladder starts from the full step, and its trials pass only if
+    they also raise the objective: the clipped Newton direction need not be
+    an ascent direction.  A row whose Newton ladder accepts nothing, or
+    that has no Newton direction, runs the ladder again in the same call
+    along the diagonal direction from the carried stepsize, and ends where
+    the diagonal step would.  The per-problem bookkeeping runs on Python
+    numbers.
     """
     rows = links.rows
     metrics, f0 = _trial(model, links, state.alloc, state.exponent)
-    delta_gamma, v = _power_direction(model, links, weighted_view(links, state.alloc, metrics))
+    delta_gamma, v, m = _power_direction(model, links,
+                                         weighted_view(links, state.alloc, metrics), newton)
     gamma = state.exponent.reshape(rows, -1)
     grad = (links.lay.log_power_cap * delta_gamma)[:, None, :]
     xi = [ARMIJO_INITIAL] * rows if xi0 is None else [min(x, ARMIJO_INITIAL) for x in xi0.tolist()]
     start = f0.tolist()
-    live, took, evals, xi_next = [True] * rows, [False] * rows, [0] * rows, [ARMIJO_INITIAL] * rows
-    for _ in range(_MAX_BACKTRACKS):
-        new = (gamma + np.array(xi)[:, None] * delta_gamma / v).clip(links.lay.gamma_floor, 1.0)
-        move = new - gamma
-        moves = np.logical_or.reduce(move, axis=1).tolist()
-        if not all(moves):
-            live = [on and m for on, m in zip(live, moves)]
+    took, evals, xi_next = [False] * rows, [0] * rows, [ARMIJO_INITIAL] * rows
+    # Each row's trial step is xi * num / den: delta_gamma / v on the
+    # diagonal, the Newton direction over 1.
+    num, den, strict = delta_gamma, v, [False] * rows
+    if newton:
+        d = _newton_direction(links, gamma, delta_gamma, v, m)
+        has = np.logical_and.reduce(np.isfinite(d), axis=1)
+        num, den, strict = (np.where(has[:, None], d, delta_gamma),
+                            np.where(has[:, None], 1.0, v), has.tolist())
+    fallback = [newton and not x for x in strict]
+    # A Newton ladder starts from the full Newton step, a diagonal one from
+    # the carried stepsize.
+    first, xi = xi, [ARMIJO_INITIAL if x else f for x, f in zip(strict, xi)]
+    live = [True] * rows
+    # The ladder runs once, and once more for the rows to fall back.
+    while True:
+        for _ in range(_MAX_BACKTRACKS):
+            new = (gamma + np.array(xi)[:, None] * num / den).clip(links.lay.gamma_floor, 1.0)
+            move = new - gamma
+            moves = np.logical_or.reduce(move, axis=1).tolist()
+            if not all(moves):
+                live = [on and mv for on, mv in zip(live, moves)]
+                if not any(live):
+                    break
+            met, f1 = _trial(model, links, state.alloc, new.reshape(-1))
+            slope = np.matmul(grad, move[..., None]).ravel().tolist()
+            for k, (on, a, b, s) in enumerate(zip(live, start, f1.tolist(), slope)):
+                if not on:
+                    continue
+                evals[k] += 1
+                if b - a >= ARMIJO_SIGMA * s and (b > a or not strict[k]):
+                    took[k] = True
+                    xi_next[k] = min(2.0 * xi[k], ARMIJO_INITIAL)
+                elif not s <= _ROUNDING_FLOOR * abs(a) and not xi[k] * ARMIJO_SHRINK < _MIN_STEP:
+                    # Failed above the rounding floor (a NaN slope too), and the
+                    # halved stepsize is not below the floor.
+                    xi[k] *= ARMIJO_SHRINK
+                    continue
+                live[k] = False
             if not any(live):
                 break
-        met, f1 = _trial(model, links, state.alloc, new.reshape(-1))
-        slope = np.matmul(grad, move[..., None]).ravel().tolist()
-        for k, (on, a, b, s) in enumerate(zip(live, start, f1.tolist(), slope)):
-            if not on:
-                continue
-            evals[k] += 1
-            if b - a >= ARMIJO_SIGMA * s:
-                took[k] = True
-                xi_next[k] = min(2.0 * xi[k], ARMIJO_INITIAL)
-            elif not s <= _ROUNDING_FLOOR * abs(a) and not xi[k] * ARMIJO_SHRINK < _MIN_STEP:
-                # Failed above the rounding floor (a NaN slope too), and the
-                # halved stepsize is not below the floor.
-                xi[k] *= ARMIJO_SHRINK
-                continue
-            live[k] = False
-        if not any(live):
+        # Newton rows that accepted nothing run the diagonal ladder; the
+        # others keep their last trial, which every round evaluates again.
+        again = [on and not t for on, t in zip(strict, took)]
+        if not any(again):
             break
-    evals, xi_next = np.array(evals), np.array(xi_next)
+        pick = np.array(again)[:, None]
+        num, den = np.where(pick, delta_gamma, num), np.where(pick, v, den)
+        live = again
+        xi = [x0 if g else x for g, x0, x in zip(again, first, xi)]
+        fallback = [f or g for f, g in zip(fallback, again)]
+        strict = [False] * rows
+    evals, xi_next, fallback = np.array(evals), np.array(xi_next), np.array(fallback)
     if all(took):
-        return new.reshape(-1), met, f1, evals, xi_next
+        return new.reshape(-1), met, f1, evals, xi_next, fallback
     if not any(took):
-        return state.exponent.copy(), metrics, f0, evals, xi_next
+        return state.exponent.copy(), metrics, f0, evals, xi_next, fallback
     # An accepted row kept its stepsize, so its last trial is the accepted one.
     pick = np.array(took)[:, None]
     met = LinkMetrics(**{f: np.where(pick, a.reshape(rows, -1),
                                      getattr(metrics, f).reshape(rows, -1)).reshape(-1)
                          for f, a in vars(met).items()})
-    return np.where(pick, new, gamma).reshape(-1), met, np.where(took, f1, f0), evals, xi_next
+    return (np.where(pick, new, gamma).reshape(-1), met, np.where(took, f1, f0), evals, xi_next,
+            fallback)
 
 
 def _kkt_residuals(links: WeightedLinks, expo: np.ndarray, at: WeightedView,
@@ -475,6 +607,9 @@ class SolveDiagnostics:
     broadcasts: int = 0
     feedbacks: int = 0
     line_search_evals: int = 0
+    # Newton power steps that ran their ladder again along the diagonal
+    # direction (always 0 on the diagonal step).
+    diagonal_fallbacks: int = 0
     # Clipped per-link capacities at the start point and after each
     # iteration; filled only when requested.
     capacity_trace: list[np.ndarray] | None = None
@@ -601,16 +736,19 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
             ids, weighted = ids[keep], weighted[keep]
             links = weighted_links(model, weights[ids])
             at = weighted_view(links, state.alloc, metrics)
-        alloc, sweep_evals, beta0 = alloc_sweep(model, links, state, at, gradient[0], beta0)
+        alloc, sweep_evals, beta0 = alloc_sweep(model, links, state, at, gradient[0], beta0,
+                                                  config.centralized)
         state = PowerState(alloc, state.exponent)
-        expo, metrics, f_after, pc_evals, xi0 = power_step(model, links, state, xi0)
+        expo, metrics, f_after, pc_evals, xi0, fell = power_step(model, links, state, xi0,
+                                                                 config.centralized)
         state = PowerState(state.alloc, expo)
         it += 1
-        for k, (d, x, e) in enumerate(zip(diags, f_after.tolist(),
-                                          (sweep_evals + pc_evals).tolist())):
+        for k, (d, x, e, b) in enumerate(zip(diags, f_after.tolist(),
+                                             (sweep_evals + pc_evals).tolist(), fell.tolist())):
             stalled[k] = stalled[k] + 1 if x == d.objectives[-1] else 0
             d.objectives.append(x)
             d.line_search_evals += e
+            d.diagonal_fallbacks += b
 
 
 def solve_max_weight_batch(model: NetworkModel, weights: np.ndarray, initial: PowerState,

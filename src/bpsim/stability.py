@@ -12,7 +12,7 @@ proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +39,8 @@ class RateRegionOracle:
     Each query maximizes u . rtilde over feasible rate allocations by
     pushing u through the per-link differential weights and solving the
     max-weight power control from a cold start (so equal queries give
-    identical answers).  ``solve_ahead`` solves the queries a caller is
+    identical answers), a centralized solve (``SolverConfig.centralized``)
+    whatever ``config`` says.  ``solve_ahead`` solves the queries a caller is
     about to make in lockstep; each answer is held until its query asks for
     it, so the queries return exactly what they return without it.
     """
@@ -54,6 +55,9 @@ class RateRegionOracle:
     # Capacities solved ahead, keyed by the bytes of their link weights and
     # dropped once used.
     _ahead: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.config = replace(self.config, centralized=True)
 
     def mask(self) -> np.ndarray:
         return self.traffic.queue_mask

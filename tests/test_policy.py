@@ -216,3 +216,22 @@ def test_instant_rates_are_clipped_capacities_of_returned_metrics():
     w = compute_weights(u, sc.traffic, sc.model).weight
     clipped = np.where(w > 0, np.maximum(diag.metrics.capacity, 0.0), 0.0)
     assert np.array_equal(rates.rate, clipped)
+
+
+def test_only_instant_and_the_oracle_solve_centrally():
+    """``instant`` and the rate-region oracle stand in for the idealized
+    optimum and take the centralized (projected-Newton) solve, whatever
+    config they are handed; the iterative schemes keep the paper's
+    node-local steps, and the caller's config is left as it was."""
+    from bpsim.stability import RateRegionOracle
+
+    sc = tandem_scenario()
+    config = SolverConfig(kkt_tolerance=1e-6, max_iterations=300)
+    assert make_scheme("instant", sc.model, sc.traffic, config).config == replace(
+        config, centralized=True)
+    for name in ("iter-conv", "iter-once"):
+        assert not make_scheme(name, sc.model, sc.traffic, config).config.centralized
+    assert RateRegionOracle(sc.model, sc.traffic).config.centralized
+    assert RateRegionOracle(sc.model, sc.traffic, config).config == replace(
+        config, centralized=True)
+    assert not config.centralized

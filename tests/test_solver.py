@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from bpsim import phy, solver
 from bpsim.errors import ConfigError, NumericDomainError
@@ -193,7 +193,7 @@ def test_power_step_boundary_cases():
     at_cap = phy.PowerState(np.array([1.0]), np.array([1.0, 0.3]))
     below = phy.PowerState(np.array([1.0]), np.array([0.5, 0.3]))
     # Node 0 gains from more power; node 1 interferes with no weighted link.
-    gain, _ = solver._power_direction(
+    gain, _, _ = solver._power_direction(
         model, ws, phy.weighted_view(ws, at_cap.alloc, phy.link_metrics(model, at_cap)))
     assert gain[0, 0] > 0.0 and gain[0, 1] == 0.0
 
@@ -324,7 +324,7 @@ def test_every_iterate_stays_feasible():
         d = alloc_marginal_gain(m, w, met)[ws.act]
         alloc, _, _ = alloc_sweep(m, ws, st, phy.weighted_view(ws, st.alloc, met), d)
         st = phy.PowerState(alloc, st.exponent)
-        gam, _, _, _, _ = power_step(m, ws, st)
+        gam, *_ = power_step(m, ws, st)
         st = phy.PowerState(st.alloc, gam)
         assert phy.validate_power_state(m, st, m.gamma_floor) == []
 
@@ -517,42 +517,158 @@ def _fingerprint(state, diag):
     return (state.alloc.tobytes(), state.exponent.tobytes(),
             np.array(diag.objectives).tobytes(), np.array(diag.kkt_residuals).tobytes(),
             repr((diag.iterations, diag.converged, diag.line_search_evals,
-                  diag.broadcasts, diag.feedbacks)), metrics)
+                  diag.broadcasts, diag.feedbacks, diag.diagonal_fallbacks)), metrics)
 
 
 def _assert_lockstep_matches(model, weights, start, config):
     single = [_fingerprint(*solve_max_weight(model, w, start, config)) for w in weights]
     batch = solve_max_weight_batch(model, weights, start, config)
     assert [_fingerprint(*r) for r in batch] == single
+    return batch
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
        tolerance=strategies.sampled_from([1e-9, 1e-12]),
-       budget=strategies.sampled_from([0, 70]))
-def test_lockstep_rows_equal_single_solves(seed, n, tolerance, budget):
-    """Every row of a lockstep batch is bit for bit its single solve."""
+       budget=strategies.sampled_from([0, 70]), centralized=strategies.booleans())
+@example(seed=1, n=5, tolerance=1e-12, budget=70, centralized=True)
+def test_lockstep_rows_equal_single_solves(seed, n, tolerance, budget, centralized):
+    """Every row of a lockstep batch is bit for bit its single solve, also
+    in a centralized solve, whose rows' Newton systems are one stacked
+    solve."""
     rng = np.random.default_rng(seed)
     m = random_model(rng, n=n)
     # Mixed weighted-link counts, two rows sharing one count, an all-zero row.
     rows = [random_weights(rng, m, zero_frac=f) for f in (0.1, 0.3, 0.3, 0.6, 0.9)]
     rows.append(np.where(rows[1] > 0, rng.random(m.n_links) + 0.5, 0.0))
     rows.insert(2, np.zeros(m.n_links))
-    config = SolverConfig(kkt_tolerance=tolerance, max_iterations=budget)
+    config = SolverConfig(kkt_tolerance=tolerance, max_iterations=budget,
+                          centralized=centralized)
     _assert_lockstep_matches(m, np.array(rows), phy.random_power_state(m, rng), config)
 
 
 def test_lockstep_rows_equal_single_cold_oracle_solves():
-    """The verify oracle's cold solves at 1e-7, stalls included."""
+    """The verify oracle's cold solves at 1e-7, stalls included: on the
+    diagonal step, and as the oracle makes them, centralized, on a 10-node
+    network where each certifies and some power steps fall back."""
     from bpsim.model import generate_scenario
     from bpsim.policy import compute_weights
 
-    sc = generate_scenario(5, 7.0, 1000)
-    rng = np.random.default_rng(5)
-    rows = [compute_weights(rng.random((sc.model.n, sc.traffic.n_commodities)), sc.traffic,
-                            sc.model).weight for _ in range(16)]
-    _assert_lockstep_matches(sc.model, np.array(rows), phy.uniform_power_state(sc.model),
-                             SolverConfig(kkt_tolerance=1e-7, max_iterations=2000))
+    for net, centralized in (((5, 7.0, 1000), False), ((10, 4.0, 1000), True)):
+        sc = generate_scenario(*net)
+        rng = np.random.default_rng(5)
+        rows = np.array([compute_weights(rng.random((sc.model.n, sc.traffic.n_commodities)),
+                                         sc.traffic, sc.model).weight for _ in range(16)])
+        config = SolverConfig(kkt_tolerance=1e-7, max_iterations=2000, centralized=centralized)
+        solved = _assert_lockstep_matches(sc.model, rows, phy.uniform_power_state(sc.model),
+                                          config)
+    assert all(diag.converged for _, diag in solved)
+    assert sum(diag.diagonal_fallbacks for _, diag in solved)
+
+
+def _newton_system(v_rows, delta_rows):
+    """``_newton_direction``'s inputs for hand-built (B, n, n) curvatures:
+    exponents mid-box, unit log power caps, so the system matrix is the
+    curvature with ``v`` on its diagonal."""
+    rows, n = np.shape(delta_rows)
+    lay = phy.Layout(rows, rows * n, *([None] * 11), np.ones((rows, n)),
+                     np.full((rows, n), -1.0))
+    links = phy.WeightedLinks(rows, lay, *([None] * 12))
+    return links, np.zeros((rows, n)), np.array(delta_rows, float), np.array(v_rows, float)
+
+
+def test_newton_singular_or_non_finite_systems_have_no_direction():
+    """A Newton system that is singular in floating point, or not finite,
+    gives its row no direction (NaN) instead of raising LinAlgError; the
+    other rows of the stacked solve are their single solves."""
+    # [[1, -1], [-1, 1 + 1e-17]] is singular once 1 + 1e-17 rounds to 1.
+    near_singular = [[1.0, -1.0], [-1.0, 1.0 + 1e-17]]
+    regular = [[2.0, -0.5], [-0.5, 1.0]]
+    with_inf = [[1.0, np.inf], [-0.5, 1.0]]
+    v = [[1.0, 1.0 + 1e-17], [2.0, 1.0], [1.0, 1.0]]
+    delta = [[0.3, -0.2], [0.3, -0.2], [0.3, -0.2]]
+    m = np.array([near_singular, regular, with_inf])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(m[:1], np.array(delta)[:1, :, None])
+    d = solver._newton_direction(*_newton_system(v, delta), m)
+    assert np.isnan(d[0]).all()
+    assert not np.isfinite(d[2]).all()
+    alone = solver._newton_direction(*_newton_system(v[1:2], delta[1:2]), m[1:2])
+    assert d[1].tobytes() == alone[0].tobytes()
+    assert np.allclose(regular @ d[1], delta[1])
+
+
+def test_newton_rows_without_a_raise_take_the_diagonal_step(monkeypatch):
+    """A Newton power step row without a direction, or whose Newton ladder
+    does not raise its objective, ends where the diagonal step ends,
+    flagged as a fallback; a Newton step that raises is no fallback.  The
+    second row's direction moves one exponent against its gain by 1e-15:
+    the objective does not change, so the Armijo test alone, with its
+    negative predicted gain, would pass the trial."""
+    rng = np.random.default_rng(4)
+    m = random_model(rng, n=5)
+    mask = random_weights(rng, m) > 0
+    rows = np.array([np.where(mask, rng.random(m.n_links) * 10.0, 0.0) for _ in range(2)])
+    links = phy.weighted_links(m, rows)
+    start, _ = solve_max_weight(m, rows[0], phy.random_power_state(m, rng),
+                                SolverConfig(max_iterations=3))
+    state = solver._seed_state(m, links, start)
+    metrics, f0 = solver._trial(m, links, state.alloc, state.exponent)
+    diagonal = solver.power_step(m, links, state)
+    newton = solver.power_step(m, links, state, None, True)
+    assert not newton[5].any() and (newton[2] > f0).all()
+
+    gain = solver._power_direction(m, links, phy.weighted_view(links, state.alloc, metrics))[0][1]
+    j = int(np.argmin(np.where(gain != 0.0, np.abs(gain), np.inf)))
+    short = np.zeros(m.n)
+    short[j] = -1e-15 * np.sign(gain[j])
+    lowered = state.exponent.reshape(2, -1).copy()
+    lowered[1] += short
+    assert solver._trial(m, links, state.alloc, lowered.reshape(-1))[1][1] == f0[1]
+
+    def unusable(links_, gamma, delta_gamma, v, m_):
+        return np.stack([np.full(m.n, np.nan), short])
+
+    monkeypatch.setattr(solver, "_newton_direction", unusable)
+    fell = solver.power_step(m, links, state, None, True)
+    assert fell[5].tolist() == [True, True]
+    assert _as_bytes([fell[0], fell[1], fell[2], fell[4]]) == _as_bytes(
+        [diagonal[0], diagonal[1], diagonal[2], diagonal[4]])
+    # The short Newton row's one trial is rejected before its diagonal ladder.
+    assert fell[3].tolist() == [diagonal[3][0], diagonal[3][1] + 1]
+
+
+def test_newton_solve_armijo_tests_accept_only_raises():
+    """In a centralized solve an Armijo test passes only a trial that raises
+    its objective: a trial that predicts a loss and loses less than the
+    test allows, or that moves nothing, does not pass."""
+    f1, zero = np.array([-1e-25, 0.0, 1e-20]), np.zeros(3)
+    gain = np.array([-1e-20, 0.0, 1e-17])
+    assert solver._armijo_test(f1, zero, gain, zero)[0].tolist() == [True, True, True]
+    ok, end = solver._armijo_test(f1, zero, gain, zero, True)
+    assert ok.tolist() == [False, False, True] and end.all()
+
+
+def test_newton_certifies_random_five_node_instances():
+    """Centralized solves of 200 random five-node problems (generator seeds
+    0-39, five instances each) certify at 1e-6 within 1,000 iterates,
+    including the two that the diagonal step leaves uncertified (seeds 14
+    and 27, instances 0 and 4), in fewer iterates on average."""
+    config = SolverConfig(kkt_tolerance=1e-6, max_iterations=1000, centralized=True)
+    certified, iterations = set(), []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for k in range(5):
+            m = random_model(rng, n=5)
+            w = random_weights(rng, m)
+            final, diag = solve_max_weight(m, w, phy.random_power_state(m, rng), config)
+            iterations.append(diag.iterations)
+            if diag.converged:
+                assert kkt_check(m, w, final, 1e-6).passed
+                certified.add((seed, k))
+    assert len(certified) >= 198
+    assert {(14, 0), (27, 4)} <= certified
+    assert np.mean(iterations) < 40.0
 
 
 def test_lockstep_rejects_malformed_weights():
@@ -659,8 +775,8 @@ def _sequential_power_step(model, links, state, xi0, why):
     still searching."""
     rows, n, n_links = links.rows, model.n, model.n_links
     metrics, f0 = solver._trial(model, links, state.alloc, state.exponent)
-    delta_gamma, v = solver._power_direction(model, links,
-                                             phy.weighted_view(links, state.alloc, metrics))
+    delta_gamma, v, _ = solver._power_direction(model, links,
+                                                phy.weighted_view(links, state.alloc, metrics))
     gamma0 = state.exponent.reshape(rows, n)
     grad = model.log_power_cap * delta_gamma
     xi = (np.full(rows, solver.ARMIJO_INITIAL) if xi0 is None
@@ -706,7 +822,7 @@ def _sequential_power_step(model, links, state, xi0, why):
             break
     else:
         why += [(solver._MAX_BACKTRACKS - 1, "cap")] * live.size
-    return out_expo.reshape(-1), out_metrics, out_f, evals, xi_next
+    return out_expo.reshape(-1), out_metrics, out_f, evals, xi_next, np.zeros(rows, dtype=bool)
 
 
 def _as_bytes(x):
@@ -750,7 +866,8 @@ def _checked_ladders(mp, seen):
     ``seen`` collects, per kind of ladder, the references' (round, reason)."""
     one_sweep, one_power_step = solver.alloc_sweep, solver.power_step
 
-    def sweep(model, links, state, at, delta, beta0=None):
+    def sweep(model, links, state, at, delta, beta0=None, exact=False):
+        assert not exact
         why = []
         want = _sequential_sweep(model, links, state, at, delta, beta0, why)
         got = one_sweep(model, links, state, at, delta, beta0)
@@ -761,7 +878,8 @@ def _checked_ladders(mp, seen):
             seen.setdefault("lockstep sweep", []).append(why)
         return got
 
-    def power_step(model, links, state, xi0=None):
+    def power_step(model, links, state, xi0=None, newton=False):
+        assert not newton
         why = []
         args = (model, links, state, xi0)
         want_seen, want = _evaluated(lambda *a: _sequential_power_step(*a, why), args)
@@ -881,8 +999,9 @@ def test_power_step_evaluates_and_raises_only_where_the_reference_does():
         solve_max_weight_batch(m, rows, start, config)
         solve_max_weight(m, rows[0], start, config)
 
-    def reference(*args):
-        return _sequential_power_step(*args, why=[])
+    def reference(model, links, state, xi0, newton):
+        assert not newton
+        return _sequential_power_step(model, links, state, xi0, why=[])
 
     sizes, again = set(), 0
     for args in calls:
@@ -904,22 +1023,37 @@ def test_power_step_evaluates_and_raises_only_where_the_reference_does():
 def _ascent_checked(mp, drops):
     """Route every sweep and power step, single and lockstep, through a
     strict check that no accepted step lowers its objective: a node's local
-    objective in the sweep, a problem's objective in the power step.
-    ``drops`` collects (kind, amount) for each that does."""
+    objective in the sweep (its exact change in a centralized solve), a
+    problem's objective in the power step.  A Newton power step must also
+    raise the objective of every row that does not fall back, and end each
+    row that does where the diagonal step from the same point and stepsize
+    ends.  ``drops`` collects (kind, amount) for each step that breaks a
+    rule."""
     sweep, step = solver.alloc_sweep, solver.power_step
 
-    def checked_sweep(model, links, state, at, delta, beta0=None):
-        out = sweep(model, links, state, at, delta, beta0)
-        _, local, f0, *_ = solver._armijo_terms(links, at, delta, beta0)
+    def checked_sweep(model, links, state, at, delta, beta0=None, exact=False):
+        out = sweep(model, links, state, at, delta, beta0, exact)
+        _, local, f0, *_ = solver._armijo_terms(links, at, delta, beta0, exact)
         f1 = local(out[0][links.act])
         drops.extend(("sweep", float(x)) for x in (f0 - f1)[f1 < f0])
         return out
 
-    def checked_power_step(model, links, state, xi0=None):
-        out = step(model, links, state, xi0)
+    def checked_power_step(model, links, state, xi0=None, newton=False):
+        out = step(model, links, state, xi0, newton)
         _, f0 = solver._trial(model, links, state.alloc, state.exponent)
-        kind = "power step" if links.rows == 1 else "lockstep power step"
+        kind = ("newton " if newton else "") + ("power step" if links.rows == 1
+                                                else "lockstep power step")
         drops.extend((kind, float(x)) for x in (f0 - out[2])[out[2] < f0])
+        if newton:
+            diagonal = step(model, links, state, xi0)
+            expo, want = out[0].reshape(links.rows, -1), diagonal[0].reshape(links.rows, -1)
+            for k, fell in enumerate(out[5]):
+                if not fell:
+                    if not out[2][k] > f0[k]:
+                        drops.append(("newton row not raised", 0.0))
+                elif (expo[k].tobytes(), out[2][k], out[4][k]) != (
+                        want[k].tobytes(), diagonal[2][k], diagonal[4][k]):
+                    drops.append(("fallback is not the diagonal step", float(out[2][k] - f0[k])))
         return out
 
     mp.setattr(solver, "alloc_sweep", checked_sweep)
@@ -928,22 +1062,28 @@ def _ascent_checked(mp, drops):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8))
+@example(seed=0, n=5)       # Newton rows fall back, and their diagonal ladders accept
 def test_no_accepted_step_lowers_its_objective(seed, n):
     """Warm-started near the optimum, where most trials compare rounding
     noise, no accepted sweep or power step of a single or lockstep solve
-    lowers its objective, not even in the last bit."""
+    lowers its objective, not even in the last bit.  Centralized solves,
+    from there and from cold, obey the Newton step's rules as well (see
+    ``_ascent_checked``)."""
     rng = np.random.default_rng(seed)
     m = random_model(rng, n=n)
     w = random_weights(rng, m)
-    near, _ = solve_max_weight(m, w, phy.random_power_state(m, rng))
+    cold = phy.random_power_state(m, rng)
+    near, _ = solve_max_weight(m, w, cold)
     # Rows sharing the weighted links of ``w``, each near its own optimum.
     rows = np.array([w * (1.0 + 1e-9 * rng.random(m.n_links)) for _ in range(3)])
     config = SolverConfig(kkt_tolerance=1e-14, max_iterations=40)
+    newton = SolverConfig(kkt_tolerance=1e-14, max_iterations=40, centralized=True)
     drops = []
     with pytest.MonkeyPatch.context() as mp:
         _ascent_checked(mp, drops)
-        solve_max_weight(m, w, near, config)
-        solve_max_weight_batch(m, rows, near, config)
+        for start, cfg in ((near, config), (near, newton), (cold, newton)):
+            solve_max_weight(m, w, start, cfg)
+            solve_max_weight_batch(m, rows, start, cfg)
     assert drops == []
 
 
