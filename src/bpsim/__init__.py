@@ -14,8 +14,8 @@ from .phy import (LinkMetrics, PowerState, alloc_marginal_gain,
                   link_metrics, random_power_state, uniform_power_state)
 from .policy import (BacklogWeights, RateAssignment, compute_weights,
                      make_scheme, rates_from_power, SCHEME_NAMES)
-from .sim import (SimConfig, SimTrace, average_runs, default_sim_config,
-                  run_simulation, step_queues, trace_to_csv, virtual_rates)
+from .sim import (SimConfig, SimTrace, default_sim_config, run_simulation,
+                  step_queues, trace_to_csv, virtual_rates)
 from .solver import (KKTReport, SolveDiagnostics, SolverConfig,
                      exchange_messages, kkt_check, solve_max_weight)
 from .stability import (RateRegionOracle, check_drift_condition,

@@ -65,6 +65,8 @@ class NetworkModel:
     log_power_cap: np.ndarray = field(init=False, repr=False)   # (n,) log(power_cap)
     out_degree: np.ndarray = field(init=False, repr=False)      # (n,) outgoing links
     gamma_floor: np.ndarray = field(init=False, repr=False)     # (n,) default exponent floor
+    # phy.layout's cache, by row count; a copy or pickle starts it empty.
+    layouts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         gain = np.asarray(self.gain, dtype=float)
@@ -112,6 +114,9 @@ class NetworkModel:
         for name, arr in view.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __getstate__(self):
+        return {**vars(self), "layouts": {}}
 
     @property
     def n(self) -> int:

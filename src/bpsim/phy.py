@@ -56,24 +56,33 @@ def end_to_end(x: np.ndarray, rows: int, stride: int | None = None) -> np.ndarra
     return (x + stride * np.arange(rows)[:, None]).reshape(-1)
 
 
-# The model's constants laid end to end over B problems (its own arrays at
-# B = 1), built once per solve: rows; size B*n; (B*E,) src, dst (b*n + node),
-# link_gain, link_theta_gain, link_noise, link_kg; (B*n,) power_cap,
-# keep_theta (1 - theta), floor_bound (floor + BOUND_TOL), no_high and
-# no_low (-inf, inf: to copy); (B, n) log_power_cap and gamma_floor.
+# The model's constants laid end to end over B problems (views of its own
+# arrays at B = 1): rows; size B*n; (B*E,) src, dst (b*n + node), link_gain,
+# link_theta_gain, link_noise, link_kg; (B*n,) power_cap, keep_theta
+# (1 - theta), floor_bound (floor + BOUND_TOL), no_high and no_low (-inf,
+# inf: to copy); (B, n) log_power_cap and gamma_floor.
 Layout = namedtuple("Layout", "rows size src dst link_gain link_theta_gain link_noise link_kg"
                     " power_cap keep_theta floor_bound no_high no_low log_power_cap gamma_floor")
 
 
 def layout(model: NetworkModel, rows: int) -> Layout:
-    n = model.n
-    floor = end_to_end(model.gamma_floor, rows)
-    return Layout(rows, rows * n, end_to_end(model.src, rows, n), end_to_end(model.dst, rows, n),
-                  *(end_to_end(x, rows) for x in (
-                      model.link_gain, model.link_theta_gain, model.link_noise, model.link_kg,
-                      model.power_cap, 1.0 - model.theta)),
-                  floor + BOUND_TOL, np.full(rows * n, -np.inf), np.full(rows * n, np.inf),
-                  end_to_end(model.log_power_cap, rows).reshape(rows, n), floor.reshape(rows, n))
+    """The model's layout over ``rows`` problems, built on first use and kept
+    on the model, so its arrays are read-only."""
+    lay = model.layouts.get(rows)
+    if lay is None:
+        n = model.n
+        floor = end_to_end(model.gamma_floor, rows)
+        arrays = [a.view() for a in (
+            end_to_end(model.src, rows, n), end_to_end(model.dst, rows, n),
+            *(end_to_end(x, rows) for x in (
+                model.link_gain, model.link_theta_gain, model.link_noise, model.link_kg,
+                model.power_cap, 1.0 - model.theta)),
+            floor + BOUND_TOL, np.full(rows * n, -np.inf), np.full(rows * n, np.inf),
+            end_to_end(model.log_power_cap, rows).reshape(rows, n), floor.reshape(rows, n))]
+        for a in arrays:
+            a.setflags(write=False)
+        lay = model.layouts[rows] = Layout(rows, rows * n, *arrays)
+    return lay
 
 
 def node_powers(model: NetworkModel, state: PowerState) -> np.ndarray:
@@ -107,28 +116,6 @@ def random_power_state(model: NetworkModel, rng: np.random.Generator) -> PowerSt
     floor = model.gamma_floor
     exponent = floor + rng.random(model.n) * (1.0 - floor)
     return PowerState(alloc, exponent)
-
-
-def validate_power_state(model: NetworkModel, state: PowerState,
-                         gamma_floor: np.ndarray | None = None,
-                         tol: float = 1e-9) -> list[str]:
-    out: list[str] = []
-    if state.alloc.shape != (model.n_links,):
-        out.append("alloc has wrong shape")
-        return out
-    if state.exponent.shape != (model.n,):
-        out.append("exponent has wrong shape")
-        return out
-    if np.any(state.alloc < -tol):
-        out.append("allocations must be nonnegative")
-    total = np.bincount(model.src, weights=state.alloc, minlength=model.n)
-    for i in np.flatnonzero((model.out_degree > 0) & (np.abs(total - 1.0) > tol)):
-        out.append(f"allocations of node {i} must sum to 1")
-    if np.any(state.exponent > 1.0 + tol):
-        out.append("exponents must not exceed 1")
-    if gamma_floor is not None and np.any(state.exponent < gamma_floor - tol):
-        out.append("exponent below the configured floor")
-    return out
 
 
 @dataclass
@@ -206,16 +193,6 @@ def _check_powers(act: np.ndarray, p: np.ndarray, why: str = "") -> None:
     if (p <= 0).any():
         bad = int(act[np.argmax(p <= 0)])
         raise NumericDomainError(f"zero power on weighted link index {bad}{why}")
-
-
-def objective_from_metrics(weights: "np.ndarray", metrics: LinkMetrics) -> float:
-    """Weighted sum rate over links with positive weight.
-
-    ``weights`` is the (E,) vector of differential-backlog weights; links
-    with zero weight are excluded from the sum.
-    """
-    act = np.flatnonzero(weights > 0)
-    return float(row_objectives(weights[act], act, metrics)[0])
 
 
 @dataclass

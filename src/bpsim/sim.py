@@ -67,17 +67,20 @@ def step_queues(backlog: np.ndarray, rates: RateAssignment, arrivals: np.ndarray
     remaining = np.where(mask, backlog, 0.0)
     served = np.zeros(model.n_links)
     # Sequential on purpose: when several links draw on one queue, link order
-    # decides which of them the slot-start backlog serves first.
-    for l in range(model.n_links):
-        r = rates.rate[l]
-        if r <= 0:
-            continue
-        i = model.src[l]
-        k = rates.commodity[l]
-        take = min(r, remaining[i, k])
+    # decides which of them the slot-start backlog serves first.  Only links
+    # with a positive rate serve; ``left`` holds what their queues keep.
+    live = np.flatnonzero(rates.rate > 0)
+    queue = model.src[live] * mask.shape[1] + rates.commodity[live]
+    flat = remaining.reshape(-1)
+    left: dict[int, float] = {}
+    for l, r, q, have in zip(live.tolist(), rates.rate[live].tolist(), queue.tolist(),
+                             flat[queue].tolist()):
+        have = left.get(q, have)
+        take = min(r, have)
         if take > 0:
             served[l] = take
-            remaining[i, k] -= take
+            left[q] = have - take
+    flat[list(left)] = list(left.values())
 
     # What the slot-start backlog keeps after service, in link order.
     new = remaining
@@ -202,23 +205,25 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
         u = res.backlog
         backlog[t + 1] = u
 
+    # Each squared norm once: ||U[t]-U[t-1]||^2, ||B[t]||^2 and ||RT[t]||^2
+    # each feed more than one column.
     flat = backlog.reshape(slots + 1, -1)
     total = flat.sum(axis=1)
     prev = np.vstack([flat[:1], flat[:-1]])     # U[t-1] with U[-1] := U[0]
-    lyap = (flat * flat).sum(axis=1) + ((flat - prev) ** 2).sum(axis=1)
+    mem = ((flat - prev) ** 2).sum(axis=1)
+    lyap = (flat * flat).sum(axis=1) + mem
     drift = lyap[1:] - lyap[:-1]
 
     b_flat = arrivals.reshape(slots, -1)
-    mem = ((flat[:-1] - prev[:-1]) ** 2).sum(axis=1)
+    b_sq = (b_flat ** 2).sum(axis=1)
+    act_sq = (vr_act.reshape(slots, -1) ** 2).sum(axis=1)
 
-    def bound(vr: np.ndarray) -> np.ndarray:
-        v_flat = vr.reshape(slots, -1)
-        cross = 2.0 * np.einsum("ij,ij->i", flat[:-1], b_flat - v_flat)
-        quad = 2.0 * ((b_flat ** 2).sum(axis=1) + (v_flat ** 2).sum(axis=1))
-        return cross + quad - mem
+    def bound(vr: np.ndarray, v_sq: np.ndarray) -> np.ndarray:
+        cross = 2.0 * np.einsum("ij,ij->i", flat[:-1], b_flat - vr.reshape(slots, -1))
+        return cross + 2.0 * (b_sq + v_sq) - mem[:-1]
 
     second_moment_l1 = float(traffic.second_moments().sum())
-    lam = 2.0 * (second_moment_l1 + (vr_act.reshape(slots, -1) ** 2).sum(axis=1))
+    lam = 2.0 * (second_moment_l1 + act_sq)
 
     return SimTrace(
         scheme=scheme.name,
@@ -234,8 +239,8 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
         total_backlog=total,
         lyapunov=lyap,
         drift=drift,
-        drift_bound=bound(vr_act),
-        drift_bound_nominal=bound(vr_nom),
+        drift_bound=bound(vr_act, act_sq),
+        drift_bound_nominal=bound(vr_nom, (vr_nom.reshape(slots, -1) ** 2).sum(axis=1)),
         lambda_term=lam,
         solver_iterations=iters,
         solver_converged=conv,
@@ -243,16 +248,6 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
         objective_last=obj_last,
         arrival_checksum=_checksum(arrivals),
     )
-
-
-def average_runs(scenario: Scenario, scheme: str, runs: int, slots: int,
-                 config: SimConfig | None = None) -> tuple[np.ndarray, list[SimTrace]]:
-    """Pointwise mean of total-backlog curves across runs with seeds 0 .. runs-1."""
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
-    traces = [run_simulation(scenario, scheme, slots, config, seed=s) for s in range(runs)]
-    mean = np.mean([tr.total_backlog for tr in traces], axis=0)
-    return mean, traces
 
 
 def trace_to_csv(trace: SimTrace, out: TextIO, per_queue: bool = False) -> None:
@@ -276,9 +271,18 @@ def trace_to_csv(trace: SimTrace, out: TextIO, per_queue: bool = False) -> None:
     for t in range(trace.slots + 1):
         row = [str(t), *map(repr, head[t])]
         row += map(repr, drift[t]) if t < trace.slots else ["", "", "", ""]
-        if per_queue:
-            row += map(repr, flat[t].tolist())
-        out.write(",".join(row) + "\n")
+        out.write(",".join(row) + (_queue_cells(flat[t]) if per_queue else "") + "\n")
+
+
+def _queue_cells(row: np.ndarray) -> str:
+    """``row`` as one ``,cell`` per cell.  Most queues are empty, so each run
+    of +0.0 cells is one string and only the others (-0.0, NaN and the
+    infinities among them) go through repr."""
+    cells = np.flatnonzero((row != 0) | np.signbit(row))
+    zeros = (np.diff(cells, prepend=-1) - 1).tolist()
+    tail = row.size - 1 - (int(cells[-1]) if cells.size else -1)
+    return "".join([",0.0" * z + "," + v
+                    for z, v in zip(zeros, map(repr, row[cells].tolist()))]) + ",0.0" * tail
 
 
 def curve_to_csv(curve: np.ndarray) -> str:

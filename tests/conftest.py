@@ -8,6 +8,7 @@ import pytest
 from bpsim import phy, solver
 from bpsim.errors import ConfigError
 from bpsim.model import Commodity, NetworkModel, Scenario, TrafficSpec
+from bpsim.sim import SimConfig, SimTrace, run_simulation
 
 
 def positions_model(positions: np.ndarray, links, *, theta=0.25, cap=100.0,
@@ -183,8 +184,51 @@ def alloc_step(model: NetworkModel, weights: np.ndarray, state: phy.PowerState,
     return phy.PowerState(alloc, state.exponent.copy())
 
 
+def objective_from_metrics(weights: np.ndarray, metrics: phy.LinkMetrics) -> float:
+    """Weighted sum rate over links with positive weight.
+
+    ``weights`` is the (E,) vector of differential-backlog weights; links
+    with zero weight are excluded from the sum.
+    """
+    act = np.flatnonzero(weights > 0)
+    return float(phy.row_objectives(weights[act], act, metrics)[0])
+
+
 def objective_value(model: NetworkModel, weights: np.ndarray, state: phy.PowerState) -> float:
-    return phy.objective_from_metrics(weights, phy.link_metrics(model, state))
+    return objective_from_metrics(weights, phy.link_metrics(model, state))
+
+
+def validate_power_state(model: NetworkModel, state: phy.PowerState,
+                         gamma_floor: np.ndarray | None = None,
+                         tol: float = 1e-9) -> list[str]:
+    """What is wrong with ``state`` as a feasible power state, in order."""
+    out: list[str] = []
+    if state.alloc.shape != (model.n_links,):
+        out.append("alloc has wrong shape")
+        return out
+    if state.exponent.shape != (model.n,):
+        out.append("exponent has wrong shape")
+        return out
+    if np.any(state.alloc < -tol):
+        out.append("allocations must be nonnegative")
+    total = np.bincount(model.src, weights=state.alloc, minlength=model.n)
+    for i in np.flatnonzero((model.out_degree > 0) & (np.abs(total - 1.0) > tol)):
+        out.append(f"allocations of node {i} must sum to 1")
+    if np.any(state.exponent > 1.0 + tol):
+        out.append("exponents must not exceed 1")
+    if gamma_floor is not None and np.any(state.exponent < gamma_floor - tol):
+        out.append("exponent below the configured floor")
+    return out
+
+
+def average_runs(scenario: Scenario, scheme: str, runs: int, slots: int,
+                 config: SimConfig | None = None) -> tuple[np.ndarray, list[SimTrace]]:
+    """Pointwise mean of total-backlog curves across runs with seeds 0 .. runs-1."""
+    if runs < 1:
+        raise ConfigError("runs must be >= 1")
+    traces = [run_simulation(scenario, scheme, slots, config, seed=s) for s in range(runs)]
+    mean = np.mean([tr.total_backlog for tr in traces], axis=0)
+    return mean, traces
 
 
 def shannon_capacity(metrics: phy.LinkMetrics) -> np.ndarray:

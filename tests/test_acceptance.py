@@ -26,7 +26,7 @@ from bpsim.solver import (SolverConfig, exchange_messages, kkt_check,
 from bpsim.stability import RateRegionOracle, halfspace_margin, queue_norm
 
 from conftest import (alloc_grad_full, diamond_scenario, grid_search_two_tx,
-                      objective_value, power_marginal_gain, random_model,
+                      objective_from_metrics, objective_value, power_marginal_gain, random_model,
                       random_weights, tandem_scenario, two_tx_instance)
 
 SLOTS = 1000
@@ -113,7 +113,7 @@ def test_criterion_1_gradient_correctness():
         pn = phy.node_powers(m, st)
 
         def f_powers(p):
-            return phy.objective_from_metrics(w, phy.link_metrics_from_powers(m, p))
+            return objective_from_metrics(w, phy.link_metrics_from_powers(m, p))
 
         # two simplex-tangent allocation directions
         for _ in range(2):

@@ -236,6 +236,24 @@ def test_threads_env_respected(run_dir, tmp_path, monkeypatch):
     assert code == 0
     assert (out / "avg_iter-once.csv").exists()
 
+
+def test_run_in_worker_processes_writes_the_same_bytes(run_dir, tmp_path, monkeypatch):
+    """Two workers get pickled scenarios, whose models start with an empty
+    layout cache; the per-queue files equal those of runs in this process."""
+    _, scen, _ = run_dir
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BPSIM_THREADS", threads)
+        outs.append(tmp_path / f"threads{threads}")
+        assert main(["run", "--scenario", str(scen), "--scheme", "instant,iter-once",
+                     "--slots", "30", "--runs", "2", "--seed", "3", "--per-queue",
+                     "--out", str(outs[-1])]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert _read(outs[0] / name) == _read(outs[1] / name), name
+
+
 def _scenario_doc(tmp_path) -> dict:
     path = tmp_path / "good.json"
     assert main(["generate", "n=4", "B=2", "seed=9", "--out", str(path)]) == 0

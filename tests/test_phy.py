@@ -10,8 +10,9 @@ from bpsim import phy
 from bpsim.errors import NumericDomainError
 from bpsim.model import NetworkModel, generate_scenario
 
-from conftest import (alloc_grad_full, objective_value, power_marginal_gain, random_model,
-                      random_weights, shannon_capacity)
+from conftest import (alloc_grad_full, objective_from_metrics, objective_value,
+                      power_marginal_gain, random_model, random_weights, shannon_capacity,
+                      validate_power_state)
 
 
 def isolated_link(cap=10.0, theta=0.0, h=1.0, noise=0.1):
@@ -116,7 +117,7 @@ def _fd_alloc_pair(model, w, state, a, b, h=1e-6):
     pn = phy.node_powers(model, state)[i]
 
     def f(t):
-        return phy.objective_from_metrics(
+        return objective_from_metrics(
             w, phy.link_metrics_from_powers(model, p0 + t * pn * v))
 
     return (f(h) - f(-h)) / (2 * h), v
@@ -191,9 +192,9 @@ def test_capacity_concave_in_log_powers():
         pa = phy.link_powers(m, phy.random_power_state(m, rng))
         pb = phy.link_powers(m, phy.random_power_state(m, rng))
         mid = np.sqrt(pa * pb)     # midpoint in log powers
-        fa = phy.objective_from_metrics(w, phy.link_metrics_from_powers(m, pa))
-        fb = phy.objective_from_metrics(w, phy.link_metrics_from_powers(m, pb))
-        fm = phy.objective_from_metrics(w, phy.link_metrics_from_powers(m, mid))
+        fa = objective_from_metrics(w, phy.link_metrics_from_powers(m, pa))
+        fb = objective_from_metrics(w, phy.link_metrics_from_powers(m, pb))
+        fm = objective_from_metrics(w, phy.link_metrics_from_powers(m, mid))
         assert fm >= 0.5 * (fa + fb) - 1e-9
 
 
@@ -235,12 +236,12 @@ def test_random_power_state_matches_per_node_dirichlet(seed, n):
     got = phy.random_power_state(m, np.random.default_rng(seed + 1))
     assert np.array_equal(got.alloc, alloc)
     assert np.array_equal(got.exponent, exponent)
-    assert phy.validate_power_state(m, got, m.gamma_floor) == []
+    assert validate_power_state(m, got, m.gamma_floor) == []
     # Per-node loop reference for the sum check, on splits pushed well off 1.
     got.alloc[ref_rng.random(m.n_links) < 0.3] += 1e-3
     ref = [f"allocations of node {i} must sum to 1" for i in range(n)
            if abs(got.alloc[m.src == i].sum() - 1.0) > 1e-9]
-    assert phy.validate_power_state(m, got) == ref
+    assert validate_power_state(m, got) == ref
 
 
 def test_validate_power_state_messages_in_order():
@@ -251,7 +252,7 @@ def test_validate_power_state_messages_in_order():
     st.alloc[np.flatnonzero(m.src == 1)[0]] = -0.25
     st.exponent[0] = 1.5
     st.exponent[2] = -10.0
-    assert phy.validate_power_state(m, st, m.gamma_floor) == [
+    assert validate_power_state(m, st, m.gamma_floor) == [
         "allocations must be nonnegative",
         "allocations of node 1 must sum to 1",
         "allocations of node 3 must sum to 1",
@@ -341,7 +342,7 @@ def test_moved_domain_checks_raise_as_before():
         q[act[-2:]] = bad
         met = phy.link_metrics_from_powers(m, q)
         for call in (lambda: phy.row_objectives(w[act], act, met),
-                     lambda: phy.objective_from_metrics(w, met)):
+                     lambda: objective_from_metrics(w, met)):
             with pytest.raises(NumericDomainError) as got:
                 call()
             assert str(got.value) == f"zero power on weighted link index {act[-2]} (log 0)"
@@ -484,3 +485,52 @@ def test_end_to_end_rows_equal_one_problem_references(seed, n, rows, zero_frac):
         want = _kkt_reference(m, w, st, ref, want)
         for got, exp, part in zip(kkt, want, (on_nodes,) * 5 + (on_links, b)):
             assert np.asarray(got[part]).tobytes() == np.asarray(exp).tobytes()
+
+
+def _solve_bits(solved):
+    """A (state, diagnostics) pair as bytes and numbers, for bit equality."""
+    state, diag = solved
+    return (state.alloc.tobytes(), state.exponent.tobytes(), diag.objectives,
+            diag.kkt_residuals, diag.iterations, diag.converged, diag.line_search_evals,
+            None if diag.metrics is None else diag.metrics.capacity.tobytes())
+
+
+def test_layout_is_built_once_per_model_and_row_count():
+    """One read-only layout per (model, rows), kept on the model; solves on a
+    model whose cache holds several row counts equal those on a fresh model."""
+    import dataclasses
+    import pickle
+
+    from bpsim import solver
+
+    rng = np.random.default_rng(11)
+    m = random_model(rng, n=6)
+    one, three = phy.layout(m, 1), phy.layout(m, 3)
+    assert phy.layout(m, 1) is one and phy.layout(m, 3) is three
+    assert one is not three and three.size == 3 * m.n
+    w = random_weights(rng, m)
+    assert phy.weighted_links(m, w).lay is one
+    assert phy.weighted_links(m, np.stack([w] * 3)).lay is three
+    fresh = dataclasses.replace(m)
+    assert fresh.layouts == {} and phy.layout(fresh, 1) is not one
+    assert pickle.loads(pickle.dumps(m)).layouts == {}
+    for lay in (one, three):
+        for a in lay[2:]:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0
+    # The model's own arrays, which the one-row layout views, stay writable.
+    assert m.src.flags.writeable and m.power_cap.flags.writeable
+    weights = np.stack([random_weights(rng, m, zero_frac=0.0) for _ in range(5)])
+    start = phy.random_power_state(m, rng)
+    for rows in (2, 4, 5):
+        phy.layout(m, rows)
+    config = solver.SolverConfig(kkt_tolerance=1e-6, max_iterations=60)
+    batch = solver.solve_max_weight_batch(m, weights, start, config)
+    assert len(m.layouts) >= 4
+    for got, ref in zip(batch, solver.solve_max_weight_batch(dataclasses.replace(m), weights,
+                                                             start, config)):
+        assert _solve_bits(got) == _solve_bits(ref)
+    for w in weights:
+        assert (_solve_bits(solver.solve_max_weight(m, w, start, config))
+                == _solve_bits(solver.solve_max_weight(dataclasses.replace(m), w, start,
+                                                       config)))

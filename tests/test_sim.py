@@ -1,5 +1,6 @@
 """Queue stepping, virtual rates, full runs and the recorded Lyapunov columns."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -8,12 +9,11 @@ from hypothesis import given, settings, strategies
 
 from bpsim.model import Commodity, NetworkModel, Scenario, TrafficSpec, generate_scenario
 from bpsim.policy import RateAssignment
-from bpsim.sim import (SimConfig, arrival_tensor, average_runs,
-                       default_sim_config, run_simulation, step_queues,
-                       trace_to_csv, virtual_rates)
+from bpsim.sim import (SimConfig, SimTrace, arrival_tensor, default_sim_config, run_simulation,
+                       step_queues, trace_to_csv, virtual_rates)
 from bpsim.solver import SolverConfig
 
-from conftest import positions_model, tandem_scenario
+from conftest import average_runs, positions_model, tandem_scenario
 
 
 def _quick_config():
@@ -263,8 +263,6 @@ def _per_cell_csv(trace, per_queue=False):
 def test_trace_csv_equals_per_cell_rendering(per_queue):
     """Byte for byte the per-cell rendering, on a simulated trace and on one
     whose cells hold signed zeros, infinities, NaN, tiny and huge values."""
-    import dataclasses
-
     sc = generate_scenario(5, 3.0, seed=6)
     tr = run_simulation(sc, "iter-once", 12, _quick_config(), seed=0)
     assert _csv(tr, per_queue) == _per_cell_csv(tr, per_queue)
@@ -279,6 +277,47 @@ def test_trace_csv_equals_per_cell_rendering(per_queue):
               "drift_bound_nominal", "lambda_term")
     weird = dataclasses.replace(tr, **{f: cells(getattr(tr, f).shape) for f in fields})
     assert _csv(weird, per_queue) == _per_cell_csv(weird, per_queue)
+
+
+# Queue cells the renderer must pass through repr, not the zero runs.
+_ODD_CELLS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e308, 0.1, 1 / 3,
+                       -7.0, 3.0, 1e16])
+
+
+def _trace_with_backlog(backlog):
+    """A SimTrace whose CSV columns are set and whose other fields are None."""
+    slots = backlog.shape[0] - 1
+    col = np.linspace(-2.0, 5.0, slots + 1)
+    fields = {f.name: None for f in dataclasses.fields(SimTrace)}
+    fields.update(scheme="x", seed=0, slots=slots, backlog=backlog, total_backlog=col,
+                  lyapunov=col * col, drift=col[:-1], drift_bound=col[1:],
+                  drift_bound_nominal=-col[1:], lambda_term=col[:-1] / 3)
+    return SimTrace(**fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), width=strategies.integers(1, 60),
+       slots=strategies.integers(2, 6), density=strategies.floats(0.0, 1.0),
+       strided=strategies.booleans())
+def test_trace_csv_equals_per_cell_rendering_on_sparse_queues(seed, width, slots, density,
+                                                              strided):
+    """Sparse queue rows of any width and zero density, byte for byte the
+    per-cell rendering: an all-zero row, a row without zeros, zeros in the
+    first and last column, odd cells, and a backlog that is not contiguous."""
+    rng = np.random.default_rng(seed)
+    cells = np.where(rng.random((slots + 1, width)) < density,
+                     rng.choice(_ODD_CELLS, (slots + 1, width)), 0.0)
+    cells[0] = 0.0
+    cells[1] = rng.choice(_ODD_CELLS, width)
+    cells[2, [0, -1]] = 0.0
+    if strided:
+        backlog = np.zeros((slots + 1, width, 3))[:, :, 1:2]
+        backlog[:, :, 0] = cells
+        assert not backlog.flags.c_contiguous
+    else:
+        backlog = cells.reshape(slots + 1, 1, width)
+    trace = _trace_with_backlog(backlog)
+    assert _csv(trace, per_queue=True) == _per_cell_csv(trace, per_queue=True)
 
 
 class _Failing:
@@ -388,3 +427,21 @@ def test_step_queues_property_matches_two_loop_reference(seed):
     assert abs(res.backlog.sum() + res.absorbed
                - (backlog.sum() + arrivals.sum())) <= scale * 10
     assert np.all(res.backlog[~mask] == 0.0)
+
+
+def test_step_queues_matches_two_loop_reference_at_relay_scale():
+    """Every slot of a recorded iter-once run on a 40-node network (the
+    benchmark's relay scenario), where few links serve each slot: bit-equal
+    to the two-loop reference and to the recorded next backlog."""
+    sc = generate_scenario(40, 0.05, 2000)
+    tr = run_simulation(sc, "iter-once", 400, default_sim_config(), seed=100)
+    model, traffic = sc.model, sc.traffic
+    assert 0 < np.count_nonzero(tr.rate > 0) < tr.rate.size // 2
+    for t in range(tr.slots):
+        rates = RateAssignment(rate=tr.rate[t], commodity=tr.commodity[t])
+        res = step_queues(tr.backlog[t], rates, tr.arrivals[t], traffic, model)
+        ref_backlog, ref_served, ref_absorbed = _step_queues_two_loops(
+            tr.backlog[t], rates, tr.arrivals[t], traffic, model)
+        assert res.backlog.tobytes() == ref_backlog.tobytes() == tr.backlog[t + 1].tobytes()
+        assert res.served.tobytes() == ref_served.tobytes() == tr.served[t].tobytes()
+        assert res.absorbed == ref_absorbed

@@ -12,7 +12,7 @@ from bpsim.solver import (SolverConfig, exchange_messages, kkt_check, solve_max_
 
 from conftest import (alloc_step, grid_search_two_tx, objective_value, power_marginal_gain,
                       project_simplex, projection_oracle, random_model, random_weights,
-                      two_tx_instance)
+                      two_tx_instance, validate_power_state)
 
 
 # ---------------------------------------------------------------- projection
@@ -294,7 +294,7 @@ def test_solver_monotone_and_feasible_iterates():
     final, diag = solve_max_weight(m, w, st, cfg)
     objs = diag.objectives
     assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
-    assert phy.validate_power_state(m, final, m.gamma_floor) == []
+    assert validate_power_state(m, final, m.gamma_floor) == []
 
 
 def test_solver_certifies_random_five_node_instances():
@@ -326,7 +326,7 @@ def test_every_iterate_stays_feasible():
         st = phy.PowerState(alloc, st.exponent)
         gam, *_ = power_step(m, ws, st)
         st = phy.PowerState(st.alloc, gam)
-        assert phy.validate_power_state(m, st, m.gamma_floor) == []
+        assert validate_power_state(m, st, m.gamma_floor) == []
 
 
 # ------------------------------------------------------------------ kkt
