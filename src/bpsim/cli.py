@@ -7,15 +7,21 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.  The
 environment variable BPSIM_THREADS caps the number of parallel runs.
+``run`` writes each run's trace as the run ends, into a staging directory
+beside ``--out``, and moves the files into ``--out`` once every run is done:
+a run that fails leaves no ``--out`` and no staging directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
+import secrets
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -25,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, NumericDomainError
 from .model import Scenario, generate_scenario, load_scenario, reserve, save_scenario
 from .policy import SCHEME_NAMES
-from .sim import SimConfig, SimTrace, curve_to_csv, run_simulation, trace_to_csv
+from .sim import SimConfig, curve_to_csv, run_simulation, trace_to_csv
 from .solver import SolverConfig
 from .stability import RateRegionOracle, check_drift_condition, estimate_epsilon
 
@@ -92,9 +98,45 @@ def _sim_config(args) -> SimConfig:
     return SimConfig(solver=solver, iterations_per_slot=args.iterations)
 
 
-def _run_one(payload) -> tuple[str, int, SimTrace]:
-    scenario, scheme, slots, config, seed = payload
-    return scheme, seed, run_simulation(scenario, scheme, slots, config, seed=seed)
+def _run_one(payload) -> tuple[str, int, np.ndarray, str]:
+    """Simulate one run and write its trace CSV; only the run's total-backlog
+    curve and arrival checksum outlive the call."""
+    scenario, scheme, slots, config, seed, path, per_queue = payload
+    trace = run_simulation(scenario, scheme, slots, config, seed=seed)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        trace_to_csv(trace, fh, per_queue=per_queue)
+    return scheme, seed, trace.total_backlog, trace.arrival_checksum
+
+
+@contextlib.contextmanager
+def _staged(outdir: Path):
+    """A new directory beside ``outdir`` whose files move into ``outdir``
+    when the block succeeds.
+
+    When the block or the move fails, the staging directory and the
+    ancestors of ``outdir`` made for it are removed, so no ``outdir`` is
+    made and an existing one keeps its contents.
+    """
+    made = [p for p in outdir.parents if not p.exists()]     # deepest first
+    staging = None
+    try:
+        outdir.parent.mkdir(parents=True, exist_ok=True)
+        staging = outdir.parent / f".{outdir.name}.{secrets.token_hex(4)}.partial"
+        staging.mkdir()
+        yield staging
+        if outdir.exists():
+            for f in staging.iterdir():
+                f.replace(outdir / f.name)
+            staging.rmdir()
+        else:
+            staging.rename(outdir)
+    except BaseException:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
+        for p in made:
+            with contextlib.suppress(OSError):
+                p.rmdir()
+        raise
 
 
 def _max_workers(jobs: int) -> int:
@@ -134,49 +176,47 @@ def cmd_run(args) -> int:
     reserve((args.slots + 1, max(m.n_links, queues)),
             f"--slots {args.slots} is too many slots to simulate")
     config = _sim_config(args)
-    # Same per-run seed for every scheme: identical arrival realizations.
-    jobs = [(scenario, scheme, args.slots, config, args.seed + r)
-            for scheme in schemes for r in range(args.runs)]
-    workers = _max_workers(len(jobs))
-    results: dict[tuple[str, int], SimTrace] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for scheme, seed, trace in pool.map(_run_one, jobs):
-                results[(scheme, seed)] = trace
-    else:
-        for payload in jobs:
-            scheme, seed, trace = _run_one(payload)
-            results[(scheme, seed)] = trace
-
-    # Every run is done before ``--out`` is made: a run that fails leaves no
-    # partial directory.
+    workers = _max_workers(len(schemes) * args.runs)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_scenario(scenario, outdir / "scenario.json")
-    echo = {
-        "schemes": schemes, "slots": args.slots, "runs": args.runs,
-        "seed": args.seed, "iterations_per_slot": args.iterations,
-        "kkt_tolerance": args.kkt_tol, "max_iterations": args.max_iter,
-        "per_queue": bool(args.per_queue),
-    }
-    (outdir / "config_echo.json").write_text(
-        json.dumps(echo, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    summary = ["scheme,runs,slots,mean_total_backlog_last_half,arrival_checksum"]
-    for scheme in schemes:
-        traces = [results[(scheme, args.seed + r)] for r in range(args.runs)]
-        for r, tr in enumerate(traces):
-            with open(outdir / f"trace_{scheme}_run{r}.csv", "w", encoding="utf-8",
-                      newline="\n") as fh:
-                trace_to_csv(tr, fh, per_queue=args.per_queue)
-        mean = np.mean([tr.total_backlog for tr in traces], axis=0)
-        (outdir / f"avg_{scheme}.csv").write_text(
-            curve_to_csv(mean), encoding="utf-8", newline="\n")
-        last_half = float(mean[args.slots // 2:].mean())
-        combined = ",".join(tr.arrival_checksum for tr in traces)
-        summary.append(f"{scheme},{args.runs},{args.slots},{last_half!r},{combined}")
-    (outdir / "summary.csv").write_text("\n".join(summary) + "\n",
-                                        encoding="utf-8", newline="\n")
-    (outdir / "plot_backlogs.py").write_text(_PLOT_STUB, encoding="utf-8")
+    with _staged(outdir) as staging:
+        save_scenario(scenario, staging / "scenario.json")
+        echo = {
+            "schemes": schemes, "slots": args.slots, "runs": args.runs,
+            "seed": args.seed, "iterations_per_slot": args.iterations,
+            "kkt_tolerance": args.kkt_tol, "max_iterations": args.max_iter,
+            "per_queue": bool(args.per_queue),
+        }
+        (staging / "config_echo.json").write_text(
+            json.dumps(echo, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        # Same per-run seed for every scheme: identical arrival realizations.
+        # Each run writes its trace CSV as it finishes and keeps only its
+        # total-backlog curve and checksum, so one trace is alive per worker.
+        jobs = [(scenario, scheme, args.slots, config, args.seed + r,
+                 staging / f"trace_{scheme}_run{r}.csv", args.per_queue)
+                for scheme in schemes for r in range(args.runs)]
+        results: dict[tuple[str, int], tuple[np.ndarray, str]] = {}
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for scheme, seed, curve, checksum in pool.map(_run_one, jobs):
+                    results[(scheme, seed)] = curve, checksum
+        else:
+            for payload in jobs:
+                scheme, seed, curve, checksum = _run_one(payload)
+                results[(scheme, seed)] = curve, checksum
+
+        summary = ["scheme,runs,slots,mean_total_backlog_last_half,arrival_checksum"]
+        for scheme in schemes:
+            curves, checksums = zip(*(results[(scheme, args.seed + r)]
+                                      for r in range(args.runs)))
+            mean = np.mean(curves, axis=0)
+            (staging / f"avg_{scheme}.csv").write_text(
+                curve_to_csv(mean), encoding="utf-8", newline="\n")
+            last_half = float(mean[args.slots // 2:].mean())
+            summary.append(f"{scheme},{args.runs},{args.slots},{last_half!r},"
+                           f"{','.join(checksums)}")
+        (staging / "summary.csv").write_text("\n".join(summary) + "\n",
+                                             encoding="utf-8", newline="\n")
+        (staging / "plot_backlogs.py").write_text(_PLOT_STUB, encoding="utf-8")
     print(f"wrote {outdir} ({len(jobs)} runs, {workers} workers)")
     return 0
 

@@ -5,8 +5,12 @@ rate assignment, then advances the queues.  A link serves at most what its
 source queue held at the slot boundary (freed capacity is not reallocated
 within the slot), bits relayed during a slot become servable only in the
 next one, and arrivals are added after service.  The trace records the
-queue trajectory plus the quadratic Lyapunov statistics used to audit the
-stability machinery.
+queue trajectory, the arrivals, each slot's assigned rates, commodities and
+realized service, and the quadratic Lyapunov statistics used to audit the
+stability machinery.  The virtual rates (net drain per queue) are not
+stored: ``SimTrace.vr_actual`` and ``vr_nominal`` derive them from the
+served amounts and the assigned rates, and the post-pass derives each once,
+for its drift bound, and lets it go.
 
 Lyapunov function on the two-slot state: V[t] = ||U[t]||^2 + ||U[t]-U[t-1]||^2.
 The per-slot drift bound recorded is
@@ -101,16 +105,19 @@ def step_queues(backlog: np.ndarray, rates: RateAssignment, arrivals: np.ndarray
 
 def virtual_rates(amount: np.ndarray, commodity: np.ndarray,
                   traffic: TrafficSpec, model: NetworkModel) -> np.ndarray:
-    """(n, K) net drain per queue: outgoing minus incoming amounts.
+    """(..., n, K) net drain per queue: outgoing minus incoming amounts.
 
-    May be negative for queues receiving more than they send.  Coordinates
-    without a queue (destinations) are zero.
+    ``amount`` and ``commodity`` hold one entry per link on their last axis;
+    leading axes, such as a run's slots, carry over to the result.  May be
+    negative for queues receiving more than they send.  Coordinates without
+    a queue (destinations) are zero.  Each queue adds its outgoing amounts
+    and then subtracts its incoming ones in link order, so each row of a
+    batched call is bit for bit the call on that row alone.
     """
-    n = model.n
-    nk = traffic.n_commodities
-    out = np.zeros((n, nk))
-    np.add.at(out, (model.src, commodity), amount)
-    np.subtract.at(out, (model.dst, commodity), amount)
+    lead = tuple(i[..., None] for i in np.indices(amount.shape[:-1], sparse=True))
+    out = np.zeros(amount.shape[:-1] + (model.n, traffic.n_commodities))
+    np.add.at(out, (*lead, model.src, commodity), amount)
+    np.subtract.at(out, (*lead, model.dst, commodity), amount)
     return np.where(traffic.queue_mask, out, 0.0)
 
 
@@ -131,18 +138,21 @@ def _checksum(arr: np.ndarray) -> str:
 
 @dataclass
 class SimTrace:
-    """Per-slot record of one simulation run."""
+    """Per-slot record of one simulation run.
+
+    The trace stores what the run decided and drew; the virtual rates are
+    derived from them on each read (``vr_actual``, ``vr_nominal``).
+    """
 
     scheme: str
     seed: int
     slots: int
+    scenario: Scenario          # the simulated network and traffic
     backlog: np.ndarray         # (slots+1, n, K)
     arrivals: np.ndarray        # (slots, n, K)
     rate: np.ndarray            # (slots, E) assigned rates
     commodity: np.ndarray       # (slots, E)
     served: np.ndarray          # (slots, E) realized service
-    vr_actual: np.ndarray       # (slots, n, K) realized virtual rates
-    vr_nominal: np.ndarray      # (slots, n, K) assigned virtual rates
     total_backlog: np.ndarray   # (slots+1,)
     lyapunov: np.ndarray        # (slots+1,)
     drift: np.ndarray           # (slots,)
@@ -154,6 +164,18 @@ class SimTrace:
     objective_first: np.ndarray      # (slots,) weighted rate at slot start
     objective_last: np.ndarray       # (slots,)
     arrival_checksum: str = ""
+
+    @property
+    def vr_actual(self) -> np.ndarray:
+        """(slots, n, K) realized virtual rates, from the served amounts."""
+        return virtual_rates(self.served, self.commodity, self.scenario.traffic,
+                             self.scenario.model)
+
+    @property
+    def vr_nominal(self) -> np.ndarray:
+        """(slots, n, K) assigned virtual rates, from the assigned rates."""
+        return virtual_rates(self.rate, self.commodity, self.scenario.traffic,
+                             self.scenario.model)
 
     def queue_vectors(self) -> np.ndarray:
         """(slots+1, n*K) flattened backlog trajectory."""
@@ -179,8 +201,6 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
     rate = np.zeros((slots, model.n_links))
     commodity = np.zeros((slots, model.n_links), dtype=np.intp)
     served = np.zeros((slots, model.n_links))
-    vr_act = np.zeros((slots, n, nk))
-    vr_nom = np.zeros((slots, n, nk))
     iters = np.zeros(slots, dtype=int)
     conv = np.zeros(slots, dtype=bool)
     obj_first = np.zeros(slots)
@@ -196,8 +216,6 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
         rate[t] = assignment.rate
         commodity[t] = assignment.commodity
         served[t] = res.served
-        vr_act[t] = virtual_rates(res.served, assignment.commodity, traffic, model)
-        vr_nom[t] = virtual_rates(assignment.rate, assignment.commodity, traffic, model)
         iters[t] = diag.iterations
         conv[t] = diag.converged
         obj_first[t] = diag.objectives[0]
@@ -209,19 +227,24 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
     # each feed more than one column.
     flat = backlog.reshape(slots + 1, -1)
     total = flat.sum(axis=1)
-    prev = np.vstack([flat[:1], flat[:-1]])     # U[t-1] with U[-1] := U[0]
-    mem = ((flat - prev) ** 2).sum(axis=1)
+    mem = ((flat - np.vstack([flat[:1], flat[:-1]])) ** 2).sum(axis=1)   # U[-1] := U[0]
     lyap = (flat * flat).sum(axis=1) + mem
     drift = lyap[1:] - lyap[:-1]
 
     b_flat = arrivals.reshape(slots, -1)
     b_sq = (b_flat ** 2).sum(axis=1)
-    act_sq = (vr_act.reshape(slots, -1) ** 2).sum(axis=1)
 
-    def bound(vr: np.ndarray, v_sq: np.ndarray) -> np.ndarray:
-        cross = 2.0 * np.einsum("ij,ij->i", flat[:-1], b_flat - vr.reshape(slots, -1))
-        return cross + 2.0 * (b_sq + v_sq) - mem[:-1]
+    def bound(amount: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The drift bound with the virtual rates of ``amount``, and their ||RT||^2.
 
+        The (slots, n, K) rates live only for this call."""
+        vr = virtual_rates(amount, commodity, traffic, model).reshape(slots, -1)
+        v_sq = (vr ** 2).sum(axis=1)
+        cross = 2.0 * np.einsum("ij,ij->i", flat[:-1], b_flat - vr)
+        return cross + 2.0 * (b_sq + v_sq) - mem[:-1], v_sq
+
+    drift_bound, act_sq = bound(served)
+    drift_bound_nominal, _ = bound(rate)
     second_moment_l1 = float(traffic.second_moments().sum())
     lam = 2.0 * (second_moment_l1 + act_sq)
 
@@ -229,18 +252,17 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
         scheme=scheme.name,
         seed=seed,
         slots=slots,
+        scenario=scenario,
         backlog=backlog,
         arrivals=arrivals,
         rate=rate,
         commodity=commodity,
         served=served,
-        vr_actual=vr_act,
-        vr_nominal=vr_nom,
         total_backlog=total,
         lyapunov=lyap,
         drift=drift,
-        drift_bound=bound(vr_act, act_sq),
-        drift_bound_nominal=bound(vr_nom, (vr_nom.reshape(slots, -1) ** 2).sum(axis=1)),
+        drift_bound=drift_bound,
+        drift_bound_nominal=drift_bound_nominal,
         lambda_term=lam,
         solver_iterations=iters,
         solver_converged=conv,

@@ -111,17 +111,17 @@ class RateRegionOracle:
         random fraction of its capacity.  The load fractions mix near-idle,
         uniform and near-full so corners of the region get covered.
         """
-        n, nk = self.model.n, self.traffic.n_commodities
-        out = np.zeros((count, n, nk))
+        e, nk = self.model.n_links, self.traffic.n_commodities
+        amount = np.zeros((count, e))
+        com = np.zeros((count, e), dtype=np.intp)
         for s in range(count):
             st = random_power_state(self.model, rng)
             metrics = link_metrics(self.model, st)
             cap = np.maximum(metrics.capacity, 0.0)
-            shape = rng.choice([4.0, 1.0, 0.25], size=self.model.n_links)
-            frac = rng.random(self.model.n_links) ** shape
-            com = rng.integers(0, nk, size=self.model.n_links)
-            out[s] = virtual_rates(cap * frac, com, self.traffic, self.model)
-        return out
+            shape = rng.choice([4.0, 1.0, 0.25], size=e)
+            amount[s] = cap * rng.random(e) ** shape
+            com[s] = rng.integers(0, nk, size=e)
+        return virtual_rates(amount, com, self.traffic, self.model)
 
     def _best_routing_value(self, delta: np.ndarray, cap: np.ndarray) -> float:
         """max of delta . rtilde over routings given fixed link capacities.

@@ -63,22 +63,101 @@ def test_run_rejects_unallocatable_slot_counts(tmp_path, capsys, slots):
     assert not out.exists()
 
 
-def test_run_failing_mid_simulation_leaves_no_output(tmp_path, capsys, monkeypatch):
-    """A slot that fails with NumericDomainError exits 3, and ``--out`` is
-    not made: no scenario, echo or trace of a run that did not finish."""
-    import bpsim.cli
+def _fail_second_run(real):
+    """``run_simulation`` whose second run (seed 1) fails in slot 3."""
     from bpsim.errors import NumericDomainError
 
-    def failing(*args, **kwargs):
-        raise NumericDomainError("slot 3: non-finite power marginal gain")
+    def run(scenario, scheme, slots, config, seed):
+        if seed == 1:
+            raise NumericDomainError("slot 3: non-finite power marginal gain")
+        return real(scenario, scheme, slots, config, seed=seed)
+    return run
 
-    monkeypatch.setenv("BPSIM_THREADS", "1")        # the runs stay in this process
-    monkeypatch.setattr(bpsim.cli, "run_simulation", failing)
+
+def _block_second_trace(real):
+    """``save_scenario`` that also puts a directory where run 1's trace CSV
+    goes, so the worker process writing that file fails."""
+    def save(scenario, path):
+        real(scenario, path)
+        (Path(path).parent / "trace_iter-once_run1.csv").mkdir()
+    return save
+
+
+def _fail_writing(real):
+    """``trace_to_csv`` that writes part of a row and then finds the disk full."""
+    def write(trace, fh, per_queue=False):
+        fh.write("slot,total_backlog\n0,")
+        raise OSError(28, "No space left on device")
+    return write
+
+
+def test_run_failing_mid_simulation_leaves_no_output(tmp_path, capsys, monkeypatch):
+    """A run that fails after run 0's files are staged, a run whose worker
+    process fails, and a trace CSV that fails while it is written: each
+    exits with its code and leaves no staging directory, and either no
+    ``--out`` (nor the parent made for it) or the existing ``--out`` as it was."""
+    import bpsim.cli
+
+    cases = [("second_run", "1", "run_simulation", _fail_second_run, 3, "slot 3"),
+             ("worker", "2", "save_scenario", _block_second_trace, 2, "Is a directory"),
+             ("trace_to_csv", "1", "trace_to_csv", _fail_writing, 2, "No space left")]
+    for point, threads, name, make, code, message in cases:
+        for existing in (False, True):
+            base = tmp_path / f"{point}_{existing}"
+            base.mkdir()
+            out = base / "x" if existing else base / "made" / "x"
+            if existing:
+                out.mkdir()
+                (out / "summary.csv").write_text("kept\n")
+            with monkeypatch.context() as mp:
+                mp.setenv("BPSIM_THREADS", threads)
+                mp.setattr(bpsim.cli, name, make(getattr(bpsim.cli, name)))
+                got = main(["run", "--generate", "n=4", "B=2", "seed=1", "--scheme",
+                            "iter-once", "--slots", "5", "--runs", "2", "--seed", "0",
+                            "--out", str(out)])
+            assert got == code, point
+            assert message in capsys.readouterr().err, point
+            if existing:
+                assert os.listdir(base) == ["x"], point
+                assert os.listdir(out) == ["summary.csv"], point
+                assert (out / "summary.csv").read_text() == "kept\n", point
+            else:
+                assert os.listdir(base) == [], point
+
+
+def test_run_stages_each_trace_as_its_run_ends(tmp_path, monkeypatch):
+    """In this process, a run's trace CSV is in the staging directory before
+    the next run starts, no finished run's SimTrace is still alive then, and
+    the files move into ``--out`` only when every run is done."""
+    import gc
+    import weakref
+
+    import bpsim.cli
+
+    real = bpsim.cli.run_simulation
+    traces, seen = [], []
+
+    def tracking(scenario, scheme, slots, config, seed):
+        gc.collect()
+        staged = [p for p in tmp_path.iterdir() if p.name.endswith(".partial")]
+        seen.append((sum(t() is not None for t in traces), out.exists(),
+                     sorted(f.name for f in staged[0].glob("trace_*"))))
+        trace = real(scenario, scheme, slots, config, seed=seed)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setenv("BPSIM_THREADS", "1")
+    monkeypatch.setattr(bpsim.cli, "run_simulation", tracking)
     out = tmp_path / "x"
     assert main(["run", "--generate", "n=4", "B=2", "seed=1", "--scheme", "iter-once",
-                 "--slots", "5", "--runs", "2", "--out", str(out)]) == 3
-    assert "slot 3" in capsys.readouterr().err
-    assert not out.exists()
+                 "--slots", "5", "--runs", "3", "--per-queue", "--out", str(out)]) == 0
+    gc.collect()
+    assert seen == [(0, False, []),
+                    (0, False, ["trace_iter-once_run0.csv"]),
+                    (0, False, ["trace_iter-once_run0.csv", "trace_iter-once_run1.csv"])]
+    assert all(t() is None for t in traces)
+    assert os.listdir(tmp_path) == ["x"]
+    assert (out / "trace_iter-once_run2.csv").exists()
 
 
 @pytest.fixture(scope="module")

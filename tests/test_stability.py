@@ -82,6 +82,27 @@ def test_support_dominates_samples(tandem_oracle):
     assert vals.max() <= val + 1e-6 * max(1.0, abs(val))
 
 
+def test_sample_rates_equal_per_sample_loop():
+    """One batched virtual-rate call over all samples gives bit for bit the
+    per-sample loop, with the random draws in the same order."""
+    from bpsim.model import generate_scenario
+    from bpsim.sim import virtual_rates
+
+    sc = generate_scenario(6, 3.0, seed=5)
+    m, traffic = sc.model, sc.traffic
+    got = RateRegionOracle(m, traffic).sample_rates(9, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    ref = []
+    for _ in range(9):
+        cap = np.maximum(phy.link_metrics(m, phy.random_power_state(m, rng)).capacity, 0.0)
+        shape = rng.choice([4.0, 1.0, 0.25], size=m.n_links)
+        frac = rng.random(m.n_links) ** shape
+        com = rng.integers(0, traffic.n_commodities, size=m.n_links)
+        ref.append(virtual_rates(cap * frac, com, traffic, m))
+    assert got.shape == (9, m.n, traffic.n_commodities)
+    assert got.tobytes() == np.array(ref).tobytes()
+
+
 def test_support_midpoint_convexity(tandem_oracle):
     _, oracle = tandem_oracle
     rng = np.random.default_rng(32)
