@@ -115,8 +115,11 @@ def _staged(outdir: Path):
 
     When the block or the move fails, the staging directory and the
     ancestors of ``outdir`` made for it are removed, so no ``outdir`` is
-    made and an existing one keeps its contents.
+    made and an existing one keeps its contents.  An ``outdir`` that exists
+    and is not a directory is refused before the block runs.
     """
+    if outdir.exists() and not outdir.is_dir():
+        raise ConfigError(f"--out {outdir} exists and is not a directory")
     made = [p for p in outdir.parents if not p.exists()]     # deepest first
     staging = None
     try:

@@ -16,7 +16,8 @@ the result.
 A centralized solve (``SolverConfig.centralized``), for callers that need
 the optimum rather than the distributed path to it, steps the exponents
 along a projected-Newton direction of the full curvature and tests the
-allocation ladders on exact local changes.
+allocation ladders on exact local changes, and no sweep shrinks an
+allocation below a fixed fraction of itself.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ _MAX_BACKTRACKS = 80
 # exponent this close to the bound its gain points at moves on the diagonal
 # scaling (see _newton_direction).
 _NEWTON_EPS = 1e-2
+# A centralized sweep keeps each weighted link's allocation at or above
+# this fraction of its value at the start of the sweep (see alloc_sweep).
+_ALLOC_SHRINK = 0.25
 # Trials of an allocation sweep's Armijo ladder.  Most ladders accept at
 # their first trial; a node that has not accepted by the last keeps its split
 # and resumes its ladder next sweep (see alloc_sweep).
@@ -93,19 +97,20 @@ def _invq_sums(src: np.ndarray, invq: np.ndarray, n: int) -> np.ndarray:
 
 
 def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray,
-                         invq: np.ndarray, floor: float, iq_sums: np.ndarray | None = None
-                         ) -> np.ndarray:
+                         invq: np.ndarray, floor: float | np.ndarray,
+                         iq_sums: np.ndarray | None = None) -> np.ndarray:
     """Weighted-simplex projection of each segment ``src == i`` (length ``m_node[i]``).
 
-    Minimizes sum((x - target)**2 / invq) per segment, ``invq`` positive, by
-    the exact finite active-set method: solve for the multiplier on the free
-    set, clamp violators, repeat.  A segment without violations keeps its
-    free set, so the loop ends within the longest segment's length plus one
-    passes.  The first pass has every coordinate free, so its sums need no
-    mask and its goal is exactly 1; a caller projecting with one ``invq``
-    many times passes its ``_invq_sums`` as ``iq_sums``.  When the first
-    pass clamps nothing, every x is at or above the floor (or NaN) and is
-    returned as it is.
+    Minimizes sum((x - target)**2 / invq) per segment, ``invq`` positive,
+    subject to x >= ``floor`` (one value, or one per coordinate whose sum
+    over each segment is at most 1), by the exact finite active-set method:
+    solve for the multiplier on the free set, clamp violators, repeat.  A
+    segment without violations keeps its free set, so the loop ends within
+    the longest segment's length plus one passes.  The first pass has every
+    coordinate free, so its sums need no mask and its goal is exactly 1; a
+    caller projecting with one ``invq`` many times passes its
+    ``_invq_sums`` as ``iq_sums``.  When the first pass clamps nothing,
+    every x is at or above its floor (or NaN) and is returned as it is.
     """
     n = m_node.size
     free = True         # every coordinate, until the first clamp
@@ -123,8 +128,12 @@ def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray
         free = free & ~viol
         s_t = np.bincount(src, weights=target * free, minlength=n)
         div = _invq_sums(src, invq * free, n)
-        n_free = np.bincount(src, weights=free.astype(float), minlength=n)
-        goal = 1.0 - floor * (m_node - n_free)
+        if np.ndim(floor):
+            # The clamped coordinates' floors come off each segment's sum.
+            goal = 1.0 - np.bincount(src, weights=np.where(free, 0.0, floor), minlength=n)
+        else:
+            n_free = np.bincount(src, weights=free.astype(float), minlength=n)
+            goal = 1.0 - floor * (m_node - n_free)
     return x if free is True else np.where(free, np.maximum(x, floor), floor)
 
 
@@ -233,11 +242,17 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     A node that does not accept keeps its split bit for bit.  With
     ``exact`` (a centralized solve) the ladders test exact local changes
     (``_armijo_terms``) and pass only positive ones, and the gains are
-    centred per node before the projection.
+    centred per node before the projection, and no allocation falls below
+    ``_ALLOC_SHRINK`` of its value at the view (nor below ``ETA_FLOOR``).
+    A Newton-scaled first trial can otherwise clamp a weighted link to
+    ``ETA_FLOOR``, a floor no optimum has active, and the link then climbs
+    back a few doublings per sweep, since its scaling ``w / a**2`` shrinks
+    with it.
     """
     rows, n, a = links.rows, model.n, at.alloc
     invq, local, f0, grad, cap, beta = _armijo_terms(links, at, delta, beta0, exact)
     iq_sums = _invq_sums(links.src, invq, rows * n)
+    floor = ETA_FLOOR
     if exact:
         # The projection is the same for gains shifted by a constant per
         # node.  Centred on their invq-weighted mean, they leave the trial
@@ -245,6 +260,7 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
         # the split rather than of a target far outside the simplex.
         delta = delta - (np.bincount(links.src, weights=invq * delta, minlength=rows * n)
                          / iq_sums)[links.src]
+        floor = np.maximum(_ALLOC_SHRINK * a, ETA_FLOOR)
     flat_gain = _ROUNDING_FLOOR * np.abs(f0)
     evals = np.ones(rows, dtype=int)
     # The unaccepted nodes of the problems still searching (all of them in
@@ -256,7 +272,7 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     x_out = a
     for _ in range(_SEQUENTIAL_ROUNDS):
         target = a + beta[links.src] * delta * invq
-        x = _project_alloc_nodes(links.src, links.m_node, target, invq, ETA_FLOOR, iq_sums)
+        x = _project_alloc_nodes(links.src, links.m_node, target, invq, floor, iq_sums)
         f1 = local(x)
         evals += live
         gain = np.bincount(links.src, weights=grad * (x - a), minlength=rows * n)

@@ -122,14 +122,17 @@ def grid_search_two_tx(model: NetworkModel, w: np.ndarray, res: int = 200,
     return best
 
 
-def projection_oracle(target: np.ndarray, q: np.ndarray, floor: float) -> np.ndarray:
+def projection_oracle(target: np.ndarray, q: np.ndarray,
+                      floor: float | np.ndarray) -> np.ndarray:
     """Brute-force weighted simplex projection by active-set enumeration.
 
-    Every optimum fixes some subset of coordinates at the floor; enumerate
-    all subsets, solve the equality-constrained remainder in closed form,
-    keep the feasible candidate with the smallest objective.
+    Every optimum fixes some subset of coordinates at their floors (one
+    value, or one per coordinate); enumerate all subsets, solve the
+    equality-constrained remainder in closed form, keep the feasible
+    candidate with the smallest objective.
     """
     m = target.size
+    floor = np.broadcast_to(np.asarray(floor, dtype=float), (m,))
     best = None
     best_val = np.inf
     for mask in range(1 << m):
@@ -137,11 +140,11 @@ def projection_oracle(target: np.ndarray, q: np.ndarray, floor: float) -> np.nda
         free = ~fixed
         if not free.any():
             continue
-        budget = 1.0 - floor * fixed.sum()
+        budget = 1.0 - floor[fixed].sum()
         mu = (target[free].sum() - budget) / (1.0 / q[free]).sum()
-        x = np.full(m, floor)
+        x = floor.copy()
         x[free] = target[free] - mu / q[free]
-        if np.any(x[free] < floor - 1e-12):
+        if np.any(x[free] < floor[free] - 1e-12):
             continue
         val = float((q * (x - target) ** 2).sum())
         if val < best_val:

@@ -125,6 +125,25 @@ def test_run_failing_mid_simulation_leaves_no_output(tmp_path, capsys, monkeypat
                 assert os.listdir(base) == [], point
 
 
+def test_run_refuses_an_existing_file_as_out_before_any_run(tmp_path, capsys, monkeypatch):
+    """``--out`` naming an existing file exits 2 before a single run is
+    simulated, and leaves the file and its directory as they were."""
+    import bpsim.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_simulation was called")
+
+    monkeypatch.setenv("BPSIM_THREADS", "1")
+    monkeypatch.setattr(bpsim.cli, "run_simulation", never)
+    out = tmp_path / "x"
+    out.write_text("kept\n")
+    assert main(["run", "--generate", "n=4", "B=2", "seed=1", "--scheme", "iter-once",
+                 "--slots", "5", "--runs", "2", "--out", str(out)]) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["x"]
+    assert out.read_text() == "kept\n"
+
+
 def test_run_stages_each_trace_as_its_run_ends(tmp_path, monkeypatch):
     """In this process, a run's trace CSV is in the staging directory before
     the next run starts, no finished run's SimTrace is still alive then, and

@@ -130,6 +130,43 @@ def test_projection_masked_division_cases():
                                                         0.5).tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(lengths=strategies.lists(strategies.integers(0, 6), min_size=1, max_size=8),
+       share=strategies.sampled_from([0.0, 0.25, 0.9, 0.999]),
+       seed=strategies.integers(0, 2**32 - 1))
+def test_projection_with_per_coordinate_floors(lengths, share, seed):
+    """Per-coordinate floors, a centralized sweep's ``max(ETA_FLOOR, share *
+    a)`` for a split ``a``: every segment sums to 1, no coordinate is below
+    its floor, the KKT conditions hold (``(target - x) / invq`` equals the
+    segment's multiplier on the free coordinates and is at most it on the
+    clamped ones), and the result is the enumerated projection."""
+    rng = np.random.default_rng(seed)
+    n = len(lengths)
+    m_node = np.array(lengths, dtype=float)
+    src = rng.permutation(np.repeat(np.arange(n), lengths))
+    target = rng.normal(0.3, 1.0, src.size)
+    invq = 1.0 / (0.1 + rng.random(src.size) * 10.0)
+    a = 0.01 + rng.random(src.size)
+    a /= np.bincount(src, weights=a, minlength=n)[src]
+    floor = np.maximum(share * a, phy.ETA_FLOOR)
+    x = solver._project_alloc_nodes(src, m_node, target, invq, floor)
+    assert np.all(x >= floor)
+    sums = np.bincount(src, weights=x, minlength=n)
+    assert np.all(np.abs(sums[m_node > 0] - 1.0) < 1e-12)
+    r = (target - x) / invq
+    free = x > floor
+    for i in range(n):
+        seg = src == i
+        if not seg.any():
+            continue
+        assert free[seg].any()
+        mu = r[seg & free]
+        assert np.ptp(mu) < 1e-9 * max(1.0, np.abs(mu).max())
+        assert np.all(r[seg & ~free] <= mu.mean() + 1e-9 * max(1.0, np.abs(mu).max()))
+        want = projection_oracle(target[seg], 1.0 / invq[seg], floor[seg])
+        assert np.allclose(x[seg], want, atol=1e-9)
+
+
 # ------------------------------------------------------------- single steps
 
 def _two_link_node():
@@ -669,6 +706,39 @@ def test_newton_certifies_random_five_node_instances():
     assert len(certified) >= 198
     assert {(14, 0), (27, 4)} <= certified
     assert np.mean(iterations) < 40.0
+
+
+def test_centralized_sweep_caps_the_shrink_so_no_link_crawls_from_the_floor(monkeypatch):
+    """A cold centralized solve whose first sweep, with no shrink cap,
+    clamps a weighted link to ETA_FLOOR: the link then climbs back about
+    one doubling per sweep, and the solve takes 37 iterates.  With the cap
+    every sweep keeps each weighted allocation at or above
+    ``_ALLOC_SHRINK`` of its value at the start of the sweep, the cap
+    binds, and the solve certifies within 20 iterates."""
+    from bpsim.model import generate_scenario
+
+    m = generate_scenario(10, 4.0, 1000).model
+    w = random_weights(np.random.default_rng(12), m)
+    config = SolverConfig(kkt_tolerance=1e-7, max_iterations=2000, centralized=True)
+    start = phy.uniform_power_state(m)
+    real = solver.alloc_sweep
+    ratios = []
+
+    def sweep(model, links, state, at, delta, beta0=None, exact=False):
+        out = real(model, links, state, at, delta, beta0, exact)
+        ratios.append(float((out[0][links.act] / at.alloc).min()))
+        return out
+
+    monkeypatch.setattr(solver, "alloc_sweep", sweep)
+    _, diag = solve_max_weight(m, w, start, config)
+    assert diag.converged and diag.iterations <= 20
+    assert min(ratios) == solver._ALLOC_SHRINK
+    # Without the cap the same solve crawls.
+    monkeypatch.setattr(solver, "_ALLOC_SHRINK", 0.0)
+    ratios.clear()
+    _, diag = solve_max_weight(m, w, start, config)
+    assert diag.converged and diag.iterations >= 30
+    assert ratios[0] < 1e-9
 
 
 def test_lockstep_rejects_malformed_weights():
