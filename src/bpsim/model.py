@@ -61,7 +61,6 @@ class NetworkModel:
     link_noise: np.ndarray = field(init=False, repr=False)      # (E,) noise[dst]
     link_theta_gain: np.ndarray = field(init=False, repr=False)  # (E,) link_theta * link_gain
     link_kg: np.ndarray = field(init=False, repr=False)          # (E,) K * link_gain
-    link_log_kg: np.ndarray = field(init=False, repr=False)     # (E,) log(link_kg)
     log_power_cap: np.ndarray = field(init=False, repr=False)   # (n,) log(power_cap)
     out_degree: np.ndarray = field(init=False, repr=False)      # (n,) outgoing links
     gamma_floor: np.ndarray = field(init=False, repr=False)     # (n,) default exponent floor
@@ -92,13 +91,12 @@ class NetworkModel:
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         link_gain = gain[src, dst]
-        # Caps <= 1 give a meaningless floor and non-positive gains a NaN or
-        # -inf log; validate_model reports both.
+        # Caps <= 1 give a meaningless floor, and bad caps or gains NaN or
+        # infinite constants; validate_model reports them.
         with np.errstate(divide="ignore", invalid="ignore"):
             log_cap = np.log(self.power_cap)
             gamma_floor = 1.0 + _LOG_FLOOR_RATIO / log_cap
             link_kg = self.processing_gain * link_gain
-            log_kg = np.log(link_kg)
         link_theta = self.theta[src]
         view = {
             "link_gain": link_gain,
@@ -106,7 +104,6 @@ class NetworkModel:
             "link_noise": self.noise[dst],
             "link_theta_gain": link_theta * link_gain,
             "link_kg": link_kg,
-            "link_log_kg": log_kg,
             "log_power_cap": log_cap,
             "out_degree": np.bincount(src, minlength=n),
             "gamma_floor": gamma_floor,

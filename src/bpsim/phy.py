@@ -213,7 +213,6 @@ class WeightedLinks:
     gain: np.ndarray        # gain[src, dst]
     w_theta_g: np.ndarray   # (w * theta[src]) * gain[src, dst]
     theta_g: np.ndarray     # theta[src] * gain[src, dst], the self-interference gain
-    ln_kg: np.ndarray       # log(processing_gain * gain[src, dst]), model.link_log_kg
     m_node: np.ndarray      # (B*n,) weighted out-degree
     has_active: np.ndarray  # (B*n,) bool
     gain_rows: np.ndarray   # (B, E_a, n) gain from every node to each link's receiver
@@ -235,8 +234,8 @@ def weighted_links(model: NetworkModel, weights: np.ndarray) -> WeightedLinks:
                          gain=g, gain_rows=model.gain.T[model.dst[link]].reshape(rows, -1, n),
                          own_slot=np.arange(act.size) * n + model.src[link],
                          w_theta_g=w * model.link_theta[link] * g,
-                         theta_g=model.link_theta_gain[link], ln_kg=model.link_log_kg[link],
-                         m_node=m_node, has_active=m_node > 0)
+                         theta_g=model.link_theta_gain[link], m_node=m_node,
+                         has_active=m_node > 0)
 
 
 # One point's allocations and link metrics gathered at the weighted links

@@ -3,7 +3,9 @@
 Each node repeatedly improves its own variables: the allocation fractions
 over its outgoing links (projected onto the simplex under a diagonal norm)
 and its power exponent (clamped to a box).  A backtracking (Armijo) rule
-makes every accepted step non-decreasing in the weighted sum rate.
+makes every accepted step non-decreasing in the weighted sum rate; a
+node's allocation ladder tests the exact change of its own rates, and no
+sweep shrinks an allocation below a fixed fraction of itself.
 Optimality is certified by the marginal-gain conditions: per node, the allocation gains
 are equalized across its weighted links and the power gain vanishes unless
 the exponent sits at its cap.
@@ -15,9 +17,7 @@ the result.
 
 A centralized solve (``SolverConfig.centralized``), for callers that need
 the optimum rather than the distributed path to it, steps the exponents
-along a projected-Newton direction of the full curvature and tests the
-allocation ladders on exact local changes, and no sweep shrinks an
-allocation below a fixed fraction of itself.
+along a projected-Newton direction of the full curvature.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from .phy import alloc_marginal_gain  # noqa: F401  (not called here; bench/trac
 # Safeguards under the diagonal scaling matrices.
 SCALE_EPS = 1e-8
 _MIN_STEP = 1e-14
-# An Armijo trial that fails while predicting a gain of at most this fraction
-# of its start objective ends its ladder: the objective's difference is
-# rounding noise there, and halving further only compares noise.
+# A power step's Armijo trial that fails while predicting a gain of at most
+# this fraction of its start objective ends its ladder: the objective's
+# difference is rounding noise there, and halving further only compares noise.
 _ROUNDING_FLOOR = 1e-15
 # Trials of a power step's Armijo ladder.
 _MAX_BACKTRACKS = 80
@@ -46,7 +46,7 @@ _MAX_BACKTRACKS = 80
 # exponent this close to the bound its gain points at moves on the diagonal
 # scaling (see _newton_direction).
 _NEWTON_EPS = 1e-2
-# A centralized sweep keeps each weighted link's allocation at or above
+# A sweep keeps each weighted link's allocation at or above
 # this fraction of its value at the start of the sweep (see alloc_sweep).
 _ALLOC_SHRINK = 0.25
 # Trials of an allocation sweep's Armijo ladder.  Most ladders accept at
@@ -72,8 +72,7 @@ RESEED_FRACTION = 0.05
 class SolverConfig:
     """Iteration budget and certificate tolerance of one solve, and whether
     it is a centralized solve (``centralized``): the projected-Newton power
-    step (``power_step``) and the allocation ladders on exact local changes
-    (``alloc_sweep``), for callers that need the optimum and not the
+    step (``power_step``), for callers that need the optimum and not the
     paper's distributed path to it."""
 
     max_iterations: int = 400
@@ -96,10 +95,10 @@ def _invq_sums(src: np.ndarray, invq: np.ndarray, n: int) -> np.ndarray:
     return s_iq + (s_iq == 0)
 
 
-def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray,
-                         invq: np.ndarray, floor: float | np.ndarray,
-                         iq_sums: np.ndarray | None = None) -> np.ndarray:
-    """Weighted-simplex projection of each segment ``src == i`` (length ``m_node[i]``).
+def _project_alloc_nodes(src: np.ndarray, n: int, target: np.ndarray, invq: np.ndarray,
+                         floor: float | np.ndarray, iq_sums: np.ndarray | None = None
+                         ) -> np.ndarray:
+    """Weighted-simplex projection of each of the ``n`` segments ``src == i``.
 
     Minimizes sum((x - target)**2 / invq) per segment, ``invq`` positive,
     subject to x >= ``floor`` (one value, or one per coordinate whose sum
@@ -112,7 +111,6 @@ def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray
     ``_invq_sums`` as ``iq_sums``.  When the first pass clamps nothing,
     every x is at or above its floor (or NaN) and is returned as it is.
     """
-    n = m_node.size
     free = True         # every coordinate, until the first clamp
     s_t = np.bincount(src, weights=target, minlength=n)
     div = _invq_sums(src, invq, n) if iq_sums is None else iq_sums
@@ -128,12 +126,8 @@ def _project_alloc_nodes(src: np.ndarray, m_node: np.ndarray, target: np.ndarray
         free = free & ~viol
         s_t = np.bincount(src, weights=target * free, minlength=n)
         div = _invq_sums(src, invq * free, n)
-        if np.ndim(floor):
-            # The clamped coordinates' floors come off each segment's sum.
-            goal = 1.0 - np.bincount(src, weights=np.where(free, 0.0, floor), minlength=n)
-        else:
-            n_free = np.bincount(src, weights=free.astype(float), minlength=n)
-            goal = 1.0 - floor * (m_node - n_free)
+        # The clamped coordinates' floors come off each segment's sum.
+        goal = 1.0 - np.bincount(src, weights=np.where(free, 0.0, floor), minlength=n)
     return x if free is True else np.where(free, np.maximum(x, floor), floor)
 
 
@@ -166,42 +160,33 @@ def _seed_state(model: NetworkModel, links: WeightedLinks, initial: PowerState) 
     seed_min = RESEED_FRACTION / np.maximum(links.m_node[links.src], 1.0)
     a = np.where(a < 10.0 * ETA_FLOOR, np.maximum(a, seed_min), a)
     a = a / np.bincount(links.src, weights=a, minlength=rows * n)[links.src]
-    alloc[links.act] = _project_alloc_nodes(links.src, links.m_node, a, np.ones_like(a),
+    alloc[links.act] = _project_alloc_nodes(links.src, links.lay.size, a, np.ones_like(a),
                                             ETA_FLOOR)
     exponent = end_to_end(np.clip(initial.exponent, model.gamma_floor, 1.0), rows)
     return PowerState(alloc, exponent)
 
 
 def _armijo_terms(links: WeightedLinks, at: WeightedView, d: np.ndarray,
-                  beta0: np.ndarray | None, exact: bool = False) -> tuple:
+                  beta0: np.ndarray | None) -> tuple:
     """The allocation line search's start: the inverse diagonal scaling
-    (w / a**2 approximates the curvature), the local objective (each node's
-    weighted rate over its own links as a function of their split), its
-    value at the view's split, the gradient along the split, and the
-    per-node stepsize caps and first trials.
+    (w / a**2 approximates the curvature), the local objective's change
+    (each node's weighted rate over its own links as a function of their
+    split, less its value at the view's split), the gradient along the
+    split, and the per-node stepsize caps and first trials.
 
-    With ``exact`` the local objective is its change from the view's split,
-    summed from log1p terms, and its value there is 0: the change is then
-    exact to its own rounding, not to the rounding of the objective, so the
-    Armijo test resolves the small gains of a nearly equalized split.
+    The change is summed from log1p terms, so it is exact to its own
+    rounding, not to the rounding of the objective, and the Armijo test
+    resolves the small gains of a nearly equalized split.
     """
     p_i = at.src_power
     s = links.theta_g * p_i
-    if exact:
-        def local(x: np.ndarray) -> np.ndarray:
-            # The split's self-interference s * (1 - x) plus the rest is
-            # the view's interference-plus-noise less s * (x - a).
-            dx = x - at.alloc
-            rate = np.log1p(dx / at.alloc) - np.log1p(-s * dx / at.inoise)
-            return np.bincount(links.src, weights=links.w * rate, minlength=links.lay.size)
-    else:
-        # Interference at each link's receiver that does not depend on this
-        # node's own split (totals of other transmitters plus noise).
-        other = at.inoise - links.theta_g * (p_i - at.power)
 
-        def local(x: np.ndarray) -> np.ndarray:
-            rate = links.ln_kg + np.log(p_i * x) - np.log(s * (1.0 - x) + other)
-            return np.bincount(links.src, weights=links.w * rate, minlength=links.lay.size)
+    def local(x: np.ndarray) -> np.ndarray:
+        # The split's self-interference s * (1 - x) plus the rest is the
+        # view's interference-plus-noise less s * (x - a).
+        dx = x - at.alloc
+        rate = np.log1p(dx / at.alloc) - np.log1p(-s * dx / at.inoise)
+        return np.bincount(links.src, weights=links.w * rate, minlength=links.lay.size)
 
     # The gradient along a node's split is its power times ``d``, so a
     # stepsize of the node's power is the scaled (Newton) step: the cap.  A
@@ -210,59 +195,50 @@ def _armijo_terms(links: WeightedLinks, at: WeightedView, d: np.ndarray,
     # both pass the Armijo test.
     cap = ARMIJO_INITIAL * at.metrics.node_power
     invq = 1.0 / (links.w / (at.alloc * at.alloc) + SCALE_EPS)
-    return (invq, local, np.zeros(links.lay.size) if exact else local(at.alloc), p_i * d, cap,
-            cap if beta0 is None else np.minimum(beta0, cap))
+    return invq, local, p_i * d, cap, cap if beta0 is None else np.minimum(beta0, cap)
 
 
-def _armijo_test(f1: np.ndarray, f0: np.ndarray, gain: np.ndarray, flat_gain: np.ndarray,
-                 strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each trial passes the Armijo test, and whether it ends its
-    ladder: it passes, or it fails at the rounding floor, predicting a gain
-    of at most ``flat_gain`` (``_ROUNDING_FLOOR * |f0|``).  A ``strict``
-    test passes only trials that also raise the objective."""
-    ok = f1 - f0 >= ARMIJO_SIGMA * gain
-    if strict:
-        ok &= f1 > f0
-    return ok, ok | (gain <= flat_gain)
+def _armijo_test(change: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each trial, with local objective ``change`` and predicted
+    ``gain``, passes the Armijo test and raises its local objective, and
+    whether it ends its ladder: it passes, or it predicts no gain."""
+    ok = (change >= ARMIJO_SIGMA * gain) & (change > 0.0)
+    return ok, ok | (gain <= 0.0)
 
 
 def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
-                at: WeightedView, delta: np.ndarray, beta0: np.ndarray | None = None,
-                exact: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                at: WeightedView, delta: np.ndarray, beta0: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One allocation update for every node with weighted links, in each of
     the B problems of ``links``, from the view ``at`` of ``state`` with the
     allocation gains ``delta`` on the weighted links.
 
     Returns the new allocations, (B,) local objective evaluations spent in
-    line searches, and the per-node stepsizes for the next sweep's
-    ``beta0``.  Each node's Armijo ladder ends when a trial passes or fails
-    at the rounding floor (``_armijo_test``), or after ``_SEQUENTIAL_ROUNDS``
-    trials; a problem stops once it has no waiting node or their largest
-    stepsize is below the floor, and is still computed but changes nothing.
-    A node that does not accept keeps its split bit for bit.  With
-    ``exact`` (a centralized solve) the ladders test exact local changes
-    (``_armijo_terms``) and pass only positive ones, and the gains are
-    centred per node before the projection, and no allocation falls below
-    ``_ALLOC_SHRINK`` of its value at the view (nor below ``ETA_FLOOR``).
-    A Newton-scaled first trial can otherwise clamp a weighted link to
-    ``ETA_FLOOR``, a floor no optimum has active, and the link then climbs
-    back a few doublings per sweep, since its scaling ``w / a**2`` shrinks
-    with it.
+    line searches (one per trial round of a problem still searching), and
+    the per-node stepsizes for the next sweep's ``beta0``.  Each node's
+    Armijo ladder tests exact local changes (``_armijo_terms``) and ends
+    when a trial passes or predicts no gain (``_armijo_test``), or after
+    ``_SEQUENTIAL_ROUNDS`` trials; a problem stops once it has no waiting
+    node or their largest stepsize is below the floor, and is still
+    computed but changes nothing.  A node that does not accept keeps its
+    split bit for bit.  The gains are centred per node before the
+    projection, and no allocation falls below ``_ALLOC_SHRINK`` of its
+    value at the view (nor below ``ETA_FLOOR``).  A Newton-scaled first
+    trial can otherwise clamp a weighted link to ``ETA_FLOOR``, a floor no
+    optimum has active, and the link then climbs back a few doublings per
+    sweep, since its scaling ``w / a**2`` shrinks with it.
     """
     rows, n, a = links.rows, model.n, at.alloc
-    invq, local, f0, grad, cap, beta = _armijo_terms(links, at, delta, beta0, exact)
+    invq, local, grad, cap, beta = _armijo_terms(links, at, delta, beta0)
     iq_sums = _invq_sums(links.src, invq, rows * n)
-    floor = ETA_FLOOR
-    if exact:
-        # The projection is the same for gains shifted by a constant per
-        # node.  Centred on their invq-weighted mean, they leave the trial
-        # targets near the split, so the trial points carry the rounding of
-        # the split rather than of a target far outside the simplex.
-        delta = delta - (np.bincount(links.src, weights=invq * delta, minlength=rows * n)
-                         / iq_sums)[links.src]
-        floor = np.maximum(_ALLOC_SHRINK * a, ETA_FLOOR)
-    flat_gain = _ROUNDING_FLOOR * np.abs(f0)
-    evals = np.ones(rows, dtype=int)
+    # The projection is the same for gains shifted by a constant per node.
+    # Centred on their invq-weighted mean, they leave the trial targets near
+    # the split, so the trial points carry the rounding of the split rather
+    # than of a target far outside the simplex.
+    delta = delta - (np.bincount(links.src, weights=invq * delta, minlength=rows * n)
+                     / iq_sums)[links.src]
+    floor = np.maximum(_ALLOC_SHRINK * a, ETA_FLOOR)
+    evals = np.zeros(rows, dtype=int)
     # The unaccepted nodes of the problems still searching (all of them in
     # the first round), and the nodes whose stepsize is an accepted one or
     # was never tried.
@@ -272,11 +248,11 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     x_out = a
     for _ in range(_SEQUENTIAL_ROUNDS):
         target = a + beta[links.src] * delta * invq
-        x = _project_alloc_nodes(links.src, links.m_node, target, invq, floor, iq_sums)
-        f1 = local(x)
+        x = _project_alloc_nodes(links.src, rows * n, target, invq, floor, iq_sums)
+        change = local(x)
         evals += live
         gain = np.bincount(links.src, weights=grad * (x - a), minlength=rows * n)
-        ok, end = _armijo_test(f1, f0, gain, flat_gain, exact)
+        ok, end = _armijo_test(change, gain)
         took = ok & waiting
         x_out = np.where(took[links.src], x, x_out)
         kept |= took
@@ -295,7 +271,8 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     out[links.act] = x_out
     # An accepted step earns a doubled first trial next sweep, and a ladder
     # still waiting after its last round resumes at its halved stepsize;
-    # ladders stopped at either floor restart from the full trial step.
+    # ladders stopped without a predicted gain or at the stepsize floor
+    # restart from the full trial step.
     return out, evals, np.where(waiting, beta, np.minimum(2.0 * np.where(kept, beta, cap), cap))
 
 
@@ -400,7 +377,7 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
     next call's ``xi0``, (B,) whether the row fell back to the diagonal
     direction).  A problem's accepted point is its accepted trial, or its
     start when its step does not move, a trial fails at the rounding floor
-    (``_armijo_test``) or the stepsize falls below the floor.  Each round
+    (``_ROUNDING_FLOOR``) or the stepsize falls below the floor.  Each round
     evaluates all B trials at once; a stopped problem keeps the stepsize of
     its last trial (a halving below the floor is not taken), so no problem
     evaluates, or raises at, a trial its own ladder does not reach.  A
@@ -752,8 +729,7 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
             ids, weighted = ids[keep], weighted[keep]
             links = weighted_links(model, weights[ids])
             at = weighted_view(links, state.alloc, metrics)
-        alloc, sweep_evals, beta0 = alloc_sweep(model, links, state, at, gradient[0], beta0,
-                                                  config.centralized)
+        alloc, sweep_evals, beta0 = alloc_sweep(model, links, state, at, gradient[0], beta0)
         state = PowerState(alloc, state.exponent)
         expo, metrics, f_after, pc_evals, xi0, fell = power_step(model, links, state, xi0,
                                                                  config.centralized)

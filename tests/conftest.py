@@ -169,8 +169,7 @@ def project_simplex(target: np.ndarray, scale: np.ndarray | None = None,
     if m * floor > 1.0 + 1e-15:
         raise ConfigError(f"infeasible projection: {m} * floor {floor} > 1")
     invq = np.ones(m) if scale is None else 1.0 / np.asarray(scale, dtype=float)
-    return solver._project_alloc_nodes(np.zeros(m, dtype=np.intp), np.array([float(m)]),
-                                       target, invq, floor)
+    return solver._project_alloc_nodes(np.zeros(m, dtype=np.intp), 1, target, invq, floor)
 
 
 def alloc_step(model: NetworkModel, weights: np.ndarray, state: phy.PowerState,

@@ -264,6 +264,27 @@ def test_within_slot_objective_never_below_start():
         assert integrated >= tr.objective_first[t] - 1e-9 * max(1.0, abs(integrated))
 
 
+def test_iter_once_leaves_no_weighted_link_at_the_floor(monkeypatch):
+    """No one-iterate solve of a paper network run ends with a weighted link
+    pinned at the allocation floor, where the link gets no power for the
+    slot: every sweep keeps each weighted allocation at or above a fixed
+    fraction of itself.  Without that cap slot 14 of this run ends so."""
+    from bpsim import policy, solver
+
+    sc = generate_scenario(5, 7.0, 1001)
+    solve = policy.solve_max_weight
+    floored = []
+
+    def recorded(model, weights, initial, config=None, collect_rates=False):
+        state, diag = solve(model, weights, initial, config, collect_rates)
+        floored.append(bool((state.alloc[weights > 0] <= solver._ALLOC_AT_FLOOR).any()))
+        return state, diag
+
+    monkeypatch.setattr(policy, "solve_max_weight", recorded)
+    run_simulation(sc, "iter-once", 20, default_sim_config(), seed=101)
+    assert len(floored) == 20 and not any(floored)
+
+
 def test_average_runs_identity_and_mean():
     sc = generate_scenario(5, 3.0, seed=6)
     cfg = _quick_config()
