@@ -1163,6 +1163,19 @@ def test_no_accepted_step_lowers_its_objective(seed, n):
 
 # ------------------------------------------------ the three-round sweep
 
+def _objective_rounding(links, metrics, rows):
+    """(rows,) the weighted sum of each weighted link's rounding condition in
+    ``row_objectives``: its capacity's magnitude, plus the magnitudes summed
+    into its interference-plus-noise (every transmitter's received power,
+    its own included, the self-interference and the noise) over that sum,
+    which the cancellation in ``link_metrics_from_powers`` can round to."""
+    received = np.add.reduce(links.gain_rows * metrics.node_power.reshape(rows, 1, -1), axis=2)
+    summed = (links.theta_g * metrics.node_power[links.src] + received.reshape(-1)
+              + links.lay.link_noise[links.act])
+    condition = np.abs(metrics.capacity[links.act]) + summed / metrics.inoise[links.act]
+    return np.add.reduce((links.w * condition).reshape(rows, -1), axis=1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
        rows=strategies.sampled_from([1, 3]), warm=strategies.sampled_from([0, 3, 30]),
@@ -1171,9 +1184,10 @@ def test_capped_sweep_ascends_and_sets_stepsizes_by_rule(seed, n, rows, warm, ca
                                                           min_step):
     """On random single and lockstep problems, from cold, warm and nearly
     converged points and with carried stepsizes, one ``alloc_sweep``:
-    lowers no problem's weighted objective, its change summed from its
-    nodes' exact changes (a split keeps its node's total power, so it moves
-    no other node's rates); leaves every node that does not
+    changes each problem's weighted objective by the sum of its nodes' exact
+    changes (a split keeps its node's total power, so it moves no other
+    node's rates) and lowers none, both up to the objective's rounding;
+    leaves every node that does not
     accept its split bit for bit and moves every node that does to its
     accepted trial, at or above the shrink cap's floor; spends one
     evaluation per trial round, at most ``_SEQUENTIAL_ROUNDS`` per row; and
@@ -1190,7 +1204,7 @@ def test_capped_sweep_ascends_and_sets_stepsizes_by_rule(seed, n, rows, warm, ca
                                 SolverConfig(max_iterations=warm))
     links = phy.weighted_links(m, weights)
     state = solver._seed_state(m, links, start)
-    metrics, _ = solver._trial(m, links, state.alloc, state.exponent)
+    metrics, f_before = solver._trial(m, links, state.alloc, state.exponent)
     at = phy.weighted_view(links, state.alloc, metrics)
     delta = phy.weighted_gains(m, links, at)[0]
     beta0 = 10.0 ** rng.uniform(-3.0, 1.0, rows * n) if carried else None
@@ -1198,10 +1212,17 @@ def test_capped_sweep_ascends_and_sets_stepsizes_by_rule(seed, n, rows, warm, ca
         mp.setattr(solver, "_MIN_STEP", min_step)
         alloc, evals, beta = solver.alloc_sweep(m, links, state, at, delta, beta0)
     invq, local, grad, cap, first = solver._armijo_terms(links, at, delta, beta0)
-    # No node's exact change is negative, so no problem's is.  The objective
-    # ``_trial`` sums rounds each link's rate on its own and can read a few
-    # ulps below its start value after an exact rise finer than that rounding.
-    assert (local(alloc[links.act]) >= 0.0).all()
+    after, f_after = solver._trial(m, links, alloc, state.exponent)
+    # The float64 objective is within a few ulps of the weighted conditions,
+    # plus one per term of its sums: at most n in an interference-plus-noise
+    # and E, the weighted links of a problem, in the objective.  Its change
+    # is the exact one to within that at both points, and an exact rise
+    # finer than that can read as a drop.
+    slack = ((n + links.act.size // rows + 8) * np.finfo(float).eps
+             * (_objective_rounding(links, metrics, rows) + _objective_rounding(links, after, rows)))
+    exact = np.add.reduce(local(alloc[links.act]).reshape(rows, n), axis=1)
+    assert (np.abs((f_after - f_before) - exact) <= slack).all()
+    assert (f_after - f_before >= -slack).all()
 
     # Every node's trials, round by round, with the Armijo test's outcome.
     # The cap is each node's power: the gradient along its split is its
