@@ -286,6 +286,13 @@ def cmd_verify(args) -> int:
     if len(qcols) != n * nk:
         raise ConfigError("per-queue columns do not match the scenario size")
     flat = _trace_columns(rows, fields, qcols)
+    # Backlogs are not negative (-0.0 is a zero backlog); the audit of a
+    # trace that says otherwise would be meaningless, so it stops before any solve.
+    negative = np.flatnonzero(flat < 0)
+    if negative.size:
+        line, col = divmod(int(negative[0]), len(qcols))
+        raise ConfigError(f"trace line {line + 2}, column {qcols[col]!r} is a negative "
+                          f"backlog: {rows[line][qcols[col]]!r}")
     lyap = _trace_columns(rows, fields, ["V"])[:, 0]
     # The final boundary row carries no drift cells.
     lam_col = _trace_columns(rows[:-1], fields, ["lambda_term"])[:, 0]

@@ -13,7 +13,10 @@ problem b; at B = 1 these are the model's own ids).  Per-node sums are then
 one ``bincount`` that adds each problem's links in link order, and
 cross-node products are stacked ``matmul``s that numpy hands problem by
 problem to the BLAS call of the one-problem product, so each problem's
-values are bit for bit its own.
+values are bit for bit its own.  The weighted links of the problems lie end
+to end without padding, so problems may weigh different numbers of links;
+a product over a problem's own weighted links runs per block of problems
+with equal counts (``by_row``).
 """
 
 from __future__ import annotations
@@ -173,15 +176,44 @@ def link_metrics(model: NetworkModel, state: PowerState) -> LinkMetrics:
     return link_metrics_from_powers(model, link_powers(model, state))
 
 
+def by_row(rows: int, blocks: list | None, fn, *xs: np.ndarray) -> np.ndarray:
+    """``fn`` over the weighted links of ``rows`` problems, one block of
+    problems with equal weighted-link counts at a time, with its results
+    back in problem order.
+
+    Each of ``xs`` holds one value, or one row of values, per weighted link,
+    laid end to end.  ``fn(k, *block)`` gets a block's ``k`` problems' parts
+    of them, laid end to end, and returns one result per problem.
+    ``blocks`` are the problems' ``WeightedLinks.blocks``: None when every
+    problem weighs as many links, and one block holds them all.  ``fn``
+    makes the stacked call the block's problems would make alone, so each
+    problem's result is bit for bit its own.
+    """
+    if blocks is None:
+        return fn(rows, *xs)
+    out = None
+    for ids, at in blocks:
+        got = fn(ids.size, *(x[at] for x in xs))
+        if out is None:
+            out = np.empty((rows, *got.shape[1:]), dtype=got.dtype)
+        out[ids] = got
+    return out
+
+
+def _row_dots(rows: int, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(rows,) dot products of ``w`` and ``c``, each ``rows`` equal parts laid end to end."""
+    return np.matmul(w.reshape(rows, 1, -1), c.reshape(rows, -1, 1)).reshape(rows)
+
+
 def row_objectives(w: np.ndarray, act: np.ndarray, metrics: LinkMetrics,
-                   rows: int = 1) -> np.ndarray:
+                   rows: int = 1, blocks: list | None = None) -> np.ndarray:
     """(rows,) weighted sum rate of each of ``rows`` problems laid end to end.
 
     ``w`` and ``act`` are the weights of the problems' weighted links and
-    their ids in the end-to-end link arrays; every problem has as many.
+    their ids in the end-to-end link arrays, and ``blocks`` group the
+    problems by weighted-link count (see ``by_row``).
     """
-    f = np.matmul(w.reshape(rows, 1, -1),
-                  metrics.capacity[act].reshape(rows, -1, 1)).reshape(rows)
+    f = by_row(rows, blocks, _row_dots, w, metrics.capacity[act])
     # A weighted link without power has capacity -inf, which takes its row
     # to -inf or NaN: only then are the powers looked at.
     if not np.minimum.reduce(f) > -np.inf:
@@ -215,13 +247,17 @@ class WeightedLinks:
     theta_g: np.ndarray     # theta[src] * gain[src, dst], the self-interference gain
     m_node: np.ndarray      # (B*n,) weighted out-degree
     has_active: np.ndarray  # (B*n,) bool
-    gain_rows: np.ndarray   # (B, E_a, n) gain from every node to each link's receiver
+    gain_rows: np.ndarray   # (E_a, n) gain from every node to each link's receiver
     own_slot: np.ndarray    # flat index in gain_rows of each link's own transmitter
+    # Per weighted-link count, the problems with that count and the positions
+    # of their weighted links; None when every problem weighs as many links.
+    blocks: list | None = None
 
 
 def weighted_links(model: NetworkModel, weights: np.ndarray) -> WeightedLinks:
     """The links with ``weights > 0`` of one problem, or of each row of (B, E)
-    ``weights`` laid end to end, and their per-link constants."""
+    ``weights`` laid end to end, and their per-link constants.  Rows may
+    weigh different numbers of links."""
     n, n_links = model.n, model.n_links
     rows = weights.size // n_links
     lay = layout(model, rows)
@@ -230,12 +266,23 @@ def weighted_links(model: NetworkModel, weights: np.ndarray) -> WeightedLinks:
     w = weights.reshape(-1)[act]
     g = model.link_gain[link]
     m_node = np.bincount(lay.src[act], minlength=rows * n).astype(float)
+    blocks = None
+    if rows > 1:
+        counts = np.bincount(act // n_links, minlength=rows)
+        # Not np.unique: it imports numpy.ma, half a megabyte a solve otherwise never loads.
+        sizes = sorted(set(counts.tolist()))
+        if len(sizes) > 1:
+            starts = np.cumsum(counts) - counts
+            blocks = []
+            for c in sizes:
+                ids = np.flatnonzero(counts == c)
+                blocks.append((ids, (starts[ids, None] + np.arange(c)).reshape(-1)))
     return WeightedLinks(rows=rows, lay=lay, act=act, src=lay.src[act], dst=lay.dst[act], w=w,
-                         gain=g, gain_rows=model.gain.T[model.dst[link]].reshape(rows, -1, n),
+                         gain=g, gain_rows=model.gain.T[model.dst[link]],
                          own_slot=np.arange(act.size) * n + model.src[link],
                          w_theta_g=w * model.link_theta[link] * g,
                          theta_g=model.link_theta_gain[link], m_node=m_node,
-                         has_active=m_node > 0)
+                         has_active=m_node > 0, blocks=blocks)
 
 
 # One point's allocations and link metrics gathered at the weighted links

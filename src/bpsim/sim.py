@@ -125,11 +125,19 @@ def arrival_tensor(scenario: Scenario, slots: int, seed: int) -> np.ndarray:
     """All Poisson arrivals for a run, drawn up front.
 
     Drawing everything first means two schemes run with the same seed see
-    identical arrival realizations (common random numbers).
+    identical arrival realizations (common random numbers).  Only the
+    nonzero-mean cells are drawn, into the float tensor: a zero-mean cell
+    draws no random number, so the tensor is bit for bit the dense draw, and
+    the integer draws take only those cells' room.  A negative or NaN mean
+    is drawn too, and raises as the dense draw does.
     """
     rng = np.random.default_rng(seed)
-    return rng.poisson(scenario.traffic.arrival_mean,
-                       size=(slots,) + scenario.traffic.arrival_mean.shape).astype(float)
+    mean = scenario.traffic.arrival_mean
+    cells = np.flatnonzero(mean != 0)
+    out = np.zeros((slots,) + mean.shape)
+    out.reshape(slots, -1)[:, cells] = rng.poisson(mean.reshape(-1)[cells],
+                                                   size=(slots, cells.size))
+    return out
 
 
 def _checksum(arr: np.ndarray) -> str:

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, NumericDomainError
 from .model import NetworkModel
 from .phy import (BOUND_TOL, ETA_FLOOR, LinkMetrics, PowerState, WeightedLinks, WeightedView,
-                  end_to_end, link_metrics, link_metrics_from_powers, marginal_gains,
+                  by_row, end_to_end, link_metrics, link_metrics_from_powers, marginal_gains,
                   row_objectives, weighted_gains, weighted_links, weighted_view)
 from .phy import alloc_marginal_gain  # noqa: F401  (not called here; bench/tracer.py wraps it)
 
@@ -276,29 +276,42 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     return out, evals, np.where(waiting, beta, np.minimum(2.0 * np.where(kept, beta, cap), cap))
 
 
+def _link_sums(rows: int, t: np.ndarray) -> np.ndarray:
+    """(rows, n) sums over each problem's part of the (E_a, n) terms ``t``."""
+    return np.add.reduce(t.reshape(rows, -1, t.shape[1]), axis=1)
+
+
+def _link_products(rows: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(rows, n, n) products a' b of each problem's part of (E_a, n) ``a`` and ``b``."""
+    n = a.shape[1]
+    return np.matmul(a.reshape(rows, -1, n).transpose(0, 2, 1), b.reshape(rows, -1, n))
+
+
 def _curvature(links: WeightedLinks, at: WeightedView, full: bool = False) -> np.ndarray:
     """(B, n) diagonal curvature of the objective in each node's log power,
     or with ``full`` the (B, n, n) curvature M whose diagonal that is.
 
     Each weighted link contributes w * s * (1 - s) where s is the share of
     its interference-plus-noise sourced from the node in question.  The
-    (B, E_a, n) terms are C-ordered, so the sum over the middle axis adds
-    each node's links one after another.  Off the diagonal, M holds
-    -sum(w * s_i * s_j), so M = sum_l w_l (diag(s_l) - s_l s_l'), the
-    negated Hessian of the objective in the log powers: positive
-    semidefinite, and definite on the nodes with a positive share anywhere,
-    because every link's shares sum to below 1 (noise takes the rest).
+    (E_a, n) terms are C-ordered, so the sum over a problem's links adds
+    them one after another.  Off the diagonal, M holds -sum(w * s_i * s_j),
+    so M = sum_l w_l (diag(s_l) - s_l s_l'), the negated Hessian of the
+    objective in the log powers: positive semidefinite, and definite on the
+    nodes with a positive share anywhere, because every link's shares sum
+    to below 1 (noise takes the rest).  Both sums over a problem's links
+    run per block of problems with equal weighted-link counts (``by_row``).
     """
-    rows = links.rows
-    contrib = links.gain_rows * at.metrics.node_power.reshape(rows, 1, -1)
+    rows, n = links.rows, links.gain_rows.shape[1]
+    p = at.metrics.node_power
+    contrib = links.gain_rows * (p if rows == 1 else p.reshape(rows, n)[links.src // n])
     np.put(contrib, links.own_slot, links.theta_g * (at.src_power - at.power))
-    s = contrib / at.inoise.reshape(rows, -1, 1)
-    w = links.w.reshape(rows, -1, 1)
-    diagonal = np.add.reduce((s * (1.0 - s)) * w, axis=1)
+    s = contrib / at.inoise[:, None]
+    w = links.w[:, None]
+    diagonal = by_row(rows, links.blocks, _link_sums, (s * (1.0 - s)) * w)
     if not full:
         return diagonal
-    m = np.matmul((-w * s).transpose(0, 2, 1), s)
-    m.reshape(rows, -1)[:, ::m.shape[1] + 1] = diagonal
+    m = by_row(rows, links.blocks, _link_products, -w * s, s)
+    m.reshape(rows, -1)[:, ::n + 1] = diagonal
     return m
 
 
@@ -360,7 +373,7 @@ def _trial(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray, expo: n
     """Link metrics and per-problem objectives at trial exponents."""
     lay = links.lay
     met = link_metrics_from_powers(model, (lay.power_cap ** expo)[lay.src] * alloc, lay)
-    return met, row_objectives(links.w, links.act, met, links.rows)
+    return met, row_objectives(links.w, links.act, met, links.rows, links.blocks)
 
 
 def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
@@ -644,16 +657,19 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
 # ------------------------------------------------------------ the solve loop
 #
 # _solve_rows advances independent solves over one model together on the
-# formula layer above: solve_max_weight's one row, or a group of
-# solve_max_weight_batch's rows with equal weighted-link counts, whose
-# weighted links then form rectangular (B, E_a) blocks.  An iterate costs
-# numpy call overhead more than arithmetic, so B rows cost little more than
-# one, and no step depends on the number of rows.
+# formula layer above: solve_max_weight's one row, or every row of
+# solve_max_weight_batch that weighs some link, whatever its weighted-link
+# count (the three sums over a row's own weighted links run per block of
+# rows with equal counts, see phy.by_row).  An iterate costs numpy call
+# overhead more than arithmetic, so B rows cost little more than one, and no
+# step depends on the number of rows.
 
 
 def _take_rows(x, rows: int, index):
     """Rows ``index`` of ``x`` laid end to end over ``rows`` rows: an array,
-    None, or a tuple, PowerState or LinkMetrics of such arrays (copied)."""
+    None, or a tuple, PowerState or LinkMetrics of such arrays (copied).
+    Every row's part of an array is equally long, so per-weighted-link
+    arrays are not taken here (see _solve_rows)."""
     if x is None:
         return None
     if isinstance(x, np.ndarray):
@@ -666,9 +682,10 @@ def _take_rows(x, rows: int, index):
 def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
                 config: SolverConfig, collect_rates: bool = False
                 ) -> list[tuple[PowerState, SolveDiagnostics]]:
-    """``solve_max_weight`` of every row of (B, E) ``weights``, all with the
-    same positive number of weighted links, advanced together one iterate at
-    a time (every row still in the batch has made ``it`` iterates).
+    """``solve_max_weight`` of every row of (B, E) ``weights``, each with a
+    positive number of weighted links, advanced together one iterate at a
+    time (every row still in the batch has made ``it`` iterates), so the
+    loop runs as many iterates as its slowest row.
 
     Each row keeps its own KKT stop, stall counter and budget-end
     certificate.  Floating point can pin the residual just above a very
@@ -724,8 +741,10 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
             diags = [d for d, k in zip(diags, keep) if k]
             stalled = [s for s, k in zip(stalled, keep) if k]
             keep = np.array(keep)
-            state, metrics, beta0, xi0, gradient = _take_rows(
-                (state, metrics, beta0, xi0, gradient), rows, keep)
+            # The allocation gains, one per weighted link, go by their links' rows.
+            state, metrics, beta0, xi0, gains = _take_rows(
+                (state, metrics, beta0, xi0, gradient[1:]), rows, keep)
+            gradient = (gradient[0][keep[links.src // model.n]], *gains)
             ids, weighted = ids[keep], weighted[keep]
             links = weighted_links(model, weights[ids])
             at = weighted_view(links, state.alloc, metrics)
@@ -749,8 +768,9 @@ def solve_max_weight_batch(model: NetworkModel, weights: np.ndarray, initial: Po
     """``solve_max_weight(model, weights[b], initial, config)`` for every row b.
 
     Returns the (state, diagnostics) pairs in row order, bit for bit what
-    the single solves return.  Rows with equal weighted-link counts advance
-    in lockstep as stacked arrays.
+    the single solves return.  Every row that weighs some link advances in
+    one lockstep loop, whatever its weighted-link count; a row without
+    weights returns ``initial`` as the single solve does.
     """
     if config is None:
         config = SolverConfig()
@@ -758,15 +778,11 @@ def solve_max_weight_batch(model: NetworkModel, weights: np.ndarray, initial: Po
     if weights.ndim != 2 or weights.shape[1] != model.n_links:
         raise ConfigError("weights must be one row of one value per link per problem")
     _check_weights(weights)
-    counts = (weights > 0).sum(axis=1)
-    results: list = [None] * len(weights)
-    # Not np.unique: it imports numpy.ma, half a megabyte this path otherwise never loads.
-    for count in sorted(set(counts.tolist())):
-        group = np.flatnonzero(counts == count)
-        if count == 0:
-            solved = [solve_max_weight(model, w, initial, config) for w in weights[group]]
-        else:
-            solved = _solve_rows(model, weights[group], initial, config)
-        for r, res in zip(group, solved):
+    weighted = np.logical_or.reduce(weights > 0, axis=1)
+    results = [None if w else solve_max_weight(model, row, initial, config)
+               for w, row in zip(weighted.tolist(), weights)]
+    rows = np.flatnonzero(weighted)
+    if rows.size:
+        for r, res in zip(rows.tolist(), _solve_rows(model, weights[rows], initial, config)):
             results[r] = res
     return results

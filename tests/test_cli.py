@@ -440,6 +440,50 @@ def test_verify_rejects_non_numeric_queue_cell(run_dir, tmp_path, capsys):
     assert "line 4" in err and "'u_0_0'" in err and "'oops'" in err
 
 
+def _with_queue_cells(lines, value):
+    """Trace lines with the first per-queue cell holding 0.0 of every data
+    row set to ``value``."""
+    header = lines[0].split(",")
+    first = header.index("u_0_0")
+    out = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) == len(header):
+            col = cells.index("0.0", first)
+            cells[col] = value
+        out.append(",".join(cells))
+    return out
+
+
+def test_verify_rejects_negative_queue_cell_before_solving(run_dir, tmp_path, capsys,
+                                                           monkeypatch):
+    """A negative backlog ends ``verify`` with exit code 2, naming its line
+    and column, before the margin estimate or any oracle solve; -0.0 is a
+    zero backlog and passes."""
+    from bpsim import cli, solver
+
+    class Reached(Exception):
+        pass
+
+    def solve(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(solver, "_solve_rows", solve)
+    monkeypatch.setattr(cli, "estimate_epsilon", solve)
+    _, scen, out = run_dir
+    lines = (out / "trace_iter-conv_run0.csv").read_text().split("\n")
+    bad = tmp_path / "negative.csv"
+    bad.write_text("\n".join(_with_queue_cells(lines, "-5.0")))
+    assert _verify(scen, bad, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert "line 2" in captured.err and "'u_0_0'" in captured.err and "'-5.0'" in captured.err
+    assert "interior margin" not in captured.out
+    signed_zero = tmp_path / "signed_zero.csv"
+    signed_zero.write_text("\n".join(_with_queue_cells(lines, "-0.0")))
+    with pytest.raises(Reached):
+        _verify(scen, signed_zero, tmp_path)
+
+
 def test_verify_rejects_truncated_row(run_dir, tmp_path, capsys):
     _, scen, out = run_dir
     lines = (out / "trace_iter-conv_run0.csv").read_text().split("\n")

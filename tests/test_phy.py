@@ -487,6 +487,37 @@ def test_end_to_end_rows_equal_one_problem_references(seed, n, rows, zero_frac):
             assert np.asarray(got[part]).tobytes() == np.asarray(exp).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8))
+def test_end_to_end_rows_of_mixed_counts_equal_single_rows(seed, n):
+    """Rows that weigh different numbers of links lie end to end without
+    padding; each row's objective and diagonal and full curvature, summed
+    per block of rows with equal counts, are bit for bit its own at B = 1.
+    Rows 0 and 2 share a count, so their block gathers rows that are not
+    adjacent."""
+    from bpsim import solver
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n=n)
+    weights = np.zeros((4, m.n_links))
+    for w, count in zip(weights, (m.n_links, max(1, m.n_links // 2), m.n_links, 1)):
+        w[rng.choice(m.n_links, count, replace=False)] = 0.1 + rng.random(count) * 10.0
+    states = [phy.random_power_state(m, rng) for _ in range(4)]
+    alloc = np.concatenate([s.alloc for s in states])
+    met = phy.link_metrics_from_powers(m, np.concatenate([phy.link_powers(m, s) for s in states]))
+    links = phy.weighted_links(m, weights)
+    assert links.blocks is not None and links.gain_rows.shape == (links.act.size, m.n)
+    view = phy.weighted_view(links, alloc, met)
+    objectives = phy.row_objectives(links.w, links.act, met, 4, links.blocks)
+    diagonal, full = solver._curvature(links, view), solver._curvature(links, view, True)
+    for b, (w, st) in enumerate(zip(weights, states)):
+        one = phy.weighted_links(m, w)
+        ref = phy.link_metrics(m, st)
+        at = phy.weighted_view(one, st.alloc, ref)
+        assert objectives[b] == phy.row_objectives(one.w, one.act, ref)[0]
+        assert diagonal[b].tobytes() == solver._curvature(one, at)[0].tobytes()
+        assert full[b].tobytes() == solver._curvature(one, at, True)[0].tobytes()
+
+
 def _solve_bits(solved):
     """A (state, diagnostics) pair as bytes and numbers, for bit equality."""
     state, diag = solved

@@ -210,6 +210,34 @@ def test_same_seed_same_arrivals_across_schemes():
     assert np.array_equal(a.arrivals, b.arrivals)
 
 
+@pytest.mark.parametrize("net", [(40, 0.05, 2000), (10, 4.0, 1000), (5, 7.0, 1003)])
+def test_arrival_tensor_equals_the_dense_draw(net):
+    """Drawing only the nonzero-mean cells gives the dense draw bit for bit,
+    on the generated scenarios (a commodity arrives at its source only) and
+    with zero-mean cells between positive ones: a zero-mean cell draws no
+    random number.  A negative or NaN mean raises as in the dense draw."""
+    sc = generate_scenario(*net)
+    mean = sc.traffic.arrival_mean
+    rng = np.random.default_rng(net[2])
+    mixed = np.where(rng.random(mean.shape) < 0.5, 0.0, rng.random(mean.shape) * 12.0)
+    for m in (mean, mixed):
+        assert (m == 0).any() and (m > 0).any()
+        scenario = dataclasses.replace(sc, traffic=dataclasses.replace(sc.traffic,
+                                                                       arrival_mean=m))
+        for seed in (0, 1, 9973):
+            dense = np.random.default_rng(seed).poisson(m, size=(50,) + m.shape).astype(float)
+            got = arrival_tensor(scenario, 50, seed)
+            assert got.dtype == dense.dtype and got.shape == dense.shape
+            assert got.tobytes() == dense.tobytes()
+    for bad in (-1.0, np.nan):
+        m = mixed.copy()
+        m[-1, -1] = bad
+        scenario = dataclasses.replace(sc, traffic=dataclasses.replace(sc.traffic,
+                                                                       arrival_mean=m))
+        with pytest.raises(ValueError):
+            arrival_tensor(scenario, 5, 0)
+
+
 def test_recorded_dynamics_identities():
     """Realized virtual rates reproduce the queue recursion and Lyapunov columns."""
     sc = generate_scenario(6, 3.0, seed=8)

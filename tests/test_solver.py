@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies
+from hypothesis import assume, example, given, settings, strategies
 
 from bpsim import phy, solver
 from bpsim.errors import ConfigError, NumericDomainError
@@ -601,6 +601,77 @@ def test_lockstep_rows_equal_single_cold_oracle_solves():
     assert sum(diag.diagonal_fallbacks for _, diag in solved)
 
 
+def test_lockstep_mixed_counts_run_one_loop(monkeypatch):
+    """Rows with different weighted-link counts advance in one ``_solve_rows``
+    loop, which runs as many iterates as its slowest row, and each row is
+    bit for bit its single solve; a row without weights stays out of it."""
+    rng = np.random.default_rng(3)
+    m = random_model(rng, n=6)
+    rows = np.array([random_weights(rng, m, zero_frac=f) for f in (0.2, 0.5, 0.5, 0.8)]
+                    + [np.zeros(m.n_links)])
+    assert len(set((rows[:4] > 0).sum(axis=1).tolist())) >= 2
+    start = phy.random_power_state(m, rng)
+    for centralized in (False, True):
+        config = SolverConfig(kkt_tolerance=1e-9, max_iterations=300, centralized=centralized)
+        single = [_fingerprint(*solve_max_weight(m, w, start, config)) for w in rows]
+        loops, iterates = [], []
+        solve_rows, step = solver._solve_rows, solver.power_step
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_solve_rows",
+                       lambda *args: loops.append(len(args[1])) or solve_rows(*args))
+            mp.setattr(solver, "power_step",
+                       lambda *args: iterates.append(args[1].rows) or step(*args))
+            batch = solve_max_weight_batch(m, rows, start, config)
+        assert [_fingerprint(*r) for r in batch] == single
+        assert loops == [4]
+        needed = [diag.iterations for _, diag in batch[:4]]
+        assert len(iterates) == max(needed) and len(set(needed)) > 1
+        # Rows leave the loop as they finish.
+        assert iterates == [sum(k > it for k in needed) for it in range(max(needed))]
+
+
+def _relabelled(model, nodes, links):
+    """``model`` with its node ``nodes[j]`` as node j and its link
+    ``links[l]`` as link l."""
+    new = np.empty_like(nodes)
+    new[nodes] = np.arange(nodes.size)
+    return NetworkModel(gain=model.gain[np.ix_(nodes, nodes)], noise=model.noise[nodes],
+                        theta=model.theta[nodes], power_cap=model.power_cap[nodes],
+                        processing_gain=model.processing_gain,
+                        links=tuple((int(new[model.src[l]]), int(new[model.dst[l]]))
+                                    for l in links))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8))
+def test_relabelling_nodes_and_links_permutes_the_solution(seed, n):
+    """Permuting a random model's nodes and links, with its weights and warm
+    start permuted alike, permutes the certified solution, on the diagonal
+    power step and centralized: the objectives agree within 1e-12 relative.
+    The solve's sums over a problem's links and nodes run in their order, so
+    a relabelling changes only their rounding."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n=n)
+    w = random_weights(rng, m)
+    start = phy.random_power_state(m, rng)
+    nodes, links = rng.permutation(m.n), rng.permutation(m.n_links)
+    relabelled = _relabelled(m, nodes, links)
+    assert np.array_equal(relabelled.link_gain, m.link_gain[links])
+    moved = phy.PowerState(start.alloc[links], start.exponent[nodes])
+    solved = []
+    for centralized in (False, True):
+        config = SolverConfig(max_iterations=2000, centralized=centralized)
+        solved.append((solve_max_weight(m, w, start, config),
+                       solve_max_weight(relabelled, w[links], moved, config)))
+    # A solve that stalls short of the certificate says nothing about the optimum.
+    assume(all(diag.converged for pair in solved for _, diag in pair))
+    for (state, diag), (other, other_diag) in solved:
+        f, g = diag.objectives[-1], other_diag.objectives[-1]
+        assert abs(f - g) <= 1e-12 * abs(f)
+        assert np.allclose(state.alloc[links], other.alloc, rtol=0.0, atol=1e-4)
+        assert np.allclose(state.exponent[nodes], other.exponent, rtol=0.0, atol=1e-4)
+
+
 def _newton_system(v_rows, delta_rows):
     """``_newton_direction``'s inputs for hand-built (B, n, n) curvatures:
     exponents mid-box, unit log power caps, so the system matrix is the
@@ -1169,7 +1240,8 @@ def _objective_rounding(links, metrics, rows):
     into its interference-plus-noise (every transmitter's received power,
     its own included, the self-interference and the noise) over that sum,
     which the cancellation in ``link_metrics_from_powers`` can round to."""
-    received = np.add.reduce(links.gain_rows * metrics.node_power.reshape(rows, 1, -1), axis=2)
+    received = np.add.reduce(links.gain_rows * metrics.node_power.reshape(rows, -1)[
+        links.src // links.gain_rows.shape[1]], axis=1)
     summed = (links.theta_g * metrics.node_power[links.src] + received.reshape(-1)
               + links.lay.link_noise[links.act])
     condition = np.abs(metrics.capacity[links.act]) + summed / metrics.inoise[links.act]
