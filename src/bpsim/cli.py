@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, NumericDomainError
 from .model import Scenario, generate_scenario, load_scenario, reserve, save_scenario
 from .policy import SCHEME_NAMES
-from .sim import SimConfig, curve_to_csv, run_simulation, trace_to_csv
+from .sim import SimConfig, curve_to_csv, default_sim_config, run_simulation, trace_to_csv
 from .solver import SolverConfig
 from .stability import RateRegionOracle, check_drift_condition, estimate_epsilon
 
@@ -337,10 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--slots", type=int, default=1000)
     r.add_argument("--runs", type=int, default=10)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--iterations", type=int, default=50,
+    defaults = default_sim_config()
+    r.add_argument("--iterations", type=int, default=defaults.iterations_per_slot,
                    help="per-slot iteration budget of iter-conv")
-    r.add_argument("--kkt-tol", type=float, default=1e-4)
-    r.add_argument("--max-iter", type=int, default=150)
+    r.add_argument("--kkt-tol", type=float, default=defaults.solver.kkt_tolerance)
+    r.add_argument("--max-iter", type=int, default=defaults.solver.max_iterations)
     r.add_argument("--per-queue", action="store_true",
                    help="record per-queue backlogs in trace CSVs")
     r.add_argument("--out", required=True)

@@ -146,6 +146,8 @@ class TrafficSpec:
     queue_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.commodities:
+            raise ConfigError("traffic needs at least one commodity")
         arrival_mean = np.asarray(self.arrival_mean, dtype=float)
         object.__setattr__(self, "arrival_mean", arrival_mean)
         nk = self.n_commodities
@@ -330,16 +332,17 @@ def validate_model(model: NetworkModel) -> list[str]:
         out.append("gains must be nonnegative")
     if np.any(~np.isfinite(model.gain)):
         out.append("gains must be finite")
+    # NaN fails these comparisons, so it is rejected with the infinities.
     for j in range(n):
-        if not model.noise[j] > 0:
-            out.append(f"noise must be positive (node {j})")
+        if not 0 < model.noise[j] < np.inf:
+            out.append(f"noise must be finite and positive (node {j})")
     for i in range(n):
-        if not model.power_cap[i] > 1:
-            out.append(f"powerCap must exceed 1 (node {i})")
+        if not 1 < model.power_cap[i] < np.inf:
+            out.append(f"powerCap must exceed 1 and be finite (node {i})")
         if not (0.0 <= model.theta[i] <= 1.0):
             out.append(f"selfInterference must lie in [0, 1] (node {i})")
-    if not model.processing_gain > 0:
-        out.append("processingGain must be positive")
+    if not 0 < model.processing_gain < np.inf:
+        out.append("processingGain must be finite and positive")
     if not _connected(n, list(model.links)):
         out.append("graph not connected")
     return out

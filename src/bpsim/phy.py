@@ -298,8 +298,17 @@ def weighted_view(links: WeightedLinks, alloc: np.ndarray, metrics: LinkMetrics)
 
 def weighted_gains(model: NetworkModel, links: WeightedLinks,
                    at: WeightedView) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``marginal_gains`` with the allocation gains on the weighted links
-    only, at a point whose weighted links all carry power."""
+    """Allocation marginal gains and the power gain's raise/drop parts, one
+    pass, at a point whose weighted links all carry power.
+
+    Returns the allocation gains b * (1/P + theta*h/IN) on the weighted
+    links, and the (n,) parts ``up`` and ``down`` of the power marginal gain
+    p_node * (up - down), each laid end to end over the B problems of
+    ``links``.  ``up`` collects the node's own weighted-rate terms, ``down``
+    the interference it imposes on every other receiver.  Both are
+    nonnegative; their near-cancellation is what the optimality certificate
+    measures, so they also set its natural scale.
+    """
     size, f = links.lay.size, links.w / at.inoise
     delta_alloc = links.w / at.power + links.w_theta_g / at.inoise
     # Own pressure sum(g * w / IN) over each node's outgoing links, and the
@@ -311,39 +320,25 @@ def weighted_gains(model: NetworkModel, links: WeightedLinks,
     return delta_alloc, links.lay.keep_theta * own + alloc_term, down
 
 
-def marginal_gains(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray,
-                   metrics: LinkMetrics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Allocation marginal gains and the power gain's raise/drop parts, one pass.
-
-    Returns the (E,) allocation gains b * (1/P + theta*h/IN), zero on links
-    without weight, and the (n,) parts ``up`` and ``down`` of the power
-    marginal gain p_node * (up - down), each laid end to end over the B
-    problems of ``links``.  ``up`` collects the node's own weighted-rate
-    terms, ``down`` the interference it imposes on every other receiver.
-    Both are nonnegative; their near-cancellation is what the optimality
-    certificate measures, so they also set its natural scale.
-    """
-    at = weighted_view(links, alloc, metrics)
-    _check_powers(links.act, at.power)
-    delta, up, down = weighted_gains(model, links, at)
-    delta_alloc = np.zeros(links.rows * model.n_links)
-    delta_alloc[links.act] = delta
-    return delta_alloc, up, down
-
-
 def alloc_marginal_gain(model: NetworkModel, weights: np.ndarray,
                         metrics: LinkMetrics) -> np.ndarray:
     """Allocation marginal gain per link, b * (1/P + theta*h/IN).
 
     Zero on links with zero weight.  Equals (b/P) * (1 + theta*SINR/K),
     which a node can assemble from local measurements alone."""
-    links = weighted_links(model, weights)      # the allocations do not enter it
-    return marginal_gains(model, links, np.zeros(links.rows * model.n_links), metrics)[0]
+    links = weighted_links(model, weights)
+    out = np.zeros(links.rows * model.n_links)  # the allocations do not enter it
+    at = weighted_view(links, out, metrics)
+    _check_powers(links.act, at.power)
+    out[links.act] = weighted_gains(model, links, at)[0]
+    return out
 
 
 def power_marginal_parts(model: NetworkModel, weights: np.ndarray, state: PowerState,
                          metrics: LinkMetrics) -> tuple[np.ndarray, np.ndarray]:
     """Raise and drop components of the power-control marginal gain; see
-    ``marginal_gains``.  Links without positive weight contribute nothing."""
-    _, up, down = marginal_gains(model, weighted_links(model, weights), state.alloc, metrics)
-    return up, down
+    ``weighted_gains``.  Links without positive weight contribute nothing."""
+    links = weighted_links(model, weights)
+    at = weighted_view(links, state.alloc, metrics)
+    _check_powers(links.act, at.power)
+    return weighted_gains(model, links, at)[1:]

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: generate, run, verify, exit codes."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -411,6 +412,40 @@ def test_run_rejects_destination_outside_network(tmp_path, destination):
     code = main(["run", "--scenario", str(bad), "--scheme", "iter-once",
                  "--slots", "2", "--runs", "1", "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+def test_run_rejects_a_scenario_without_commodities(tmp_path, capsys):
+    """A file with no commodities, and no arrival columns to match, passes
+    no validation: the run stops at load, before it writes anything."""
+    doc = _scenario_doc(tmp_path)
+    doc["commodities"], doc["arrival_mean"] = [], [[] for _ in range(doc["n"])]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(bad), "--scheme", "iter-once",
+                 "--slots", "2", "--runs", "1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: malformed scenario file: "
+                                       "traffic needs at least one commodity\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("field", ["noise", "power_cap", "processing_gain"])
+def test_run_rejects_infinite_model_values(tmp_path, capsys, field):
+    """JSON's Infinity passes a bare lower bound; the run must stop at load
+    with exit 2, not simulate and fail mid-run."""
+    doc = _scenario_doc(tmp_path)
+    if field == "processing_gain":
+        doc[field] = math.inf
+    else:
+        doc[field][0] = math.inf
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(bad), "--scheme", "iter-once",
+                 "--slots", "5", "--runs", "1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario") and "finite" in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-1"])

@@ -297,8 +297,9 @@ def test_one_pass_gradient_matches_full_length_reference(seed, n, zero_frac):
     met = phy.link_metrics(m, st)
     want_d = _alloc_marginal_gain_full(m, w, met)
     want_up, want_down = _power_marginal_parts_full(m, w, st, met)
-    d, up, down = phy.marginal_gains(m, phy.weighted_links(m, w), st.alloc, met)
-    assert d.tobytes() == want_d.tobytes()
+    links = phy.weighted_links(m, w)
+    d, up, down = phy.weighted_gains(m, links, phy.weighted_view(links, st.alloc, met))
+    assert d.tobytes() == want_d[links.act].tobytes()
     assert up.tobytes() == want_up.tobytes()
     assert down.tobytes() == want_down.tobytes()
     assert phy.alloc_marginal_gain(m, w, met).tobytes() == want_d.tobytes()
@@ -311,8 +312,7 @@ def test_one_pass_gradient_matches_full_length_reference(seed, n, zero_frac):
     met = phy.link_metrics(m, st)
     with pytest.raises(NumericDomainError) as want:
         _power_marginal_parts_full(m, w, st, met)
-    for call in (lambda: phy.marginal_gains(m, phy.weighted_links(m, w), st.alloc, met),
-                 lambda: phy.alloc_marginal_gain(m, w, met),
+    for call in (lambda: phy.alloc_marginal_gain(m, w, met),
                  lambda: phy.power_marginal_parts(m, w, st, met)):
         with pytest.raises(NumericDomainError) as got:
             call()
@@ -410,7 +410,7 @@ def _curvature_reference(model, weights, metrics):
 
 
 def _kkt_reference(model, weights, state, metrics, gradient):
-    """Reference: the certificate's per-node terms, floor flags and normalized residual."""
+    """Reference: the certificate's per-node power residual and normalized residual."""
     delta_alloc, up, down = gradient
     p_node = metrics.node_power
     delta_gamma = p_node * (up - down)
@@ -434,7 +434,7 @@ def _kkt_reference(model, weights, state, metrics, gradient):
     gamma_scale = np.maximum(1.0, p_node * (up + down))
     normalized = float(max((spread / alloc_scale).max(initial=0.0),
                            (gamma_residual / gamma_scale).max(initial=0.0)))
-    return spread, gamma_residual, alloc_scale, gamma_scale, at_floor_g, floored, normalized
+    return gamma_residual, normalized
 
 
 @settings(max_examples=60, deadline=None)
@@ -463,27 +463,25 @@ def test_end_to_end_rows_equal_one_problem_references(seed, n, rows, zero_frac):
     met = phy.link_metrics_from_powers(m, p)
     links = phy.weighted_links(m, weights if rows > 1 else weights[0])
     objectives = phy.row_objectives(links.w, links.act, met, rows)
-    gradient = phy.marginal_gains(m, links, state.alloc, met)
     view = phy.weighted_view(links, state.alloc, met)
+    gradient = phy.weighted_gains(m, links, view)
     curvature = solver._curvature(links, view)
-    kkt = solver._kkt_residuals(links, state.exponent, view,
-                                (gradient[0][links.act], *gradient[1:]))
-    floored = np.zeros(rows * n_links, dtype=bool)      # the (E,) floor flags
-    floored[links.act] = kkt[5]
-    kkt = (*kkt[:5], floored, kkt[6])
+    kkt = solver._kkt_residuals(links, state.exponent, view, gradient)
     for b, (w, st) in enumerate(zip(weights, states)):
         on_links, on_nodes = slice(b * n_links, (b + 1) * n_links), slice(b * n, (b + 1) * n)
+        on_act = slice(b * count, (b + 1) * count)      # the row's weighted links
         ref = _link_metrics_reference(m, p[on_links])
         for name in ("inoise", "sinr", "capacity"):
             assert getattr(met, name)[on_links].tobytes() == getattr(ref, name).tobytes(), name
         assert met.node_power[on_nodes].tobytes() == ref.node_power.tobytes()
         assert objectives[b] == _objective_reference(w, ref)
         want = (_alloc_marginal_gain_full(m, w, ref), *_power_marginal_parts_full(m, w, st, ref))
-        for got, exp, part in zip(gradient, want, (on_links, on_nodes, on_nodes)):
+        for got, exp, part in zip(gradient, (want[0][w > 0], *want[1:]),
+                                  (on_act, on_nodes, on_nodes)):
             assert got[part].tobytes() == exp.tobytes()
         assert curvature[b].tobytes() == _curvature_reference(m, w, ref).tobytes()
         want = _kkt_reference(m, w, st, ref, want)
-        for got, exp, part in zip(kkt, want, (on_nodes,) * 5 + (on_links, b)):
+        for got, exp, part in zip(kkt, want, (on_nodes, b)):
             assert np.asarray(got[part]).tobytes() == np.asarray(exp).tobytes()
 
 

@@ -1,5 +1,7 @@
 """Projection, line-searched updates, protocol, KKT certificate, full solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies
@@ -582,6 +584,33 @@ def test_lockstep_rows_equal_single_solves(seed, n, tolerance, budget, centraliz
     _assert_lockstep_matches(m, np.array(rows), phy.random_power_state(m, rng), config)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
+       tolerance=strategies.sampled_from([1e-6, 1e-9]),
+       budget=strategies.sampled_from([0, 5, 70]), centralized=strategies.booleans())
+@example(seed=1, n=5, tolerance=1e-9, budget=70, centralized=True)
+def test_kkt_check_is_the_lockstep_certificate(seed, n, tolerance, budget, centralized):
+    """``kkt_check`` at the state a solve returns gives the solve's last
+    residual bit for bit, for a single solve and for every row of a
+    lockstep batch, on the diagonal step and the centralized step.  A solve
+    stopped by the stall rule keeps the residual of the iterate before (one
+    fewer residual than iterates plus one) and is left out."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n=n)
+    rows = np.array([random_weights(rng, m, zero_frac=f) for f in (0.1, 0.3, 0.6)])
+    config = SolverConfig(kkt_tolerance=tolerance, max_iterations=budget,
+                          centralized=centralized)
+    start = phy.random_power_state(m, rng)
+    solved = [solve_max_weight(m, rows[0], start, config),
+              *solve_max_weight_batch(m, rows, start, config)]
+    for w, (state, diag) in zip([rows[0], *rows], solved):
+        if len(diag.kkt_residuals) == diag.iterations:
+            continue
+        report = kkt_check(m, w, state, tolerance)
+        assert report.normalized == diag.kkt_residuals[-1]
+        assert report.passed == diag.converged
+
+
 def test_lockstep_rows_equal_single_cold_oracle_solves():
     """The verify oracle's cold solves at 1e-7, stalls included: on the
     diagonal step, and as the oracle makes them, centralized, on a 10-node
@@ -939,7 +968,7 @@ def _sequential_power_step(model, links, state, xi0, why):
     weights = weights.reshape(rows, n_links)
     alloc = state.alloc.reshape(rows, n_links)
     live = np.arange(rows)
-    for r in range(solver._MAX_BACKTRACKS):
+    for r in itertools.count():
         gamma = gamma0[live]
         new = np.clip(gamma + xi[live, None] * delta_gamma[live] / v[live],
                       model.gamma_floor, 1.0)
@@ -969,8 +998,6 @@ def _sequential_power_step(model, links, state, xi0, why):
         live = live[~floor]
         if not live.size:
             break
-    else:
-        why += [(solver._MAX_BACKTRACKS - 1, "cap")] * live.size
     return out_expo.reshape(-1), out_metrics, out_f, evals, xi_next, np.zeros(rows, dtype=bool)
 
 
@@ -1045,11 +1072,10 @@ def _checked_ladders(mp, seen):
     mp.setattr(solver, "power_step", power_step)
 
 
-def _solve_checked(seed, n, cap, min_step, tolerance, rounding=solver._ROUNDING_FLOOR):
+def _solve_checked(seed, n, min_step, tolerance, rounding=solver._ROUNDING_FLOOR):
     """Single and lockstep solves of random problems with every ladder
-    checked against its reference under a ``_MAX_BACKTRACKS`` (the power
-    step's ladder length) of ``cap``, a ``_MIN_STEP`` of ``min_step`` and a
-    ``_ROUNDING_FLOOR`` of ``rounding``; returns what the references saw."""
+    checked against its reference under a ``_MIN_STEP`` of ``min_step`` and
+    a ``_ROUNDING_FLOOR`` of ``rounding``; returns what the references saw."""
     rng = np.random.default_rng(seed)
     m = random_model(rng, n=n)
     # Rows sharing their weighted links advance in one lockstep batch.
@@ -1059,7 +1085,6 @@ def _solve_checked(seed, n, cap, min_step, tolerance, rounding=solver._ROUNDING_
     config = SolverConfig(kkt_tolerance=tolerance, max_iterations=60)
     seen = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_MAX_BACKTRACKS", cap)
         mp.setattr(solver, "_MIN_STEP", min_step)
         mp.setattr(solver, "_ROUNDING_FLOOR", rounding)
         _checked_ladders(mp, seen)
@@ -1071,14 +1096,13 @@ def _solve_checked(seed, n, cap, min_step, tolerance, rounding=solver._ROUNDING_
 
 @settings(max_examples=20, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
-       cap=strategies.sampled_from([80, 80, 3, 6, 20]),
        min_step=strategies.sampled_from([1e-14, 1e-14, 1e-4]),
        tolerance=strategies.sampled_from([1e-9, 1e-12]),
        rounding=strategies.sampled_from([1e-15, 1e-15, 0.0, 0.03]))
-def test_capped_ladders_equal_sequential_ladders(seed, n, cap, min_step, tolerance, rounding):
+def test_capped_ladders_equal_sequential_ladders(seed, n, min_step, tolerance, rounding):
     """States, evaluations, stepsizes, metrics and objectives of every
     ladder are bit for bit the round-by-round ones."""
-    _solve_checked(seed, n, cap, min_step, tolerance, rounding)
+    _solve_checked(seed, n, min_step, tolerance, rounding)
 
 
 def test_capped_ladders_cover_every_stop():
@@ -1094,10 +1118,9 @@ def test_capped_ladders_cover_every_stop():
     a raised ``_MIN_STEP`` and a raised rounding floor stand in for those
     stops."""
     seen = {}
-    for seed, n, cap, min_step, rounding in ((3, 4, 6, 1e-14, 0.0), (9, 4, 80, 1e-14, 0.03),
-                                             (7, 7, 80, 1e-14, 0.0), (1, 5, 80, 1.0, 0.0),
-                                             (4, 5, 80, 0.05, 0.0)):
-        for kind, why in _solve_checked(seed, n, cap, min_step, 1e-12, rounding).items():
+    for seed, n, min_step, rounding in ((9, 4, 1e-14, 0.03), (7, 7, 1e-14, 0.0),
+                                        (1, 5, 1.0, 0.0), (4, 5, 0.05, 0.0)):
+        for kind, why in _solve_checked(seed, n, min_step, 1e-12, rounding).items():
             seen.setdefault(kind, []).extend(why)
 
     def reasons(calls):
@@ -1106,13 +1129,12 @@ def test_capped_ladders_cover_every_stop():
     # The sweep's ladders stop at an accepted trial, at a trial that
     # predicts no gain, at the stepsize floor, or after their last round;
     # the power step's at an accepted trial, at the rounding floor, at the
-    # stepsize floor, at its cap of ``_MAX_BACKTRACKS`` trials, or when its
-    # step does not move.
+    # stepsize floor, or when its step does not move.
     sweep = {"accepted", "no gain", "floor", "rounds"}
     assert reasons(seen["sweep"]) == sweep
     assert reasons(sum(seen["lockstep sweep"], [])) == sweep
     power = seen["lockstep power step"]
-    assert reasons(sum(power, [])) == {"accepted", "rounding", "floor", "cap", "zero move"}
+    assert reasons(sum(power, [])) == {"accepted", "rounding", "floor", "zero move"}
     assert seen["power step"]
     assert any(len({r for r, _ in why}) > 1 for why in seen["lockstep sweep"])
     assert any(len({r for r, _ in why}) > 1 for why in power)
