@@ -373,9 +373,14 @@ def validate_traffic(traffic: TrafficSpec, n: int) -> list[str]:
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
-    return validate_model(scenario.model) + validate_traffic(
+    out = validate_model(scenario.model) + validate_traffic(
         scenario.traffic, scenario.model.n
     )
+    # A saved scenario writes its positions back out, and JSON has no
+    # Infinity or NaN.
+    if not np.all(np.isfinite(scenario.positions)):
+        out.append("positions must be finite")
+    return out
 
 
 def scenario_to_json(scenario: Scenario) -> str:

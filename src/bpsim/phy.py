@@ -70,10 +70,16 @@ Layout = namedtuple("Layout", "rows size src dst link_gain link_theta_gain link_
 
 def layout(model: NetworkModel, rows: int) -> Layout:
     """The model's layout over ``rows`` problems, built on first use and kept
-    on the model, so its arrays are read-only."""
+    on the model, so its arrays are read-only.  With a layout over more rows
+    at hand, its arrays' leading ``rows`` copies are sliced, not copied."""
     lay = model.layouts.get(rows)
-    if lay is None:
-        n = model.n
+    if lay is not None:
+        return lay
+    n = model.n
+    big = max(model.layouts, default=0)
+    if big > rows:
+        arrays = [a[:len(a) // big * rows] for a in model.layouts[big][2:]]
+    else:
         floor = end_to_end(model.gamma_floor, rows)
         arrays = [a.view() for a in (
             end_to_end(model.src, rows, n), end_to_end(model.dst, rows, n),
@@ -84,7 +90,7 @@ def layout(model: NetworkModel, rows: int) -> Layout:
             end_to_end(model.log_power_cap, rows).reshape(rows, n), floor.reshape(rows, n))]
         for a in arrays:
             a.setflags(write=False)
-        lay = model.layouts[rows] = Layout(rows, rows * n, *arrays)
+    lay = model.layouts[rows] = Layout(rows, rows * n, *arrays)
     return lay
 
 

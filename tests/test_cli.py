@@ -448,6 +448,21 @@ def test_run_rejects_infinite_model_values(tmp_path, capsys, field):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_run_rejects_non_finite_positions(tmp_path, capsys, value):
+    """Positions go back out into the run's scenario.json, and JSON has no
+    Infinity or NaN: the run stops at load with exit 2 and no --out."""
+    doc = _scenario_doc(tmp_path)
+    doc["positions"][1][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(bad), "--scheme", "iter-once",
+                 "--slots", "5", "--runs", "1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: invalid scenario: positions must be finite\n"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("value", ["two", "0", "-1"])
 def test_threads_env_rejects_non_positive_integers(tmp_path, monkeypatch, value):
     monkeypatch.setenv("BPSIM_THREADS", value)

@@ -563,3 +563,24 @@ def test_layout_is_built_once_per_model_and_row_count():
         assert (_solve_bits(solver.solve_max_weight(m, w, start, config))
                 == _solve_bits(solver.solve_max_weight(dataclasses.replace(m), w, start,
                                                        config)))
+
+
+def test_smaller_layout_slices_the_larger():
+    """A layout for fewer rows than one already built views the larger one's
+    arrays and equals, field by field, the layout a fresh model builds."""
+    import dataclasses
+
+    rng = np.random.default_rng(12)
+    m = random_model(rng, n=5)
+    big = phy.layout(m, 6)
+    for rows in (4, 1):
+        lay = phy.layout(m, rows)
+        ref = phy.layout(dataclasses.replace(m), rows)
+        assert lay.rows == ref.rows == rows and lay.size == ref.size
+        for a, b, whole in zip(lay[2:], ref[2:], big[2:]):
+            assert np.shares_memory(a, whole) and not a.flags.writeable
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    # A larger layout built later is its own; the smaller ones stay cached.
+    assert not np.shares_memory(phy.layout(m, 8).src, big.src)
+    assert phy.layout(m, 6) is big

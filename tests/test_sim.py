@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+from bpsim.errors import ConfigError
 from bpsim.model import Commodity, NetworkModel, Scenario, TrafficSpec, generate_scenario
 from bpsim.policy import RateAssignment
 from bpsim.sim import (SimConfig, SimTrace, arrival_tensor, default_sim_config, run_simulation,
@@ -167,15 +168,15 @@ def test_derived_virtual_rates_equal_per_slot_loop(build):
 
 
 def test_trace_fields_hold_no_per_queue_rates():
-    """Storage guard: among a trace's fields only the backlog and the
-    arrivals hold a value per slot and queue; the virtual rates are derived."""
+    """Storage guard: among a trace's fields only the backlog holds a value
+    per slot and queue; the arrivals and the virtual rates are derived."""
     sc = generate_scenario(5, 3.0, seed=6)
     tr = run_simulation(sc, "iter-once", 8, _quick_config(), seed=1)
     queue_shape = (sc.model.n, sc.traffic.n_commodities)
     per_queue = sorted(f.name for f in dataclasses.fields(tr)
                        if isinstance(getattr(tr, f.name), np.ndarray)
                        and getattr(tr, f.name).shape[1:] == queue_shape)
-    assert per_queue == ["arrivals", "backlog"]
+    assert per_queue == ["backlog"]
 
 
 def test_zero_arrivals_zero_trace():
@@ -545,19 +546,65 @@ def test_step_queues_property_matches_two_loop_reference(seed):
     assert np.all(res.backlog[~mask] == 0.0)
 
 
-def test_step_queues_matches_two_loop_reference_at_relay_scale():
+@pytest.fixture(scope="module")
+def relay_trace():
+    """A 400-slot iter-once run on the benchmark's relay network (40 nodes)."""
+    sc = generate_scenario(40, 0.05, 2000)
+    return run_simulation(sc, "iter-once", 400, default_sim_config(), seed=100)
+
+
+def test_step_queues_matches_two_loop_reference_at_relay_scale(relay_trace):
     """Every slot of a recorded iter-once run on a 40-node network (the
     benchmark's relay scenario), where few links serve each slot: bit-equal
     to the two-loop reference and to the recorded next backlog."""
-    sc = generate_scenario(40, 0.05, 2000)
-    tr = run_simulation(sc, "iter-once", 400, default_sim_config(), seed=100)
-    model, traffic = sc.model, sc.traffic
+    tr = relay_trace
+    model, traffic = tr.scenario.model, tr.scenario.traffic
     assert 0 < np.count_nonzero(tr.rate > 0) < tr.rate.size // 2
+    arrivals = tr.arrivals      # re-drawn on each read
     for t in range(tr.slots):
         rates = RateAssignment(rate=tr.rate[t], commodity=tr.commodity[t])
-        res = step_queues(tr.backlog[t], rates, tr.arrivals[t], traffic, model)
+        res = step_queues(tr.backlog[t], rates, arrivals[t], traffic, model)
         ref_backlog, ref_served, ref_absorbed = _step_queues_two_loops(
-            tr.backlog[t], rates, tr.arrivals[t], traffic, model)
+            tr.backlog[t], rates, arrivals[t], traffic, model)
         assert res.backlog.tobytes() == ref_backlog.tobytes() == tr.backlog[t + 1].tobytes()
         assert res.served.tobytes() == ref_served.tobytes() == tr.served[t].tobytes()
         assert res.absorbed == ref_absorbed
+
+
+def test_relay_trace_stores_at_most_7_5_mb(relay_trace):
+    """Storage guard: the arrivals are re-drawn, not stored, so a 400-slot
+    relay trace's arrays hold the backlog (5.1 MB) and the per-link columns."""
+    stored = sum(v.nbytes for v in vars(relay_trace).values() if isinstance(v, np.ndarray))
+    assert stored <= 7.5e6
+
+
+@pytest.mark.parametrize("scheme", ["instant", "iter-conv", "iter-once"])
+@pytest.mark.parametrize("net", [(10, 4.0, 1000), (40, 0.05, 2000)])
+def test_trace_arrivals_equal_what_the_run_stepped(monkeypatch, scheme, net):
+    """The re-drawn ``trace.arrivals`` is, bit for bit, what each slot's
+    step_queues call was handed, on a paper network and on relay's."""
+    import bpsim.sim as sim
+
+    stepped = []
+
+    def recording(backlog, rates, arrivals, traffic, model):
+        stepped.append(arrivals.copy())
+        return step_queues(backlog, rates, arrivals, traffic, model)
+
+    monkeypatch.setattr(sim, "step_queues", recording)
+    tr = run_simulation(generate_scenario(*net), scheme, 40, _quick_config(), seed=7)
+    got = tr.arrivals
+    assert len(stepped) == 40 and got.shape == (40,) + stepped[0].shape
+    assert got.tobytes() == np.stack(stepped).tobytes()
+    assert got.sum() > 0
+
+
+def test_trace_arrivals_raise_when_the_scenario_changed():
+    """A scenario whose arrival means change after the run no longer draws
+    the run's arrivals; reading them raises instead of returning others."""
+    sc = generate_scenario(5, 3.0, seed=6)
+    tr = run_simulation(sc, "iter-once", 20, _quick_config(), seed=2)
+    tr.arrivals
+    sc.traffic.arrival_mean[sc.traffic.arrival_mean > 0] *= 2.0
+    with pytest.raises(ConfigError, match="no longer draws the run's arrivals"):
+        tr.arrivals
