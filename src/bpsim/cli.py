@@ -9,14 +9,15 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.  The
 environment variable BPSIM_THREADS caps the number of parallel runs.
 ``run`` writes each run's trace as the run ends, into a staging directory
 beside ``--out``, and moves the files into ``--out`` once every run is done:
-a run that fails leaves no ``--out`` and no staging directory.
+a run that fails leaves no ``--out`` and no staging directory.  ``verify``
+reads its trace with ``sim.read_trace_csv``: a file ``run`` could not have
+written ends with exit code 2, naming its line and column, before any solve.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -31,9 +32,11 @@ import numpy as np
 from .errors import ConfigError, NumericDomainError
 from .model import Scenario, generate_scenario, load_scenario, reserve, save_scenario
 from .policy import SCHEME_NAMES
-from .sim import SimConfig, curve_to_csv, default_sim_config, run_simulation, trace_to_csv
+from .sim import (SimConfig, curve_to_csv, default_sim_config, read_trace_csv, run_simulation,
+                  trace_to_csv)
 from .solver import SolverConfig
-from .stability import RateRegionOracle, check_drift_condition, estimate_epsilon
+from .stability import (REPORT_HEADER, RateRegionOracle, check_drift_condition,
+                        estimate_epsilon)
 
 _PLOT_STUB = """\
 #!/usr/bin/env python3
@@ -224,42 +227,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _read_trace_csv(path: Path) -> tuple[list[dict], list[str]]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            return list(reader), list(reader.fieldnames or [])
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-
-
-def _trace_columns(rows: list[dict], fields: list[str], cols: list[str]) -> np.ndarray:
-    """(len(rows), len(cols)) values of the named trace columns.
-
-    Every cell must hold a finite number; the error names the first one that
-    does not, by column and by line of the file (the header is line 1).
-    """
-    for c in cols:
-        if c not in fields:
-            raise ConfigError(f"trace has no {c!r} column")
-    try:
-        out = np.array([[float(r[c]) for c in cols] for r in rows]).reshape(len(rows), len(cols))
-    except (TypeError, ValueError):
-        out = None
-    if out is None or not np.isfinite(out).all():
-        for line, r in enumerate(rows, start=2):
-            for c in cols:
-                cell = r[c]
-                try:
-                    ok = math.isfinite(float(cell))
-                except (TypeError, ValueError):
-                    ok = False
-                if not ok:
-                    what = "is missing" if cell is None else f"is not a finite number: {cell!r}"
-                    raise ConfigError(f"trace line {line}, column {c!r} {what}")
-    return out
-
-
 def cmd_verify(args) -> int:
     for flag, value in (("--epsilon", args.epsilon), ("--eps0", args.eps0)):
         # NaN fails the comparison, so it is rejected with the infinities.
@@ -271,34 +238,15 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"{flag} must be a positive integer, got {value}")
     _require_nonnegative_seed("--sample-seed", args.sample_seed)
     scenario = load_scenario(args.scenario)
-    rows, fields = _read_trace_csv(Path(args.trace))
+    lyap, lam, flat = read_trace_csv(args.trace, scenario)
     out = Path(args.out)
-    if not rows:
-        out.write_text("slot,V,omega,lhs,violation\n", encoding="utf-8", newline="\n")
+    if not lyap.size:
+        out.write_text(REPORT_HEADER, encoding="utf-8", newline="\n")
         print("empty trace; wrote empty report")
         return 0
-    qcols = [c for c in fields if c.startswith("u_")]
-    if not qcols:
+    if flat is None:
         raise ConfigError(
             "trace has no per-queue columns; rerun the experiment with --per-queue")
-    n = scenario.model.n
-    nk = scenario.traffic.n_commodities
-    if len(qcols) != n * nk:
-        raise ConfigError("per-queue columns do not match the scenario size")
-    flat = _trace_columns(rows, fields, qcols)
-    # Backlogs are not negative (-0.0 is a zero backlog); the audit of a
-    # trace that says otherwise would be meaningless, so it stops before any solve.
-    negative = np.flatnonzero(flat < 0)
-    if negative.size:
-        line, col = divmod(int(negative[0]), len(qcols))
-        raise ConfigError(f"trace line {line + 2}, column {qcols[col]!r} is a negative "
-                          f"backlog: {rows[line][qcols[col]]!r}")
-    lyap = _trace_columns(rows, fields, ["V"])[:, 0]
-    # The final boundary row carries no drift cells.
-    lam_col = _trace_columns(rows[:-1], fields, ["lambda_term"])[:, 0]
-    if not lam_col.size:
-        raise ConfigError("trace lacks lambda_term values")
-    lam = float(lam_col.max())
 
     rng = np.random.default_rng(args.sample_seed)
     oracle = RateRegionOracle(scenario.model, scenario.traffic)
@@ -309,7 +257,7 @@ def cmd_verify(args) -> int:
         print(f"sampled upper bound on the interior margin eps = {float(eps)!r}")
     if eps <= 0:
         raise ConfigError("arrival point has no positive interior margin")
-    report = check_drift_condition(oracle, a, eps, lam, args.eps0, lyap, flat, rng,
+    report = check_drift_condition(oracle, a, eps, float(lam.max()), args.eps0, lyap, flat, rng,
                                    direction_samples=args.direction_samples)
     out.write_text(report.to_csv(), encoding="utf-8", newline="\n")
     print(f"checked {len(report.checked)} slots above omega={report.omega!r}; "

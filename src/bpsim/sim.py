@@ -27,8 +27,11 @@ recorded alongside for diagnostics.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import TextIO
 
 import numpy as np
@@ -298,18 +301,27 @@ def run_simulation(scenario: Scenario, scheme: str | MdbScheme, slots: int,
     )
 
 
-def trace_to_csv(trace: SimTrace, out: TextIO, per_queue: bool = False) -> None:
-    """Write a trace to ``out`` in the documented column layout, row by row.
+# The trace CSV layout: these seven columns, then with ``per_queue`` one
+# ``u_<node>_<commodity>`` column per queue, node-major.  The four drift
+# columns describe the transition out of a slot, so the last row leaves them empty.
+_COLUMNS = ("slot", "total_backlog", "V", "realized_drift", "drift_bound",
+            "drift_bound_nominal", "lambda_term")
+_V, _LAMBDA = _COLUMNS.index("V"), _COLUMNS.index("lambda_term")
+_DRIFT = slice(_COLUMNS.index("realized_drift"), _LAMBDA + 1)
 
-    Drift columns describe the transition out of each slot; the final
-    boundary row carries empty drift cells.
+
+def _header(n: int, nk: int, per_queue: bool) -> list[str]:
+    return [*_COLUMNS, *(f"u_{i}_{k}" for i in range(n) for k in range(nk) if per_queue)]
+
+
+def trace_to_csv(trace: SimTrace, out: TextIO, per_queue: bool = False) -> None:
+    """Write a trace to ``out`` in the trace CSV layout, row by row.
+
+    Row t holds slot t's boundary values and the drift columns of the
+    transition out of it; the final boundary row carries empty drift cells.
+    ``read_trace_csv`` reads what this writes.
     """
-    header = ["slot", "total_backlog", "V", "realized_drift", "drift_bound",
-              "drift_bound_nominal", "lambda_term"]
-    if per_queue:
-        n, nk = trace.backlog.shape[1], trace.backlog.shape[2]
-        header += [f"u_{i}_{k}" for i in range(n) for k in range(nk)]
-    out.write(",".join(header) + "\n")
+    out.write(",".join(_header(*trace.backlog.shape[1:], per_queue)) + "\n")
     flat = trace.queue_vectors()
     # Cells come from tolist(), a row at a time so that only one row's
     # Python floats are alive: repr of a Python float is repr(float(x)).
@@ -320,6 +332,66 @@ def trace_to_csv(trace: SimTrace, out: TextIO, per_queue: bool = False) -> None:
         row = [str(t), *map(repr, head[t])]
         row += map(repr, drift[t]) if t < trace.slots else ["", "", "", ""]
         out.write(",".join(row) + (_queue_cells(flat[t]) if per_queue else "") + "\n")
+
+
+def read_trace_csv(path, scenario: Scenario) -> tuple[np.ndarray, np.ndarray,
+                                                       np.ndarray | None]:
+    """The (rows,) V column, the lambda_term of every row but the last and the
+    (rows, n*K) per-queue backlogs (None without them) of a trace CSV that
+    ``trace_to_csv`` wrote for ``scenario``.
+
+    Raises ConfigError, naming the line (the header is line 1) and column,
+    for what the writer could not have written: another header, a row of
+    another length, a slot cell that is not its row's index, one row alone,
+    drift cells on the last row, a cell that is not a finite number, or a
+    negative backlog (-0.0 is zero), which would make a drift audit meaningless.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = [*csv.reader(fh)] or [[]]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
+    n, nk = scenario.model.n, scenario.traffic.n_commodities
+    fixed, width = len(_COLUMNS), len(header)
+    expected = _header(n, nk, width > fixed)
+    if header != expected:
+        col = next(c for c, (f, e) in enumerate(zip_longest(header, expected)) if f != e)
+        found, want = (repr(h[col]) if col < len(h) else "end of line" for h in (header, expected))
+        raise ConfigError(f"trace line 1, column {col + 1}: expected {want}, found {found}; "
+                          f"the scenario has {n} nodes and {nk} commodities")
+    if len(rows) == 1:
+        raise ConfigError(f"trace line 2 is the only row, so no row has {header[_LAMBDA]!r}")
+    values = np.empty((len(rows), width))
+    for t, row in enumerate(rows):
+        if len(row) < width:
+            raise ConfigError(f"trace line {t + 2}, column {header[len(row)]!r} is missing")
+        if len(row) > width:
+            raise ConfigError(f"trace line {t + 2} has {len(row)} cells, the header {width}")
+        if row[0] != str(t):
+            raise ConfigError(f"trace line {t + 2}, column {header[0]!r}: expected {str(t)!r}, "
+                              f"found {row[0]!r}")
+        if t == len(rows) - 1 and any(row[_DRIFT]):
+            raise ConfigError(f"trace line {t + 2} is the last row, whose drift cells are "
+                              f"empty, not {row[_DRIFT]}")
+        try:
+            values[t] = row
+        except ValueError:          # a cell that is not a number reads as NaN
+            values[t] = [_number(cell) for cell in row]
+    values[-1:, _DRIFT] = 0.0       # the last row's empty drift cells
+    for t, c in np.argwhere(~np.isfinite(values))[:1]:
+        raise ConfigError(f"trace line {t + 2}, column {header[c]!r} is not a finite number: "
+                          f"{rows[t][c]!r}")
+    for t, c in np.argwhere(values[:, fixed:] < 0)[:1]:
+        raise ConfigError(f"trace line {t + 2}, column {header[fixed + c]!r} is a negative "
+                          f"backlog: {rows[t][fixed + c]!r}")
+    return values[:, _V], values[:-1, _LAMBDA], values[:, fixed:] if width > fixed else None
+
+
+def _number(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
 def _queue_cells(row: np.ndarray) -> str:

@@ -255,6 +255,10 @@ def omega_threshold(eps: float, eps0: float, lam: float, alpha: float) -> float:
     return float(max(omega1, omega2))
 
 
+# The drift report CSV's header; alone, the report of a trace without slots.
+REPORT_HEADER = "slot,V,omega,lhs,violation\n"
+
+
 @dataclass
 class DriftCheckRow:
     slot: int
@@ -277,7 +281,7 @@ class DriftCheckReport:
         return sum(r.violation for r in self.checked)
 
     def to_csv(self) -> str:
-        lines = ["slot,V,omega,lhs,violation"]
+        lines = [REPORT_HEADER.rstrip("\n")]
         for r in self.checked:
             lines.append(
                 f"{r.slot},{r.lyapunov!r},{self.omega!r},{r.lhs!r},{int(r.violation)}")
@@ -291,8 +295,9 @@ def check_drift_condition(oracle: RateRegionOracle, a: np.ndarray, eps: float,
     """Audit the negative-drift condition over a recorded trajectory.
 
     ``lyapunov`` is the (slots+1,) V column of a trace and ``queues`` the
-    (slots+1, n*K) per-queue backlogs (``SimTrace.lyapunov`` and
-    ``SimTrace.queue_vectors()``, or the columns of a trace CSV).  For every
+    (slots+1, n*K) per-queue backlogs: ``SimTrace.lyapunov`` and
+    ``SimTrace.queue_vectors()``, or what ``sim.read_trace_csv`` reads of the
+    run's trace CSV, which are the same arrays bit for bit.  For every
     slot whose Lyapunov value exceeds the compact-region level,
     evaluates 2 u_t.(a - R*(u_{t-1})) - ||u_t - u_{t-1}||^2 + lam and flags
     values above -eps0.  The arrival point must be verifiably interior:

@@ -642,3 +642,57 @@ def test_verify_rejects_trace_without_lambda_before_estimating(run_dir, tmp_path
     captured = capsys.readouterr()
     assert "interior margin" not in captured.out
     assert "lambda_term" in captured.err
+
+
+def _swap_header_names(lines):
+    lines[0] = lines[0].replace("total_backlog,V,", "V,total_backlog,", 1)
+
+
+def _swap_rows(lines):
+    lines[3], lines[4] = lines[4], lines[3]
+
+
+def _extra_cell(lines):
+    lines[5] += ",0.0"
+
+
+def _transpose_queue_names(lines):
+    # Commodity-major names on a node-major layout: the same set of names.
+    lines[0] = ",".join(f"u_{c.split('_')[2]}_{c.split('_')[1]}" if c.startswith("u_") else c
+                        for c in lines[0].split(","))
+
+
+def _empty_file(lines):
+    # Zero bytes: not even the header that a run without slots writes.
+    lines[:] = [""]
+
+
+@pytest.mark.parametrize("corrupt,told", [
+    (_swap_header_names, ["line 1", "expected 'total_backlog', found 'V'"]),
+    (_swap_rows, ["line 4", "expected '2', found '3'"]),
+    (_extra_cell, ["line 6", "cells"]),
+    (_transpose_queue_names, ["line 1", "expected 'u_0_1', found 'u_1_0'"]),
+    (_empty_file, ["line 1", "expected 'slot', found end of line"]),
+])
+def test_verify_rejects_what_run_cannot_write_before_solving(run_dir, tmp_path, capsys,
+                                                            monkeypatch, corrupt, told):
+    """A trace that ``run`` could not have written ends ``verify`` with exit
+    code 2, naming the line or the expected and the found column, before the
+    margin estimate or any oracle solve."""
+    from bpsim import cli, solver
+
+    def solve(*args, **kwargs):
+        raise AssertionError("reached a solve")
+
+    monkeypatch.setattr(solver, "_solve_rows", solve)
+    monkeypatch.setattr(cli, "estimate_epsilon", solve)
+    _, scen, out = run_dir
+    lines = (out / "trace_iter-conv_run0.csv").read_text().split("\n")
+    corrupt(lines)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines))
+    assert _verify(scen, bad, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert all(t in captured.err for t in told), captured.err
+    assert "interior margin" not in captured.out
+    assert not (tmp_path / "r.csv").exists()

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies
 from bpsim.errors import ConfigError
 from bpsim.model import Commodity, NetworkModel, Scenario, TrafficSpec, generate_scenario
 from bpsim.policy import RateAssignment
-from bpsim.sim import (SimConfig, SimTrace, arrival_tensor, default_sim_config, run_simulation,
-                       step_queues, trace_to_csv, virtual_rates)
+from bpsim.sim import (SimConfig, SimTrace, arrival_tensor, default_sim_config, read_trace_csv,
+                       run_simulation, step_queues, trace_to_csv, virtual_rates)
 from bpsim.solver import SolverConfig
 
 from conftest import average_runs, positions_model, tandem_scenario
@@ -394,6 +394,26 @@ def test_trace_csv_equals_per_cell_rendering(per_queue):
               "drift_bound_nominal", "lambda_term")
     weird = dataclasses.replace(tr, **{f: cells(getattr(tr, f).shape) for f in fields})
     assert _csv(weird, per_queue) == _per_cell_csv(weird, per_queue)
+
+
+@pytest.mark.parametrize("scheme", ["instant", "iter-conv", "iter-once"])
+def test_read_trace_csv_returns_the_runs_arrays(tmp_path, scheme):
+    """What ``read_trace_csv`` reads of a written trace is, bit for bit, the
+    run's V column, its lambda terms (the last row carries none) and its
+    queue vectors, or None for the queues when the file has none."""
+    sc = generate_scenario(10, 4.0, 1000)
+    tr = run_simulation(sc, scheme, 40, _quick_config(), seed=7)
+    for per_queue in (False, True):
+        path = tmp_path / f"trace_{per_queue}.csv"
+        path.write_text(_csv(tr, per_queue), encoding="utf-8")
+        lyap, lam, queues = read_trace_csv(path, sc)
+        assert lyap.tobytes() == tr.lyapunov.tobytes() and lyap.shape == (41,)
+        assert lam.tobytes() == tr.lambda_term.tobytes() and lam.shape == (40,)
+        if per_queue:
+            assert queues.tobytes() == tr.queue_vectors().tobytes()
+            assert queues.shape == (41, 100) and queues.any()
+        else:
+            assert queues is None
 
 
 # Queue cells the renderer must pass through repr, not the zero runs.
