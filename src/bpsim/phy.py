@@ -62,10 +62,11 @@ def end_to_end(x: np.ndarray, rows: int, stride: int | None = None) -> np.ndarra
 # The model's constants laid end to end over B problems (views of its own
 # arrays at B = 1): rows; size B*n; (B*E,) src, dst (b*n + node), link_gain,
 # link_theta_gain, link_noise, link_kg; (B*n,) power_cap, keep_theta
-# (1 - theta), floor_bound (floor + BOUND_TOL), no_high and no_low (-inf,
-# inf: to copy); (B, n) log_power_cap and gamma_floor.
+# (1 - theta), floor_bound (floor + BOUND_TOL); (B*E,) no_capacity and
+# (2*B*n,) no_ends (-inf: to copy); (B, n) log_power_cap and gamma_floor.
 Layout = namedtuple("Layout", "rows size src dst link_gain link_theta_gain link_noise link_kg"
-                    " power_cap keep_theta floor_bound no_high no_low log_power_cap gamma_floor")
+                    " power_cap keep_theta floor_bound no_capacity no_ends log_power_cap"
+                    " gamma_floor")
 
 
 def layout(model: NetworkModel, rows: int) -> Layout:
@@ -86,7 +87,8 @@ def layout(model: NetworkModel, rows: int) -> Layout:
             *(end_to_end(x, rows) for x in (
                 model.link_gain, model.link_theta_gain, model.link_noise, model.link_kg,
                 model.power_cap, 1.0 - model.theta)),
-            floor + BOUND_TOL, np.full(rows * n, -np.inf), np.full(rows * n, np.inf),
+            floor + BOUND_TOL, np.full(rows * model.n_links, -np.inf),
+            np.full(2 * rows * n, -np.inf),
             end_to_end(model.log_power_cap, rows).reshape(rows, n), floor.reshape(rows, n))]
         for a in arrays:
             a.setflags(write=False)
@@ -166,15 +168,12 @@ def link_metrics_from_powers(model: NetworkModel, p: np.ndarray,
         raise NumericDomainError(f"interference-plus-noise is not positive and finite"
                                  f" on link {model.links[bad]}")
     sinr = lay.link_kg * p / inoise
-    # log(0) is the -inf wanted without power.  A NaN, which fails the
-    # comparison, comes from a NaN or negative SINR: only then look closer.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        capacity = np.log(sinr)
-    if not np.maximum.reduce(capacity) >= -np.inf:
-        if np.isnan(sinr).any():
-            bad = int(np.argmax(np.isnan(sinr))) % model.n_links
-            raise NumericDomainError(f"non-finite capacity on link {model.links[bad]}")
-        capacity = np.log(sinr, out=np.full_like(sinr, -np.inf), where=sinr > 0)
+    # NaN fails the comparison, so only a NaN SINR fails here.
+    if not np.maximum.reduce(sinr) >= -np.inf:
+        bad = int(np.argmax(np.isnan(sinr))) % model.n_links
+        raise NumericDomainError(f"non-finite capacity on link {model.links[bad]}")
+    # A link without power, or with a negative SINR, has capacity -inf.
+    capacity = np.log(sinr, out=lay.no_capacity.copy(), where=sinr > 0)
     return LinkMetrics(p, inoise, sinr, capacity, tx_total)
 
 
@@ -208,7 +207,7 @@ def by_row(rows: int, blocks: list | None, fn, *xs: np.ndarray) -> np.ndarray:
 
 def _row_dots(rows: int, w: np.ndarray, c: np.ndarray) -> np.ndarray:
     """(rows,) dot products of ``w`` and ``c``, each ``rows`` equal parts laid end to end."""
-    return np.matmul(w.reshape(rows, 1, -1), c.reshape(rows, -1, 1)).reshape(rows)
+    return np.matmul(w.reshape(rows, 1, -1), c.reshape(rows, -1, 1))[:, 0, 0]
 
 
 def row_objectives(w: np.ndarray, act: np.ndarray, metrics: LinkMetrics,
@@ -255,6 +254,7 @@ class WeightedLinks:
     has_active: np.ndarray  # (B*n,) bool
     gain_rows: np.ndarray   # (E_a, n) gain from every node to each link's receiver
     own_slot: np.ndarray    # flat index in gain_rows of each link's own transmitter
+    node_ends: np.ndarray   # (2, E_a) src and B*n + src
     # Per weighted-link count, the problems with that count and the positions
     # of their weighted links; None when every problem weighs as many links.
     blocks: list | None = None
@@ -283,9 +283,11 @@ def weighted_links(model: NetworkModel, weights: np.ndarray) -> WeightedLinks:
             for c in sizes:
                 ids = np.flatnonzero(counts == c)
                 blocks.append((ids, (starts[ids, None] + np.arange(c)).reshape(-1)))
-    return WeightedLinks(rows=rows, lay=lay, act=act, src=lay.src[act], dst=lay.dst[act], w=w,
+    src = lay.src[act]
+    return WeightedLinks(rows=rows, lay=lay, act=act, src=src, dst=lay.dst[act], w=w,
                          gain=g, gain_rows=model.gain.T[model.dst[link]],
                          own_slot=np.arange(act.size) * n + model.src[link],
+                         node_ends=np.stack((src, src + rows * n)),
                          w_theta_g=w * model.link_theta[link] * g,
                          theta_g=model.link_theta_gain[link], m_node=m_node,
                          has_active=m_node > 0, blocks=blocks)

@@ -132,18 +132,20 @@ class IterativeScheme(MdbScheme):
     def step(self, backlog):
         weights = compute_weights(backlog, self.traffic, self.model)
         state, diag = solve_max_weight(self.model, weights.weight, self.power,
-                                       self.config, collect_rates=True)
+                                       self.config, collect_rates=self.integrate_mean)
         self.power = state
-        trace = diag.capacity_trace
         if self.integrate_mean:
             # Iterate k's capacities hold for one of `iterations` equal
             # intervals; after early convergence the last iterate persists.
+            trace = diag.capacity_trace
             samples = trace[: self.iterations]
             cap = np.sum(samples, axis=0)
             cap += (self.iterations - len(samples)) * trace[-1]
             cap /= self.iterations
         else:
-            cap = trace[-1]
+            # The returned state's capacities; rates_from_power clips them as
+            # the trace would.  No weighted link: nothing is served.
+            cap = np.zeros(self.model.n_links) if diag.metrics is None else diag.metrics.capacity
         return rates_from_power(cap, weights), diag
 
 

@@ -31,7 +31,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import TextIO
 
 import numpy as np
@@ -345,12 +345,33 @@ def read_trace_csv(path, scenario: Scenario) -> tuple[np.ndarray, np.ndarray,
     another length, a slot cell that is not its row's index, one row alone,
     drift cells on the last row, a cell that is not a finite number, or a
     negative backlog (-0.0 is zero), which would make a drift audit meaningless.
+
+    A first pass counts the lines (and meets one that cannot be decoded
+    before any check does), so the second parses each row into its place as
+    it reads it; only a bad cell's text is read again, for its message.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            header, *rows = [*csv.reader(fh)] or [[]]
+            count = sum(1 for _ in fh) - 1     # the rows, unless a quoted cell spans lines
+            fh.seek(0)
+            rows = csv.reader(fh)
+            header = next(rows, [])
+            values = _parse_rows(rows, header, max(count, 0), scenario)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
+    fixed, width = len(_COLUMNS), len(header)
+    for t, c in np.argwhere(~np.isfinite(values))[:1]:
+        raise ConfigError(f"trace line {t + 2}, column {header[c]!r} is not a finite number: "
+                          f"{_cell(path, t + 2, c)!r}")
+    for t, c in np.argwhere(values[:, fixed:] < 0)[:1]:
+        raise ConfigError(f"trace line {t + 2}, column {header[fixed + c]!r} is a negative "
+                          f"backlog: {_cell(path, t + 2, fixed + c)!r}")
+    return values[:, _V], values[:-1, _LAMBDA], values[:, fixed:] if width > fixed else None
+
+
+def _parse_rows(rows, header: list[str], count: int, scenario: Scenario) -> np.ndarray:
+    """The rows after ``header``, at most ``count``, as one array, checked as
+    they are read for what ``read_trace_csv`` refuses of a row's layout."""
     n, nk = scenario.model.n, scenario.traffic.n_commodities
     fixed, width = len(_COLUMNS), len(header)
     expected = _header(n, nk, width > fixed)
@@ -359,9 +380,10 @@ def read_trace_csv(path, scenario: Scenario) -> tuple[np.ndarray, np.ndarray,
         found, want = (repr(h[col]) if col < len(h) else "end of line" for h in (header, expected))
         raise ConfigError(f"trace line 1, column {col + 1}: expected {want}, found {found}; "
                           f"the scenario has {n} nodes and {nk} commodities")
-    if len(rows) == 1:
+    if count == 1:
         raise ConfigError(f"trace line 2 is the only row, so no row has {header[_LAMBDA]!r}")
-    values = np.empty((len(rows), width))
+    values = np.empty((count, width))
+    t = -1
     for t, row in enumerate(rows):
         if len(row) < width:
             raise ConfigError(f"trace line {t + 2}, column {header[len(row)]!r} is missing")
@@ -370,21 +392,23 @@ def read_trace_csv(path, scenario: Scenario) -> tuple[np.ndarray, np.ndarray,
         if row[0] != str(t):
             raise ConfigError(f"trace line {t + 2}, column {header[0]!r}: expected {str(t)!r}, "
                               f"found {row[0]!r}")
-        if t == len(rows) - 1 and any(row[_DRIFT]):
-            raise ConfigError(f"trace line {t + 2} is the last row, whose drift cells are "
-                              f"empty, not {row[_DRIFT]}")
         try:
             values[t] = row
         except ValueError:          # a cell that is not a number reads as NaN
             values[t] = [_number(cell) for cell in row]
+        drift = row[_DRIFT]
+    if t >= 0 and any(drift):
+        raise ConfigError(f"trace line {t + 2} is the last row, whose drift cells are "
+                          f"empty, not {drift}")
+    values = values[:t + 1]
     values[-1:, _DRIFT] = 0.0       # the last row's empty drift cells
-    for t, c in np.argwhere(~np.isfinite(values))[:1]:
-        raise ConfigError(f"trace line {t + 2}, column {header[c]!r} is not a finite number: "
-                          f"{rows[t][c]!r}")
-    for t, c in np.argwhere(values[:, fixed:] < 0)[:1]:
-        raise ConfigError(f"trace line {t + 2}, column {header[fixed + c]!r} is a negative "
-                          f"backlog: {rows[t][fixed + c]!r}")
-    return values[:, _V], values[:-1, _LAMBDA], values[:, fixed:] if width > fixed else None
+    return values
+
+
+def _cell(path, line: int, col: int) -> str:
+    """The text of one cell of a CSV file; the first line is line 1."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return next(islice(csv.reader(fh), line - 1, None))[col]
 
 
 def _number(cell: str) -> float:

@@ -54,6 +54,8 @@ _SEQUENTIAL_ROUNDS = 3
 # The certificate's bounds: allocations pinned at the floor, exponents at the cap.
 _ALLOC_AT_FLOOR = ETA_FLOOR * (1.0 + 1e-6)
 _EXPONENT_AT_CAP = 1.0 - BOUND_TOL
+# A gain and its negation: a node's largest and smallest gain in one maximum.
+_SIGNS = np.array([[1.0], [-1.0]])
 # Iterates in a row that leave the objective bit for bit unchanged before a
 # solve gives up (see _solve_rows).
 _STALL_ITERATES = 12
@@ -226,14 +228,14 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     optimum has active, and the link then climbs back a few doublings per
     sweep, since its scaling ``w / a**2`` shrinks with it.
     """
-    rows, n, a = links.rows, model.n, at.alloc
+    rows, size, a = links.rows, links.lay.size, at.alloc
     invq, local, grad, cap, beta = _armijo_terms(links, at, delta, beta0)
-    iq_sums = _invq_sums(links.src, invq, rows * n)
+    iq_sums = _invq_sums(links.src, invq, size)
     # The projection is the same for gains shifted by a constant per node.
     # Centred on their invq-weighted mean, they leave the trial targets near
     # the split, so the trial points carry the rounding of the split rather
     # than of a target far outside the simplex.
-    delta = delta - (np.bincount(links.src, weights=invq * delta, minlength=rows * n)
+    delta = delta - (np.bincount(links.src, weights=invq * delta, minlength=size)
                      / iq_sums)[links.src]
     floor = np.maximum(_ALLOC_SHRINK * a, ETA_FLOOR)
     evals = np.zeros(rows, dtype=int)
@@ -246,10 +248,10 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     x_out = a
     for _ in range(_SEQUENTIAL_ROUNDS):
         target = a + beta[links.src] * delta * invq
-        x = _project_alloc_nodes(links.src, rows * n, target, invq, floor, iq_sums)
+        x = _project_alloc_nodes(links.src, size, target, invq, floor, iq_sums)
         change = local(x)
         evals += live
-        gain = np.bincount(links.src, weights=grad * (x - a), minlength=rows * n)
+        gain = np.bincount(links.src, weights=grad * (x - a), minlength=size)
         ok, end = _armijo_test(change, gain)
         took = ok & waiting
         x_out = np.where(took[links.src], x, x_out)
@@ -258,11 +260,11 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
         if not np.count_nonzero(waiting):
             break
         beta = np.where(waiting, beta * ARMIJO_SHRINK, beta)
-        live = ~(np.maximum.reduce(np.where(waiting, beta, 0.0).reshape(rows, n), axis=1)
+        live = ~(np.maximum.reduce(np.where(waiting, beta, 0.0).reshape(rows, -1), axis=1)
                  < _MIN_STEP)
         if np.count_nonzero(live) < rows:
             # A stopped problem's unaccepted nodes leave their ladders.
-            waiting &= np.repeat(live, n)
+            waiting &= np.repeat(live, size // rows)
             if not np.count_nonzero(live):
                 break
     out = state.alloc.copy()
@@ -302,7 +304,7 @@ def _curvature(links: WeightedLinks, at: WeightedView, full: bool = False) -> np
     rows, n = links.rows, links.gain_rows.shape[1]
     p = at.metrics.node_power
     contrib = links.gain_rows * (p if rows == 1 else p.reshape(rows, n)[links.src // n])
-    np.put(contrib, links.own_slot, links.theta_g * (at.src_power - at.power))
+    contrib.put(links.own_slot, links.theta_g * (at.src_power - at.power))
     s = contrib / at.inoise[:, None]
     w = links.w[:, None]
     diagonal = by_row(rows, links.blocks, _link_sums, (s * (1.0 - s)) * w)
@@ -319,7 +321,8 @@ def _power_direction(model: NetworkModel, links: WeightedLinks, at: WeightedView
     with ``full`` the (B, n, n) curvature (see ``_curvature``)."""
     _, up, down = weighted_gains(model, links, at)
     delta_gamma = at.metrics.node_power * (up - down)
-    if np.count_nonzero(np.isfinite(delta_gamma)) < delta_gamma.size:
+    # NaN fails the comparison, so it is rejected with the infinities.
+    if not np.maximum.reduce(np.abs(delta_gamma)) < np.inf:
         raise NumericDomainError("non-finite power marginal gain")
     m = _curvature(links, at, full)
     diagonal = np.diagonal(m, axis1=1, axis2=2) if full else m
@@ -407,25 +410,26 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
                                          weighted_view(links, state.alloc, metrics), newton)
     gamma = state.exponent.reshape(rows, -1)
     grad = (links.lay.log_power_cap * delta_gamma)[:, None, :]
-    xi = [ARMIJO_INITIAL] * rows if xi0 is None else [min(x, ARMIJO_INITIAL) for x in xi0.tolist()]
+    xi = [ARMIJO_INITIAL] * rows if xi0 is None else np.minimum(xi0, ARMIJO_INITIAL).tolist()
     start = f0.tolist()
     took, evals, xi_next = [False] * rows, [0] * rows, [ARMIJO_INITIAL] * rows
     # Each row's trial step is xi * num / den: delta_gamma / v on the
     # diagonal, the Newton direction over 1.
     num, den, strict = delta_gamma, v, [False] * rows
+    fallback = strict
     if newton:
         d = _newton_direction(links, gamma, delta_gamma, v, m)
         has = np.logical_and.reduce(np.isfinite(d), axis=1)
         num, den, strict = (np.where(has[:, None], d, delta_gamma),
                             np.where(has[:, None], 1.0, v), has.tolist())
-    fallback = [newton and not x for x in strict]
-    # A Newton ladder starts from the full Newton step, a diagonal one from
-    # the carried stepsize.
-    first, xi = xi, [ARMIJO_INITIAL if x else f for x, f in zip(strict, xi)]
+        fallback = [not x for x in strict]
+        # A Newton ladder starts from the full Newton step, a diagonal one
+        # from the carried stepsize.
+        first, xi = xi, [ARMIJO_INITIAL if x else f for x, f in zip(strict, xi)]
     live = [True] * rows
     # The ladder runs once, and once more for the rows to fall back.
     while True:
-        while any(live):
+        while True:
             new = (gamma + np.array(xi)[:, None] * num / den).clip(links.lay.gamma_floor, 1.0)
             move = new - gamma
             moves = np.logical_or.reduce(move, axis=1).tolist()
@@ -433,8 +437,9 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
                 live = [on and mv for on, mv in zip(live, moves)]
                 if not any(live):
                     break
-            met, f1 = _trial(model, links, state.alloc, new.reshape(-1))
-            slope = np.matmul(grad, move[..., None]).ravel().tolist()
+            flat = new.reshape(-1)
+            met, f1 = _trial(model, links, state.alloc, flat)
+            slope = np.matmul(grad, move[..., None])[:, 0, 0].tolist()
             for k, (on, a, b, s) in enumerate(zip(live, start, f1.tolist(), slope)):
                 if not on:
                     continue
@@ -448,8 +453,13 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
                     xi[k] *= ARMIJO_SHRINK
                     continue
                 live[k] = False
+            if not any(live):
+                break
         # Newton rows that accepted nothing run the diagonal ladder; the
         # others keep their last trial, which every round evaluates again.
+        if not newton:
+            break
+        newton = False
         again = [on and not t for on, t in zip(strict, took)]
         if not any(again):
             break
@@ -461,7 +471,7 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
         strict = [False] * rows
     evals, xi_next, fallback = np.array(evals), np.array(xi_next), np.array(fallback)
     if all(took):
-        return new.reshape(-1), met, f1, evals, xi_next, fallback
+        return flat, met, f1, evals, xi_next, fallback
     if not any(took):
         return state.exponent.copy(), metrics, f0, evals, xi_next, fallback
     # An accepted row kept its stepsize, so its last trial is the accepted one.
@@ -478,19 +488,18 @@ def _kkt_residuals(links: WeightedLinks, expo: np.ndarray, at: WeightedView,
     """The certificate at the view ``at`` with exponents ``expo`` and the
     ``weighted_gains`` there: the per-node projected power residual and each
     problem's normalized residual (see ``kkt_check``)."""
-    rows = links.rows
+    rows, size = links.rows, links.lay.size
     delta_alloc, up, down = gradient
     p_node = at.metrics.node_power
     delta_gamma = p_node * (up - down)
+    # Each node's largest allocation gain and its negated smallest, over its
+    # weighted links above the floor, in one scatter (-inf without such links).
     free = ~(at.alloc <= _ALLOC_AT_FLOOR)
-    src_f = links.src[free]
-    gain_f = delta_alloc[free]
-    hi = links.lay.no_high.copy()
-    lo = links.lay.no_low.copy()
-    np.maximum.at(hi, src_f, gain_f)
-    np.minimum.at(lo, src_f, gain_f)
-    cnt = np.bincount(src_f, minlength=links.lay.size)
-    spread = np.where(cnt >= 2, hi - lo, 0.0)
+    ends = links.lay.no_ends.copy()
+    np.maximum.at(ends, links.node_ends, np.where(free, delta_alloc * _SIGNS, -np.inf))
+    hi = ends[:size]
+    cnt = np.bincount(links.src[free], minlength=size)
+    spread = np.where(cnt >= 2, hi + ends[size:], 0.0)
     alloc_scale = np.maximum(1.0, hi)       # 1.0 where hi is still -inf: no free link
 
     at_top = expo >= _EXPONENT_AT_CAP
@@ -500,8 +509,8 @@ def _kkt_residuals(links: WeightedLinks, expo: np.ndarray, at: WeightedView,
     gamma_scale = np.maximum(1.0, p_node * (up + down))
     a = np.maximum.reduce((spread / alloc_scale).reshape(rows, -1), axis=1, initial=0.0)
     g = np.maximum.reduce((gamma_residual / gamma_scale).reshape(rows, -1), axis=1, initial=0.0)
-    normalized = [max(x, y) for x, y in zip(a.tolist(), g.tolist())]   # NaN in a is kept
-    return gamma_residual, normalized
+    # max(a, g) per row, a NaN in a kept.
+    return gamma_residual, np.where(g > a, g, a).tolist()
 
 
 # ------------------------------------------------------------ one problem
@@ -676,14 +685,16 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
     unconverged, after ``_STALL_ITERATES`` iterates that leave its objective
     unchanged, keeping the certificate of the iterate before.  Rows leave
     the batch in one place, at the top of an iterate.  Per-row bookkeeping
-    runs on Python numbers, one ``tolist()`` per quantity and iterate.
+    runs on Python numbers, one ``tolist()`` per quantity and iterate.  With
+    ``collect_rates``, each row's capacities are kept as computed and
+    clipped once, when it leaves.
     """
     tol = config.kkt_tolerance
     links = weighted_links(model, weights)
     state = _seed_state(model, links, initial)
     metrics, f = _trial(model, links, state.alloc, state.exponent)
-    diags = [SolveDiagnostics(objectives=[x], capacity_trace=[] if collect_rates else None)
-             for x in f.tolist()]
+    diags = [SolveDiagnostics(objectives=[x]) for x in f.tolist()]
+    caps = [[] for _ in diags]
     results: list = [None] * len(weights)
     ids = np.arange(len(weights))           # each batch row's index in ``weights``
     weighted = weights > 0
@@ -691,11 +702,10 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
     beta0 = xi0 = None
     it = 0
     while True:
-        rows = len(diags)
+        rows = links.rows
         if collect_rates:
-            cap = np.where(weighted, np.maximum(metrics.capacity.reshape(rows, -1), 0.0), 0.0)
-            for d, c in zip(diags, cap):
-                d.capacity_trace.append(c)
+            for c, x in zip(caps, metrics.capacity.reshape(rows, -1)):
+                c.append(x)
         # The metrics come from _trial at this point, whose objective check
         # found power on every weighted link, so the gains need no check.
         at = weighted_view(links, state.alloc, metrics)
@@ -717,12 +727,15 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
                 d.broadcasts, d.feedbacks = model.n * it, model.n_links * it
                 # The last row keeps the batch's arrays.
                 d.metrics = metrics if rows == 1 else _take_rows(metrics, rows, k)
+                if collect_rates:
+                    d.capacity_trace = list(np.where(weighted[k], np.maximum(caps[k], 0.0), 0.0))
                 results[ids[k]] = (state if rows == 1 else _take_rows(state, rows, k), d)
             keep = [not x for x in done]
             if not any(keep):
                 return results
             diags = [d for d, k in zip(diags, keep) if k]
             stalled = [s for s, k in zip(stalled, keep) if k]
+            caps = [c for c, k in zip(caps, keep) if k]
             keep = np.array(keep)
             # The allocation gains, one per weighted link, go by their links' rows.
             state, metrics, beta0, xi0, gains = _take_rows(
@@ -737,12 +750,14 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
                                                                  config.centralized)
         state = PowerState(state.alloc, expo)
         it += 1
-        for k, (d, x, e, b) in enumerate(zip(diags, f_after.tolist(),
-                                             (sweep_evals + pc_evals).tolist(), fell.tolist())):
+        for k, (d, x, e) in enumerate(zip(diags, f_after.tolist(),
+                                          (sweep_evals + pc_evals).tolist())):
             stalled[k] = stalled[k] + 1 if x == d.objectives[-1] else 0
             d.objectives.append(x)
             d.line_search_evals += e
-            d.diagonal_fallbacks += b
+        if config.centralized:      # only a Newton step falls back
+            for d, b in zip(diags, fell.tolist()):
+                d.diagonal_fallbacks += b
 
 
 def solve_max_weight_batch(model: NetworkModel, weights: np.ndarray, initial: PowerState,

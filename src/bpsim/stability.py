@@ -270,10 +270,6 @@ class DriftCheckRow:
 @dataclass
 class DriftCheckReport:
     omega: float
-    alpha: float
-    eps: float
-    eps0: float
-    lam: float
     checked: list[DriftCheckRow]
 
     @property
@@ -343,5 +339,4 @@ def check_drift_condition(oracle: RateRegionOracle, a: np.ndarray, eps: float,
                - float(((queues[t] - queues[t - 1]) ** 2).sum()) + lam)
         rows.append(DriftCheckRow(slot=t, lyapunov=v, lhs=lhs,
                                   violation=bool(lhs > -eps0)))
-    return DriftCheckReport(omega=omega, alpha=alpha, eps=eps, eps0=eps0,
-                            lam=lam, checked=rows)
+    return DriftCheckReport(omega=omega, checked=rows)

@@ -708,7 +708,7 @@ def _newton_system(v_rows, delta_rows):
     rows, n = np.shape(delta_rows)
     lay = phy.Layout(rows, rows * n, *([None] * 11), np.ones((rows, n)),
                      np.full((rows, n), -1.0))
-    links = phy.WeightedLinks(rows, lay, *([None] * 11))
+    links = phy.WeightedLinks(rows, lay, *([None] * 12))
     return links, np.zeros((rows, n)), np.array(delta_rows, float), np.array(v_rows, float)
 
 
