@@ -201,8 +201,7 @@ def cmd_run(args) -> int:
                 for scheme in schemes for r in range(args.runs)]
         results: dict[tuple[str, int], tuple[np.ndarray, str]] = {}
         if workers > 1:
-            # Imported here: a single-worker run never loads the pool's modules.
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import ProcessPoolExecutor     # only a pool loads it
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for scheme, seed, curve, checksum in pool.map(_run_one, jobs):
                     results[(scheme, seed)] = curve, checksum

@@ -62,11 +62,10 @@ def end_to_end(x: np.ndarray, rows: int, stride: int | None = None) -> np.ndarra
 # The model's constants laid end to end over B problems (views of its own
 # arrays at B = 1): rows; size B*n; (B*E,) src, dst (b*n + node), link_gain,
 # link_theta_gain, link_noise, link_kg; (B*n,) power_cap, keep_theta
-# (1 - theta), floor_bound (floor + BOUND_TOL); (B*E,) no_capacity and
-# (2*B*n,) no_ends (-inf: to copy); (B, n) log_power_cap and gamma_floor.
+# (1 - theta), floor_bound (floor + BOUND_TOL); (B*E,) no_rate and (2*B*n,)
+# no_ends (-inf: to copy); (B, n) log_power_cap and gamma_floor.
 Layout = namedtuple("Layout", "rows size src dst link_gain link_theta_gain link_noise link_kg"
-                    " power_cap keep_theta floor_bound no_capacity no_ends log_power_cap"
-                    " gamma_floor")
+                    " power_cap keep_theta floor_bound no_rate no_ends log_power_cap gamma_floor")
 
 
 def layout(model: NetworkModel, rows: int) -> Layout:
@@ -168,12 +167,11 @@ def link_metrics_from_powers(model: NetworkModel, p: np.ndarray,
         raise NumericDomainError(f"interference-plus-noise is not positive and finite"
                                  f" on link {model.links[bad]}")
     sinr = lay.link_kg * p / inoise
-    # NaN fails the comparison, so only a NaN SINR fails here.
+    # A NaN SINR fails the comparison; a zero or negative one has capacity -inf.
     if not np.maximum.reduce(sinr) >= -np.inf:
         bad = int(np.argmax(np.isnan(sinr))) % model.n_links
         raise NumericDomainError(f"non-finite capacity on link {model.links[bad]}")
-    # A link without power, or with a negative SINR, has capacity -inf.
-    capacity = np.log(sinr, out=lay.no_capacity.copy(), where=sinr > 0)
+    capacity = np.log(sinr, out=lay.no_rate.copy(), where=sinr > 0)
     return LinkMetrics(p, inoise, sinr, capacity, tx_total)
 
 

@@ -143,8 +143,7 @@ class IterativeScheme(MdbScheme):
             cap += (self.iterations - len(samples)) * trace[-1]
             cap /= self.iterations
         else:
-            # The returned state's capacities; rates_from_power clips them as
-            # the trace would.  No weighted link: nothing is served.
+            # The returned state's, clipped as the trace's were; no weighted link, no service.
             cap = np.zeros(self.model.n_links) if diag.metrics is None else diag.metrics.capacity
         return rates_from_power(cap, weights), diag
 

@@ -345,33 +345,10 @@ def read_trace_csv(path, scenario: Scenario) -> tuple[np.ndarray, np.ndarray,
     another length, a slot cell that is not its row's index, one row alone,
     drift cells on the last row, a cell that is not a finite number, or a
     negative backlog (-0.0 is zero), which would make a drift audit meaningless.
-
-    A first pass counts the lines (and meets one that cannot be decoded
-    before any check does), so the second parses each row into its place as
-    it reads it; only a bad cell's text is read again, for its message.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            count = sum(1 for _ in fh) - 1     # the rows, unless a quoted cell spans lines
-            fh.seek(0)
-            rows = csv.reader(fh)
-            header = next(rows, [])
-            values = _parse_rows(rows, header, max(count, 0), scenario)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-    fixed, width = len(_COLUMNS), len(header)
-    for t, c in np.argwhere(~np.isfinite(values))[:1]:
-        raise ConfigError(f"trace line {t + 2}, column {header[c]!r} is not a finite number: "
-                          f"{_cell(path, t + 2, c)!r}")
-    for t, c in np.argwhere(values[:, fixed:] < 0)[:1]:
-        raise ConfigError(f"trace line {t + 2}, column {header[fixed + c]!r} is a negative "
-                          f"backlog: {_cell(path, t + 2, fixed + c)!r}")
-    return values[:, _V], values[:-1, _LAMBDA], values[:, fixed:] if width > fixed else None
-
-
-def _parse_rows(rows, header: list[str], count: int, scenario: Scenario) -> np.ndarray:
-    """The rows after ``header``, at most ``count``, as one array, checked as
-    they are read for what ``read_trace_csv`` refuses of a row's layout."""
+    rows = _csv_rows(path)
+    count = next(rows) - 1      # the rows, unless a quoted cell spans lines
+    header = next(rows, [])
     n, nk = scenario.model.n, scenario.traffic.n_commodities
     fixed, width = len(_COLUMNS), len(header)
     expected = _header(n, nk, width > fixed)
@@ -382,8 +359,7 @@ def _parse_rows(rows, header: list[str], count: int, scenario: Scenario) -> np.n
                           f"the scenario has {n} nodes and {nk} commodities")
     if count == 1:
         raise ConfigError(f"trace line 2 is the only row, so no row has {header[_LAMBDA]!r}")
-    values = np.empty((count, width))
-    t = -1
+    values, t = np.empty((count, width)), -1
     for t, row in enumerate(rows):
         if len(row) < width:
             raise ConfigError(f"trace line {t + 2}, column {header[len(row)]!r} is missing")
@@ -402,13 +378,25 @@ def _parse_rows(rows, header: list[str], count: int, scenario: Scenario) -> np.n
                           f"empty, not {drift}")
     values = values[:t + 1]
     values[-1:, _DRIFT] = 0.0       # the last row's empty drift cells
-    return values
+    for t, c in np.argwhere(~np.isfinite(values))[:1]:
+        raise ConfigError(f"trace line {t + 2}, column {header[c]!r} is not a finite number: "
+                          f"{next(islice(_csv_rows(path), t + 2, None))[c]!r}")
+    for t, c in np.argwhere(values[:, fixed:] < 0)[:1]:
+        raise ConfigError(f"trace line {t + 2}, column {header[fixed + c]!r} is a negative "
+                          f"backlog: {next(islice(_csv_rows(path), t + 2, None))[fixed + c]!r}")
+    return values[:, _V], values[:-1, _LAMBDA], values[:, fixed:] if width > fixed else None
 
 
-def _cell(path, line: int, col: int) -> str:
-    """The text of one cell of a CSV file; the first line is line 1."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return next(islice(csv.reader(fh), line - 1, None))[col]
+def _csv_rows(path):
+    """Line count, then rows (line k is item k), each parsed as it is read: every
+    line is decoded before any check, and a bad cell's text is read again."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield sum(1 for _ in fh)
+            fh.seek(0)
+            yield from csv.reader(fh)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
 
 
 def _number(cell: str) -> float:

@@ -54,7 +54,7 @@ _SEQUENTIAL_ROUNDS = 3
 # The certificate's bounds: allocations pinned at the floor, exponents at the cap.
 _ALLOC_AT_FLOOR = ETA_FLOOR * (1.0 + 1e-6)
 _EXPONENT_AT_CAP = 1.0 - BOUND_TOL
-# A gain and its negation: a node's largest and smallest gain in one maximum.
+# A gain and its negation: each node's largest and negated smallest gain in one scatter.
 _SIGNS = np.array([[1.0], [-1.0]])
 # Iterates in a row that leave the objective bit for bit unchanged before a
 # solve gives up (see _solve_rows).
@@ -242,8 +242,8 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     # The unaccepted nodes of the problems still searching (all of them in
     # the first round), and the nodes whose stepsize is an accepted one or
     # was never tried.
-    waiting = links.has_active.copy()
     kept = ~links.has_active
+    waiting = ~kept
     live = True
     x_out = a
     for _ in range(_SEQUENTIAL_ROUNDS):
@@ -321,8 +321,7 @@ def _power_direction(model: NetworkModel, links: WeightedLinks, at: WeightedView
     with ``full`` the (B, n, n) curvature (see ``_curvature``)."""
     _, up, down = weighted_gains(model, links, at)
     delta_gamma = at.metrics.node_power * (up - down)
-    # NaN fails the comparison, so it is rejected with the infinities.
-    if not np.maximum.reduce(np.abs(delta_gamma)) < np.inf:
+    if not np.maximum.reduce(np.abs(delta_gamma)) < np.inf:     # NaN fails it too
         raise NumericDomainError("non-finite power marginal gain")
     m = _curvature(links, at, full)
     diagonal = np.diagonal(m, axis1=1, axis2=2) if full else m
@@ -433,9 +432,9 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
             new = (gamma + np.array(xi)[:, None] * num / den).clip(links.lay.gamma_floor, 1.0)
             move = new - gamma
             moves = np.logical_or.reduce(move, axis=1).tolist()
-            if not all(moves):
+            if False in moves:      # a row that does not move stops
                 live = [on and mv for on, mv in zip(live, moves)]
-                if not any(live):
+                if True not in live:
                     break
             flat = new.reshape(-1)
             met, f1 = _trial(model, links, state.alloc, flat)
@@ -453,7 +452,7 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
                     xi[k] *= ARMIJO_SHRINK
                     continue
                 live[k] = False
-            if not any(live):
+            if True not in live:
                 break
         # Newton rows that accepted nothing run the diagonal ladder; the
         # others keep their last trial, which every round evaluates again.
@@ -492,8 +491,6 @@ def _kkt_residuals(links: WeightedLinks, expo: np.ndarray, at: WeightedView,
     delta_alloc, up, down = gradient
     p_node = at.metrics.node_power
     delta_gamma = p_node * (up - down)
-    # Each node's largest allocation gain and its negated smallest, over its
-    # weighted links above the floor, in one scatter (-inf without such links).
     free = ~(at.alloc <= _ALLOC_AT_FLOOR)
     ends = links.lay.no_ends.copy()
     np.maximum.at(ends, links.node_ends, np.where(free, delta_alloc * _SIGNS, -np.inf))
@@ -509,8 +506,7 @@ def _kkt_residuals(links: WeightedLinks, expo: np.ndarray, at: WeightedView,
     gamma_scale = np.maximum(1.0, p_node * (up + down))
     a = np.maximum.reduce((spread / alloc_scale).reshape(rows, -1), axis=1, initial=0.0)
     g = np.maximum.reduce((gamma_residual / gamma_scale).reshape(rows, -1), axis=1, initial=0.0)
-    # max(a, g) per row, a NaN in a kept.
-    return gamma_residual, np.where(g > a, g, a).tolist()
+    return gamma_residual, np.where(g > a, g, a).tolist()     # max(a, g), NaN in a kept
 
 
 # ------------------------------------------------------------ one problem
@@ -609,8 +605,8 @@ class SolveDiagnostics:
     # direction (always 0 on the diagonal step).
     diagonal_fallbacks: int = 0
     # Clipped per-link capacities at the start point and after each
-    # iteration; filled only when requested.
-    capacity_trace: list[np.ndarray] | None = None
+    # iteration, one row each; filled only when requested.
+    capacity_trace: np.ndarray | None = None
     # Link metrics of the returned state; None when no link carries weight.
     metrics: LinkMetrics | None = None
 
@@ -641,7 +637,7 @@ def solve_max_weight(model: NetworkModel, weights: np.ndarray, initial: PowerSta
     if not np.any(weights > 0):
         diag = SolveDiagnostics(objectives=[0.0])
         if collect_rates:
-            diag.capacity_trace = [np.zeros(model.n_links)]
+            diag.capacity_trace = np.zeros((1, model.n_links))
         return initial.copy(), diag
     return _solve_rows(model, weights[None], initial, config, collect_rates)[0]
 
@@ -686,15 +682,14 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
     unchanged, keeping the certificate of the iterate before.  Rows leave
     the batch in one place, at the top of an iterate.  Per-row bookkeeping
     runs on Python numbers, one ``tolist()`` per quantity and iterate.  With
-    ``collect_rates``, each row's capacities are kept as computed and
-    clipped once, when it leaves.
+    ``collect_rates`` (one row) its capacities are clipped when it leaves.
     """
     tol = config.kkt_tolerance
     links = weighted_links(model, weights)
     state = _seed_state(model, links, initial)
     metrics, f = _trial(model, links, state.alloc, state.exponent)
     diags = [SolveDiagnostics(objectives=[x]) for x in f.tolist()]
-    caps = [[] for _ in diags]
+    caps = []
     results: list = [None] * len(weights)
     ids = np.arange(len(weights))           # each batch row's index in ``weights``
     weighted = weights > 0
@@ -704,8 +699,7 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
     while True:
         rows = links.rows
         if collect_rates:
-            for c, x in zip(caps, metrics.capacity.reshape(rows, -1)):
-                c.append(x)
+            caps.append(metrics.capacity)
         # The metrics come from _trial at this point, whose objective check
         # found power on every weighted link, so the gains need no check.
         at = weighted_view(links, state.alloc, metrics)
@@ -728,14 +722,13 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
                 # The last row keeps the batch's arrays.
                 d.metrics = metrics if rows == 1 else _take_rows(metrics, rows, k)
                 if collect_rates:
-                    d.capacity_trace = list(np.where(weighted[k], np.maximum(caps[k], 0.0), 0.0))
+                    d.capacity_trace = np.where(weighted[k], np.maximum(caps, 0.0), 0.0)
                 results[ids[k]] = (state if rows == 1 else _take_rows(state, rows, k), d)
             keep = [not x for x in done]
             if not any(keep):
                 return results
             diags = [d for d, k in zip(diags, keep) if k]
             stalled = [s for s, k in zip(stalled, keep) if k]
-            caps = [c for c, k in zip(caps, keep) if k]
             keep = np.array(keep)
             # The allocation gains, one per weighted link, go by their links' rows.
             state, metrics, beta0, xi0, gains = _take_rows(
