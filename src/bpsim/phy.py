@@ -281,11 +281,10 @@ def weighted_links(model: NetworkModel, weights: np.ndarray) -> WeightedLinks:
             for c in sizes:
                 ids = np.flatnonzero(counts == c)
                 blocks.append((ids, (starts[ids, None] + np.arange(c)).reshape(-1)))
-    src = lay.src[act]
-    return WeightedLinks(rows=rows, lay=lay, act=act, src=src, dst=lay.dst[act], w=w,
+    return WeightedLinks(rows=rows, lay=lay, act=act, src=lay.src[act], dst=lay.dst[act], w=w,
                          gain=g, gain_rows=model.gain.T[model.dst[link]],
                          own_slot=np.arange(act.size) * n + model.src[link],
-                         node_ends=np.stack((src, src + rows * n)),
+                         node_ends=np.stack((lay.src[act], lay.src[act] + rows * n)),
                          w_theta_g=w * model.link_theta[link] * g,
                          theta_g=model.link_theta_gain[link], m_node=m_node,
                          has_active=m_node > 0, blocks=blocks)

@@ -388,8 +388,7 @@ def read_trace_csv(path, scenario: Scenario) -> tuple[np.ndarray, np.ndarray,
 
 
 def _csv_rows(path):
-    """Line count, then rows (line k is item k), each parsed as it is read: every
-    line is decoded before any check, and a bad cell's text is read again."""
+    """Line count, then rows (line k is item k); every line decoded before any check."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             yield sum(1 for _ in fh)

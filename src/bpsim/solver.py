@@ -54,8 +54,7 @@ _SEQUENTIAL_ROUNDS = 3
 # The certificate's bounds: allocations pinned at the floor, exponents at the cap.
 _ALLOC_AT_FLOOR = ETA_FLOOR * (1.0 + 1e-6)
 _EXPONENT_AT_CAP = 1.0 - BOUND_TOL
-# A gain and its negation: each node's largest and negated smallest gain in one scatter.
-_SIGNS = np.array([[1.0], [-1.0]])
+_SIGNS = np.array([[1.0], [-1.0]])     # a gain and its negation (see _kkt_residuals)
 # Iterates in a row that leave the objective bit for bit unchanged before a
 # solve gives up (see _solve_rows).
 _STALL_ITERATES = 12
@@ -428,7 +427,7 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
     live = [True] * rows
     # The ladder runs once, and once more for the rows to fall back.
     while True:
-        while True:
+        while True in live:
             new = (gamma + np.array(xi)[:, None] * num / den).clip(links.lay.gamma_floor, 1.0)
             move = new - gamma
             moves = np.logical_or.reduce(move, axis=1).tolist()
@@ -436,8 +435,7 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
                 live = [on and mv for on, mv in zip(live, moves)]
                 if True not in live:
                     break
-            flat = new.reshape(-1)
-            met, f1 = _trial(model, links, state.alloc, flat)
+            met, f1 = _trial(model, links, state.alloc, flat := new.reshape(-1))
             slope = np.matmul(grad, move[..., None])[:, 0, 0].tolist()
             for k, (on, a, b, s) in enumerate(zip(live, start, f1.tolist(), slope)):
                 if not on:
@@ -452,8 +450,6 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
                     xi[k] *= ARMIJO_SHRINK
                     continue
                 live[k] = False
-            if True not in live:
-                break
         # Newton rows that accepted nothing run the diagonal ladder; the
         # others keep their last trial, which every round evaluates again.
         if not newton:
@@ -494,10 +490,9 @@ def _kkt_residuals(links: WeightedLinks, expo: np.ndarray, at: WeightedView,
     free = ~(at.alloc <= _ALLOC_AT_FLOOR)
     ends = links.lay.no_ends.copy()
     np.maximum.at(ends, links.node_ends, np.where(free, delta_alloc * _SIGNS, -np.inf))
-    hi = ends[:size]
     cnt = np.bincount(links.src[free], minlength=size)
-    spread = np.where(cnt >= 2, hi + ends[size:], 0.0)
-    alloc_scale = np.maximum(1.0, hi)       # 1.0 where hi is still -inf: no free link
+    spread = np.where(cnt >= 2, ends[:size] + ends[size:], 0.0)
+    alloc_scale = np.maximum(1.0, ends[:size])      # 1.0 where still -inf: no free link
 
     at_top = expo >= _EXPONENT_AT_CAP
     at_floor_g = expo <= links.lay.floor_bound
@@ -681,21 +676,18 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
     unconverged, after ``_STALL_ITERATES`` iterates that leave its objective
     unchanged, keeping the certificate of the iterate before.  Rows leave
     the batch in one place, at the top of an iterate.  Per-row bookkeeping
-    runs on Python numbers, one ``tolist()`` per quantity and iterate.  With
-    ``collect_rates`` (one row) its capacities are clipped when it leaves.
+    runs on Python numbers, one ``tolist()`` per quantity and iterate.  One row collects rates.
     """
     tol = config.kkt_tolerance
     links = weighted_links(model, weights)
     state = _seed_state(model, links, initial)
     metrics, f = _trial(model, links, state.alloc, state.exponent)
     diags = [SolveDiagnostics(objectives=[x]) for x in f.tolist()]
-    caps = []
     results: list = [None] * len(weights)
     ids = np.arange(len(weights))           # each batch row's index in ``weights``
     weighted = weights > 0
     stalled = [0] * len(weights)
-    beta0 = xi0 = None
-    it = 0
+    caps, beta0, xi0, it = [], None, None, 0        # caps: that one row's raw capacities
     while True:
         rows = links.rows
         if collect_rates:
@@ -748,9 +740,8 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
             stalled[k] = stalled[k] + 1 if x == d.objectives[-1] else 0
             d.objectives.append(x)
             d.line_search_evals += e
-        if config.centralized:      # only a Newton step falls back
-            for d, b in zip(diags, fell.tolist()):
-                d.diagonal_fallbacks += b
+        for d, b in zip(diags, fell.tolist()):
+            d.diagonal_fallbacks += b
 
 
 def solve_max_weight_batch(model: NetworkModel, weights: np.ndarray, initial: PowerState,
