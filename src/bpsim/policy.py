@@ -58,12 +58,6 @@ class RateAssignment:
     rate: np.ndarray        # (E,) bits per slot, >= 0
     commodity: np.ndarray   # (E,) int
 
-    def commodity_rates(self, n_commodities: int) -> np.ndarray:
-        """(E, K) expansion; zero except at each link's chosen commodity."""
-        out = np.zeros((self.rate.size, n_commodities))
-        out[np.arange(self.rate.size), self.commodity] = self.rate
-        return out
-
 
 def rates_from_power(capacity: np.ndarray, weights: BacklogWeights) -> RateAssignment:
     """Service rates from the link capacities a power state achieves: weighted

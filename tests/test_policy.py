@@ -80,6 +80,13 @@ def test_weights_scale_consistency():
     assert np.allclose(b.weight, 3.5 * a.weight)
 
 
+def _commodity_rates(rates, n_commodities: int) -> np.ndarray:
+    """(E, K) expansion of ``rates``; zero except at each link's chosen commodity."""
+    out = np.zeros((rates.rate.size, n_commodities))
+    out[np.arange(rates.rate.size), rates.commodity] = rates.rate
+    return out
+
+
 def test_rates_from_power_structure():
     sc = tandem_scenario()
     m = sc.model
@@ -94,7 +101,7 @@ def test_rates_from_power_structure():
     # zero-weight links excluded
     assert np.all(rates.rate[w.weight == 0] == 0.0)
     # the full aggregate goes to the chosen commodity
-    per_k = rates.commodity_rates(sc.traffic.n_commodities)
+    per_k = _commodity_rates(rates, sc.traffic.n_commodities)
     assert np.allclose(per_k.sum(axis=1), rates.rate)
     # single link with weight: rate equals clipped capacity times the slot
     assert np.isclose(rates.rate[idx[(0, 1)]], max(met.capacity[idx[(0, 1)]], 0.0))
