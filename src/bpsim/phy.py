@@ -284,7 +284,7 @@ def weighted_links(model: NetworkModel, weights: np.ndarray) -> WeightedLinks:
     return WeightedLinks(rows=rows, lay=lay, act=act, src=lay.src[act], dst=lay.dst[act], w=w,
                          gain=g, gain_rows=model.gain.T[model.dst[link]],
                          own_slot=np.arange(act.size) * n + model.src[link],
-                         node_ends=np.stack((lay.src[act], lay.src[act] + rows * n)),
+                         node_ends=lay.src[act] + np.array([[0], [rows * n]]),
                          w_theta_g=w * model.link_theta[link] * g,
                          theta_g=model.link_theta_gain[link], m_node=m_node,
                          has_active=m_node > 0, blocks=blocks)
