@@ -735,12 +735,11 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
                                                                  config.centralized)
         state = PowerState(state.alloc, expo)
         it += 1
-        for k, (d, x, e) in enumerate(zip(diags, f_after.tolist(),
-                                          (sweep_evals + pc_evals).tolist())):
+        for k, (d, x, e, b) in enumerate(zip(diags, f_after.tolist(),
+                                             (sweep_evals + pc_evals).tolist(), fell.tolist())):
             stalled[k] = stalled[k] + 1 if x == d.objectives[-1] else 0
             d.objectives.append(x)
             d.line_search_evals += e
-        for d, b in zip(diags, fell.tolist()):
             d.diagonal_fallbacks += b
 
 
