@@ -160,18 +160,19 @@ def link_metrics_from_powers(model: NetworkModel, p: np.ndarray,
     rx_total = np.matmul(model.gain.T, tx_total.reshape(lay.rows, -1, 1)).reshape(-1)
     other = rx_total[lay.dst] - lay.link_gain * tx_src
     inoise = lay.link_theta_gain * (tx_src - p) + other + lay.link_noise
-    # NaN fails both comparisons, so these two reductions reject exactly the
-    # non-finite and non-positive values.
-    if not (np.minimum.reduce(inoise) > 0 and np.maximum.reduce(inoise) < np.inf):
+    # argmin and argmax point at the first NaN, which fails both comparisons:
+    # these two look-ups reject exactly the non-finite and non-positive values.
+    if not (inoise[inoise.argmin()] > 0 and inoise[inoise.argmax()] < np.inf):
         bad = int(np.argmin(np.where(np.isfinite(inoise), inoise, -np.inf))) % model.n_links
         raise NumericDomainError(f"interference-plus-noise is not positive and finite"
                                  f" on link {model.links[bad]}")
     sinr = lay.link_kg * p / inoise
-    # A NaN SINR fails the comparison; a zero or negative one has capacity -inf.
-    if not np.maximum.reduce(sinr) >= -np.inf:
+    low = sinr[sinr.argmin()]       # the first NaN if there is one
+    if low != low:
         bad = int(np.argmax(np.isnan(sinr))) % model.n_links
         raise NumericDomainError(f"non-finite capacity on link {model.links[bad]}")
-    capacity = np.log(sinr, out=lay.no_rate.copy(), where=sinr > 0)
+    # A zero or negative SINR has capacity -inf.
+    capacity = np.log(sinr) if low > 0 else np.log(sinr, out=lay.no_rate.copy(), where=sinr > 0)
     return LinkMetrics(p, inoise, sinr, capacity, tx_total)
 
 
@@ -219,7 +220,7 @@ def row_objectives(w: np.ndarray, act: np.ndarray, metrics: LinkMetrics,
     f = by_row(rows, blocks, _row_dots, w, metrics.capacity[act])
     # A weighted link without power has capacity -inf, which takes its row
     # to -inf or NaN: only then are the powers looked at.
-    if not np.minimum.reduce(f) > -np.inf:
+    if not f[f.argmin()] > -np.inf:
         _check_powers(act, metrics.power[act], " (log 0)")
     return f
 
@@ -252,7 +253,7 @@ class WeightedLinks:
     has_active: np.ndarray  # (B*n,) bool
     gain_rows: np.ndarray   # (E_a, n) gain from every node to each link's receiver
     own_slot: np.ndarray    # flat index in gain_rows of each link's own transmitter
-    node_ends: np.ndarray   # (2, E_a) src and B*n + src
+    node_ends: np.ndarray   # (2*E_a,) src, then B*n + src
     # Per weighted-link count, the problems with that count and the positions
     # of their weighted links; None when every problem weighs as many links.
     blocks: list | None = None
@@ -265,7 +266,7 @@ def weighted_links(model: NetworkModel, weights: np.ndarray) -> WeightedLinks:
     n, n_links = model.n, model.n_links
     rows = weights.size // n_links
     lay = layout(model, rows)
-    act = np.flatnonzero(weights > 0)
+    act = (weights.reshape(-1) > 0).nonzero()[0]
     link = act if rows == 1 else act % n_links
     w = weights.reshape(-1)[act]
     g = model.link_gain[link]
@@ -284,7 +285,7 @@ def weighted_links(model: NetworkModel, weights: np.ndarray) -> WeightedLinks:
     return WeightedLinks(rows=rows, lay=lay, act=act, src=lay.src[act], dst=lay.dst[act], w=w,
                          gain=g, gain_rows=model.gain.T[model.dst[link]],
                          own_slot=np.arange(act.size) * n + model.src[link],
-                         node_ends=lay.src[act] + np.array([[0], [rows * n]]),
+                         node_ends=(lay.src[act] + np.array([[0], [rows * n]])).reshape(-1),
                          w_theta_g=w * model.link_theta[link] * g,
                          theta_g=model.link_theta_gain[link], m_node=m_node,
                          has_active=m_node > 0, blocks=blocks)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConfigError, NumericDomainError
 from .model import NetworkModel
@@ -65,6 +66,8 @@ ARMIJO_INITIAL = 1.0
 # Dormant weighted links re-enter at this fraction of an even split so a
 # Newton-scaled ascent does not crawl out of the log barrier.
 RESEED_FRACTION = 0.05
+# Constant operands as 0-d arrays: a Python float costs each ufunc call a conversion.
+_ZERO, _ONE, _TWO, _SIGMA, _EPS = map(np.array, (0.0, 1.0, 2.0, ARMIJO_SIGMA, SCALE_EPS))
 
 
 @dataclass
@@ -113,7 +116,7 @@ def _project_alloc_nodes(src: np.ndarray, n: int, target: np.ndarray, invq: np.n
     free = True         # every coordinate, until the first clamp
     s_t = np.bincount(src, weights=target, minlength=n)
     div = _invq_sums(src, invq, n) if iq_sums is None else iq_sums
-    goal = 1.0
+    goal = _ONE
     for _ in range(target.size + 1):
         mu = (s_t - goal) / div
         x = target - mu[src] * invq
@@ -161,7 +164,7 @@ def _seed_state(model: NetworkModel, links: WeightedLinks, initial: PowerState) 
     a = a / np.bincount(links.src, weights=a, minlength=rows * n)[links.src]
     alloc[links.act] = _project_alloc_nodes(links.src, links.lay.size, a, np.ones_like(a),
                                             ETA_FLOOR)
-    exponent = end_to_end(np.clip(initial.exponent, model.gamma_floor, 1.0), rows)
+    exponent = end_to_end(np.minimum(np.maximum(initial.exponent, model.gamma_floor), _ONE), rows)
     return PowerState(alloc, exponent)
 
 
@@ -178,13 +181,13 @@ def _armijo_terms(links: WeightedLinks, at: WeightedView, d: np.ndarray,
     resolves the small gains of a nearly equalized split.
     """
     p_i = at.src_power
-    s = links.theta_g * p_i
+    s = -(links.theta_g * p_i)      # negated: the split's self-interference falls by s * dx
 
     def local(x: np.ndarray) -> np.ndarray:
         # The split's self-interference s * (1 - x) plus the rest is the
         # view's interference-plus-noise less s * (x - a).
         dx = x - at.alloc
-        rate = np.log1p(dx / at.alloc) - np.log1p(-s * dx / at.inoise)
+        rate = np.log1p(dx / at.alloc) - np.log1p(s * dx / at.inoise)
         return np.bincount(links.src, weights=links.w * rate, minlength=links.lay.size)
 
     # The gradient along a node's split is its power times ``d``, so a
@@ -193,7 +196,7 @@ def _armijo_terms(links: WeightedLinks, at: WeightedView, d: np.ndarray,
     # with doubled stepsizes it can alternate between two overshoots that
     # both pass the Armijo test.
     cap = ARMIJO_INITIAL * at.metrics.node_power
-    invq = 1.0 / (links.w / (at.alloc * at.alloc) + SCALE_EPS)
+    invq = _ONE / (links.w / (at.alloc * at.alloc) + _EPS)
     return invq, local, p_i * d, cap, cap if beta0 is None else np.minimum(beta0, cap)
 
 
@@ -201,8 +204,8 @@ def _armijo_test(change: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.n
     """Whether each trial, with local objective ``change`` and predicted
     ``gain``, passes the Armijo test and raises its local objective, and
     whether it ends its ladder: it passes, or it predicts no gain."""
-    ok = (change >= ARMIJO_SIGMA * gain) & (change > 0.0)
-    return ok, ok | (gain <= 0.0)
+    ok = (change >= _SIGMA * gain) & (change > _ZERO)
+    return ok, ok | (gain <= _ZERO)
 
 
 def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
@@ -237,23 +240,24 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     delta = delta - (np.bincount(links.src, weights=invq * delta, minlength=size)
                      / iq_sums)[links.src]
     floor = np.maximum(_ALLOC_SHRINK * a, ETA_FLOOR)
-    evals = np.zeros(rows, dtype=int)
+    evals = np.ones(rows, dtype=int)        # every problem evaluates the first round
     # The unaccepted nodes of the problems still searching (all of them in
     # the first round), and the nodes whose stepsize is an accepted one or
     # was never tried.
     kept = ~links.has_active
-    waiting = ~kept
+    waiting = links.has_active.copy()
     live = True
-    x_out = a
-    for _ in range(_SEQUENTIAL_ROUNDS):
+    x_out = a.copy()
+    for r in range(_SEQUENTIAL_ROUNDS):
         target = a + beta[links.src] * delta * invq
         x = _project_alloc_nodes(links.src, size, target, invq, floor, iq_sums)
         change = local(x)
-        evals += live
+        if r:
+            evals += live
         gain = np.bincount(links.src, weights=grad * (x - a), minlength=size)
         ok, end = _armijo_test(change, gain)
         took = ok & waiting
-        x_out = np.where(took[links.src], x, x_out)
+        np.copyto(x_out, x, where=took[links.src])
         kept |= took
         waiting &= ~end
         if not np.count_nonzero(waiting):
@@ -272,7 +276,8 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     # still waiting after its last round resumes at its halved stepsize;
     # ladders stopped without a predicted gain or at the stepsize floor
     # restart from the full trial step.
-    return out, evals, np.where(waiting, beta, np.minimum(2.0 * np.where(kept, beta, cap), cap))
+    nxt = np.minimum(_TWO * np.where(kept, beta, cap), cap)
+    return out, evals, np.where(waiting, beta, nxt) if np.count_nonzero(waiting) else nxt
 
 
 def _link_sums(rows: int, t: np.ndarray) -> np.ndarray:
@@ -306,7 +311,7 @@ def _curvature(links: WeightedLinks, at: WeightedView, full: bool = False) -> np
     contrib.put(links.own_slot, links.theta_g * (at.src_power - at.power))
     s = contrib / at.inoise[:, None]
     w = links.w[:, None]
-    diagonal = by_row(rows, links.blocks, _link_sums, (s * (1.0 - s)) * w)
+    diagonal = by_row(rows, links.blocks, _link_sums, (s * (_ONE - s)) * w)
     if not full:
         return diagonal
     m = by_row(rows, links.blocks, _link_products, -w * s, s)
@@ -320,12 +325,12 @@ def _power_direction(model: NetworkModel, links: WeightedLinks, at: WeightedView
     with ``full`` the (B, n, n) curvature (see ``_curvature``)."""
     _, up, down = weighted_gains(model, links, at)
     delta_gamma = at.metrics.node_power * (up - down)
-    if not np.maximum.reduce(np.abs(delta_gamma)) < np.inf:     # NaN fails it too
+    if not (mag := np.abs(delta_gamma))[mag.argmax()] < np.inf:     # NaN fails it too
         raise NumericDomainError("non-finite power marginal gain")
     m = _curvature(links, at, full)
     diagonal = np.diagonal(m, axis1=1, axis2=2) if full else m
     return (delta_gamma.reshape(links.rows, -1),
-            np.maximum(links.lay.log_power_cap * diagonal, SCALE_EPS), m if full else None)
+            np.maximum(links.lay.log_power_cap * diagonal, _EPS), m if full else None)
 
 
 def _newton_direction(links: WeightedLinks, gamma: np.ndarray, delta_gamma: np.ndarray,
@@ -342,29 +347,20 @@ def _newton_direction(links: WeightedLinks, gamma: np.ndarray, delta_gamma: np.n
     power = log_power_cap * gamma, the system M dx = delta_gamma reads
     A dgamma = delta_gamma with A = M scaled by log_power_cap per column;
     its diagonal is ``v``, whose floor keeps a node with no share anywhere
-    (a zero row of M) solvable.  All B systems are one stacked solve, which
-    LAPACK factors matrix by matrix.
+    (a zero row of M) solvable.  All B systems are one stacked solve by the
+    gufunc ``np.linalg.solve`` wraps, which LAPACK factors matrix by matrix
+    and which leaves a singular matrix's solution NaN (the wrapper raises).
     """
     floor = links.lay.gamma_floor
-    unit = np.minimum(np.maximum(gamma + delta_gamma / v, floor), 1.0) - gamma
+    unit = np.minimum(np.maximum(gamma + delta_gamma / v, floor), _ONE) - gamma
     eps = np.minimum(np.maximum.reduce(np.abs(unit), axis=1), _NEWTON_EPS)[:, None]
-    room = np.where(delta_gamma > 0.0, 1.0 - gamma, gamma - floor)
-    free = (room > eps) | (delta_gamma == 0.0)
-    a = m * np.where(free, links.lay.log_power_cap, 0.0)[:, None, :]
+    room = np.where(delta_gamma > _ZERO, _ONE - gamma, gamma - floor)
+    free = (room > eps) | (delta_gamma == _ZERO)
+    a = m * np.where(free, links.lay.log_power_cap, _ZERO)[:, None, :]
     a *= free[:, :, None]
     a.reshape(links.rows, -1)[:, ::a.shape[1] + 1] = v
-    rhs = delta_gamma[..., None]
-    try:
-        return np.linalg.solve(a, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        # Some row is singular: solve row by row, that row has no direction.
-        d = np.full_like(delta_gamma, np.nan)
-        for k in range(links.rows):
-            try:
-                d[k] = np.linalg.solve(a[k], rhs[k])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return d
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(a, delta_gamma[..., None], signature="dd->d")[..., 0]
 
 
 def _trial(model: NetworkModel, links: WeightedLinks, alloc: np.ndarray, expo: np.ndarray
@@ -417,9 +413,10 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
     fallback = strict
     if newton:
         d = _newton_direction(links, gamma, delta_gamma, v, m)
-        has = np.logical_and.reduce(np.isfinite(d), axis=1)
-        num, den, strict = (np.where(has[:, None], d, delta_gamma),
-                            np.where(has[:, None], 1.0, v), has.tolist())
+        num, den, strict = d, _ONE, np.logical_and.reduce(np.isfinite(d), axis=1).tolist()
+        if False in strict:     # a row without a Newton direction takes the diagonal one
+            has = np.array(strict)[:, None]
+            num, den = np.where(has, d, delta_gamma), np.where(has, _ONE, v)
         fallback = [not x for x in strict]
         # A Newton ladder starts from the full Newton step, a diagonal one
         # from the carried stepsize.
@@ -428,7 +425,8 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
     # The ladder runs once, and once more for the rows to fall back.
     while True:
         while True in live:
-            new = (gamma + np.array(xi)[:, None] * num / den).clip(links.lay.gamma_floor, 1.0)
+            new = np.minimum(np.maximum(gamma + np.array(xi)[:, None] * num / den,
+                                        links.lay.gamma_floor), _ONE)
             move = new - gamma
             moves = np.logical_or.reduce(move, axis=1).tolist()
             if False in moves:      # a row that does not move stops
@@ -487,21 +485,22 @@ def _kkt_residuals(links: WeightedLinks, expo: np.ndarray, at: WeightedView,
     delta_alloc, up, down = gradient
     p_node = at.metrics.node_power
     delta_gamma = p_node * (up - down)
-    free = ~(at.alloc <= _ALLOC_AT_FLOOR)
-    ends = links.lay.no_ends.copy()
-    np.maximum.at(ends, links.node_ends, np.where(free, delta_alloc * _SIGNS, -np.inf))
-    cnt = np.bincount(links.src[free], minlength=size)
-    spread = np.where(cnt >= 2, ends[:size] + ends[size:], 0.0)
-    alloc_scale = np.maximum(1.0, ends[:size])      # 1.0 where still -inf: no free link
-
-    at_top = expo >= _EXPONENT_AT_CAP
-    at_floor_g = expo <= links.lay.floor_bound
-    gamma_residual = np.maximum(0.0, np.where(at_top, -delta_gamma, np.where(
-        at_floor_g, delta_gamma, np.abs(delta_gamma))))
-    gamma_scale = np.maximum(1.0, p_node * (up + down))
+    ends, gains, multi = links.lay.no_ends.copy(), delta_alloc * _SIGNS, links.m_node >= _TWO
+    if np.count_nonzero(pinned := at.alloc <= _ALLOC_AT_FLOOR):     # these leave the equalization
+        gains = np.where(pinned, -np.inf, gains)
+        multi = np.bincount(links.src[~pinned], minlength=size) >= 2
+    np.maximum.at(ends, links.node_ends, gains.reshape(-1))
+    spread = np.where(multi, ends[:size] + ends[size:], _ZERO)
+    alloc_scale = np.maximum(_ONE, ends[:size])      # 1.0 where still -inf: no free link
+    # The projected gain: -dgamma at the cap, dgamma at the floor, |dgamma| between.
+    gamma_residual = np.abs(delta_gamma)
+    np.copyto(gamma_residual, delta_gamma, where=expo <= links.lay.floor_bound)
+    np.copyto(gamma_residual, -delta_gamma, where=expo >= _EXPONENT_AT_CAP)
+    gamma_residual = np.maximum(_ZERO, gamma_residual)
+    gamma_scale = np.maximum(_ONE, p_node * (up + down))
     a = np.maximum.reduce((spread / alloc_scale).reshape(rows, -1), axis=1, initial=0.0)
     g = np.maximum.reduce((gamma_residual / gamma_scale).reshape(rows, -1), axis=1, initial=0.0)
-    return gamma_residual, np.where(g > a, g, a).tolist()     # max(a, g), NaN in a kept
+    return gamma_residual, [y if y > x else x for x, y in zip(a.tolist(), g.tolist())]
 
 
 # ------------------------------------------------------------ one problem
