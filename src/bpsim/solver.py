@@ -260,7 +260,7 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
         np.copyto(x_out, x, where=took[links.src])
         kept |= took
         waiting &= ~end
-        if not np.count_nonzero(waiting):
+        if not waiting[waiting.argmax()]:       # argmax points at the first True, if any
             break
         beta = np.where(waiting, beta * ARMIJO_SHRINK, beta)
         live = ~(np.maximum.reduce(np.where(waiting, beta, 0.0).reshape(rows, -1), axis=1)
@@ -277,7 +277,7 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     # ladders stopped without a predicted gain or at the stepsize floor
     # restart from the full trial step.
     nxt = np.minimum(_TWO * np.where(kept, beta, cap), cap)
-    return out, evals, np.where(waiting, beta, nxt) if np.count_nonzero(waiting) else nxt
+    return out, evals, np.where(waiting, beta, nxt) if waiting[waiting.argmax()] else nxt
 
 
 def _link_sums(rows: int, t: np.ndarray) -> np.ndarray:
@@ -347,9 +347,8 @@ def _newton_direction(links: WeightedLinks, gamma: np.ndarray, delta_gamma: np.n
     power = log_power_cap * gamma, the system M dx = delta_gamma reads
     A dgamma = delta_gamma with A = M scaled by log_power_cap per column;
     its diagonal is ``v``, whose floor keeps a node with no share anywhere
-    (a zero row of M) solvable.  All B systems are one stacked solve by the
-    gufunc ``np.linalg.solve`` wraps, which LAPACK factors matrix by matrix
-    and which leaves a singular matrix's solution NaN (the wrapper raises).
+    (a zero row of M) solvable.  All B systems are one stacked solve by the gufunc
+    ``np.linalg.solve`` wraps: LAPACK, matrix by matrix, NaN where singular.
     """
     floor = links.lay.gamma_floor
     unit = np.minimum(np.maximum(gamma + delta_gamma / v, floor), _ONE) - gamma
@@ -486,7 +485,8 @@ def _kkt_residuals(links: WeightedLinks, expo: np.ndarray, at: WeightedView,
     p_node = at.metrics.node_power
     delta_gamma = p_node * (up - down)
     ends, gains, multi = links.lay.no_ends.copy(), delta_alloc * _SIGNS, links.m_node >= _TWO
-    if np.count_nonzero(pinned := at.alloc <= _ALLOC_AT_FLOOR):     # these leave the equalization
+    pinned = at.alloc <= _ALLOC_AT_FLOOR
+    if pinned.size and pinned[pinned.argmax()]:     # these leave the equalization
         gains = np.where(pinned, -np.inf, gains)
         multi = np.bincount(links.src[~pinned], minlength=size) >= 2
     np.maximum.at(ends, links.node_ends, gains.reshape(-1))
