@@ -244,8 +244,8 @@ def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
     # The unaccepted nodes of the problems still searching (all of them in
     # the first round), and the nodes whose stepsize is an accepted one or
     # was never tried.
-    kept = ~links.has_active
     waiting = links.has_active.copy()
+    kept = ~links.has_active
     live = True
     x_out = a.copy()
     for r in range(_SEQUENTIAL_ROUNDS):
@@ -486,7 +486,7 @@ def _kkt_residuals(links: WeightedLinks, expo: np.ndarray, at: WeightedView,
     delta_gamma = p_node * (up - down)
     ends, gains, multi = links.lay.no_ends.copy(), delta_alloc * _SIGNS, links.m_node >= _TWO
     pinned = at.alloc <= _ALLOC_AT_FLOOR
-    if pinned.size and pinned[pinned.argmax()]:     # these leave the equalization
+    if pinned.size and pinned[pinned.argmax()]:     # pinned ones leave the equalization
         gains = np.where(pinned, -np.inf, gains)
         multi = np.bincount(links.src[~pinned], minlength=size) >= 2
     np.maximum.at(ends, links.node_ends, gains.reshape(-1))
