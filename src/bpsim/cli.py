@@ -169,9 +169,11 @@ def cmd_run(args) -> int:
     schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
     if not schemes:
         raise ConfigError("at least one scheme is required")
-    for s in schemes:
+    for i, s in enumerate(schemes):
         if s not in SCHEME_NAMES:
             raise ConfigError(f"unknown scheme {s!r}; choose from {SCHEME_NAMES}")
+        if s in schemes[:i]:
+            raise ConfigError(f"scheme {s!r} is named more than once")
     if args.runs < 1 or args.slots < 1:
         raise ConfigError("runs and slots must be >= 1")
     if args.iterations < 1:

@@ -105,11 +105,13 @@ class InstantScheme(MdbScheme):
 class IterativeScheme(MdbScheme):
     """Iterative control warm-started across slots.
 
-    With ``iterations > 1`` the delivered bits are the time integral of the
-    evolving capacities, discretized as the mean of the capacity held while
-    each iteration runs (the warm-start rates count for the first interval;
-    once converged the final rates fill the remaining intervals).  With
-    ``iterations == 1`` the post-update capacities apply to the whole slot.
+    With ``integrate_mean`` (``iter-conv``) the delivered bits are the time
+    integral of the evolving capacities, discretized as the mean of the
+    capacity held while each of the ``iterations`` runs (the warm-start
+    rates count for the first interval; once converged the final rates fill
+    the remaining intervals), so one iteration delivers the warm-start
+    rates.  Without it (``iter-once``) the capacities after the slot's
+    updates apply to the whole slot.
     """
 
     def __init__(self, model, traffic, config, iterations: int = 50,

@@ -208,9 +208,8 @@ def _armijo_test(change: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.n
     return ok, ok | (gain <= _ZERO)
 
 
-def alloc_sweep(model: NetworkModel, links: WeightedLinks, state: PowerState,
-                at: WeightedView, delta: np.ndarray, beta0: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def alloc_sweep(links: WeightedLinks, state: PowerState, at: WeightedView, delta: np.ndarray,
+                beta0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One allocation update for every node with weighted links, in each of
     the B problems of ``links``, from the view ``at`` of ``state`` with the
     allocation gains ``delta`` on the weighted links.
@@ -382,19 +381,21 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
     Returns (exponents, link metrics and (B,) objectives at the accepted
     points, (B,) objective evaluations, (B,) accepted stepsizes to seed the
     next call's ``xi0``, (B,) whether the row fell back to the diagonal
-    direction).  A problem's accepted point is its accepted trial, or its
-    start when its step does not move, a trial fails at the rounding floor
-    (``_ROUNDING_FLOOR``) or the stepsize falls below the floor, so a ladder
-    that starts at ``ARMIJO_INITIAL`` ends within 47 trials.  Each round
-    evaluates all B trials at once; a stopped problem keeps the stepsize of
-    its last trial (a halving below the floor is not taken), so no problem
-    evaluates, or raises at, a trial its own ladder does not reach.  A
-    Newton ladder starts from the full step, and its trials pass only if
-    they also raise the objective: the clipped Newton direction need not be
-    an ascent direction.  A row whose Newton ladder accepts nothing, or
-    that has no Newton direction, runs the ladder again in the same call
-    along the diagonal direction from the carried stepsize, and ends where
-    the diagonal step would.  The per-problem bookkeeping runs on Python
+    direction).  Each row runs one Armijo ladder.  Its ladder ends at an
+    accepted trial, or without a step when the step does not move, a trial
+    fails at the rounding floor (``_ROUNDING_FLOOR``) or the stepsize falls
+    below the floor, so a ladder that starts at ``ARMIJO_INITIAL`` ends
+    within 47 trials; a problem that takes no step returns its start.  Each
+    round evaluates all B trials at once; a stopped problem keeps the
+    stepsize of its last trial (a halving below the floor is not taken), so
+    no problem evaluates, or raises at, a trial its own ladder does not
+    reach.  A Newton ladder starts from the full step, and its trials pass
+    only if they also raise the objective: the clipped Newton direction
+    need not be an ascent direction.  A Newton row whose ladder ends
+    without a step, so also one without a Newton direction (its step is
+    zero), hands over: from the next round on it runs the diagonal ladder
+    from the carried stepsize, flagged as a fallback, and ends where the
+    diagonal step would.  The per-problem bookkeeping runs on Python
     numbers.
     """
     rows = links.rows
@@ -403,64 +404,52 @@ def power_step(model: NetworkModel, links: WeightedLinks, state: PowerState,
                                          weighted_view(links, state.alloc, metrics), newton)
     gamma = state.exponent.reshape(rows, -1)
     grad = (links.lay.log_power_cap * delta_gamma)[:, None, :]
-    xi = [ARMIJO_INITIAL] * rows if xi0 is None else np.minimum(xi0, ARMIJO_INITIAL).tolist()
+    carried = [ARMIJO_INITIAL] * rows if xi0 is None else np.minimum(xi0, ARMIJO_INITIAL).tolist()
     start = f0.tolist()
     took, evals, xi_next = [False] * rows, [0] * rows, [ARMIJO_INITIAL] * rows
     # Each row's trial step is xi * num / den: delta_gamma / v on the
-    # diagonal, the Newton direction over 1.
-    num, den, strict = delta_gamma, v, [False] * rows
-    fallback = strict
+    # diagonal, the Newton direction over 1.  ``strict`` marks the rows on
+    # their Newton ladder, which starts from the full step.
+    num, den, xi = delta_gamma, v, list(carried)
+    strict, fallback = [newton] * rows, [False] * rows
     if newton:
         d = _newton_direction(links, gamma, delta_gamma, v, m)
-        num, den, strict = d, _ONE, np.logical_and.reduce(np.isfinite(d), axis=1).tolist()
-        if False in strict:     # a row without a Newton direction takes the diagonal one
-            has = np.array(strict)[:, None]
-            num, den = np.where(has, d, delta_gamma), np.where(has, _ONE, v)
-        fallback = [not x for x in strict]
-        # A Newton ladder starts from the full Newton step, a diagonal one
-        # from the carried stepsize.
-        first, xi = xi, [ARMIJO_INITIAL if x else f for x, f in zip(strict, xi)]
+        # A row without a finite Newton direction steps by zero: it does not move.
+        finite = np.logical_and.reduce(np.isfinite(d), axis=1)[:, None]
+        num, den, xi = np.where(finite, d, _ZERO), _ONE, [ARMIJO_INITIAL] * rows
     live = [True] * rows
-    # The ladder runs once, and once more for the rows to fall back.
-    while True:
-        while True in live:
-            new = np.minimum(np.maximum(gamma + np.array(xi)[:, None] * num / den,
-                                        links.lay.gamma_floor), _ONE)
-            move = new - gamma
-            moves = np.logical_or.reduce(move, axis=1).tolist()
-            if False in moves:      # a row that does not move stops
-                live = [on and mv for on, mv in zip(live, moves)]
-                if True not in live:
-                    break
+    while True in live:
+        new = np.minimum(np.maximum(gamma + np.array(xi)[:, None] * num / den,
+                                    links.lay.gamma_floor), _ONE)
+        move = new - gamma
+        tried = [on and mv for on, mv in zip(live, np.logical_or.reduce(move, axis=1).tolist())]
+        if True in tried:       # a row that does not move ends its ladder untried
             met, f1 = _trial(model, links, state.alloc, flat := new.reshape(-1))
-            slope = np.matmul(grad, move[..., None])[:, 0, 0].tolist()
-            for k, (on, a, b, s) in enumerate(zip(live, start, f1.tolist(), slope)):
-                if not on:
-                    continue
+            after, slope = f1.tolist(), np.matmul(grad, move[..., None])[:, 0, 0].tolist()
+        handover = False
+        for k, (on, t, a) in enumerate(zip(live, tried, start)):
+            if not on:
+                continue
+            if t:
                 evals[k] += 1
+                b, s = after[k], slope[k]
                 if b - a >= ARMIJO_SIGMA * s and (b > a or not strict[k]):
-                    took[k] = True
+                    took[k], live[k] = True, False
                     xi_next[k] = min(2.0 * xi[k], ARMIJO_INITIAL)
-                elif not s <= _ROUNDING_FLOOR * abs(a) and not xi[k] * ARMIJO_SHRINK < _MIN_STEP:
+                    continue
+                if not s <= _ROUNDING_FLOOR * abs(a) and not xi[k] * ARMIJO_SHRINK < _MIN_STEP:
                     # Failed above the rounding floor (a NaN slope too), and the
                     # halved stepsize is not below the floor.
                     xi[k] *= ARMIJO_SHRINK
                     continue
+            # The ladder ends without a step; a Newton row hands over.
+            if strict[k]:
+                strict[k], fallback[k], xi[k], handover = False, True, carried[k], True
+            else:
                 live[k] = False
-        # Newton rows that accepted nothing run the diagonal ladder; the
-        # others keep their last trial, which every round evaluates again.
-        if not newton:
-            break
-        newton = False
-        again = [on and not t for on, t in zip(strict, took)]
-        if not any(again):
-            break
-        pick = np.array(again)[:, None]
-        num, den = np.where(pick, delta_gamma, num), np.where(pick, v, den)
-        live = again
-        xi = [x0 if g else x for g, x0, x in zip(again, first, xi)]
-        fallback = [f or g for f, g in zip(fallback, again)]
-        strict = [False] * rows
+        if handover:
+            pick = np.array(fallback)[:, None]
+            num, den = np.where(pick, delta_gamma, num), np.where(pick, v, den)
     evals, xi_next, fallback = np.array(evals), np.array(xi_next), np.array(fallback)
     if all(took):
         return flat, met, f1, evals, xi_next, fallback
@@ -595,8 +584,8 @@ class SolveDiagnostics:
     broadcasts: int = 0
     feedbacks: int = 0
     line_search_evals: int = 0
-    # Newton power steps that ran their ladder again along the diagonal
-    # direction (always 0 on the diagonal step).
+    # Newton power steps that handed over to the diagonal ladder (always 0
+    # on the diagonal step).
     diagonal_fallbacks: int = 0
     # Clipped per-link capacities at the start point and after each
     # iteration, one row each; filled only when requested.
@@ -728,7 +717,7 @@ def _solve_rows(model: NetworkModel, weights: np.ndarray, initial: PowerState,
             ids, weighted = ids[keep], weighted[keep]
             links = weighted_links(model, weights[ids])
             at = weighted_view(links, state.alloc, metrics)
-        alloc, sweep_evals, beta0 = alloc_sweep(model, links, state, at, gradient[0], beta0)
+        alloc, sweep_evals, beta0 = alloc_sweep(links, state, at, gradient[0], beta0)
         state = PowerState(alloc, state.exponent)
         expo, metrics, f_after, pc_evals, xi0, fell = power_step(model, links, state, xi0,
                                                                  config.centralized)

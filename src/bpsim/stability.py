@@ -128,12 +128,10 @@ class RateRegionOracle:
 
         Each link independently picks the commodity with the largest
         differential of delta across it and idles when all are negative, so
-        the maximum is exact and linear in the capacities.
+        the maximum is exact and linear in the capacities: the link weights
+        ``compute_weights`` gives ``delta``.
         """
-        d = np.where(self.mask(), delta, 0.0)
-        diff = d[self.model.src] - d[self.model.dst]
-        w = np.maximum(diff.max(axis=1), 0.0)
-        return float((w * cap).sum())
+        return float((compute_weights(delta, self.traffic, self.model).weight * cap).sum())
 
     def _excess_direction(self, delta: np.ndarray):
         """The masked unit direction of ``delta`` (None for the zero

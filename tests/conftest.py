@@ -181,8 +181,7 @@ def alloc_step(model: NetworkModel, weights: np.ndarray, state: phy.PowerState,
         return state.copy()
     metrics = phy.link_metrics(model, state)
     delta = phy.alloc_marginal_gain(model, weights, metrics)[ws.act]
-    alloc, _, _ = solver.alloc_sweep(model, ws, state, phy.weighted_view(ws, state.alloc, metrics),
-                                     delta)
+    alloc, _, _ = solver.alloc_sweep(ws, state, phy.weighted_view(ws, state.alloc, metrics), delta)
     return phy.PowerState(alloc, state.exponent.copy())
 
 

@@ -255,6 +255,16 @@ def test_run_rejects_unknown_scheme(tmp_path):
     assert code == 2
 
 
+def test_run_rejects_a_repeated_scheme(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["run", "--generate", "n=4", "B=2", "seed=9",
+                 "--scheme", "iter-once,instant,iter-once", "--slots", "5", "--runs", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert "'iter-once'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_requires_scenario_source(tmp_path):
     code = main(["run", "--slots", "5", "--runs", "1",
                  "--out", str(tmp_path / "x")])

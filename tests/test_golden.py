@@ -85,6 +85,7 @@ def compare(files: dict[str, Path], manifest: dict) -> list[str]:
     return problems
 
 
+@pytest.mark.bit_equality
 def test_golden_outputs_match_the_manifest(tmp_path):
     manifest = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
     files = golden.generate(tmp_path)
@@ -97,6 +98,7 @@ def test_golden_outputs_match_the_manifest(tmp_path):
         problems[0], len(problems))
 
 
+@pytest.mark.bit_equality
 def test_golden_compare_names_the_first_line_and_column(tmp_path):
     """A one-digit change in a CSV cell is named by file, line and column; on
     another build only a number beyond the tolerance fails."""
@@ -121,6 +123,7 @@ def test_golden_compare_names_the_first_line_and_column(tmp_path):
     assert compare(files, manifest) == ["a/summary.csv: numbers differ by more than 0.001 relative"]
 
 
+@pytest.mark.bit_equality
 @pytest.mark.parametrize("name", ["avg_instant.csv", "summary.csv", "trace_instant_run0.csv"])
 def test_golden_entries_keep_numbers_only_for_curves_and_summaries(name):
     assert ("numbers" in golden.entry(name, b"a,1\n")) == (not name.startswith("trace"))

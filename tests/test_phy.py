@@ -285,6 +285,7 @@ def _power_marginal_parts_full(model, weights, state, metrics):
     return up, down
 
 
+@pytest.mark.bit_equality
 @settings(max_examples=60, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
        zero_frac=strategies.sampled_from([0.0, 0.3, 0.7]))
@@ -326,6 +327,7 @@ def _with_noise(m, receiver, value):
                         processing_gain=m.processing_gain, links=m.links)
 
 
+@pytest.mark.bit_equality
 def test_moved_domain_checks_raise_as_before():
     """The link metrics and the objective check their results and look for a
     fault only when the check fails; each fault still raises
@@ -437,6 +439,7 @@ def _kkt_reference(model, weights, state, metrics, gradient):
     return gamma_residual, normalized
 
 
+@pytest.mark.bit_equality
 @settings(max_examples=60, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
        rows=strategies.sampled_from([1, 3]),
@@ -485,6 +488,7 @@ def test_end_to_end_rows_equal_one_problem_references(seed, n, rows, zero_frac):
             assert np.asarray(got[part]).tobytes() == np.asarray(exp).tobytes()
 
 
+@pytest.mark.bit_equality
 @settings(max_examples=40, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8))
 def test_end_to_end_rows_of_mixed_counts_equal_single_rows(seed, n):

@@ -180,6 +180,26 @@ def test_iter_once_is_single_update():
     assert info2.iterations <= 1
 
 
+def test_one_iteration_delivers_what_integrate_mean_decides():
+    """At one iteration per slot, ``iter-conv`` delivers its warm-start
+    capacities (the first row of its capacity trace, clipped), while
+    ``iter-once`` delivers the capacities after its one update: on the same
+    backlog from the same start, the two differ."""
+    sc = tandem_scenario()
+    cfg = SolverConfig(kkt_tolerance=1e-10, max_iterations=500)
+    u = np.array([[1.0], [30.0], [0.0]])
+    conv = make_scheme("iter-conv", sc.model, sc.traffic, cfg, iterations_per_slot=1)
+    once = make_scheme("iter-once", sc.model, sc.traffic, cfg)
+    r_conv, d_conv = conv.step(u)
+    r_once, d_once = once.step(u)
+    assert d_conv.iterations == d_once.iterations == 1
+    w = compute_weights(u, sc.traffic, sc.model).weight
+    assert np.array_equal(r_conv.rate, np.where(w > 0, d_conv.capacity_trace[0], 0.0))
+    assert np.array_equal(r_once.rate,
+                          np.where(w > 0, np.maximum(d_once.metrics.capacity, 0.0), 0.0))
+    assert not np.allclose(r_conv.rate, r_once.rate)
+
+
 def test_instant_dominates_random_power_samples():
     sc = tandem_scenario()
     m = sc.model

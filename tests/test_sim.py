@@ -131,6 +131,7 @@ def _multi_destination_scenario():
     return Scenario(model=model, traffic=traffic, positions=pos, seed=0)
 
 
+@pytest.mark.bit_equality
 @pytest.mark.parametrize("build", [lambda: generate_scenario(7, 3.0, seed=4),
                                    _multi_destination_scenario],
                          ids=["random", "multi_destination"])
@@ -294,6 +295,7 @@ def test_within_slot_objective_never_below_start():
         assert integrated >= tr.objective_first[t] - 1e-9 * max(1.0, abs(integrated))
 
 
+@pytest.mark.bit_equality
 def test_iter_once_leaves_no_weighted_link_at_the_floor(monkeypatch):
     """No one-iterate solve of a paper network run ends with a weighted link
     pinned at the allocation floor, where the link gets no power for the
@@ -377,6 +379,7 @@ def _per_cell_csv(trace, per_queue=False):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.bit_equality
 @pytest.mark.parametrize("per_queue", [False, True])
 def test_trace_csv_equals_per_cell_rendering(per_queue):
     """Byte for byte the per-cell rendering, on a simulated trace and on one
@@ -433,6 +436,7 @@ def _trace_with_backlog(backlog):
     return SimTrace(**fields)
 
 
+@pytest.mark.bit_equality
 @settings(max_examples=200, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), width=strategies.integers(1, 60),
        slots=strategies.integers(2, 6), density=strategies.floats(0.0, 1.0),
@@ -616,6 +620,7 @@ def test_read_trace_csv_holds_one_row_of_text(relay_trace, tmp_path):
     assert peak <= 1.5 * floats
 
 
+@pytest.mark.bit_equality
 @pytest.mark.parametrize("scheme", ["instant", "iter-conv", "iter-once"])
 @pytest.mark.parametrize("net", [(10, 4.0, 1000), (40, 0.05, 2000)])
 def test_trace_arrivals_equal_what_the_run_stepped(monkeypatch, scheme, net):

@@ -104,6 +104,7 @@ def _project_alloc_nodes_masked(src, m_node, target, invq, floor):
     return x if free is True else np.where(free, np.maximum(x, floor), floor)
 
 
+@pytest.mark.bit_equality
 @settings(max_examples=200, deadline=None)
 @given(lengths=strategies.lists(strategies.integers(0, 6), min_size=1, max_size=8),
        floor=strategies.sampled_from([0.0, 1e-12, 0.02, 0.3, 0.6]),
@@ -122,6 +123,7 @@ def test_projection_equals_masked_division_reference(lengths, floor, seed):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.bit_equality
 def test_projection_masked_division_cases():
     """A fully clamped segment beside nodes without coordinates: the masked
     body's zero multiplier and the unmasked one's never-read one agree."""
@@ -134,6 +136,7 @@ def test_projection_masked_division_cases():
                                                         0.5).tobytes()
 
 
+@pytest.mark.bit_equality
 @settings(max_examples=150, deadline=None)
 @given(lengths=strategies.lists(strategies.integers(0, 6), min_size=1, max_size=8),
        share=strategies.sampled_from([0.0, 0.25, 0.9, 0.999]),
@@ -197,7 +200,7 @@ def test_alloc_step_equal_gains_fixed_point():
     ws = phy.weighted_links(model, w)
     met = phy.link_metrics(model, st)
     d = np.full(ws.act.size, 0.7)
-    new_alloc, _, _ = alloc_sweep(model, ws, st, phy.weighted_view(ws, st.alloc, met), d)
+    new_alloc, _, _ = alloc_sweep(ws, st, phy.weighted_view(ws, st.alloc, met), d)
     assert np.allclose(new_alloc, st.alloc, atol=1e-9)
 
 
@@ -221,6 +224,7 @@ def test_alloc_step_converges_to_grid_argmax():
     assert np.isclose(st.alloc[0] + st.alloc[1], 1.0)
 
 
+@pytest.mark.bit_equality
 def test_power_step_boundary_cases():
     """A positive gain at the exponent cap stays at the cap and a zero gain
     moves nothing, at one row and in a batch whose other row moves."""
@@ -363,7 +367,7 @@ def test_every_iterate_stays_feasible():
     for _ in range(12):
         met = link_metrics(m, st)
         d = alloc_marginal_gain(m, w, met)[ws.act]
-        alloc, _, _ = alloc_sweep(m, ws, st, phy.weighted_view(ws, st.alloc, met), d)
+        alloc, _, _ = alloc_sweep(ws, st, phy.weighted_view(ws, st.alloc, met), d)
         st = phy.PowerState(alloc, st.exponent)
         gam, *_ = power_step(m, ws, st)
         st = phy.PowerState(st.alloc, gam)
@@ -426,6 +430,7 @@ def test_kkt_grid_optimum_passes_loose_tolerance():
 
 # ------------------------------------------------------- reuse is exact
 
+@pytest.mark.bit_equality
 @settings(max_examples=25, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 6))
 def test_solver_reuses_link_view_and_accepted_metrics_exactly(seed, n):
@@ -483,6 +488,7 @@ def test_solver_reuses_link_view_and_accepted_metrics_exactly(seed, n):
     assert diag.capacity_trace[-1].tobytes() == clipped.tobytes()
 
 
+@pytest.mark.bit_equality
 def test_stalled_solves_stop_with_an_honest_flag():
     """Cold solves at a tolerance below their rounding floor stop after
     ``_STALL_ITERATES`` iterates that leave the objective unchanged, flagged
@@ -564,6 +570,7 @@ def _assert_lockstep_matches(model, weights, start, config):
     return batch
 
 
+@pytest.mark.bit_equality
 @settings(max_examples=60, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
        tolerance=strategies.sampled_from([1e-9, 1e-12]),
@@ -584,6 +591,7 @@ def test_lockstep_rows_equal_single_solves(seed, n, tolerance, budget, centraliz
     _assert_lockstep_matches(m, np.array(rows), phy.random_power_state(m, rng), config)
 
 
+@pytest.mark.bit_equality
 @settings(max_examples=40, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
        tolerance=strategies.sampled_from([1e-6, 1e-9]),
@@ -611,6 +619,7 @@ def test_kkt_check_is_the_lockstep_certificate(seed, n, tolerance, budget, centr
         assert report.passed == diag.converged
 
 
+@pytest.mark.bit_equality
 def test_lockstep_rows_equal_single_cold_oracle_solves():
     """The verify oracle's cold solves at 1e-7, stalls included: on the
     diagonal step, and as the oracle makes them, centralized, on a 10-node
@@ -630,6 +639,7 @@ def test_lockstep_rows_equal_single_cold_oracle_solves():
     assert sum(diag.diagonal_fallbacks for _, diag in solved)
 
 
+@pytest.mark.bit_equality
 def test_lockstep_mixed_counts_run_one_loop(monkeypatch):
     """Rows with different weighted-link counts advance in one ``_solve_rows``
     loop, which runs as many iterates as its slowest row, and each row is
@@ -671,6 +681,7 @@ def _relabelled(model, nodes, links):
                                     for l in links))
 
 
+@pytest.mark.bit_equality
 @settings(max_examples=30, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8))
 def test_relabelling_nodes_and_links_permutes_the_solution(seed, n):
@@ -712,6 +723,7 @@ def _newton_system(v_rows, delta_rows):
     return links, np.zeros((rows, n)), np.array(delta_rows, float), np.array(v_rows, float)
 
 
+@pytest.mark.bit_equality
 def test_newton_singular_or_non_finite_systems_have_no_direction():
     """A Newton system that is singular in floating point, or not finite,
     gives its row no direction (NaN) instead of raising LinAlgError; the
@@ -733,46 +745,69 @@ def test_newton_singular_or_non_finite_systems_have_no_direction():
     assert np.allclose(regular @ d[1], delta[1])
 
 
+@pytest.mark.bit_equality
 def test_newton_rows_without_a_raise_take_the_diagonal_step(monkeypatch):
     """A Newton power step row without a direction, or whose Newton ladder
     does not raise its objective, ends where the diagonal step ends,
     flagged as a fallback; a Newton step that raises is no fallback.  The
     second row's direction moves one exponent against its gain by 1e-15:
     the objective does not change, so the Armijo test alone, with its
-    negative predicted gain, would pass the trial."""
+    negative predicted gain, would pass the trial.  One batch mixes the
+    three kinds of row, and each row's outputs are its single-row step's."""
     rng = np.random.default_rng(4)
     m = random_model(rng, n=5)
     mask = random_weights(rng, m) > 0
     rows = np.array([np.where(mask, rng.random(m.n_links) * 10.0, 0.0) for _ in range(2)])
-    links = phy.weighted_links(m, rows)
     start, _ = solve_max_weight(m, rows[0], phy.random_power_state(m, rng),
                                 SolverConfig(max_iterations=5))
+    # The third row's Newton step raises its objective: it does not hand over.
+    rows = np.vstack([rows, np.where(mask, rng.random(m.n_links) * 10.0, 0.0)])
+    links = phy.weighted_links(m, rows)
     state = solver._seed_state(m, links, start)
     metrics, f0 = solver._trial(m, links, state.alloc, state.exponent)
-    diagonal = solver.power_step(m, links, state)
-    newton = solver.power_step(m, links, state, None, True)
+    # Carried stepsizes: a row that hands over resumes the diagonal ladder from its own.
+    xi0 = np.array([0.5, 0.25, 1.0])
+    diagonal = solver.power_step(m, links, state, xi0)
+    newton = solver.power_step(m, links, state, xi0, True)
     assert not newton[5].any() and (newton[2] > f0).all()
 
     gain = solver._power_direction(m, links, phy.weighted_view(links, state.alloc, metrics))[0][1]
     j = int(np.argmin(np.where(gain != 0.0, np.abs(gain), np.inf)))
     short = np.zeros(m.n)
     short[j] = -1e-15 * np.sign(gain[j])
-    lowered = state.exponent.reshape(2, -1).copy()
+    lowered = state.exponent.reshape(3, -1).copy()
     lowered[1] += short
     assert solver._trial(m, links, state.alloc, lowered.reshape(-1))[1][1] == f0[1]
 
+    real, kinds = solver._newton_direction, ["none", "short", "newton"]
+
     def unusable(links_, gamma, delta_gamma, v, m_):
-        return np.stack([np.full(m.n, np.nan), short])
+        d = real(links_, gamma, delta_gamma, v, m_)
+        for r, kind in enumerate(kinds):
+            d[r] = {"none": np.nan, "short": short}.get(kind, d[r])
+        return d
 
     monkeypatch.setattr(solver, "_newton_direction", unusable)
-    fell = solver.power_step(m, links, state, None, True)
-    assert fell[5].tolist() == [True, True]
-    assert _as_bytes([fell[0], fell[1], fell[2], fell[4]]) == _as_bytes(
-        [diagonal[0], diagonal[1], diagonal[2], diagonal[4]])
+    fell = solver.power_step(m, links, state, xi0, True)
+    assert fell[5].tolist() == [True, True, False]
+
+    def ends(out, index):
+        """Exponents, metrics, objectives and next stepsizes of rows ``index``."""
+        return _as_bytes(solver._take_rows((out[0], out[1], out[2], out[4]), 3, index))
+
+    assert ends(fell, [0, 1]) == ends(diagonal, [0, 1])
     # The short Newton row's one trial is rejected before its diagonal ladder.
-    assert fell[3].tolist() == [diagonal[3][0], diagonal[3][1] + 1]
+    assert fell[3].tolist() == [diagonal[3][0], diagonal[3][1] + 1, newton[3][2]]
+    assert ends(fell, [2]) == ends(newton, [2])
+    # Each row of the batch is its own single-row step, bit for bit.
+    for k, kind in enumerate(list(kinds)):
+        kinds[:] = [kind]
+        alone = solver.power_step(m, phy.weighted_links(m, rows[k:k + 1]),
+                                  solver._take_rows(state, 3, [k]), xi0[k:k + 1], True)
+        assert _as_bytes(alone) == _as_bytes(solver._take_rows(fell, 3, [k]))
 
 
+@pytest.mark.bit_equality
 def test_sweep_armijo_test_accepts_only_raises():
     """An allocation ladder's Armijo test passes only a trial that raises
     its local objective: a trial that predicts a loss and loses less than
@@ -784,6 +819,7 @@ def test_sweep_armijo_test_accepts_only_raises():
     assert ok.tolist() == [False, False, True] and end.all()
 
 
+@pytest.mark.bit_equality
 def test_newton_certifies_random_five_node_instances():
     """Centralized solves of 200 random five-node problems (generator seeds
     0-39, five instances each) certify at 1e-6 within 1,000 iterates,
@@ -806,6 +842,7 @@ def test_newton_certifies_random_five_node_instances():
     assert np.mean(iterations) < 40.0
 
 
+@pytest.mark.bit_equality
 @pytest.mark.parametrize("centralized", [False, True], ids=["distributed", "centralized"])
 def test_sweep_caps_the_shrink_so_no_link_crawls_from_the_floor(monkeypatch, centralized):
     """A cold solve whose first sweep, with no shrink cap, clamps a weighted
@@ -826,8 +863,8 @@ def test_sweep_caps_the_shrink_so_no_link_crawls_from_the_floor(monkeypatch, cen
     real = solver.alloc_sweep
     ratios = []
 
-    def sweep(model, links, state, at, delta, beta0=None):
-        out = real(model, links, state, at, delta, beta0)
+    def sweep(links, state, at, delta, beta0=None):
+        out = real(links, state, at, delta, beta0)
         ratios.append(float((out[0][links.act] / at.alloc).min()))
         return out
 
@@ -844,6 +881,7 @@ def test_sweep_caps_the_shrink_so_no_link_crawls_from_the_floor(monkeypatch, cen
     assert ratios[0] < 1e-9
 
 
+@pytest.mark.bit_equality
 def test_lockstep_rejects_malformed_weights():
     m = random_model(np.random.default_rng(0), n=3)
     start = phy.uniform_power_state(m)
@@ -867,6 +905,7 @@ def test_both_entries_reject_negative_and_non_finite_weights(bad):
         solve_max_weight_batch(m, np.array([np.ones(m.n_links), w]), start)
 
 
+@pytest.mark.bit_equality
 def test_power_direction_domain_check_raises_as_before():
     """A non-finite power marginal gain still raises NumericDomainError with
     its message, NaN and infinite alike."""
@@ -897,14 +936,14 @@ def test_power_direction_domain_check_raises_as_before():
 # accepting.  Each appends (round, reason) per ladder to ``why``: the
 # round after which it stopped and why.
 
-def _sequential_sweep(model, links, state, at, d, beta0, why):
+def _sequential_sweep(links, state, at, d, beta0, why):
     """``alloc_sweep``, round by round, for at most ``_SEQUENTIAL_ROUNDS``
     rounds.  A problem whose last waiting nodes leave in a round in which
     one of them fails predicting no gain stops for "no gain"; one still
     searching after the last round stops for "rounds", and its waiting
     nodes resume at their halved stepsizes next sweep.  Every other node
     that did not accept restarts from the cap."""
-    rows, n = links.rows, model.n
+    rows, n = links.rows, links.lay.size // links.rows
     a = at.alloc
     out = state.alloc.copy()
     invq, local, grad, cap, beta = solver._armijo_terms(links, at, d, beta0)
@@ -1042,10 +1081,10 @@ def _checked_ladders(mp, seen):
     ``seen`` collects, per kind of ladder, the references' (round, reason)."""
     one_sweep, one_power_step = solver.alloc_sweep, solver.power_step
 
-    def sweep(model, links, state, at, delta, beta0=None):
+    def sweep(links, state, at, delta, beta0=None):
         why = []
-        want = _sequential_sweep(model, links, state, at, delta, beta0, why)
-        got = one_sweep(model, links, state, at, delta, beta0)
+        want = _sequential_sweep(links, state, at, delta, beta0, why)
+        got = one_sweep(links, state, at, delta, beta0)
         assert _as_bytes(got) == _as_bytes(want)
         if links.rows == 1:
             seen.setdefault("sweep", []).extend(why)
@@ -1094,6 +1133,7 @@ def _solve_checked(seed, n, min_step, tolerance, rounding=solver._ROUNDING_FLOOR
     return seen
 
 
+@pytest.mark.bit_equality
 @settings(max_examples=20, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
        min_step=strategies.sampled_from([1e-14, 1e-14, 1e-4]),
@@ -1105,6 +1145,7 @@ def test_capped_ladders_equal_sequential_ladders(seed, n, min_step, tolerance, r
     _solve_checked(seed, n, min_step, tolerance, rounding)
 
 
+@pytest.mark.bit_equality
 def test_capped_ladders_cover_every_stop():
     """Fixed problems on which the sweep's three-round ladders and the power
     step's ladders meet every way a ladder stops, and lockstep rows that
@@ -1148,6 +1189,7 @@ def test_capped_ladders_cover_every_stop():
                if reason == "floor")
 
 
+@pytest.mark.bit_equality
 def test_power_step_evaluates_and_raises_only_where_the_reference_does():
     """The power step evaluates no trial powers the round-by-round reference
     does not, at one row and at more, although every round evaluates the
@@ -1199,8 +1241,8 @@ def _ascent_checked(mp, drops):
     rule."""
     sweep, step = solver.alloc_sweep, solver.power_step
 
-    def checked_sweep(model, links, state, at, delta, beta0=None):
-        out = sweep(model, links, state, at, delta, beta0)
+    def checked_sweep(links, state, at, delta, beta0=None):
+        out = sweep(links, state, at, delta, beta0)
         change = solver._armijo_terms(links, at, delta, beta0)[1](out[0][links.act])
         drops.extend(("sweep", float(-x)) for x in change[change < 0.0])
         return out
@@ -1227,6 +1269,7 @@ def _ascent_checked(mp, drops):
     mp.setattr(solver, "power_step", checked_power_step)
 
 
+@pytest.mark.bit_equality
 @settings(max_examples=25, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8))
 @example(seed=0, n=5)       # Newton rows fall back, and their diagonal ladders accept
@@ -1270,6 +1313,7 @@ def _objective_rounding(links, metrics, rows):
     return np.add.reduce((links.w * condition).reshape(rows, -1), axis=1)
 
 
+@pytest.mark.bit_equality
 @settings(max_examples=30, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
        rows=strategies.sampled_from([1, 3]), warm=strategies.sampled_from([0, 3, 30]),
@@ -1304,7 +1348,7 @@ def test_capped_sweep_ascends_and_sets_stepsizes_by_rule(seed, n, rows, warm, ca
     beta0 = 10.0 ** rng.uniform(-3.0, 1.0, rows * n) if carried else None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_MIN_STEP", min_step)
-        alloc, evals, beta = solver.alloc_sweep(m, links, state, at, delta, beta0)
+        alloc, evals, beta = solver.alloc_sweep(links, state, at, delta, beta0)
     invq, local, grad, cap, first = solver._armijo_terms(links, at, delta, beta0)
     after, f_after = solver._trial(m, links, alloc, state.exponent)
     # The float64 objective is within a few ulps of the weighted conditions,

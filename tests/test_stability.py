@@ -82,6 +82,7 @@ def test_support_dominates_samples(tandem_oracle):
     assert vals.max() <= val + 1e-6 * max(1.0, abs(val))
 
 
+@pytest.mark.bit_equality
 def test_sample_rates_equal_per_sample_loop():
     """One batched virtual-rate call over all samples gives bit for bit the
     per-sample loop, with the random draws in the same order."""
@@ -280,6 +281,7 @@ def test_estimate_epsilon_positive_interior(tandem_oracle):
         assert val >= float((u * (a + 0.95 * est * oracle.mask())).sum()) - 1e-6
 
 
+@pytest.mark.bit_equality
 def test_lockstep_look_ahead_changes_no_answer(tandem_oracle, monkeypatch):
     """estimate_epsilon and check_drift_condition return exactly what they
     return when the look-ahead solves row by row, and every query is answered
