@@ -253,14 +253,19 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.sample_seed)
     oracle = RateRegionOracle(scenario.model, scenario.traffic)
     a = scenario.traffic.arrival_mean
+    # No direction depends on an answer: draw them all, then solve one lockstep batch.
+    margin = [] if args.epsilon is not None else oracle.random_directions(args.eps_samples, rng)
+    supports = oracle.random_directions(max(8, args.direction_samples // 4), rng)
+    excesses = oracle.random_directions(args.direction_samples, rng)
+    oracle.solve_ahead(supports=margin + supports, excesses=excesses)
     eps = args.epsilon
     if eps is None:
-        eps = estimate_epsilon(oracle, a, rng, samples=args.eps_samples)
+        eps = estimate_epsilon(oracle, a, margin)
         print(f"sampled upper bound on the interior margin eps = {float(eps)!r}")
     if eps <= 0:
         raise ConfigError("arrival point has no positive interior margin")
-    report = check_drift_condition(oracle, a, eps, float(lam.max()), args.eps0, lyap, flat, rng,
-                                   direction_samples=args.direction_samples)
+    report = check_drift_condition(oracle, a, eps, float(lam.max()), args.eps0, lyap, flat,
+                                   supports, excesses)
     out.write_text(report.to_csv(), encoding="utf-8", newline="\n")
     print(f"checked {len(report.checked)} slots above omega={report.omega!r}; "
           f"{report.violations} violations")

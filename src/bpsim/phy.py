@@ -171,8 +171,14 @@ def link_metrics_from_powers(model: NetworkModel, p: np.ndarray,
     if low != low:
         bad = int(np.argmax(np.isnan(sinr))) % model.n_links
         raise NumericDomainError(f"non-finite capacity on link {model.links[bad]}")
-    # A zero or negative SINR has capacity -inf.
-    capacity = np.log(sinr) if low > 0 else np.log(sinr, out=lay.no_rate.copy(), where=sinr > 0)
+    # A zero or negative SINR has capacity -inf; the log of zero is -inf itself.
+    if low > 0:
+        capacity = np.log(sinr)
+    elif low == 0:
+        with np.errstate(divide="ignore"):
+            capacity = np.log(sinr)
+    else:
+        capacity = np.log(sinr, out=lay.no_rate.copy(), where=sinr > 0)
     return LinkMetrics(p, inoise, sinr, capacity, tx_total)
 
 

@@ -94,7 +94,8 @@ def _invq_sums(src: np.ndarray, invq: np.ndarray, n: int) -> np.ndarray:
     """Per-segment sums of ``invq``, a zero sum read as 1 (no free
     coordinate, or ``invq`` 0, reads it): the projection's divisors."""
     s_iq = np.bincount(src, weights=invq, minlength=n)
-    return s_iq + (s_iq == 0)
+    np.copyto(s_iq, _ONE, where=s_iq == _ZERO, casting="unsafe")    # int when src is empty
+    return s_iq
 
 
 def _project_alloc_nodes(src: np.ndarray, n: int, target: np.ndarray, invq: np.ndarray,

@@ -13,6 +13,7 @@ proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -80,11 +81,12 @@ class RateRegionOracle:
         every delta in ``excesses`` pose.
 
         Lockstep solves return exactly what single solves do, so the later
-        queries return the same values, only sooner.
+        queries return the same values, only sooner; held queries are skipped.
         """
         rows = [compute_weights(u, self.traffic, self.model).weight for u in supports]
         rows += [self._excess_direction(d)[1] for d in excesses]
-        rows = [w for w in rows if w is not None and np.any(w > 0)]
+        rows = [w for w in rows
+                if w is not None and np.any(w > 0) and w.tobytes() not in self._ahead]
         if not rows:
             return
         solved = solve_max_weight_batch(self.model, np.array(rows),
@@ -104,6 +106,11 @@ class RateRegionOracle:
         rt = virtual_rates(rates.rate, rates.commodity, self.traffic, self.model)
         return float((u * rt).sum()), rt
 
+    def random_directions(self, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+        """``count`` uniform random nonnegative queue vectors, zero off the mask."""
+        mask = self.mask()
+        return [np.where(mask, rng.random(mask.shape), 0.0) for _ in range(count)]
+
     def sample_rates(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """(count, n, K) random feasible virtual-rate vectors.
 
@@ -122,6 +129,10 @@ class RateRegionOracle:
             amount[s] = cap * rng.random(e) ** shape
             com[s] = rng.integers(0, nk, size=e)
         return virtual_rates(amount, com, self.traffic, self.model)
+
+    @cached_property
+    def _full_power_capacity(self) -> np.ndarray:
+        return np.maximum(link_metrics(self.model, uniform_power_state(self.model)).capacity, 0.0)
 
     def _best_routing_value(self, delta: np.ndarray, cap: np.ndarray) -> float:
         """max of delta . rtilde over routings given fixed link capacities.
@@ -170,9 +181,7 @@ class RateRegionOracle:
             best = max(best, self._best_routing_value(delta, cap) - offset)
         # directions with negative parts profit from asking dominated links
         # to idle entirely; a full-power configuration covers that corner
-        cap_full = np.maximum(
-            link_metrics(self.model, uniform_power_state(self.model)).capacity, 0.0)
-        best = max(best, self._best_routing_value(delta, cap_full) - offset)
+        best = max(best, self._best_routing_value(delta, self._full_power_capacity) - offset)
         if rng is not None and samples > 0:
             for _ in range(samples):
                 st = random_power_state(self.model, rng)
@@ -213,8 +222,9 @@ def halfspace_margin(oracle: RateRegionOracle, a: np.ndarray, eps: float,
 
 
 def estimate_epsilon(oracle: RateRegionOracle, a: np.ndarray,
-                     rng: np.random.Generator, samples: int = 1000) -> float:
-    """Largest eps with support(u) >= u.(a + eps) on sampled directions.
+                     directions: list[np.ndarray]) -> float:
+    """Largest eps with support(u) >= u.(a + eps) on sampled ``directions``
+    (``oracle.random_directions``).
 
     The support is positively homogeneous, so each sampled nonnegative
     direction yields the exact cutoff (support(u) - u.a) / |u|_1, and the
@@ -223,11 +233,7 @@ def estimate_epsilon(oracle: RateRegionOracle, a: np.ndarray,
     of it: on a 10-node paper network, 1,000 directions gave 2.80 where
     mirror descent certifies [0.095, 0.281].
     """
-    mask = oracle.mask()
-    a = np.where(mask, a, 0.0)
-    # Support queries draw nothing from rng, so drawing every direction
-    # first leaves the stream as it was.
-    directions = [np.where(mask, rng.random(a.shape), 0.0) for _ in range(samples)]
+    a = np.where(oracle.mask(), a, 0.0)
     oracle.solve_ahead(supports=directions)
     best = np.inf
     for u in directions:
@@ -284,8 +290,8 @@ class DriftCheckReport:
 
 def check_drift_condition(oracle: RateRegionOracle, a: np.ndarray, eps: float,
                           lam: float, eps0: float, lyapunov: np.ndarray,
-                          queues: np.ndarray, rng: np.random.Generator,
-                          direction_samples: int = 32) -> DriftCheckReport:
+                          queues: np.ndarray, supports: list[np.ndarray],
+                          excesses: list[np.ndarray]) -> DriftCheckReport:
     """Audit the negative-drift condition over a recorded trajectory.
 
     ``lyapunov`` is the (slots+1,) V column of a trace and ``queues`` the
@@ -294,16 +300,11 @@ def check_drift_condition(oracle: RateRegionOracle, a: np.ndarray, eps: float,
     run's trace CSV, which are the same arrays bit for bit.  For every
     slot whose Lyapunov value exceeds the compact-region level,
     evaluates 2 u_t.(a - R*(u_{t-1})) - ||u_t - u_{t-1}||^2 + lam and flags
-    values above -eps0.  The arrival point must be verifiably interior:
-    sampled support values must exceed u.a with positive margin.
+    values above -eps0.  The arrival point must be verifiably interior: the
+    support values of ``supports`` must exceed u.a with positive margin.
+    The directional excess along ``excesses`` sizes the cone.
     """
-    mask = oracle.mask()
-    a = np.where(mask, a, 0.0)
-    # The queries below draw nothing from rng (directional_excess with no
-    # samples), so drawing every direction first leaves the stream as it was.
-    supports = [np.where(mask, rng.random(a.shape), 0.0)
-                for _ in range(max(8, direction_samples // 4))]
-    excesses = [np.where(mask, rng.random(a.shape), 0.0) for _ in range(direction_samples)]
+    a = np.where(oracle.mask(), a, 0.0)
     oracle.solve_ahead(supports=supports, excesses=excesses)
     dominant = None
     worst = np.inf
@@ -319,7 +320,7 @@ def check_drift_condition(oracle: RateRegionOracle, a: np.ndarray, eps: float,
 
     max_d = 0.0
     for delta in excesses:
-        max_d = max(max_d, oracle.directional_excess(delta, dominant, rng, samples=0))
+        max_d = max(max_d, oracle.directional_excess(delta, dominant))
     if max_d <= 0:
         raise ConfigError("sampled directional excess vanished; cannot size the cone")
     alpha = min(1.0, eps / (2.0 * max_d))

@@ -322,6 +322,47 @@ def test_verify_stable_trace_no_violations(run_dir, tmp_path, capsys, monkeypatc
     assert f"omega={seen['report'].omega!r};" in printed
 
 
+@pytest.mark.bit_equality
+@pytest.mark.parametrize("extra", [(), ("--epsilon", "0.5")])
+def test_verify_solves_its_queries_in_one_lockstep_batch(run_dir, tmp_path, capsys,
+                                                         monkeypatch, extra):
+    """A ``verify`` that checks no slot above omega solves every oracle query
+    in one ``_solve_rows`` call, none row by row, and uses every answer it
+    solved; its report and printed lines are those of a verify whose batch
+    solves row by row."""
+    from bpsim import cli, solver, stability
+
+    _, scen, out = run_dir
+
+    def verify(name):
+        code = main(["verify", "--scenario", str(scen),
+                     "--trace", str(out / "trace_iter-conv_run0.csv"),
+                     "--out", str(tmp_path / name), "--eps-samples", "12",
+                     "--direction-samples", "6", *extra])
+        assert code == 0
+        return (tmp_path / name).read_text(), capsys.readouterr().out
+
+    capsys.readouterr()
+    calls, misses, oracles = [], [], []
+    solve_rows, single = solver._solve_rows, solver.solve_max_weight
+    check = cli.check_drift_condition
+    monkeypatch.setattr(solver, "_solve_rows",
+                        lambda *args: calls.append(len(args[1])) or solve_rows(*args))
+    monkeypatch.setattr(stability, "solve_max_weight",
+                        lambda *args: misses.append(args) or single(*args))
+    monkeypatch.setattr(cli, "check_drift_condition",
+                        lambda oracle, *args: oracles.append(oracle) or check(oracle, *args))
+    batch = verify("batch.csv")
+    assert batch[0] == stability.REPORT_HEADER       # no slot above omega
+    assert len(calls) == 1 and calls[0] > 8
+    assert misses == []
+    assert oracles[0]._ahead == {}
+    monkeypatch.setattr(stability, "solve_max_weight_batch",
+                        lambda model, weights, initial, config=None:
+                        [single(model, w, initial, config) for w in weights])
+    assert verify("rows.csv") == batch
+
+
 def test_verify_requires_per_queue_columns(run_dir, tmp_path):
     base, scen, _ = run_dir
     out = base / "noq"

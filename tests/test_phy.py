@@ -1,6 +1,7 @@
 """SINR, capacities, objective and marginal gains against hand oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,28 @@ def test_moved_domain_checks_raise_as_before():
     assert got.capacity[idle[0]] == -np.inf
     for name in ("power", "inoise", "sinr", "capacity", "node_power"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.bit_equality
+@settings(max_examples=40, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(3, 8),
+       rows=strategies.sampled_from([1, 3]), zero=strategies.sampled_from([0.0, -0.0]))
+def test_zero_sinr_capacities_equal_the_masked_log(seed, n, rows, zero):
+    """Links without power (+0.0 or -0.0) have SINR 0; the plain log taken
+    then gives every capacity bit for bit as the masked log does, -inf at
+    the zero SINRs, and raises no RuntimeWarning."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n=n)
+    p = np.concatenate([phy.link_powers(m, phy.random_power_state(m, rng))
+                        for _ in range(rows)])
+    p[rng.random(p.size) < 0.4] = zero
+    p[-1] = zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        met = phy.link_metrics_from_powers(m, p)
+    assert met.sinr.min() == 0
+    want = np.log(met.sinr, out=np.full_like(met.sinr, -np.inf), where=met.sinr > 0)
+    assert met.capacity.tobytes() == want.tobytes()
 
 
 # One-problem references for the formula layer that runs B problems laid end

@@ -124,6 +124,20 @@ def test_projection_equals_masked_division_reference(lengths, floor, seed):
 
 
 @pytest.mark.bit_equality
+def test_invq_sums_read_a_zero_sum_as_one():
+    """The projection's divisors are bit for bit the sums plus their zero
+    test: empty segments, sums that cancel to zero or -0.0, NaN and inf, and
+    no coordinate at all (whose sums ``bincount`` gives as integers)."""
+    src = np.array([0, 0, 1, 2, 3, 3, 4, 5, 5, 6])
+    invq = np.array([0.0, 0.0, 2.5, -0.0, np.nan, 1.0, np.inf, 1.0, -1.0, 1e-300])
+    for at, n in ((slice(None), 8), (slice(0), 2)):
+        want = np.bincount(src[at], weights=invq[at], minlength=n)
+        want = want + (want == 0)
+        got = solver._invq_sums(src[at], invq[at], n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.bit_equality
 def test_projection_masked_division_cases():
     """A fully clamped segment beside nodes without coordinates: the masked
     body's zero multiplier and the unmasked one's never-read one agree."""

@@ -232,6 +232,12 @@ def _lyapunov(flat):
     return (flat ** 2).sum(axis=1) + ((flat - prev) ** 2).sum(axis=1)
 
 
+def _drift_directions(oracle, rng):
+    """The 8 supports and 32 excess directions ``bpsim verify
+    --direction-samples 32`` draws for ``check_drift_condition``."""
+    return oracle.random_directions(8, rng), oracle.random_directions(32, rng)
+
+
 def test_drift_condition_checks_large_states(tandem_oracle):
     sc, oracle = tandem_oracle
     rng = np.random.default_rng(37)
@@ -239,7 +245,8 @@ def test_drift_condition_checks_large_states(tandem_oracle):
     lam = 2.0 * (10.0 + 40.0 ** 2)
     # huge queue states exceed the compact region and must show negative drift
     big = np.array([[4e4, 3e4, 0.0], [4.2e4, 2.9e4, 0.0], [4.1e4, 3.1e4, 0.0]])
-    report = check_drift_condition(oracle, a, eps, lam, 1.0, _lyapunov(big), big, rng)
+    report = check_drift_condition(oracle, a, eps, lam, 1.0, _lyapunov(big), big,
+                                   *_drift_directions(oracle, rng))
     assert len(report.checked) == 2
     assert report.violations == 0
     assert report.omega > 0
@@ -252,7 +259,7 @@ def test_drift_condition_excludes_small_states(tandem_oracle):
     lam = 2.0 * (10.0 + 40.0 ** 2)
     small = np.array([[5.0, 2.0, 0.0], [6.0, 1.0, 0.0], [4.0, 2.0, 0.0]])
     report = check_drift_condition(oracle, a, eps, lam, 1.0, _lyapunov(small), small,
-                                   rng)
+                                   *_drift_directions(oracle, rng))
     assert report.checked == []
     # csv still renders with only the header
     assert report.to_csv().startswith("slot,V,omega,lhs,violation")
@@ -264,14 +271,14 @@ def test_drift_condition_rejects_exterior_arrivals(tandem_oracle):
     a_bad = np.full((3, 1), 1e9)
     with pytest.raises(ConfigError):
         check_drift_condition(oracle, a_bad, 0.1, 100.0, 1.0,
-                              np.zeros(3), np.zeros((3, 3)), rng)
+                              np.zeros(3), np.zeros((3, 3)), *_drift_directions(oracle, rng))
 
 
 def test_estimate_epsilon_positive_interior(tandem_oracle):
     sc, oracle = tandem_oracle
     rng = np.random.default_rng(40)
     abar, a, eps_true = _interior_point(sc, oracle)
-    est = estimate_epsilon(oracle, a, rng, samples=24)
+    est = estimate_epsilon(oracle, a, oracle.random_directions(24, rng))
     assert est > 0
     # the estimated margin is honored on fresh directions
     for _ in range(5):
@@ -295,9 +302,10 @@ def test_lockstep_look_ahead_changes_no_answer(tandem_oracle, monkeypatch):
 
     def audit():
         oracle = RateRegionOracle(sc.model, sc.traffic)
-        est = estimate_epsilon(oracle, a, np.random.default_rng(40), samples=24)
+        est = estimate_epsilon(oracle, a,
+                               oracle.random_directions(24, np.random.default_rng(40)))
         report = check_drift_condition(oracle, a, eps, lam, 1.0, _lyapunov(big), big,
-                                       np.random.default_rng(37))
+                                       *_drift_directions(oracle, np.random.default_rng(37)))
         assert len(report.checked) == 2
         assert oracle._ahead == {}
         return repr(est), repr(report)
